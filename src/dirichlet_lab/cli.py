@@ -8,7 +8,9 @@ error, 2 numerical failure, 64 usage.
 """
 
 import argparse
+import cmath
 import json
+import math
 import os
 import re
 import sys
@@ -44,8 +46,26 @@ class _Parser(argparse.ArgumentParser):
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 
 
+def _parse_float(text: str) -> float:
+    """argparse type for real options: a finite number (no nan, no inf)."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError("expected a finite number: %r" % text)
+    return x
+
+
 def _parse_complex(text: str) -> complex:
-    """Complex literals of the form a+bi (also bare a, bare bi)."""
+    """Finite complex literals of the form a+bi (also bare a, bare bi)."""
+    z = _parse_complex_literal(text)
+    if not cmath.isfinite(z):
+        raise UsageError("complex values must be finite: %r" % text)
+    return z
+
+
+def _parse_complex_literal(text: str) -> complex:
     t = text.strip().replace(" ", "")
     m = re.fullmatch(r"([+-]?%s)" % _NUM, t)
     if m:
@@ -65,9 +85,12 @@ def _parse_complex(text: str) -> complex:
 
 def _parse_floats(text: str, what: str):
     try:
-        return [float(x) for x in text.split(",")]
+        vals = [float(x) for x in text.split(",")]
     except ValueError:
         raise UsageError("%s must be comma-separated numbers: %r" % (what, text))
+    if not all(map(math.isfinite, vals)):
+        raise UsageError("%s must be finite numbers: %r" % (what, text))
+    return vals
 
 
 def _parse_ints(text: str, what: str):
@@ -321,10 +344,10 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("moment", help="quadrature mean of |f|^{2k} over [0, T]")
     _add_common(sp)
-    sp.add_argument("--sigma", type=float, required=True)
+    sp.add_argument("--sigma", type=_parse_float, required=True)
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--T", type=float, required=True)
-    sp.add_argument("--step", type=float, default=0.01)
+    sp.add_argument("--T", type=_parse_float, required=True)
+    sp.add_argument("--step", type=_parse_float, default=0.01)
     sp.add_argument("--rule", choices=("simpson", "trapezoid"), default="simpson")
     sp.add_argument("--N", type=int, default=100_000,
                     help="truncation length for generic series evaluators")
@@ -332,38 +355,38 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("zeros", help="scan a rectangle for zeros")
     _add_common(sp)
     sp.add_argument("--rect", required=True, help="sigma_lo,sigma_hi,t_lo,t_hi")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--step", type=float, default=0.01, help="boundary step")
+    sp.add_argument("--tol", type=_parse_float, default=1e-10)
+    sp.add_argument("--step", type=_parse_float, default=0.01, help="boundary step")
     sp.add_argument("--N", type=int, default=100_000)
 
     sp = sub.add_parser("density", help="zero counts right of each sigma, up to height T")
     _add_common(sp)
     sp.add_argument("--sigma-list", required=True)
-    sp.add_argument("--T", type=float, required=True)
-    sp.add_argument("--sigma-hi", type=float, default=1.2)
-    sp.add_argument("--step", type=float, default=0.01, help="boundary step")
+    sp.add_argument("--T", type=_parse_float, required=True)
+    sp.add_argument("--sigma-hi", type=_parse_float, default=1.2)
+    sp.add_argument("--step", type=_parse_float, default=0.01, help="boundary step")
     sp.add_argument("--N", type=int, default=100_000)
 
     sp = sub.add_parser("flow", help="torus flow box-hitting fractions")
     _add_common(sp, series=False)
     sp.add_argument("--dims", type=int, default=1)
-    sp.add_argument("--T", type=float, required=True)
-    sp.add_argument("--step", type=float, default=0.01)
+    sp.add_argument("--T", type=_parse_float, required=True)
+    sp.add_argument("--step", type=_parse_float, default=0.01)
     sp.add_argument("--box", default=None, help="lo,hi pairs, one per dimension")
     sp.add_argument("--suite", choices=("standard",), default=None)
 
     sp = sub.add_parser("recur", help="near-recurrence scan around a seed zero")
     _add_common(sp)
     sp.add_argument("--s0", type=_parse_complex, required=True, help="seed zero, a+bi")
-    sp.add_argument("--r", type=float, required=True, help="disc radius")
-    sp.add_argument("--T", type=float, required=True)
-    sp.add_argument("--t-step", type=float, default=0.01)
+    sp.add_argument("--r", type=_parse_float, required=True, help="disc radius")
+    sp.add_argument("--T", type=_parse_float, required=True)
+    sp.add_argument("--t-step", type=_parse_float, default=0.01)
     sp.add_argument("--grid", type=int, default=64)
     sp.add_argument("--N", type=int, default=100_000)
 
     sp = sub.add_parser("mollify", help="mollified tail decay across cutoffs X")
     _add_common(sp)
-    sp.add_argument("--sigma", type=float, required=True)
+    sp.add_argument("--sigma", type=_parse_float, required=True)
     sp.add_argument("--X-list", required=True, help="comma-separated cutoffs")
     sp.add_argument("--N", type=int, default=100_000)
 

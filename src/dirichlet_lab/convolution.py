@@ -129,7 +129,8 @@ def mollifier_coefficients(a, b, X: int, N: int) -> np.ndarray:
     a = a[: N + 1] / a[1]
     bX = np.zeros(N + 1, dtype=np.complex128)
     bX[1 : X + 1] = b[1 : X + 1] / b[1]
-    d = dirichlet_convolve(a, bX)
+    # bX has at most X nonzero terms, so pushing them costs O(N log X).
+    d = dirichlet_convolve(bX, a)
     scale = max(1.0, float(np.abs(a).max()), float(np.abs(bX).max()))
     head = d[2 : X + 1]
     if head.size and np.abs(head).max() > 1e-9 * scale:

@@ -49,20 +49,16 @@ _SHELL_CUTOFF = 1_000_000
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Composite-rule parameters; parallel_chunks caps the worker count
-    (chunk boundaries themselves are fixed by the grid)."""
+    """Composite-rule parameters."""
 
     step: float = 0.01
     rule: str = "simpson"
-    parallel_chunks: int = 1
 
     def __post_init__(self):
         if self.step <= 0:
             raise PreconditionError("quadrature step must be positive")
         if self.rule not in ("simpson", "trapezoid"):
             raise PreconditionError("rule must be simpson or trapezoid")
-        if int(self.parallel_chunks) < 1:
-            raise PreconditionError("parallel_chunks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -153,8 +149,7 @@ def estimate_moment(
         powers = np.abs(vals) ** (2 * k)
         return float(np.sum(weight_fn(idx, npts) * powers))
 
-    requested = threads if threads is not None else cfg.parallel_chunks
-    partials = map_chunks(work, spans, threads=requested)
+    partials = map_chunks(work, spans, threads=threads)
     total = neumaier_sum(partials)
     integral = total * (h / 3.0 if cfg.rule == "simpson" else h)
     estimate = integral / T

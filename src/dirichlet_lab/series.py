@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from ._kernel import DirichletPolynomial
 from .coefficients import ExplicitSource, SeriesSpec
 from .errors import NumericalError, PreconditionError
 from .parallel import neumaier_sum, neumaier_sum_complex
@@ -25,10 +26,6 @@ __all__ = [
 # Summation proceeds in fixed index blocks; block sums are combined with
 # compensated accumulation so totals are reproducible bit for bit.
 _SUM_BLOCK = 65536
-
-# Elementwise outer products (indices x evaluation points) are capped at this
-# many entries.
-_OUTER_BLOCK = 4_000_000
 
 _LOCAL_SUM_CAP = 400
 
@@ -60,49 +57,23 @@ class PolynomialEvaluator:
     """Vectorized evaluator for a finite Dirichlet polynomial."""
 
     def __init__(self, indices, values):
-        self.indices = np.asarray(indices, dtype=np.float64)
-        self.values = np.asarray(values, dtype=np.complex128)
-        self._logs = np.log(self.indices)
+        self._sum = DirichletPolynomial(indices, values)
 
     def __call__(self, s):
-        arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
-        # Overflow to inf is fine here; callers guard non-finite values.
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = self.values[:, None] * np.exp(
-                -self._logs[:, None] * arr[None, :]
-            )
-            out = terms.sum(axis=0)
+        out = self._sum(np.atleast_1d(np.asarray(s, dtype=np.complex128)))
         if np.isscalar(s) or np.asarray(s).ndim == 0:
             return complex(out[0])
         return out
 
 
-class TruncatedEvaluator:
+class TruncatedEvaluator(PolynomialEvaluator):
     """Evaluator that sums the first N coefficients of a series."""
 
     def __init__(self, spec: SeriesSpec, N: int):
         if N < 1:
             raise PreconditionError("truncation length must be >= 1")
-        self.N = int(N)
-        self.coeffs = spec.coeffs.dense(self.N)
-        self._logs = np.log(np.arange(1, self.N + 1, dtype=np.float64))
-
-    def __call__(self, s):
-        arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
-        out = np.zeros(arr.shape, dtype=np.complex128)
-        blk = max(1, _OUTER_BLOCK // max(1, arr.size))
-        lo = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            while lo < self.N:
-                hi = min(self.N, lo + blk)
-                block = self.coeffs[lo + 1 : hi + 1, None] * np.exp(
-                    -self._logs[lo:hi, None] * arr[None, :]
-                )
-                out += block.sum(axis=0)
-                lo = hi
-        if np.isscalar(s) or np.asarray(s).ndim == 0:
-            return complex(out[0])
-        return out
+        N = int(N)
+        super().__init__(np.arange(1, N + 1), spec.coeffs.dense(N)[1:])
 
 
 def default_evaluator(spec: SeriesSpec, N: int = 100_000):

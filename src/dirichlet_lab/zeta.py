@@ -1,8 +1,14 @@
 """Euler-Maclaurin evaluation of the Riemann zeta function.
 
-Validated envelope: 1/2 < Re s <= 4, |Im s| <= 1e4, where the relative error
-stays below 1e-10.  Outside that strip (but still Re s > 0) values are
-computed and an AccuracyWarning is emitted.
+Validated envelope: 1/2 < Re s <= 4, |Im s| <= 1e4.  Outside that strip (but
+still Re s > 0) values are computed and an AccuracyWarning is emitted.
+
+Measured accuracy, not a certified bound: against mpmath (25 digits) at
+3,968 points on vertical-line arrays, Re s in {0.501, 0.51, 0.55, 0.6,
+0.75, 1, 2, 4} and Im s up to 1e4, the absolute error stayed below 5e-11 and
+the relative error below 9e-11 for Re s >= 0.55.  Nearer the left edge the
+relative error reached 2.2e-9 where |zeta| is small (Re s = 0.501).  The
+partial sum is the Dirichlet-polynomial kernel of ._kernel.
 """
 
 import math
@@ -10,6 +16,7 @@ import warnings
 
 import numpy as np
 
+from ._kernel import DirichletPolynomial
 from .errors import AccuracyWarning, PreconditionError
 
 __all__ = ["zeta_eval", "zeta_values"]
@@ -22,26 +29,6 @@ _BERN = (
     -1.0 / 1209600.0,
     1.0 / 47900160.0,
 )
-
-# Elementwise work arrays are capped at this many entries; the block split
-# depends only on the input length, never on the worker count.
-_INNER_BLOCK = 4_000_000
-
-
-def _partial_power_sum(s: np.ndarray, N: int) -> np.ndarray:
-    """Sum of n^{-s} for n = 1..N, vectorized over the array s."""
-    out = np.zeros(s.shape, dtype=np.complex128)
-    if N < 1:
-        return out
-    blk = max(1, _INNER_BLOCK // max(1, s.size))
-    n0 = 1
-    while n0 <= N:
-        n1 = min(N, n0 + blk - 1)
-        logs = np.log(np.arange(n0, n1 + 1, dtype=np.float64))
-        out += np.exp(-logs[:, None] * s[None, :]).sum(axis=0)
-        n0 = n1 + 1
-    return out
-
 
 def zeta_values(s, N=None) -> np.ndarray:
     """zeta at every point of the complex array s.
@@ -71,7 +58,7 @@ def zeta_values(s, N=None) -> np.ndarray:
         N = max(32, int(math.ceil(np.abs(arr.imag).max())))
     N = int(N)
 
-    out = _partial_power_sum(arr, N)
+    out = DirichletPolynomial(np.arange(1, N + 1), np.ones(N))(arr)
     logN = math.log(N)
     pow_1ms = np.exp((1.0 - arr) * logN)  # N^{1-s}
     out += pow_1ms / (arr - 1.0)

@@ -8,10 +8,9 @@ re-reads the very same runs to compare output bytes across thread counts.
 
 import json
 import math
-import os
-import tempfile
 
 import numpy as np
+import pytest
 
 from dirichlet_lab import (
     Rectangle,
@@ -36,17 +35,16 @@ from _oracles import (
     two_term_mean,
 )
 
-_C3_DIR = tempfile.mkdtemp(prefix="dlab-accept-")
-C3_PATH = os.path.join(_C3_DIR, "two_term.json")
-with open(C3_PATH, "w") as fh:
-    json.dump({"kind": "explicit", "coeffs": [[1, 1.0, 0.0], [2, 1.0, 0.0]]}, fh)
+# Criterion 3's coefficient file (1 + 2^{-s}) is written by the c3_path
+# fixture; this placeholder in its argv stands for the file's path.
+C3_SERIES = "<two-term file>"
 
 A1 = ["moment", "--series", "zeta", "--sigma", "0.75", "--k", "1",
       "--T", "2000", "--step", "0.01"]
 A2 = ["moment", "--series", "zeta", "--sigma", "0.75", "--k", "2",
       "--T", "2000", "--step", "0.01"]
-A3A = ["moment", "--series", C3_PATH, "--sigma", "1.0", "--T", "5000"]
-A3B = ["moment", "--series", C3_PATH, "--sigma", "1.0", "--T", "10000"]
+A3A = ["moment", "--series", C3_SERIES, "--sigma", "1.0", "--T", "5000"]
+A3B = ["moment", "--series", C3_SERIES, "--sigma", "1.0", "--T", "10000"]
 A5 = ["flow", "--suite", "standard", "--T", "100000", "--step", "0.01",
       "--format", "csv"]
 A6 = ["zeros", "--series", "builtin:eta-factor", "--rect", "0.5,1.5,-1,100"]
@@ -60,6 +58,18 @@ A9 = ["mollify", "--series", "zeta", "--sigma", "0.75",
 CLI_CRITERIA = [A1, A2, A3A, A3B, A5, A6, A7, A8, A9]
 
 _C4 = {}
+
+
+@pytest.fixture(scope="module")
+def c3_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dlab-accept") / "two_term.json"
+    path.write_text(json.dumps(
+        {"kind": "explicit", "coeffs": [[1, 1.0, 0.0], [2, 1.0, 0.0]]}))
+    return str(path)
+
+
+def _with_c3(argv, c3_path):
+    return [c3_path if a == C3_SERIES else a for a in argv]
 
 
 def _line(num, name, ok, detail):
@@ -104,9 +114,9 @@ def test_criterion_02_fourth_moment_zeta():
                  % (est, ref, rel, FOURTH_TARGET_0_75, gap))
 
 
-def test_criterion_03_two_term_mean_square():
+def test_criterion_03_two_term_mean_square(c3_path):
     ok, parts = True, []
-    for argv in (A3A, A3B):
+    for argv in (_with_c3(A3A, c3_path), _with_c3(A3B, c3_path)):
         T = float(argv[argv.index("--T") + 1])
         est = _doc(argv)["result"]["estimate"]
         err = abs(est - TWO_TERM_LIMIT)
@@ -206,9 +216,9 @@ def test_criterion_09_mollifier_tail_decay():
                  "last < half of first)" % tuple(tails))
 
 
-def test_criterion_10_thread_determinism():
+def test_criterion_10_thread_determinism(c3_path):
     mismatches = []
-    for argv in CLI_CRITERIA:
+    for argv in (_with_c3(a, c3_path) for a in CLI_CRITERIA):
         outs = []
         for extra in ((), ("--threads", "1"), ("--threads", "4"),
                       ("--threads", "8")):

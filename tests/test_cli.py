@@ -232,3 +232,17 @@ def test_out_flag_writes_file(tmp_path):
     doc = json.loads(target.read_text())
     assert doc["experiment"] == "moment"
     assert doc == json.loads(run_cached(MOMENT_ETA)[1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moment", "--series", "zeta", "--sigma", "0.75", "--T", "nan"],
+        ["zeros", "--series", "builtin:eta-factor", "--rect", "0.5,inf,0,1"],
+        ["flow", "--suite", "standard", "--T", "inf"],
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(argv):
+    code, out, err = run_cli(argv)
+    assert code == 64 and out == ""
+    assert err.startswith("dlab: usage:") and err.count("\n") == 1

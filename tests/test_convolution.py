@@ -140,3 +140,21 @@ def test_mollifier_range_checks():
         mollifier_coefficients(e, e, 50, 50)
     with pytest.raises(PreconditionError, match="too short"):
         mollifier_coefficients(e, e, 5, 60)
+
+
+def test_mollifier_bit_identical_to_full_order_convolution():
+    # mollifier_coefficients pushes the X nonzero terms of b; the convolution
+    # in the other argument order (a pushed over all N) must give the same
+    # bits on zeta, whose integer coefficients make every sum exact.
+    N = 5000
+    spec = builtin_series("zeta")
+    a = spec.coeffs.dense(N)
+    b = inverse_coefficients(spec, N)
+    for X in (10, 100, 1000):
+        bX = np.zeros(N + 1, dtype=np.complex128)
+        bX[1 : X + 1] = b[1 : X + 1]
+        want = dirichlet_convolve(a, bX)
+        want[1] = 1.0
+        want[2 : X + 1] = 0.0
+        got = mollifier_coefficients(a, b, X, N)
+        assert got.tobytes() == want.tobytes(), X

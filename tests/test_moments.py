@@ -108,8 +108,6 @@ def test_moment_guards():
         QuadratureConfig(rule="midpoint")
     with pytest.raises(PreconditionError, match="step"):
         QuadratureConfig(step=0.0)
-    with pytest.raises(PreconditionError, match="parallel_chunks"):
-        QuadratureConfig(parallel_chunks=0)
 
 
 def test_lindelof_target_first_order():

@@ -19,6 +19,7 @@ from dirichlet_lab import (
     zeta_eval,
     zeta_values,
 )
+from dirichlet_lab._kernel import DirichletPolynomial, _vertical_grid
 from dirichlet_lab.series import PolynomialEvaluator, TruncatedEvaluator
 
 from _oracles import ZETA_2
@@ -223,3 +224,51 @@ def test_partial_eval_matches_zeta_evaluator():
     # |tail| <= sum_{n>N} n^{-2.5} <= N^{-1.5}/1.5
     assert abs(direct - trunc) <= 200_000**-1.5 / 1.5 * 1.01
     assert math.isfinite(abs(trunc))
+
+
+# ---------------------------------------------------------------------------
+# The Dirichlet-polynomial kernel: separable (vertical-line grid) and direct
+# paths.
+
+
+def _vertical_line(sigma, t0, h, P):
+    s = np.full(P, sigma, dtype=np.complex128)
+    s += 1j * (t0 + np.arange(P, dtype=np.float64) * h)
+    return s
+
+
+@pytest.mark.parametrize("sigma", [0.501, 0.75, 4.0])
+def test_kernel_separable_path_matches_direct(sigma):
+    N = 10_000
+    kernel = DirichletPolynomial(np.arange(1, N + 1), np.ones(N))
+    scale = float(np.sum(np.arange(1, N + 1, dtype=np.float64) ** -sigma))
+    for t0, h in ((0.0, 0.01), (1800.0, 0.01), (9600.0, 1.0)):
+        s = _vertical_line(sigma, t0, h, 400)
+        assert _vertical_grid(s) is not None
+        diff = np.abs(kernel(s) - kernel._direct(s)).max()
+        assert diff <= 1e-11 * scale, (sigma, t0, diff / scale)
+
+
+def test_kernel_path_choice():
+    line = _vertical_line(0.75, 100.0, 0.01, 50)
+    assert _vertical_grid(line) is not None
+    mixed = line.copy()
+    mixed[7] += 1e-9  # one point off the line
+    assert _vertical_grid(mixed) is None
+    uneven = line.copy()
+    uneven.imag[30] += 1e-6  # the imaginary parts leave the base + offset grid
+    assert _vertical_grid(uneven) is None
+    # Too few points for the two tables to pay (m + nb >= P).
+    assert _vertical_grid(line[:5]) is None
+    # Both inputs still evaluate, through the direct path.
+    kernel = DirichletPolynomial([1.0, 2.0], [1.0, -2.0])
+    for s in (mixed, uneven):
+        np.testing.assert_array_equal(kernel(s), kernel._direct(s))
+
+
+def test_kernel_drops_zero_coefficients():
+    kernel = DirichletPolynomial(np.arange(1, 7), [1.0, 0.0, 0.0, 2.0, 0.0, 3j])
+    np.testing.assert_array_equal(np.exp(kernel.logs), [1.0, 4.0, 6.0])
+    s = _vertical_line(1.0, 0.0, 0.5, 40)
+    want = 1.0 + 2.0 * 4.0 ** (-s) + 3j * 6.0 ** (-s)
+    assert np.abs(kernel(s) - want).max() < 1e-14

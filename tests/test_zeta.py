@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from dirichlet_lab import AccuracyWarning, PreconditionError, zeta_eval, zeta_values
+from dirichlet_lab._kernel import _vertical_grid
 
 from _oracles import ZETA_0_5, ZETA_2, ZETA_4
 
@@ -87,3 +91,37 @@ def test_conjugate_symmetry():
     a = zeta_eval(s)
     b = zeta_eval(s.conjugate())
     assert abs(a - b.conjugate()) < 1e-12 * abs(a)
+
+
+# Whole vertical-line arrays take the kernel's separable path (one matrix
+# product of two exponential tables); spot points are checked against mpmath.
+@pytest.mark.parametrize(
+    "sigma, t0, h, P, every",
+    [(0.75, 1800.0, 0.01, 20001, 250), (2.0, 9900.0, 0.05, 2001, 40)],
+)
+def test_vertical_line_against_mpmath(sigma, t0, h, P, every):
+    mpmath.mp.dps = 30
+    s = np.full(P, sigma, dtype=np.complex128)
+    s += 1j * (t0 + np.arange(P, dtype=np.float64) * h)
+    assert _vertical_grid(s) is not None
+    vals = zeta_values(s)
+    for j in range(0, P, every):
+        want = complex(mpmath.zeta(mpmath.mpc(s[j].real, s[j].imag)))
+        assert abs(vals[j] - want) <= 1e-10 * abs(want), s[j]
+
+
+def test_document_independent_of_blas_threads():
+    """BLAS threading is process-wide and outside --threads; the A1 moment
+    document must not depend on it."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    argv = [sys.executable, "-m", "dirichlet_lab.cli", "moment", "--series",
+            "zeta", "--sigma", "0.75", "--k", "1", "--T", "2000",
+            "--step", "0.01"]
+    docs = []
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        docs.append(proc.stdout)
+    assert docs[0] == docs[1]
