@@ -34,8 +34,12 @@ from .zeros import (
 __all__ = ["UsageError", "main", "run"]
 
 
-class UsageError(ValueError):
-    """Bad argv: unknown subcommand/flag or malformed value (exit 64)."""
+class UsageError(argparse.ArgumentTypeError):
+    """Bad argv: unknown subcommand/flag or malformed value (exit 64).
+
+    An ArgumentTypeError, so argparse keeps the message when an option's
+    type function raises it.
+    """
 
 
 class _Parser(argparse.ArgumentParser):

@@ -188,6 +188,11 @@ class _ZetaSource(MultiplicativeSource):
         return arr
 
 
+def _is_zeta(spec: SeriesSpec) -> bool:
+    """True for the builtin zeta series; the label is only a display name."""
+    return isinstance(spec.coeffs, _ZetaSource)
+
+
 class _MoebiusSource(MultiplicativeSource):
     def dense(self, limit: int) -> np.ndarray:
         return _moebius_dense(limit)

@@ -7,13 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import ExplicitSource, SeriesSpec
+from ._kernel import DirichletPolynomial
+from .coefficients import ExplicitSource, SeriesSpec, _is_zeta, builtin_series
 from .convolution import convolution_power
 from .errors import NumericalError, PreconditionError
-from .parallel import map_chunks, neumaier_sum
-from .primes import primes_up_to, smooth_enumerate
+from .parallel import map_chunks
+from .primes import smooth_enumerate
 from .series import (
     _phase_for,
+    _rankin_square_tail,
     _smooth_coefficients,
     default_evaluator,
     eval_array,
@@ -38,9 +40,6 @@ __all__ = [
 # Quadrature nodes are processed in fixed windows of this many grid points;
 # the split depends only on the grid, so totals are worker-count independent.
 _NODE_CHUNK = 20000
-
-# Elementwise outer products are capped at this many entries.
-_OUTER_BLOCK = 4_000_000
 
 # Internal cutoff for shell sums; large enough that members beyond it are
 # negligible at the sigma ranges these diagnostics run at.
@@ -110,9 +109,8 @@ def estimate_moment(
 ) -> MomentReport:
     """Composite quadrature of |f(sigma+it)|^{2k} over [0, T], divided by T.
 
-    Node chunks evaluate concurrently; chunk partials are combined in fixed
-    order with compensated accumulation, so the estimate is bit-identical for
-    every worker count.
+    Node chunks evaluate concurrently; chunk partials are combined with
+    math.fsum, so the estimate is bit-identical for every worker count.
     """
     if sigma <= spec.sigma_m:
         raise PreconditionError("sigma must exceed sigma_m of the series")
@@ -122,7 +120,7 @@ def estimate_moment(
         raise PreconditionError("moment half-power k must be >= 1")
     k = int(k)
     cfg = cfg if cfg is not None else QuadratureConfig()
-    if spec.label == "zeta" and cfg.step > 0.05:
+    if _is_zeta(spec) and cfg.step > 0.05:
         raise PreconditionError("step must be <= 0.05 for zeta integrands")
     if evaluator is None:
         evaluator = default_evaluator(spec)
@@ -150,7 +148,7 @@ def estimate_moment(
         return float(np.sum(weight_fn(idx, npts) * powers))
 
     partials = map_chunks(work, spans, threads=threads)
-    total = neumaier_sum(partials)
+    total = math.fsum(partials)
     integral = total * (h / 3.0 if cfg.rule == "simpson" else h)
     estimate = integral / T
     target = theoretical_target(spec, sigma, k)
@@ -174,15 +172,9 @@ def theoretical_target(spec: SeriesSpec, sigma: float, k: int):
     series: the exact polynomial mean of the k-th convolution power.  None
     otherwise.
     """
-    if spec.label == "zeta" and spec.has_pole_at_one:
-        if abs(2.0 * sigma - 1.0) < 1e-9 or abs(4.0 * sigma - 1.0) < 1e-9:
-            return None
-        if k == 1:
-            return float(zeta_eval(2.0 * sigma).real)
-        if k == 2:
-            z2 = zeta_eval(2.0 * sigma).real
-            z4 = zeta_eval(4.0 * sigma).real
-            return float(z2**4 / z4)
+    if _is_zeta(spec):
+        if k in (1, 2) and 2.0 * sigma - 1.0 >= 1e-9:
+            return lindelof_product(k, sigma)
         return None
     if isinstance(spec.coeffs, ExplicitSource):
         m = spec.coeffs.max_index()
@@ -203,7 +195,7 @@ def polynomial_mean_exact(coeffs, sigma: float) -> float:
     if arr.ndim != 1 or arr.size < 2:
         raise PreconditionError("coefficient arrays are 1-based with length >= 2")
     ns = np.arange(1, arr.size, dtype=np.float64)
-    return float(neumaier_sum(np.abs(arr[1:]) ** 2 * ns ** (-2.0 * sigma)))
+    return math.fsum(np.abs(arr[1:]) ** 2 * ns ** (-2.0 * sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -232,40 +224,11 @@ def lindelof_target(k: int, sigma: float, N: int, guard: float = 0.35) -> float:
         raise PreconditionError("need N >= 2")
     tau = _tau_table(k, int(N))
     ns = np.arange(1, int(N) + 1, dtype=np.float64)
-    partial = float(neumaier_sum(tau[1:] ** 2 * ns ** (-2.0 * sigma)))
-    bound = _lindelof_tail_bound(k, sigma, int(N))
-    if bound > guard * partial:
+    partial = math.fsum(tau[1:] ** 2 * ns ** (-2.0 * sigma))
+    divisor = builtin_series("divisor_%d" % k).coeffs
+    if _rankin_square_tail(divisor, sigma, int(N)) > guard * partial:
         raise NumericalError("increase N")
     return partial
-
-
-def _lindelof_tail_bound(k: int, sigma: float, N: int) -> float:
-    """Upper bound on sum_{n>N} tau_k(n)^2 n^{-2 sigma}, by exponent shifting.
-
-    For each trial beta in (1, 2 sigma): N^{beta-2s} times an upper enclosure
-    of sum_n tau_k(n)^2 n^{-beta} (exact Euler factors to P, geometric
-    envelope tau_k(p^e)^2 <= (k^2)^e beyond).
-    """
-    G = float(k * k)
-    width = 2.0 * sigma - 1.0
-    best = math.inf
-    for frac in (0.2, 0.35, 0.5, 0.65, 0.8):
-        beta = 1.0 + frac * width
-        P = max(1000, int(math.ceil((2.0 * G) ** (1.0 / beta))))
-        log_prod = 0.0
-        for p in primes_up_to(P):
-            x = float(p) ** (-beta)
-            total = 1.0
-            term = 1.0
-            for e in range(1, 400):
-                term = float(math.comb(e + k - 1, k - 1)) ** 2 * x**e
-                total += term
-                if term < 1e-18 * total:
-                    break
-            log_prod += math.log(total)
-        log_prod += 2.0 * G * P ** (1.0 - beta) / (beta - 1.0)
-        best = min(best, math.exp((beta - 2.0 * sigma) * math.log(N) + log_prod))
-    return best
 
 
 def lindelof_product(k: int, sigma: float) -> float:
@@ -304,7 +267,6 @@ def shell_disc_distance(
     r_disc: float,
     grid: int = 64,
     cutoff: int = _SHELL_CUTOFF,
-    threads=None,
 ) -> float:
     """Disc integral of |g_k - g_{k-1}| around sigma, by the midpoint rule.
 
@@ -331,28 +293,8 @@ def shell_disc_distance(
     coeffs = _smooth_coefficients(spec, sm)
     if theta is not None:
         coeffs = coeffs * _phase_for(theta, sm)
-    coeffs = coeffs[shell]
-    logs = np.log(sm.members[shell].astype(np.float64))
     points, cell_area = _disc_lattice(r_disc, grid)
-    s_vals = sigma + points
-
-    spans = []
-    blk = max(1, _OUTER_BLOCK // max(1, s_vals.size))
-    lo = 0
-    while lo < logs.size:
-        spans.append((lo, min(logs.size, lo + blk)))
-        lo += blk
-
-    def work(span):
-        a, b = span
-        return (
-            coeffs[a:b, None] * np.exp(-logs[a:b, None] * s_vals[None, :])
-        ).sum(axis=0)
-
-    partial_rows = map_chunks(work, spans, threads=threads)
-    total = np.zeros(s_vals.shape, dtype=np.complex128)
-    for row in partial_rows:
-        total += row
+    total = DirichletPolynomial(sm.members[shell], coeffs[shell])(sigma + points)
     return float(np.sum(np.abs(total)) * cell_area)
 
 
@@ -396,7 +338,7 @@ def order_scan(
     if not horizons or horizons[0] <= 0:
         raise PreconditionError("order scan needs positive horizons")
     cfg = cfg if cfg is not None else QuadratureConfig(step=0.05)
-    if spec.label == "zeta" and cfg.step > 0.05:
+    if _is_zeta(spec) and cfg.step > 0.05:
         raise PreconditionError("step must be <= 0.05 for zeta integrands")
     if evaluator is None:
         evaluator = default_evaluator(spec)

@@ -25,29 +25,6 @@ def resolve_threads(requested=None) -> int:
     return n
 
 
-def neumaier_sum(values) -> float:
-    """Compensated sum of an iterable of floats, in iteration order."""
-    total = 0.0
-    comp = 0.0
-    for x in values:
-        x = float(x)
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp
-
-
-def neumaier_sum_complex(values) -> complex:
-    """Compensated complex sum; real and imaginary parts tracked separately."""
-    vals = [complex(v) for v in values]
-    return complex(
-        neumaier_sum(v.real for v in vals), neumaier_sum(v.imag for v in vals)
-    )
-
-
 def map_chunks(fn, items, threads=None):
     """Apply fn to every item and return results in input order.
 

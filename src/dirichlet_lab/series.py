@@ -3,15 +3,16 @@ truncations with certified tails, torus twists, and squared-coefficient
 (tail) norms.
 """
 
+import cmath
 import math
+import sys
 
 import numpy as np
 
 from ._kernel import DirichletPolynomial
-from .coefficients import ExplicitSource, SeriesSpec
+from .coefficients import ExplicitSource, SeriesSpec, _is_zeta
 from .errors import NumericalError, PreconditionError
-from .parallel import neumaier_sum, neumaier_sum_complex
-from .primes import SmoothSet, primes_up_to, smooth_enumerate
+from .primes import _SIEVE_BOUND, SmoothSet, primes_up_to, smooth_enumerate
 from .zeta import zeta_values
 
 __all__ = [
@@ -23,28 +24,13 @@ __all__ = [
     "twisted_eval",
 ]
 
-# Summation proceeds in fixed index blocks; block sums are combined with
-# compensated accumulation so totals are reproducible bit for bit.
-_SUM_BLOCK = 65536
-
+# Local Euler factors are summed to at most this many terms.
 _LOCAL_SUM_CAP = 400
 
 
 def partial_eval(spec: SeriesSpec, s: complex, N: int) -> complex:
-    """Sum of a_n n^{-s} for n <= N, ascending with compensated accumulation."""
-    if N < 1:
-        raise PreconditionError("partial_eval requires N >= 1")
-    s = complex(s)
-    a = spec.coeffs.dense(int(N))
-    blocks = []
-    n0 = 1
-    while n0 <= N:
-        n1 = min(N, n0 + _SUM_BLOCK - 1)
-        ns = np.arange(n0, n1 + 1, dtype=np.float64)
-        terms = a[n0 : n1 + 1] * np.exp(-s * np.log(ns))
-        blocks.append(complex(np.sum(terms)))
-        n0 = n1 + 1
-    return neumaier_sum_complex(blocks)
+    """Sum of a_n n^{-s} for n <= N."""
+    return TruncatedEvaluator(spec, N)(complex(s))
 
 
 def _explicit_support(src: ExplicitSource):
@@ -82,7 +68,7 @@ def default_evaluator(spec: SeriesSpec, N: int = 100_000):
     The builtin zeta series gets the summation-formula evaluator; finite
     explicit series are evaluated exactly; everything else is truncated at N.
     """
-    if spec.label == "zeta" and spec.has_pole_at_one:
+    if _is_zeta(spec):
         return zeta_values
     if isinstance(spec.coeffs, ExplicitSource):
         idx, val = _explicit_support(spec.coeffs)
@@ -144,79 +130,79 @@ def tail_norm(spec: SeriesSpec, sigma: float, N: int):
     if isinstance(src, ExplicitSource):
         idx, val = _explicit_support(src)
         sq = np.abs(val) ** 2 * np.asarray(idx, dtype=np.float64) ** (-2.0 * sigma)
-        partial = neumaier_sum(sq[idx <= N])
-        rest = neumaier_sum(sq[idx > N])
-        return partial, rest
+        return math.fsum(sq[idx <= N]), math.fsum(sq[idx > N])
     if 2.0 * sigma <= 1.0:
         raise PreconditionError(
             "tail norm diverges: need 2 sigma > 1 for this source"
         )
-    a = src.dense(int(N))
-    blocks = []
-    n0 = 1
-    while n0 <= N:
-        n1 = min(N, n0 + _SUM_BLOCK - 1)
-        ns = np.arange(n0, n1 + 1, dtype=np.float64)
-        blocks.append(
-            float(np.sum(np.abs(a[n0 : n1 + 1]) ** 2 * ns ** (-2.0 * sigma)))
-        )
-        n0 = n1 + 1
-    partial = neumaier_sum(blocks)
+    ns = np.arange(1, int(N) + 1, dtype=np.float64)
+    sq = np.abs(src.dense(int(N))[1:]) ** 2 * ns ** (-2.0 * sigma)
+    partial = math.fsum(sq)
     if src.unit_bounded:
-        bound = N ** (1.0 - 2.0 * sigma) / (2.0 * sigma - 1.0)
-        return partial, bound
-    bound = _rankin_square_tail(src, sigma, N)
-    return partial, bound
+        return partial, N ** (1.0 - 2.0 * sigma) / (2.0 * sigma - 1.0)
+    return partial, _rankin_square_tail(src, sigma, N)
 
 
 def _rankin_square_tail(src, sigma: float, N: int) -> float:
     """Bound on sum_{n>N} |a_n|^2 n^{-2 sigma} via a shifted exponent.
 
-    Uses sum_{n>N} g(n) n^{-2s} <= N^{beta-2s} sum_n g(n) n^{-beta} with
-    1 < beta < 2s, the latter bounded through Euler factors: exact local sums
-    for p <= P and a geometric envelope g(p^e) <= G^e beyond.
+    Uses sum_{n>N} g(n) n^{-2s} <= N^{beta-2s} sum_n g(n) n^{-beta} for trial
+    exponents 1 < beta < 2s, the latter bounded through Euler factors: exact
+    local sums for p <= P and a geometric envelope g(p^e) <= G^e beyond.
+    Trials whose P lies past the sieve bound are skipped before sieving.
+
+    Raises:
+        NumericalError: no trial fits the sieve bound, or every trial meets
+            a divergent local factor or a bound past the float range.
     """
     G = max(1.0, float(src.square_growth_base))
-    best = math.inf
-    lo, hi = 1.0, 2.0 * sigma
-    for frac in (0.25, 0.4, 0.5, 0.6, 0.75):
-        beta = lo + frac * (hi - lo)
-        P = max(100, int(math.ceil((2.0 * G) ** (1.0 / beta))))
+    trials = []
+    for frac in (0.2, 0.35, 0.5, 0.65, 0.8):
+        beta = 1.0 + frac * (2.0 * sigma - 1.0)
+        P = max(1000, int(math.ceil((2.0 * G) ** (1.0 / beta))))
+        if P <= _SIEVE_BOUND:
+            trials.append((beta, P))
+    if not trials:
+        raise NumericalError(
+            "tail norm: square growth base G = %g needs primes past %d"
+            % (G, _SIEVE_BOUND)
+        )
+    best = math.inf  # log of the least bound
+    for beta, P in trials:
         log_prod = 0.0
-        try:
-            for p in primes_up_to(P):
-                log_prod += math.log(_local_square_sum(src, int(p), beta))
-        except NumericalError:
-            continue
-        # Primes beyond P: each factor <= 1 + 2 G p^{-beta}, log-summed
-        # against the integral envelope (valid once G P^{-beta} <= 1/2).
-        log_prod += 2.0 * G * P ** (1.0 - beta) / (beta - 1.0)
-        cand = math.exp((beta - 2.0 * sigma) * math.log(N) + log_prod)
-        best = min(best, cand)
-    if not math.isfinite(best):
-        raise NumericalError("divergence detected in tail norm")
-    return best
-
-
-def _local_square_sum(src, p: int, beta: float) -> float:
-    """sum_e |a_{p^e}|^2 p^{-beta e}, with a divergence guard."""
-    x = float(p) ** (-beta)
-    total = 1.0
-    term_prev = 1.0
-    grow = 0
-    for e in range(1, _LOCAL_SUM_CAP + 1):
-        term = abs(src.prime_power(p, e)) ** 2 * x**e
-        total += term
-        if term > term_prev:
-            grow += 1
-            if grow >= 8:
-                raise NumericalError("divergence detected in tail norm")
+        for p in primes_up_to(P).tolist():
+            local = _local_factor(
+                lambda e: abs(src.prime_power(p, e)) ** 2, float(p) ** (-beta)
+            )
+            if local is None:
+                break
+            log_prod += math.log(local)
         else:
-            grow = 0
-        if term < 1e-18 * total:
-            return total
-        term_prev = term
-    raise NumericalError("divergence detected in tail norm")
+            # Primes beyond P: each factor <= 1 + 2 G p^{-beta}, log-summed
+            # against the integral envelope (valid once G P^{-beta} <= 1/2).
+            log_prod += 2.0 * G * P ** (1.0 - beta) / (beta - 1.0)
+            best = min(best, (beta - 2.0 * sigma) * math.log(N) + log_prod)
+    if not best < math.log(sys.float_info.max):
+        raise NumericalError("divergence detected in tail norm")
+    return math.exp(best)
+
+
+def _local_factor(coef, x):
+    """sum_{e >= 0} coef(e) x^e, or None when it does not converge: no term
+    falls below 1e-18 of the total within _LOCAL_SUM_CAP terms, the total is
+    not finite, or the rule overflows."""
+    try:
+        total = coef(0)
+        for e in range(1, _LOCAL_SUM_CAP + 1):
+            term = coef(e) * x**e
+            total += term
+            if not cmath.isfinite(total):
+                return None
+            if abs(term) <= 1e-18 * abs(total):
+                return total
+    except OverflowError:
+        pass
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +247,6 @@ def _phase_for(theta, sm: SmoothSet) -> np.ndarray:
     return np.exp(-2j * math.pi * dot)
 
 
-def _smooth_sum(spec: SeriesSpec, s: complex, sm: SmoothSet, phase=None) -> complex:
-    coeffs = _smooth_coefficients(spec, sm)
-    if phase is not None:
-        coeffs = coeffs * phase
-    logs = np.log(sm.members.astype(np.float64))
-    blocks = []
-    lo = 0
-    while lo < len(sm):
-        hi = min(len(sm), lo + _SUM_BLOCK)
-        blocks.append(
-            complex(np.sum(coeffs[lo:hi] * np.exp(-complex(s) * logs[lo:hi])))
-        )
-        lo = hi
-    return neumaier_sum_complex(blocks)
-
-
 def _rankin_smooth_tail(spec: SeriesSpec, sigma: float, r: int, M: int, beta=None):
     """Bound on the omitted smooth tail sum_{n in N(r), n > M} |a_n| n^{-sigma}.
 
@@ -292,53 +262,24 @@ def _rankin_smooth_tail(spec: SeriesSpec, sigma: float, r: int, M: int, beta=Non
     if beta >= sigma:
         raise PreconditionError("Rankin exponent must satisfy beta < sigma")
     log_prod = 0.0
-    for p in [int(q) for q in primes_up_to(r)]:
-        x = float(p) ** (-beta)
-        total = 1.0
-        term_prev = 1.0
-        grow = 0
-        for e in range(1, _LOCAL_SUM_CAP + 1):
-            term = abs(src.prime_power(p, e)) * x**e
-            total += term
-            if term > term_prev:
-                grow += 1
-                if grow >= 8:
-                    raise PreconditionError("series not in J at this σ")
-            else:
-                grow = 0
-            if term < 1e-18 * total:
-                break
-            term_prev = term
-        else:
+    for p in primes_up_to(r).tolist():
+        local = _local_factor(lambda e: abs(src.prime_power(p, e)), float(p) ** (-beta))
+        if local is None:
             raise PreconditionError("series not in J at this σ")
-        log_prod += math.log(total)
-    return math.exp((beta - sigma) * math.log(M) + log_prod)
+        log_prod += math.log(local)
+    log_bound = (beta - sigma) * math.log(M) + log_prod
+    if not log_bound < math.log(sys.float_info.max):
+        raise NumericalError("smooth tail bound exceeds the float range")
+    return math.exp(log_bound)
 
 
 def _euler_product(spec: SeriesSpec, s: complex, r: int) -> complex:
     """prod over p <= r of sum_e a_{p^e} p^{-e s} (the full local series)."""
     src = spec.coeffs
     out = 1.0 + 0j
-    for p in [int(q) for q in primes_up_to(r)]:
-        x = float(p) ** (-complex(s))
-        factor = 1.0 + 0j
-        term = 1.0 + 0j
-        prev = 1.0
-        grow = 0
-        for e in range(1, _LOCAL_SUM_CAP + 1):
-            term = src.prime_power(p, e) * x**e
-            factor += term
-            mag = abs(term)
-            if mag > prev:
-                grow += 1
-                if grow >= 8:
-                    raise NumericalError("Euler factor diverges at p = %d" % p)
-            else:
-                grow = 0
-            if mag < 1e-18 * max(abs(factor), 1e-300):
-                break
-            prev = mag
-        else:
+    for p in primes_up_to(r).tolist():
+        factor = _local_factor(lambda e: src.prime_power(p, e), float(p) ** (-s))
+        if factor is None:
             raise NumericalError("Euler factor diverges at p = %d" % p)
         out *= factor
     return out
@@ -356,6 +297,8 @@ def smooth_truncation_eval(spec: SeriesSpec, s: complex, k: int, M=None):
     Raises:
         PreconditionError: Re s <= sigma_m, or a divergent local factor
             ("series not in J at this σ").
+        NumericalError: a divergent Euler factor, or a tail bound past the
+            float range.
     """
     if k < 1:
         raise PreconditionError("smooth truncation requires k >= 1")
@@ -364,35 +307,28 @@ def smooth_truncation_eval(spec: SeriesSpec, s: complex, k: int, M=None):
     s = complex(s)
     if s.real <= spec.sigma_m:
         raise PreconditionError("Re s must exceed sigma_m")
+    if M is not None:
+        M = int(M)
+        if M < 1:
+            raise PreconditionError("cutoff M must be >= 1")
     r = 2**k
-    src = spec.coeffs
+    if isinstance(spec.coeffs, ExplicitSource):
+        idx, val = _explicit_support(spec.coeffs)
+        smooth = np.asarray([_is_smooth(int(n), r) for n in idx], dtype=bool)
+        kept = smooth if M is None else smooth & (idx <= M)
+        rest = smooth & ~kept
+        tail = math.fsum(np.abs(val[rest]) * idx[rest].astype(np.float64) ** (-s.real))
+        return PolynomialEvaluator(idx[kept], val[kept])(s), tail
     if M is None:
-        if isinstance(src, ExplicitSource):
-            idx, val = _explicit_support(src)
-            total = 0j
-            for n, a in zip(idx, val):
-                if _is_smooth(int(n), r):
-                    total += a * float(n) ** (-s)
-            return total, 0.0
         return _euler_product(spec, s, r), 0.0
-    M = int(M)
-    if M < 1:
-        raise PreconditionError("cutoff M must be >= 1")
     sm = smooth_enumerate(r, M)
-    value = _smooth_sum(spec, s, sm)
-    if isinstance(src, ExplicitSource):
-        idx, val = _explicit_support(src)
-        rest = 0.0
-        for n, a in zip(idx, val):
-            if n > M and _is_smooth(int(n), r):
-                rest += abs(a) * float(n) ** (-s.real)
-        return value, rest
+    value = PolynomialEvaluator(sm.members, _smooth_coefficients(spec, sm))(s)
     return value, _rankin_smooth_tail(spec, s.real, r, M)
 
 
 def _is_smooth(n: int, r: int) -> bool:
     m = n
-    for p in [int(q) for q in primes_up_to(r)]:
+    for p in primes_up_to(min(n, r)).tolist():
         while m % p == 0:
             m //= p
     return m == 1
@@ -412,5 +348,5 @@ def twisted_eval(spec: SeriesSpec, theta, s: complex, k: int, M: int) -> complex
     if M is None or int(M) < 1:
         raise PreconditionError("twisted evaluation needs a finite cutoff M")
     sm = smooth_enumerate(2**k, int(M))
-    phase = _phase_for(theta, sm)
-    return _smooth_sum(spec, s, sm, phase=phase)
+    coeffs = _smooth_coefficients(spec, sm) * _phase_for(theta, sm)
+    return PolynomialEvaluator(sm.members, coeffs)(s)

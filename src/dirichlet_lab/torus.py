@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .parallel import map_chunks, neumaier_sum, neumaier_sum_complex
+from .parallel import map_chunks
 from .primes import log_frequencies
 
 __all__ = [
@@ -213,8 +213,7 @@ def time_average(cfg: FlowConfig, F, threads=None):
         return complex(np.sum(vals))
 
     partials = map_chunks(work, _grid_chunks(npts), threads=threads)
-    total = neumaier_sum_complex(partials)
-    mean = total / npts
+    mean = _fsum_complex(partials) / npts
     if abs(mean.imag) == 0.0:
         return mean.real
     return mean
@@ -245,11 +244,17 @@ def ball_time_average(cfg: FlowConfig, ball: TychonoffBall, F, threads=None):
         return complex(np.sum(vals))
 
     partials = map_chunks(work, _grid_chunks(npts), threads=threads)
-    total = neumaier_sum_complex(partials)
-    mean = total / npts
+    mean = _fsum_complex(partials) / npts
     if abs(mean.imag) == 0.0:
         return mean.real
     return mean
+
+
+def _fsum_complex(values) -> complex:
+    """Correctly rounded real and imaginary parts of a complex sum."""
+    return complex(
+        math.fsum(v.real for v in values), math.fsum(v.imag for v in values)
+    )
 
 
 def tychonoff_distance(x: TorusPoint, y: TorusPoint) -> float:
@@ -257,7 +262,7 @@ def tychonoff_distance(x: TorusPoint, y: TorusPoint) -> float:
     if len(x) != len(y):
         raise PreconditionError("dimension mismatch")
     w = _metric_weights(len(x))
-    return float(neumaier_sum(w * np.abs(x.coords - y.coords)))
+    return math.fsum(w * np.abs(x.coords - y.coords))
 
 
 def ball_measure_mc(ball: TychonoffBall, samples: int, seed: int, threads=None):

@@ -11,7 +11,7 @@ import numpy as np
 from .convolution import mollifier_coefficients
 from .errors import NumericalError, PreconditionError
 from .moments import _disc_lattice
-from .parallel import map_chunks, neumaier_sum
+from .parallel import map_chunks
 from .series import eval_array
 
 __all__ = [
@@ -486,9 +486,9 @@ def mollifier_tail_decay(a, b, sigma: float, X_list, N: int):
         d = mollifier_coefficients(a, b, X, N)
         ns = np.arange(X + 1, N + 1, dtype=np.float64)
         sq = np.abs(d[X + 1 :]) ** 2 * ns ** (-2.0 * sigma)
-        tail = float(neumaier_sum(sq))
+        tail = math.fsum(sq)
         octave_start = max(X, N // 2)
-        octave = float(neumaier_sum(sq[octave_start - X :]))
+        octave = math.fsum(sq[octave_start - X :])
         remainder = octave * q / (1.0 - q)
         if remainder > 0.1 * tail:
             raise NumericalError("increase N")

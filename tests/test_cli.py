@@ -246,3 +246,34 @@ def test_non_finite_numbers_are_usage_errors(argv):
     code, out, err = run_cli(argv)
     assert code == 64 and out == ""
     assert err.startswith("dlab: usage:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["recur", "--series", "eta-factor", "--s0", "1+2j", "--r", "0.05",
+          "--T", "1"], "complex values use the form a+bi: '1+2j'"),
+        (["truncate", "--series", "zeta", "--s", "1e400", "--k", "2"],
+         "complex values must be finite: '1e400'"),
+    ],
+)
+def test_complex_option_messages_reach_stderr(argv, text):
+    code, out, err = run_cli(argv)
+    assert code == 64 and out == ""
+    assert err.startswith("dlab: usage:") and text in err
+
+
+def test_zeta_label_in_a_file_is_only_a_name(tmp_path):
+    # The zeta step cap belongs to the builtin zeta series, not its label.
+    spec = {"kind": "explicit", "coeffs": [[1, 1.0, 0.0], [2, -2.0, 0.0]],
+            "label": "zeta"}
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps(spec))
+    argv = ["moment", "--series", str(path), "--sigma", "1.0", "--T", "50",
+            "--step", "0.1"]
+    code, out, err = run_cli(argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["target"] == 2.0
+    code, _, err = run_cli(["moment", "--series", "zeta", "--sigma", "0.75",
+                            "--T", "50", "--step", "0.1"])
+    assert code == 1 and "step must be <= 0.05" in err

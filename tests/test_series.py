@@ -10,6 +10,7 @@ from dirichlet_lab import (
     SeriesSpec,
     TorusPoint,
     builtin_series,
+    convolution_power,
     default_evaluator,
     eval_array,
     partial_eval,
@@ -19,7 +20,9 @@ from dirichlet_lab import (
     zeta_eval,
     zeta_values,
 )
+from dirichlet_lab import primes, series
 from dirichlet_lab._kernel import DirichletPolynomial, _vertical_grid
+from dirichlet_lab.coefficients import load_source
 from dirichlet_lab.series import PolynomialEvaluator, TruncatedEvaluator
 
 from _oracles import ZETA_2
@@ -184,6 +187,59 @@ def test_smooth_rankin_divergence():
     spec = SeriesSpec(coeffs=src, sigma_m=0.5, sigma_a=3.0, label="steep")
     with pytest.raises(PreconditionError, match="not in J"):
         smooth_truncation_eval(spec, 1.0, 1, M=100)
+
+
+@pytest.mark.parametrize("k", (2, 6))
+def test_tail_norm_divisor_bound_covers_brute_force_tail(k):
+    # tau_6 rises for several prime-power exponents before its local factor
+    # at p = 2 converges; a rising run alone is no sign of divergence.
+    sigma, N, N_far = 0.75, 1000, 200_000
+    _, bound = tail_norm(builtin_series("divisor_%d" % k), sigma, N)
+    ones = np.ones(N_far + 1, dtype=np.complex128)
+    ones[0] = 0.0
+    tau = convolution_power(ones, k, N=N_far).real
+    ns = np.arange(N + 1, N_far + 1, dtype=np.float64)
+    brute = math.fsum(tau[N + 1 :] ** 2 * ns ** (-2.0 * sigma))
+    assert math.isfinite(bound) and bound >= brute
+
+
+def test_overflowing_rule_gives_each_callers_error():
+    src = MultiplicativeSource(
+        rule=lambda p, e: 10.0**e, square_growth_base=100.0, unit_bounded=False
+    )
+    spec = SeriesSpec(coeffs=src, sigma_m=0.5, sigma_a=3.0, label="tenfold")
+    with pytest.raises(PreconditionError, match="not in J"):
+        smooth_truncation_eval(spec, 1.0, 1, M=100)
+    with pytest.raises(NumericalError, match="Euler factor diverges"):
+        smooth_truncation_eval(spec, 1.0, 1)
+    with pytest.raises(NumericalError, match="divergence detected"):
+        tail_norm(spec, 1.0, 100)
+
+
+def test_smooth_tail_bound_past_float_range_is_numerical_error():
+    src = MultiplicativeSource(
+        rule=lambda p, e: 1e6 if e == 1 else 0.0,
+        square_growth_base=1e12,
+        unit_bounded=False,
+    )
+    spec = SeriesSpec(coeffs=src, sigma_m=0.5, sigma_a=3.0, label="huge")
+    with pytest.raises(NumericalError, match="float range"):
+        smooth_truncation_eval(spec, 1.0, 10, M=10)
+
+
+def test_rankin_sieve_is_bounded_before_allocating(monkeypatch):
+    sieve = series.primes_up_to
+
+    def bounded_sieve(limit):
+        assert limit <= primes._SIEVE_BOUND, "asked to sieve to %d" % limit
+        return sieve(limit)
+
+    monkeypatch.setattr(series, "primes_up_to", bounded_sieve)
+    # |a_2| = 1e6 gives the square growth base G = 1e12.
+    spec = load_source({"kind": "multiplicative", "prime_powers": [[2, 1, 1e6, 0]]})
+    assert spec.coeffs.square_growth_base == 1e12
+    with pytest.raises(NumericalError, match="growth base G = 1e\\+12"):
+        tail_norm(spec, 0.75, 1000)
 
 
 def test_smooth_argument_validation():

@@ -22,7 +22,7 @@ from dirichlet_lab import (
     time_average,
     tychonoff_distance,
 )
-from dirichlet_lab.parallel import map_chunks, neumaier_sum
+from dirichlet_lab.parallel import map_chunks
 
 from _oracles import LOG2_OVER_2PI, WEIGHT_TOTAL
 
@@ -229,16 +229,6 @@ def test_resolve_threads_precedence(monkeypatch):
         resolve_threads()
     with pytest.raises(PreconditionError):
         resolve_threads(0)
-
-
-def test_neumaier_sum_matches_fsum():
-    rng = np.random.default_rng(5)
-    vals = list(rng.normal(size=2000) * 10.0 ** rng.integers(-8, 8, size=2000))
-    # fsum is exact; compensated summation should land within a few ulps of
-    # the largest partial, far closer than a naive running sum would
-    assert neumaier_sum(vals) == pytest.approx(math.fsum(vals), rel=1e-13)
-    small = [1.0, 1e-16, 1e-16, 1e-16, -1.0]
-    assert neumaier_sum(small) == pytest.approx(3e-16, rel=1e-12)
 
 
 def test_map_chunks_preserves_order():
