@@ -423,10 +423,13 @@ def load_source(obj) -> SeriesSpec:
             if e < 1:
                 raise PreconditionError("prime powers need exponent >= 1")
             table[(p, e)] = complex(re, im)
-        growth = max(
-            [abs(v) ** (2.0 / e) for (p, e), v in table.items() if v != 0],
-            default=1.0,
-        )
+        try:
+            growth = max(
+                [abs(v) ** (2.0 / e) for (p, e), v in table.items() if v != 0],
+                default=1.0,
+            )
+        except OverflowError:  # some |v|^(2/e) lies past the float range
+            growth = math.inf
 
         def rule(p, e, _table=table):
             return _table.get((int(p), int(e)), 0j)

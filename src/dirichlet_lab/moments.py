@@ -11,7 +11,7 @@ from ._kernel import DirichletPolynomial
 from .coefficients import ExplicitSource, SeriesSpec, _is_zeta, builtin_series
 from .convolution import convolution_power
 from .errors import NumericalError, PreconditionError
-from .parallel import map_chunks
+from .parallel import map_spans
 from .primes import smooth_enumerate
 from .series import (
     _phase_for,
@@ -133,13 +133,8 @@ def estimate_moment(
     weight_fn = (
         _simpson_weights if cfg.rule == "simpson" else _trapezoid_weights
     )
-    spans = [
-        (lo, min(lo + _NODE_CHUNK, npts + 1))
-        for lo in range(0, npts + 1, _NODE_CHUNK)
-    ]
 
-    def work(span):
-        lo, hi = span
+    def work(lo, hi):
         idx = np.arange(lo, hi, dtype=np.int64)
         s = np.full(hi - lo, sigma, dtype=np.complex128)
         s += 1j * (idx.astype(np.float64) * h)
@@ -147,7 +142,7 @@ def estimate_moment(
         powers = np.abs(vals) ** (2 * k)
         return float(np.sum(weight_fn(idx, npts) * powers))
 
-    partials = map_chunks(work, spans, threads=threads)
+    partials = map_spans(work, npts + 1, _NODE_CHUNK, threads=threads)
     total = math.fsum(partials)
     integral = total * (h / 3.0 if cfg.rule == "simpson" else h)
     estimate = integral / T
@@ -344,13 +339,8 @@ def order_scan(
         evaluator = default_evaluator(spec)
     h = cfg.step
     nmax = int(math.ceil(horizons[-1] / h))
-    spans = [
-        (lo, min(lo + _NODE_CHUNK, nmax + 1))
-        for lo in range(0, nmax + 1, _NODE_CHUNK)
-    ]
 
-    def work(span):
-        lo, hi = span
+    def work(lo, hi):
         ts = np.arange(lo, hi, dtype=np.float64) * h
         # Conjugate halves scanned explicitly; no symmetry assumed.
         mags_pos = np.abs(eval_array(evaluator, sigma + 1j * ts))
@@ -361,7 +351,7 @@ def order_scan(
             out.append(max(mags_pos[m].max(), mags_neg[m].max()) if m.any() else 0.0)
         return out
 
-    rows = map_chunks(work, spans, threads=threads)
+    rows = map_spans(work, nmax + 1, _NODE_CHUNK, threads=threads)
     maxima = [max(row[i] for row in rows) for i in range(len(horizons))]
     xs = np.log(np.asarray(horizons))
     ys = np.log(np.asarray(maxima))

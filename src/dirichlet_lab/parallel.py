@@ -1,8 +1,9 @@
 """Thread-pool plumbing with order-preserving, scheduling-independent reduction.
 
-Work is always split into chunks whose boundaries are fixed by the problem
-parameters, never by the worker count, and chunk results are combined in chunk
-order.  Outputs are therefore byte-identical for any --threads setting.
+`map_spans` is the one place where a range is cut into work windows.  The
+window size is fixed by the problem parameters, never by the worker count,
+and window results come back in window order.  Outputs are therefore
+byte-identical for any --threads setting.
 """
 
 import os
@@ -25,15 +26,15 @@ def resolve_threads(requested=None) -> int:
     return n
 
 
-def map_chunks(fn, items, threads=None):
-    """Apply fn to every item and return results in input order.
+def map_spans(fn, n: int, chunk: int, threads=None) -> list:
+    """[fn(lo, hi) for each window [lo, min(lo + chunk, n)) of range(n)].
 
-    Items run concurrently when threads > 1; ordering of the result list never
-    depends on scheduling.
+    Windows run concurrently when threads > 1; the result list is in window
+    order whatever the scheduling.
     """
     threads = resolve_threads(threads)
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+    spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    if threads <= 1 or len(spans) <= 1:
+        return [fn(lo, hi) for lo, hi in spans]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, *zip(*spans)))

@@ -71,10 +71,7 @@ def default_evaluator(spec: SeriesSpec, N: int = 100_000):
     if _is_zeta(spec):
         return zeta_values
     if isinstance(spec.coeffs, ExplicitSource):
-        idx, val = _explicit_support(spec.coeffs)
-        if idx.size == 0:
-            return lambda s: np.zeros(np.atleast_1d(s).shape, dtype=np.complex128)
-        return PolynomialEvaluator(idx, val)
+        return PolynomialEvaluator(*_explicit_support(spec.coeffs))
     return TruncatedEvaluator(spec, N)
 
 
@@ -159,9 +156,9 @@ def _rankin_square_tail(src, sigma: float, N: int) -> float:
     trials = []
     for frac in (0.2, 0.35, 0.5, 0.65, 0.8):
         beta = 1.0 + frac * (2.0 * sigma - 1.0)
-        P = max(1000, int(math.ceil((2.0 * G) ** (1.0 / beta))))
-        if P <= _SIEVE_BOUND:
-            trials.append((beta, P))
+        bound = (2.0 * G) ** (1.0 / beta)
+        if bound <= _SIEVE_BOUND:
+            trials.append((beta, max(1000, math.ceil(bound))))
     if not trials:
         raise NumericalError(
             "tail norm: square growth base G = %g needs primes past %d"

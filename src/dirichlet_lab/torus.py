@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
-from .parallel import map_chunks
+from .errors import NumericalError, PreconditionError
+from .parallel import map_spans
 from .primes import log_frequencies
 
 __all__ = [
@@ -154,12 +154,6 @@ def flow_point(cfg: FlowConfig, t: float) -> TorusPoint:
     return TorusPoint(coords=np.mod(t * lam, 1.0))
 
 
-def _grid_chunks(npts: int):
-    return [
-        (i, min(i + _TIME_CHUNK, npts)) for i in range(0, npts, _TIME_CHUNK)
-    ]
-
-
 def _chunk_points(cfg: FlowConfig, lo: int, hi: int) -> np.ndarray:
     # Right endpoints (lo+1..hi) * step; t=0 is deliberately excluded.
     ts = np.arange(lo + 1, hi + 1, dtype=np.float64) * cfg.step
@@ -167,33 +161,52 @@ def _chunk_points(cfg: FlowConfig, lo: int, hi: int) -> np.ndarray:
     return np.mod(ts[:, None] * lam[None, :], 1.0)
 
 
-def box_hitting_fraction(cfg: FlowConfig, box: Box, threads=None) -> float:
-    """Fraction of grid times in (0, T] whose flow point lies in the box.
+def _flow_mean(cfg: FlowConfig, chunk_sum, threads):
+    """(1/npts) sum over the time grid, where chunk_sum(pts) sums one window
+    of flow points.
 
-    The grid resolution limit is step/T; counts are integers so the result
-    is exact for the grid it describes.
+    Window partials are fsum'd part by part, so the mean does not depend on
+    the worker count.  Returns a float when the imaginary part is exactly 0,
+    else the complex value.
     """
-    if box.dims > cfg.dims:
-        raise PreconditionError("box dimension exceeds flow dimension")
     npts = cfg.grid_size()
     if npts < 1:
         raise PreconditionError("horizon shorter than one step")
+    partials = map_spans(
+        lambda lo, hi: complex(chunk_sum(_chunk_points(cfg, lo, hi))),
+        npts,
+        _TIME_CHUNK,
+        threads=threads,
+    )
+    mean = complex(
+        math.fsum(v.real for v in partials), math.fsum(v.imag for v in partials)
+    ) / npts
+    if mean.imag == 0.0:
+        return mean.real
+    return mean
 
-    def work(span):
-        lo, hi = span
-        return int(box.contains(_chunk_points(cfg, lo, hi)).sum())
 
-    counts = map_chunks(work, _grid_chunks(npts), threads=threads)
-    return sum(counts) / npts
+def box_hitting_fraction(cfg: FlowConfig, box: Box, threads=None) -> float:
+    """Fraction of grid times in (0, T] whose flow point lies in the box.
+
+    The grid resolution limit is step/T.  Window counts are integers below
+    2^53, so their fsum is exact and the result is the exact count / npts.
+    """
+    if box.dims > cfg.dims:
+        raise PreconditionError("box dimension exceeds flow dimension")
+    return _flow_mean(cfg, lambda pts: box.contains(pts).sum(), threads)
 
 
 def _apply_pointwise(F, pts: np.ndarray) -> np.ndarray:
-    """Evaluate F on points (k, m), tolerating scalar-only callables."""
+    """Evaluate F on points (k, m); F that takes only single points (a wrong
+    shape, TypeError or ValueError on the array) is called once per point."""
     try:
         vals = np.asarray(F(pts))
         if vals.shape == (pts.shape[0],):
             return vals
-    except Exception:
+    except (PreconditionError, NumericalError):
+        raise
+    except (TypeError, ValueError):
         pass
     return np.asarray([F(p) for p in pts])
 
@@ -203,20 +216,7 @@ def time_average(cfg: FlowConfig, F, threads=None):
 
     Returns a float for real-valued F and a complex value otherwise.
     """
-    npts = cfg.grid_size()
-    if npts < 1:
-        raise PreconditionError("horizon shorter than one step")
-
-    def work(span):
-        lo, hi = span
-        vals = _apply_pointwise(F, _chunk_points(cfg, lo, hi))
-        return complex(np.sum(vals))
-
-    partials = map_chunks(work, _grid_chunks(npts), threads=threads)
-    mean = _fsum_complex(partials) / npts
-    if abs(mean.imag) == 0.0:
-        return mean.real
-    return mean
+    return _flow_mean(cfg, lambda pts: np.sum(_apply_pointwise(F, pts)), threads)
 
 
 def ball_time_average(cfg: FlowConfig, ball: TychonoffBall, F, threads=None):
@@ -227,34 +227,15 @@ def ball_time_average(cfg: FlowConfig, ball: TychonoffBall, F, threads=None):
     """
     if ball.dims > cfg.dims:
         raise PreconditionError("ball dimension exceeds flow dimension")
-    npts = cfg.grid_size()
-    if npts < 1:
-        raise PreconditionError("horizon shorter than one step")
     w = _metric_weights(ball.dims)
     center = ball.center.coords
 
-    def work(span):
-        lo, hi = span
-        pts = _chunk_points(cfg, lo, hi)
+    def chunk_sum(pts):
         dist = (np.abs(pts[:, : ball.dims] - center[None, :]) * w).sum(axis=1)
         mask = dist <= ball.radius
-        if not mask.any():
-            return 0j
-        vals = _apply_pointwise(F, pts[mask])
-        return complex(np.sum(vals))
+        return np.sum(_apply_pointwise(F, pts[mask])) if mask.any() else 0
 
-    partials = map_chunks(work, _grid_chunks(npts), threads=threads)
-    mean = _fsum_complex(partials) / npts
-    if abs(mean.imag) == 0.0:
-        return mean.real
-    return mean
-
-
-def _fsum_complex(values) -> complex:
-    """Correctly rounded real and imaginary parts of a complex sum."""
-    return complex(
-        math.fsum(v.real for v in values), math.fsum(v.imag for v in values)
-    )
+    return _flow_mean(cfg, chunk_sum, threads)
 
 
 def tychonoff_distance(x: TorusPoint, y: TorusPoint) -> float:
@@ -277,23 +258,14 @@ def ball_measure_mc(ball: TychonoffBall, samples: int, seed: int, threads=None):
         raise PreconditionError("seed must be a nonnegative integer")
     w = _metric_weights(ball.dims)
     center = ball.center.coords
-    batches = []
-    done = 0
-    j = 0
-    while done < samples:
-        take = min(_MC_BATCH, samples - done)
-        batches.append((j, take))
-        done += take
-        j += 1
 
-    def work(batch):
-        idx, count = batch
-        rng = np.random.default_rng([int(seed), idx])
-        pts = rng.random((count, ball.dims))
+    def work(lo, hi):
+        rng = np.random.default_rng([int(seed), lo // _MC_BATCH])
+        pts = rng.random((hi - lo, ball.dims))
         dist = (np.abs(pts - center[None, :]) * w).sum(axis=1)
         return int((dist <= ball.radius).sum())
 
-    hits = sum(map_chunks(work, batches, threads=threads))
+    hits = sum(map_spans(work, samples, _MC_BATCH, threads=threads))
     est = hits / samples
     se = math.sqrt(max(est * (1.0 - est), 0.0) / samples)
     return est, se

@@ -11,7 +11,7 @@ import numpy as np
 from .convolution import mollifier_coefficients
 from .errors import NumericalError, PreconditionError
 from .moments import _disc_lattice
-from .parallel import map_chunks
+from .parallel import map_spans
 from .series import eval_array
 
 __all__ = [
@@ -383,18 +383,14 @@ def recurrence_scan(
     idx = np.arange(-n_steps, n_steps + 1, dtype=np.int64)
     ts = idx.astype(np.float64) * t_step
     ts = ts[np.abs(ts) >= 1.0]  # drop the trivial self-recurrence window
-    spans = [
-        (lo, min(lo + _T_CHUNK, ts.size)) for lo in range(0, ts.size, _T_CHUNK)
-    ]
 
-    def work(span):
-        lo, hi = span
+    def work(lo, hi):
         tt = ts[lo:hi]
         pts = (s0 + offsets)[None, :] + 1j * tt[:, None]
         vals = eval_array(f, pts.ravel()).reshape(tt.size, offsets.size)
         return np.abs(vals - base[None, :]).sum(axis=1) * cell_area
 
-    integrals = np.concatenate(map_chunks(work, spans, threads=threads))
+    integrals = np.concatenate(map_spans(work, ts.size, _T_CHUNK, threads=threads))
 
     hit_mask = integrals <= threshold
     selected = {}

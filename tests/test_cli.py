@@ -277,3 +277,15 @@ def test_zeta_label_in_a_file_is_only_a_name(tmp_path):
     code, _, err = run_cli(["moment", "--series", "zeta", "--sigma", "0.75",
                             "--T", "50", "--step", "0.1"])
     assert code == 1 and "step must be <= 0.05" in err
+
+
+def test_coefficient_past_float_range_is_not_a_traceback(tmp_path):
+    # |a_2|^2 = 1e400 overflows a float; the growth base becomes inf.
+    spec = {"kind": "multiplicative", "prime_powers": [[2, 1, 1e200, 0.0]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(spec))
+    argv = ["truncate", "--series", str(path), "--s", "2", "--k", "2"]
+    for extra in ([], ["--M", "10"]):
+        code, out, err = run_cli(argv + extra)
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"]["value"] == {"re": 2.5e199, "im": 0.0}

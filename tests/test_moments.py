@@ -242,6 +242,12 @@ def test_order_scan_zeta_near_critical():
     assert 0.0 <= report.slope < 0.25
 
 
+def test_order_scan_same_bits_at_any_thread_count():
+    # 20,021 nodes: two windows of _NODE_CHUNK, so threads=2 uses the pool.
+    one = order_scan(ZETA, 0.75, [100.0, 1001.0], threads=1)
+    assert one == order_scan(ZETA, 0.75, [100.0, 1001.0], threads=2)
+
+
 def test_order_scan_absolute_convergence_is_flat():
     report = order_scan(ZETA, 2.0, [10.0, 50.0])
     assert report.slope == 0.0

@@ -80,6 +80,15 @@ def test_truncated_evaluator_matches_partial_eval():
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def test_default_evaluator_empty_explicit_series():
+    f = default_evaluator(load_source({"kind": "explicit", "coeffs": []}))
+    value = f(2.0)
+    assert isinstance(value, complex) and value == 0j
+    np.testing.assert_array_equal(
+        f(np.asarray([1.0 + 1.0j, 2.0 - 3.0j])), np.zeros(2, dtype=np.complex128)
+    )
+
+
 def test_eval_array_scalar_fallback():
     vals = eval_array(lambda s: 1.5 + 0.5j, np.asarray([1.0j, 2.0j, 3.0j]))
     np.testing.assert_array_equal(vals, np.full(3, 1.5 + 0.5j))
@@ -239,6 +248,14 @@ def test_rankin_sieve_is_bounded_before_allocating(monkeypatch):
     spec = load_source({"kind": "multiplicative", "prime_powers": [[2, 1, 1e6, 0]]})
     assert spec.coeffs.square_growth_base == 1e12
     with pytest.raises(NumericalError, match="growth base G = 1e\\+12"):
+        tail_norm(spec, 0.75, 1000)
+
+
+def test_tail_norm_growth_past_float_range():
+    # |a_2|^2 = 1e400 lies past the float range, so G is inf.
+    spec = load_source({"kind": "multiplicative", "prime_powers": [[2, 1, 1e200, 0]]})
+    assert spec.coeffs.square_growth_base == math.inf
+    with pytest.raises(NumericalError, match="G = inf needs primes past 1000000"):
         tail_norm(spec, 0.75, 1000)
 
 

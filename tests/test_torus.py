@@ -22,7 +22,7 @@ from dirichlet_lab import (
     time_average,
     tychonoff_distance,
 )
-from dirichlet_lab.parallel import map_chunks
+from dirichlet_lab.parallel import map_spans
 
 from _oracles import LOG2_OVER_2PI, WEIGHT_TOTAL
 
@@ -133,6 +133,33 @@ def test_time_average_scalar_fallback():
     assert abs(avg - grid.mean()) < 1e-12
 
 
+def test_time_average_array_errors_propagate():
+    cfg = FlowConfig(dims=1, T=10.0, step=0.1)
+
+    def fails_on_arrays(p):
+        if np.ndim(p) != 1:
+            raise ZeroDivisionError("array path is broken")
+        return float(p[0])
+
+    with pytest.raises(ZeroDivisionError, match="array path is broken"):
+        time_average(cfg, fails_on_arrays)
+
+
+def test_flow_averages_same_bits_at_any_thread_count():
+    # 2.5e6 grid points: three windows of _TIME_CHUNK.
+    cfg = FlowConfig(dims=2, T=25_000.0)
+    ball = TychonoffBall(
+        center=TorusPoint(coords=np.asarray([0.3, 0.6])), radius=0.1, dims=2
+    )
+
+    def F(pts):
+        return np.exp(2j * np.pi * (pts[:, 0] + 2.0 * pts[:, 1]))
+
+    assert time_average(cfg, F, threads=1) == time_average(cfg, F, threads=2)
+    one = ball_time_average(cfg, ball, F, threads=1)
+    assert one == ball_time_average(cfg, ball, F, threads=2)
+
+
 def test_tychonoff_distance_values():
     x = TorusPoint(coords=np.asarray([0.5, 0.25]))
     y = TorusPoint(coords=np.asarray([0.0, 0.0]))
@@ -169,6 +196,7 @@ def test_monte_carlo_determinism():
         center=TorusPoint(coords=np.asarray([0.3, 0.6])), radius=0.12, dims=2
     )
     a = ball_measure_mc(ball, 150_000, seed=42)
+    assert a == (0.4595666666666667, 0.0012867663490459475)
     b = ball_measure_mc(ball, 150_000, seed=42)
     assert a == b
     c = ball_measure_mc(ball, 150_000, seed=42, threads=4)
@@ -231,8 +259,8 @@ def test_resolve_threads_precedence(monkeypatch):
         resolve_threads(0)
 
 
-def test_map_chunks_preserves_order():
-    items = list(range(40))
-    out = map_chunks(lambda x: x * x, items, threads=8)
-    assert out == [x * x for x in items]
-    assert map_chunks(lambda x: -x, items, threads=1) == [-x for x in items]
+def test_map_spans_preserves_order():
+    want = [(0, 7), (7, 14), (14, 21), (21, 28), (28, 35), (35, 40)]
+    for threads in (1, 8):
+        assert map_spans(lambda lo, hi: (lo, hi), 40, 7, threads=threads) == want
+    assert map_spans(lambda lo, hi: (lo, hi), 0, 7, threads=8) == []
