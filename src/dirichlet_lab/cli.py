@@ -14,14 +14,15 @@ import math
 import os
 import re
 import sys
+import warnings
 
 from .coefficients import SeriesSpec, builtin_series, load_source
 from .convolution import inverse_coefficients
-from .errors import NumericalError, PreconditionError
+from .errors import AccuracyWarning, NumericalError, PreconditionError
 from .moments import QuadratureConfig, estimate_moment
 from .parallel import resolve_threads
 from .series import default_evaluator, smooth_truncation_eval
-from .torus import Box, FlowConfig, box_hitting_fraction, standard_box_suite
+from .torus import Box, FlowConfig, box_hitting_fractions, standard_box_suite
 from .zeros import (
     Rectangle,
     density_table,
@@ -241,12 +242,14 @@ def _cmd_flow(args, threads):
         boxes = [_parse_box(args.box, args.dims)]
     else:
         raise UsageError("flow needs --box or --suite")
-    out_rows = []
-    for box in boxes:
-        cfg = FlowConfig(dims=box.dims, T=args.T, step=args.step)
-        est = box_hitting_fraction(cfg, box, threads=threads)
-        target = box.volume
-        out_rows.append((box, est, target, abs(est - target)))
+    # Coordinate i of the flow depends on step and lam_i only, so one cloud
+    # of the widest box's dimension serves every box.
+    cfg = FlowConfig(dims=max(box.dims for box in boxes), T=args.T, step=args.step)
+    ests = box_hitting_fractions(cfg, boxes, threads=threads)
+    out_rows = [
+        (box, est, box.volume, abs(est - box.volume))
+        for box, est in zip(boxes, ests)
+    ]
     config = _base_config(args, dims=args.dims, T=args.T, step=args.step)
     if args.suite:
         config["suite"] = args.suite
@@ -406,24 +409,40 @@ def _build_parser() -> _Parser:
 
 def run(argv=None) -> int:
     """Parse argv, run one experiment, write one document.  Returns the
-    process exit code; errors print one line on stderr."""
-    try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        threads = resolve_threads(args.threads)
-        config, result, csv_header, csv_rows = _HANDLERS[args.subcommand](
-            args, threads
-        )
-        text = _render(args, config, result, csv_header, csv_rows)
-    except UsageError as exc:
-        sys.stderr.write("dlab: usage: %s\n" % exc)
-        return 64
-    except PreconditionError as exc:
-        sys.stderr.write("dlab: precondition: %s\n" % exc)
-        return 1
-    except NumericalError as exc:
-        sys.stderr.write("dlab: numerical: %s\n" % exc)
-        return 2
+    process exit code; errors print one line on stderr.  A successful run
+    that raised AccuracyWarnings prints one `dlab: warning:` line on stderr
+    per distinct message."""
+    notes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", AccuracyWarning)
+        show = warnings.showwarning
+
+        def note(message, category, *rest, **kwargs):
+            if issubclass(category, AccuracyWarning):
+                notes.add(str(message))
+            else:
+                show(message, category, *rest, **kwargs)
+
+        warnings.showwarning = note
+        try:
+            parser = _build_parser()
+            args = parser.parse_args(argv)
+            threads = resolve_threads(args.threads)
+            config, result, csv_header, csv_rows = _HANDLERS[args.subcommand](
+                args, threads
+            )
+            text = _render(args, config, result, csv_header, csv_rows)
+        except UsageError as exc:
+            sys.stderr.write("dlab: usage: %s\n" % exc)
+            return 64
+        except PreconditionError as exc:
+            sys.stderr.write("dlab: precondition: %s\n" % exc)
+            return 1
+        except NumericalError as exc:
+            sys.stderr.write("dlab: numerical: %s\n" % exc)
+            return 2
+    for message in sorted(notes):
+        sys.stderr.write("dlab: warning: %s\n" % message)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

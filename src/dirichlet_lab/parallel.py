@@ -13,6 +13,10 @@ from .errors import PreconditionError
 
 ENV_THREADS = "DLAB_THREADS"
 
+# No run cuts more windows than this; a larger range is refused before its
+# window list is built.
+_MAX_WINDOWS = 1 << 20
+
 
 def resolve_threads(requested=None) -> int:
     """Worker count: explicit argument, else the DLAB_THREADS variable, else 1."""
@@ -30,9 +34,14 @@ def map_spans(fn, n: int, chunk: int, threads=None) -> list:
     """[fn(lo, hi) for each window [lo, min(lo + chunk, n)) of range(n)].
 
     Windows run concurrently when threads > 1; the result list is in window
-    order whatever the scheduling.
+    order whatever the scheduling.  More than _MAX_WINDOWS windows raise
+    PreconditionError before any window is listed.
     """
     threads = resolve_threads(threads)
+    if -(-n // chunk) > _MAX_WINDOWS:
+        raise PreconditionError(
+            "the range needs more than %d windows of %d" % (_MAX_WINDOWS, chunk)
+        )
     spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     if threads <= 1 or len(spans) <= 1:
         return [fn(lo, hi) for lo, hi in spans]

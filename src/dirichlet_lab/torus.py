@@ -26,6 +26,7 @@ __all__ = [
     "ball_time_average",
     "box_from_json",
     "box_hitting_fraction",
+    "box_hitting_fractions",
     "flow_config_from_json",
     "flow_point",
     "standard_box_suite",
@@ -74,6 +75,8 @@ class FlowConfig:
             raise PreconditionError("flow horizon must be positive")
         if self.step <= 0:
             raise PreconditionError("flow step must be positive")
+        if not math.isfinite(self.T / self.step):
+            raise PreconditionError("flow grid T/step must be finite")
         lam = self.lam
         if lam is None:
             lam = tuple(float(x) for x in log_frequencies(self.dims))
@@ -154,47 +157,69 @@ def flow_point(cfg: FlowConfig, t: float) -> TorusPoint:
     return TorusPoint(coords=np.mod(t * lam, 1.0))
 
 
-def _chunk_points(cfg: FlowConfig, lo: int, hi: int) -> np.ndarray:
+def _flow_columns(cfg: FlowConfig, lo: int, hi: int) -> np.ndarray:
+    """Flow points for grid steps lo+1..hi as a C-contiguous (dims, k) array:
+    row i is the coordinate {t lam_i} over the window, built in place."""
     # Right endpoints (lo+1..hi) * step; t=0 is deliberately excluded.
     ts = np.arange(lo + 1, hi + 1, dtype=np.float64) * cfg.step
     lam = np.asarray(cfg.lam, dtype=np.float64)
-    return np.mod(ts[:, None] * lam[None, :], 1.0)
+    x = lam[:, None] * ts[None, :]
+    if lam.min() >= 0.0:
+        x -= np.floor(x)  # exact, and equal to np.mod, for x >= 0
+    else:
+        np.mod(x, 1.0, out=x)
+    return x
 
 
-def _flow_mean(cfg: FlowConfig, chunk_sum, threads):
-    """(1/npts) sum over the time grid, where chunk_sum(pts) sums one window
-    of flow points.
+def _flow_means(cfg: FlowConfig, chunk_sums, threads) -> list:
+    """[(1/npts) sum over the time grid] for each output of chunk_sums(lo, hi),
+    which returns one partial per output for the grid window [lo, hi).
 
-    Window partials are fsum'd part by part, so the mean does not depend on
-    the worker count.  Returns a float when the imaginary part is exactly 0,
-    else the complex value.
+    Each output's window partials are fsum'd part by part in window order,
+    so the means do not depend on the worker count.  A mean is a float when
+    its imaginary part is exactly 0, else the complex value.
     """
     npts = cfg.grid_size()
     if npts < 1:
         raise PreconditionError("horizon shorter than one step")
     partials = map_spans(
-        lambda lo, hi: complex(chunk_sum(_chunk_points(cfg, lo, hi))),
+        lambda lo, hi: [complex(v) for v in chunk_sums(lo, hi)],
         npts,
         _TIME_CHUNK,
         threads=threads,
     )
-    mean = complex(
-        math.fsum(v.real for v in partials), math.fsum(v.imag for v in partials)
-    ) / npts
-    if mean.imag == 0.0:
-        return mean.real
-    return mean
+    means = []
+    for column in zip(*partials):
+        mean = complex(
+            math.fsum(v.real for v in column), math.fsum(v.imag for v in column)
+        ) / npts
+        means.append(mean.real if mean.imag == 0.0 else mean)
+    return means
+
+
+def box_hitting_fractions(cfg: FlowConfig, boxes, threads=None) -> list:
+    """Fraction of grid times in (0, T] whose flow point lies in each box.
+
+    Every box is tested against one shared point cloud per window, so the
+    grid is walked once for the whole list.  The grid resolution limit is
+    step/T.  Window counts are integers below 2^53, so their fsum is exact
+    and each result is the exact count / npts.
+    """
+    boxes = list(boxes)
+    if any(box.dims > cfg.dims for box in boxes):
+        raise PreconditionError("box dimension exceeds flow dimension")
+
+    def chunk_sums(lo, hi):
+        pts = _flow_columns(cfg, lo, hi).T  # each column read is contiguous
+        return [np.count_nonzero(box.contains(pts)) for box in boxes]
+
+    return _flow_means(cfg, chunk_sums, threads)
 
 
 def box_hitting_fraction(cfg: FlowConfig, box: Box, threads=None) -> float:
-    """Fraction of grid times in (0, T] whose flow point lies in the box.
-
-    The grid resolution limit is step/T.  Window counts are integers below
-    2^53, so their fsum is exact and the result is the exact count / npts.
-    """
-    if box.dims > cfg.dims:
-        raise PreconditionError("box dimension exceeds flow dimension")
-    return _flow_mean(cfg, lambda pts: box.contains(pts).sum(), threads)
+    """Fraction of grid times in (0, T] whose flow point lies in the box:
+    the one-box case of box_hitting_fractions."""
+    return box_hitting_fractions(cfg, [box], threads)[0]
 
 
 def _apply_pointwise(F, pts: np.ndarray) -> np.ndarray:
@@ -216,7 +241,13 @@ def time_average(cfg: FlowConfig, F, threads=None):
 
     Returns a float for real-valued F and a complex value otherwise.
     """
-    return _flow_mean(cfg, lambda pts: np.sum(_apply_pointwise(F, pts)), threads)
+    def chunk_sums(lo, hi):
+        # F sees C-contiguous (k, dims) rows: on a strided view a BLAS-backed
+        # F such as exp(2 pi i pts @ k) can round differently.
+        pts = np.ascontiguousarray(_flow_columns(cfg, lo, hi).T)
+        return [np.sum(_apply_pointwise(F, pts))]
+
+    return _flow_means(cfg, chunk_sums, threads)[0]
 
 
 def ball_time_average(cfg: FlowConfig, ball: TychonoffBall, F, threads=None):
@@ -230,12 +261,14 @@ def ball_time_average(cfg: FlowConfig, ball: TychonoffBall, F, threads=None):
     w = _metric_weights(ball.dims)
     center = ball.center.coords
 
-    def chunk_sum(pts):
+    def chunk_sums(lo, hi):
+        # C-contiguous rows for F, as in time_average.
+        pts = np.ascontiguousarray(_flow_columns(cfg, lo, hi).T)
         dist = (np.abs(pts[:, : ball.dims] - center[None, :]) * w).sum(axis=1)
         mask = dist <= ball.radius
-        return np.sum(_apply_pointwise(F, pts[mask])) if mask.any() else 0
+        return [np.sum(_apply_pointwise(F, pts[mask])) if mask.any() else 0]
 
-    return _flow_mean(cfg, chunk_sum, threads)
+    return _flow_means(cfg, chunk_sums, threads)[0]
 
 
 def tychonoff_distance(x: TorusPoint, y: TorusPoint) -> float:

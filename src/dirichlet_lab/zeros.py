@@ -358,6 +358,14 @@ def recurrence_scan(
     """
     if r <= 0 or T <= 0 or t_step <= 0:
         raise PreconditionError("recurrence scan needs positive r, T, t_step")
+    n_steps = int(round(T / t_step))
+    idx = np.arange(-n_steps, n_steps + 1, dtype=np.int64)
+    ts = idx.astype(np.float64) * t_step
+    ts = ts[np.abs(ts) >= 1.0]  # drop the trivial self-recurrence window
+    if ts.size == 0:
+        raise PreconditionError(
+            "no grid time has |t| >= 1 (T = %g, t_step = %g)" % (T, t_step)
+        )
     s0 = complex(s0)
     seed_mag = abs(_eval_scalar(f, s0))
     if seed_mag > 1e-8:
@@ -379,10 +387,6 @@ def recurrence_scan(
 
     offsets, cell_area = _disc_lattice(r, grid)
     base = eval_array(f, s0 + offsets)
-    n_steps = int(round(T / t_step))
-    idx = np.arange(-n_steps, n_steps + 1, dtype=np.int64)
-    ts = idx.astype(np.float64) * t_step
-    ts = ts[np.abs(ts) >= 1.0]  # drop the trivial self-recurrence window
 
     def work(lo, hi):
         tt = ts[lo:hi]

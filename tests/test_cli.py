@@ -289,3 +289,32 @@ def test_coefficient_past_float_range_is_not_a_traceback(tmp_path):
         code, out, err = run_cli(argv + extra)
         assert code == 0 and err == ""
         assert json.loads(out)["result"]["value"] == {"re": 2.5e199, "im": 0.0}
+
+
+def test_recur_horizon_below_one_is_a_precondition():
+    argv = ["recur", "--series", "eta-factor", "--s0", "1+0i", "--r", "0.05",
+            "--T", "0.5"]
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("dlab: precondition:") and err.count("\n") == 1
+
+
+def test_accuracy_warning_is_one_dlab_line():
+    argv = ["density", "--series", "zeta", "--sigma-list", "0.4,0.6",
+            "--T", "100", "--format", "csv"]
+    outs = []
+    for threads in ("1", "2"):
+        code, out, err = run_cli(argv + ["--threads", threads])
+        assert code == 0
+        assert err == "dlab: warning: accuracy not guaranteed\n"
+        outs.append(out)
+    assert outs[0] == outs[1] and "warning" not in outs[0]
+
+
+def test_huge_flow_horizon_is_refused_before_allocating():
+    # 1e302 grid points: the window count is checked before any window.
+    for extra in ([], ["--step", "1e-10"]):
+        code, out, err = run_cli(["flow", "--suite", "standard", "--T", "1e300"]
+                                 + extra)
+        assert code == 1 and out == ""
+        assert err.startswith("dlab: precondition:") and err.count("\n") == 1

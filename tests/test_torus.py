@@ -14,6 +14,7 @@ from dirichlet_lab import (
     ball_time_average,
     box_from_json,
     box_hitting_fraction,
+    box_hitting_fractions,
     flow_config_from_json,
     flow_point,
     log_frequencies,
@@ -22,6 +23,7 @@ from dirichlet_lab import (
     time_average,
     tychonoff_distance,
 )
+from dirichlet_lab import torus
 from dirichlet_lab.parallel import map_spans
 
 from _oracles import LOG2_OVER_2PI, WEIGHT_TOTAL
@@ -95,6 +97,70 @@ def test_suite_equidistribution_modest_horizon():
         frac = box_hitting_fraction(cfg4, box)
         worst = max(worst, abs(frac - box.volume))
     assert worst <= 0.02
+
+
+def test_box_suite_shares_one_cloud():
+    # 2e6 grid points: two windows of _TIME_CHUNK.  Column i of the cloud
+    # depends on step and lam_i only, so the 4-dim cloud serves every box.
+    cfg = FlowConfig(dims=4, T=10_000.0, step=0.005)
+    boxes = standard_box_suite()
+    for threads in (1, 2):
+        shared = box_hitting_fractions(cfg, boxes, threads)
+        alone = [
+            box_hitting_fraction(
+                FlowConfig(dims=box.dims, T=cfg.T, step=cfg.step), box, threads
+            )
+            for box in boxes
+        ]
+        assert shared == alone
+
+
+def test_box_suite_with_negative_frequencies():
+    # A negative lam takes the np.mod branch of the point builder.
+    lam = (-0.3, 0.7)
+    cfg = FlowConfig(dims=2, T=15_000.0, lam=lam)
+    boxes = [
+        Box(lo=(0.1,), hi=(0.45,)),
+        Box(lo=(0.0, 0.3), hi=(0.6, 0.9)),
+        Box(lo=(0.5, 0.0), hi=(1.0, 0.25)),
+    ]
+    for threads in (1, 2):
+        shared = box_hitting_fractions(cfg, boxes, threads)
+        alone = [
+            box_hitting_fraction(
+                FlowConfig(dims=box.dims, T=cfg.T, lam=lam[: box.dims]), box, threads
+            )
+            for box in boxes
+        ]
+        assert shared == alone
+
+
+@pytest.mark.parametrize("lam", [None, (-0.3, 0.7, 0.05)])
+def test_box_fractions_match_row_major_mod(monkeypatch, lam):
+    # Small windows, so the walk crosses several; the oracle builds the grid
+    # row-major with np.mod, as the flow is defined.
+    monkeypatch.setattr(torus, "_TIME_CHUNK", 700)
+    cfg = FlowConfig(dims=3, T=50.0, step=0.02, lam=lam)
+    boxes = [
+        Box(lo=(0.2,), hi=(0.7,)),
+        Box(lo=(0.0, 0.1), hi=(0.5, 0.8)),
+        Box(lo=(0.1, 0.3, 0.0), hi=(0.9, 0.6, 0.5)),
+    ]
+    n = cfg.grid_size()
+    ts = np.arange(1, n + 1, dtype=np.float64) * cfg.step
+    pts = np.mod(ts[:, None] * np.asarray(cfg.lam)[None, :], 1.0)
+    want = [int(box.contains(pts).sum()) / n for box in boxes]
+    for threads in (1, 2):
+        assert box_hitting_fractions(cfg, boxes, threads) == want
+
+
+def test_box_wider_than_flow_is_refused():
+    cfg = FlowConfig(dims=2, T=100.0)
+    wide = Box(lo=(0.0, 0.0, 0.0), hi=(0.5, 0.5, 0.5))
+    with pytest.raises(PreconditionError, match="box dimension"):
+        box_hitting_fractions(cfg, [Box(lo=(0.0,), hi=(0.5,)), wide])
+    with pytest.raises(PreconditionError, match="box dimension"):
+        box_hitting_fraction(cfg, wide)
 
 
 def test_exponential_sums_match_geometric_series():
@@ -264,3 +330,10 @@ def test_map_spans_preserves_order():
     for threads in (1, 8):
         assert map_spans(lambda lo, hi: (lo, hi), 40, 7, threads=threads) == want
     assert map_spans(lambda lo, hi: (lo, hi), 0, 7, threads=8) == []
+
+
+def test_map_spans_refuses_too_many_windows():
+    calls = []
+    with pytest.raises(PreconditionError, match="windows"):
+        map_spans(lambda lo, hi: calls.append(lo), 10**300, 1)
+    assert calls == []
