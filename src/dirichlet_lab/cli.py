@@ -441,13 +441,13 @@ def run(argv=None) -> int:
         except NumericalError as exc:
             sys.stderr.write("dlab: numerical: %s\n" % exc)
             return 2
-    for message in sorted(notes):
-        sys.stderr.write("dlab: warning: %s\n" % message)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    for message in sorted(notes):
+        sys.stderr.write("dlab: warning: %s\n" % message)
     return 0
 
 

@@ -164,10 +164,7 @@ def _flow_columns(cfg: FlowConfig, lo: int, hi: int) -> np.ndarray:
     ts = np.arange(lo + 1, hi + 1, dtype=np.float64) * cfg.step
     lam = np.asarray(cfg.lam, dtype=np.float64)
     x = lam[:, None] * ts[None, :]
-    if lam.min() >= 0.0:
-        x -= np.floor(x)  # exact, and equal to np.mod, for x >= 0
-    else:
-        np.mod(x, 1.0, out=x)
+    x -= np.floor(x)  # exact, and equal to np.mod(x, 1.0), for every finite x
     return x
 
 

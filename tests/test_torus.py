@@ -99,36 +99,34 @@ def test_suite_equidistribution_modest_horizon():
     assert worst <= 0.02
 
 
-def test_box_suite_shares_one_cloud():
-    # 2e6 grid points: two windows of _TIME_CHUNK.  Column i of the cloud
-    # depends on step and lam_i only, so the 4-dim cloud serves every box.
-    cfg = FlowConfig(dims=4, T=10_000.0, step=0.005)
-    boxes = standard_box_suite()
+@pytest.mark.parametrize(
+    "cfg, boxes",
+    [
+        # 2e6 grid points: two windows of _TIME_CHUNK.
+        (FlowConfig(dims=4, T=10_000.0, step=0.005), standard_box_suite()),
+        # 1.5e6 grid points, with a negative frequency.
+        (
+            FlowConfig(dims=2, T=15_000.0, lam=(-0.3, 0.7)),
+            [
+                Box(lo=(0.1,), hi=(0.45,)),
+                Box(lo=(0.0, 0.3), hi=(0.6, 0.9)),
+                Box(lo=(0.5, 0.0), hi=(1.0, 0.25)),
+            ],
+        ),
+    ],
+)
+def test_box_suite_shares_one_cloud(cfg, boxes):
+    # Column i of the cloud depends on step and lam_i only, so the widest
+    # box's cloud serves every box.
     for threads in (1, 2):
         shared = box_hitting_fractions(cfg, boxes, threads)
         alone = [
             box_hitting_fraction(
-                FlowConfig(dims=box.dims, T=cfg.T, step=cfg.step), box, threads
-            )
-            for box in boxes
-        ]
-        assert shared == alone
-
-
-def test_box_suite_with_negative_frequencies():
-    # A negative lam takes the np.mod branch of the point builder.
-    lam = (-0.3, 0.7)
-    cfg = FlowConfig(dims=2, T=15_000.0, lam=lam)
-    boxes = [
-        Box(lo=(0.1,), hi=(0.45,)),
-        Box(lo=(0.0, 0.3), hi=(0.6, 0.9)),
-        Box(lo=(0.5, 0.0), hi=(1.0, 0.25)),
-    ]
-    for threads in (1, 2):
-        shared = box_hitting_fractions(cfg, boxes, threads)
-        alone = [
-            box_hitting_fraction(
-                FlowConfig(dims=box.dims, T=cfg.T, lam=lam[: box.dims]), box, threads
+                FlowConfig(
+                    dims=box.dims, T=cfg.T, step=cfg.step, lam=cfg.lam[: box.dims]
+                ),
+                box,
+                threads,
             )
             for box in boxes
         ]
