@@ -9,7 +9,7 @@ schema (see load_source).
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
 class CoefficientSource:
     """Interface shared by all coefficient sources."""
 
-    multiplicative = False
     # Upper bound G with |a_{p^e}|^2 <= G^e, used by tail estimates.
     square_growth_base = 1.0
     # True when |a_n| <= 1 for all n (tightest tail bounds apply).
@@ -83,9 +82,6 @@ class ExplicitSource(CoefficientSource):
                 arr[n] = a
         return arr
 
-    def support(self) -> np.ndarray:
-        return np.asarray([n for n, _ in self.entries], dtype=np.int64)
-
     def max_index(self) -> int:
         return max((n for n, _ in self.entries), default=1)
 
@@ -97,7 +93,6 @@ class MultiplicativeSource(CoefficientSource):
     rule: object  # callable (p, e) -> complex
     square_growth_base: float = 1.0
     unit_bounded: bool = True
-    multiplicative: bool = field(default=True, init=False)
 
     def prime_power(self, p: int, e: int) -> complex:
         if e == 0:
@@ -284,7 +279,6 @@ class _CharacterSource(CoefficientSource):
     index: int
     table: tuple
 
-    multiplicative = True
     square_growth_base = 1.0
     unit_bounded = True
 

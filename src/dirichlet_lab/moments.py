@@ -11,7 +11,7 @@ from ._kernel import DirichletPolynomial
 from .coefficients import ExplicitSource, SeriesSpec, _is_zeta, builtin_series
 from .convolution import convolution_power
 from .errors import NumericalError, PreconditionError
-from .parallel import map_spans
+from .parallel import finite_steps, map_spans
 from .primes import smooth_enumerate
 from .series import (
     _phase_for,
@@ -124,7 +124,7 @@ def estimate_moment(
         raise PreconditionError("step must be <= 0.05 for zeta integrands")
     if evaluator is None:
         evaluator = default_evaluator(spec)
-    npts = int(round(T / cfg.step))
+    npts = int(round(finite_steps(T, cfg.step, "quadrature grid")))
     if npts < 2:
         raise PreconditionError("horizon shorter than two quadrature steps")
     if cfg.rule == "simpson" and npts % 2 == 1:
@@ -203,12 +203,12 @@ def _tau_table(k: int, N: int) -> np.ndarray:
     return convolution_power(ones, k, N=N).real
 
 
-def lindelof_target(k: int, sigma: float, N: int, guard: float = 0.35) -> float:
+def lindelof_target(k: int, sigma: float, N: int) -> float:
     """Partial sum of tau_k(n)^2 n^{-2 sigma} to N, certified by a tail bound.
 
     Raises:
         PreconditionError: k outside 1..6 or 2 sigma <= 1.
-        NumericalError: the tail bound exceeds guard * partial ("increase N").
+        NumericalError: the tail bound exceeds 0.35 * partial ("increase N").
     """
     if not 1 <= int(k) <= 6:
         raise PreconditionError("divisor order k must be in 1..6")
@@ -221,7 +221,7 @@ def lindelof_target(k: int, sigma: float, N: int, guard: float = 0.35) -> float:
     ns = np.arange(1, int(N) + 1, dtype=np.float64)
     partial = math.fsum(tau[1:] ** 2 * ns ** (-2.0 * sigma))
     divisor = builtin_series("divisor_%d" % k).coeffs
-    if _rankin_square_tail(divisor, sigma, int(N)) > guard * partial:
+    if _rankin_square_tail(divisor, sigma, int(N)) > 0.35 * partial:
         raise NumericalError("increase N")
     return partial
 
@@ -261,13 +261,12 @@ def shell_disc_distance(
     k: int,
     r_disc: float,
     grid: int = 64,
-    cutoff: int = _SHELL_CUTOFF,
 ) -> float:
     """Disc integral of |g_k - g_{k-1}| around sigma, by the midpoint rule.
 
     g_k is the 2^k-smooth truncation (twisted by theta when given); the
     difference is supported on indices whose largest prime factor lies in
-    (2^{k-1}, 2^k].  Indices are cut off at `cutoff` internally.
+    (2^{k-1}, 2^k].  Indices are cut off at _SHELL_CUTOFF internally.
 
     Raises:
         PreconditionError: grid < 16 or sigma - r_disc <= sigma_m.
@@ -278,7 +277,7 @@ def shell_disc_distance(
         raise PreconditionError("shell index k must be >= 1")
     if sigma - r_disc <= spec.sigma_m:
         raise PreconditionError("disc must stay right of sigma_m")
-    sm = smooth_enumerate(2**k, int(cutoff))
+    sm = smooth_enumerate(2**k, _SHELL_CUTOFF)
     lpf = (
         (sm.exponents > 0) * sm.primes[None, :].astype(np.int64)
     ).max(axis=1)
@@ -338,7 +337,7 @@ def order_scan(
     if evaluator is None:
         evaluator = default_evaluator(spec)
     h = cfg.step
-    nmax = int(math.ceil(horizons[-1] / h))
+    nmax = int(math.ceil(finite_steps(horizons[-1], h, "order-scan grid")))
 
     def work(lo, hi):
         ts = np.arange(lo, hi, dtype=np.float64) * h

@@ -6,6 +6,7 @@ and window results come back in window order.  Outputs are therefore
 byte-identical for any --threads setting.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -30,6 +31,22 @@ def resolve_threads(requested=None) -> int:
     return n
 
 
+def finite_steps(T: float, step: float, what: str) -> float:
+    """T / step, or PreconditionError when that grid size is not finite."""
+    steps = T / step
+    if not math.isfinite(steps):
+        raise PreconditionError("%s T/step must be finite" % what)
+    return steps
+
+
+def check_windows(n: int, chunk: int) -> None:
+    """PreconditionError when range(n) needs more than _MAX_WINDOWS windows."""
+    if -(-n // chunk) > _MAX_WINDOWS:
+        raise PreconditionError(
+            "the range needs more than %d windows of %d" % (_MAX_WINDOWS, chunk)
+        )
+
+
 def map_spans(fn, n: int, chunk: int, threads=None) -> list:
     """[fn(lo, hi) for each window [lo, min(lo + chunk, n)) of range(n)].
 
@@ -38,10 +55,7 @@ def map_spans(fn, n: int, chunk: int, threads=None) -> list:
     PreconditionError before any window is listed.
     """
     threads = resolve_threads(threads)
-    if -(-n // chunk) > _MAX_WINDOWS:
-        raise PreconditionError(
-            "the range needs more than %d windows of %d" % (_MAX_WINDOWS, chunk)
-        )
+    check_windows(n, chunk)
     spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     if threads <= 1 or len(spans) <= 1:
         return [fn(lo, hi) for lo, hi in spans]

@@ -244,18 +244,18 @@ def _phase_for(theta, sm: SmoothSet) -> np.ndarray:
     return np.exp(-2j * math.pi * dot)
 
 
-def _rankin_smooth_tail(spec: SeriesSpec, sigma: float, r: int, M: int, beta=None):
+def _rankin_smooth_tail(spec: SeriesSpec, sigma: float, r: int, M: int):
     """Bound on the omitted smooth tail sum_{n in N(r), n > M} |a_n| n^{-sigma}.
 
     The local factors sum |a_{p^e}| p^{-e beta} over the finitely many primes
-    p <= r; the pulled-out power is M^{beta - sigma}.
+    p <= r; the pulled-out power is M^{beta - sigma}.  beta sits halfway
+    between sigma_m and sigma (sigma - 1 when sigma_m is not finite).
     """
     src = spec.coeffs
-    if beta is None:
-        if not math.isfinite(spec.sigma_m):
-            beta = sigma - 1.0
-        else:
-            beta = 0.5 * (sigma + spec.sigma_m)
+    if not math.isfinite(spec.sigma_m):
+        beta = sigma - 1.0
+    else:
+        beta = 0.5 * (sigma + spec.sigma_m)
     if beta >= sigma:
         raise PreconditionError("Rankin exponent must satisfy beta < sigma")
     log_prod = 0.0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .parallel import map_spans
+from .parallel import finite_steps, map_spans
 from .primes import log_frequencies
 
 __all__ = [
@@ -75,8 +75,7 @@ class FlowConfig:
             raise PreconditionError("flow horizon must be positive")
         if self.step <= 0:
             raise PreconditionError("flow step must be positive")
-        if not math.isfinite(self.T / self.step):
-            raise PreconditionError("flow grid T/step must be finite")
+        finite_steps(self.T, self.step, "flow grid")
         lam = self.lam
         if lam is None:
             lam = tuple(float(x) for x in log_frequencies(self.dims))

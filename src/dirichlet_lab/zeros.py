@@ -4,14 +4,15 @@ tail decay.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate, repeat
 
 import numpy as np
 
 from .convolution import mollifier_coefficients
 from .errors import NumericalError, PreconditionError
 from .moments import _disc_lattice
-from .parallel import map_spans
+from .parallel import check_windows, finite_steps, map_spans
 from .series import eval_array
 
 __all__ = [
@@ -35,6 +36,9 @@ _T_CHUNK = 2000
 
 # Boundary samples used when recomputing circle minima.
 _RING_SAMPLES = 4096
+
+# Shifts tried, in order, for a sigma edge or a cut that meets a zero.
+_NUDGES = (0.0, 1e-3, -1e-3, 2e-3)
 
 
 @dataclass(frozen=True)
@@ -157,14 +161,33 @@ def winding_on_circle(f, center: complex, radius: float, samples: int = 256) -> 
     """Winding of f along the inscribed polygon of a circle."""
     if radius <= 0:
         raise PreconditionError("circle radius must be positive")
-    ang = np.linspace(0.0, 2.0 * math.pi, max(16, samples) + 1)
-    pts = center + radius * np.exp(1j * ang)
-    pts[-1] = pts[0]
-    return _polyline_winding(f, pts)
+    ring = _ring(center, radius, max(16, samples))
+    return _polyline_winding(f, np.append(ring, ring[0]))
+
+
+def _ring(center: complex, r: float, samples: int) -> np.ndarray:
+    """center + r e^{i theta} at theta = 2 pi j / samples, j = 0..samples-1."""
+    ang = np.arange(samples, dtype=np.float64) * (2.0 * math.pi / samples)
+    return center + r * np.exp(1j * ang)
 
 
 # ---------------------------------------------------------------------------
 # Zero scanning
+
+
+def _first_success(attempt, args):
+    """attempt(a) for the first a in args that raises no NumericalError.
+
+    This is the one retry policy for a boundary that meets a zero: the
+    boundary is moved and the count tried again.  When every a fails, the
+    last error is re-raised.
+    """
+    for a in args:
+        try:
+            return attempt(a)
+        except NumericalError as exc:
+            last_exc = exc
+    raise last_exc
 
 
 def _eval_scalar(f, z: complex) -> complex:
@@ -210,18 +233,10 @@ def zero_scan(f, rect: Rectangle, tol: float = 1e-10, boundary_step: float = 0.0
     """
     if tol <= 0:
         raise PreconditionError("tolerance must be positive")
-    cur = rect
-    last_exc = None
-    w = None
-    for attempt in range(4):
-        try:
-            w = winding_count(f, cur, boundary_step)
-            break
-        except NumericalError as exc:
-            last_exc = exc
-            cur = cur.expanded(1e-3)
-    if w is None:
-        raise last_exc
+    cur, w = _first_success(
+        lambda r: (r, winding_count(f, r, boundary_step)),
+        accumulate(repeat(1e-3, 3), Rectangle.expanded, initial=rect),
+    )
     if w < 0:
         raise NumericalError("negative winding; the region contains poles")
     records = _scan_cell(f, cur, w, tol, boundary_step)
@@ -247,54 +262,36 @@ def _scan_cell(f, cell: Rectangle, w: int, tol: float, step: float):
             0.5 * (cell.sigma_lo + cell.sigma_hi), 0.5 * (cell.t_lo + cell.t_hi)
         )
         z, residual, ok = _newton_refine(f, center, tol)
-        margin = 0.1 * max(width, height)
-        if ok and _cell_contains(cell, z, margin):
-            confirmed = _confirm_circle(f, z) >= 1 and residual <= 1e-8
+        inside = ok and _cell_contains(cell, z, 0.1 * max(width, height))
+        if inside or tiny:
+            confirmed = inside and _confirm_circle(f, z) >= 1 and residual <= 1e-8
             rec = ZeroRecord(
                 location=z, winding_confirmed=confirmed, refinement_residual=residual
             )
             return [rec] * w
-        if tiny:
-            return [
-                ZeroRecord(
-                    location=z, winding_confirmed=False, refinement_residual=residual
-                )
-            ] * w
     # Split the longer axis; nudge the cut if it lands on a zero.
     vertical = height >= width
-    base = 0.5 * (cell.t_lo + cell.t_hi) if vertical else 0.5 * (
-        cell.sigma_lo + cell.sigma_hi
-    )
-    last_exc = None
-    for shift in (0.0, 1e-3, -1e-3, 2e-3):
-        cut = base + shift
+    lo, hi = (cell.t_lo, cell.t_hi) if vertical else (cell.sigma_lo, cell.sigma_hi)
+    base = 0.5 * (lo + hi)
+    cuts = [base + shift for shift in _NUDGES if lo < base + shift < hi]
+    if not cuts:
+        raise NumericalError("could not place a zero-free cut")
+
+    def split(cut):
         if vertical:
-            if not cell.t_lo < cut < cell.t_hi:
-                continue
-            first = Rectangle(cell.sigma_lo, cell.sigma_hi, cell.t_lo, cut)
-            second = Rectangle(cell.sigma_lo, cell.sigma_hi, cut, cell.t_hi)
+            first, second = replace(cell, t_hi=cut), replace(cell, t_lo=cut)
         else:
-            if not cell.sigma_lo < cut < cell.sigma_hi:
-                continue
-            first = Rectangle(cell.sigma_lo, cut, cell.t_lo, cell.t_hi)
-            second = Rectangle(cut, cell.sigma_hi, cell.t_lo, cell.t_hi)
-        try:
-            w1 = winding_count(f, first, step)
-            w2 = winding_count(f, second, step)
-        except NumericalError as exc:
-            last_exc = exc
-            continue
+            first, second = replace(cell, sigma_hi=cut), replace(cell, sigma_lo=cut)
+        w1 = winding_count(f, first, step)
+        w2 = winding_count(f, second, step)
         if w1 + w2 != w:
-            last_exc = NumericalError(
+            raise NumericalError(
                 "winding split %d + %d does not match parent %d" % (w1, w2, w)
             )
-            continue
-        return _scan_cell(f, first, w1, tol, step) + _scan_cell(
-            f, second, w2, tol, step
-        )
-    raise last_exc if last_exc is not None else NumericalError(
-        "could not place a zero-free cut"
-    )
+        return first, w1, second, w2
+
+    first, w1, second, w2 = _first_success(split, cuts)
+    return _scan_cell(f, first, w1, tol, step) + _scan_cell(f, second, w2, tol, step)
 
 
 def density_table(
@@ -310,7 +307,7 @@ def density_table(
     The window starts a hair below t = 0 so ladder zeros on the real axis are
     counted; evaluators with a pole at s = 1 set exclude_origin to start just
     above it instead.  On a boundary failure the sigma edges are shifted by
-    1e-3 steps, up to three retries.
+    +1e-3, -1e-3, then +2e-3.
     """
     if T <= 0:
         raise PreconditionError("density horizon T must be positive")
@@ -320,17 +317,12 @@ def density_table(
         sigma = float(sigma)
         if sigma >= sigma_hi:
             raise PreconditionError("sigma must be below sigma_hi")
-        last_exc = None
-        count = None
-        for delta in (0.0, 1e-3, -1e-3, 2e-3):
-            rect = Rectangle(sigma + delta, sigma_hi + delta, t_lo, float(T))
-            try:
-                count = winding_count(f, rect, boundary_step)
-                break
-            except NumericalError as exc:
-                last_exc = exc
-        if count is None:
-            raise last_exc
+        count = _first_success(
+            lambda d: winding_count(
+                f, Rectangle(sigma + d, sigma_hi + d, t_lo, float(T)), boundary_step
+            ),
+            _NUDGES,
+        )
         rows.append((sigma, float(T), int(count)))
     return rows
 
@@ -358,7 +350,8 @@ def recurrence_scan(
     """
     if r <= 0 or T <= 0 or t_step <= 0:
         raise PreconditionError("recurrence scan needs positive r, T, t_step")
-    n_steps = int(round(T / t_step))
+    n_steps = int(round(finite_steps(T, t_step, "recurrence grid")))
+    check_windows(2 * n_steps + 1, _T_CHUNK)
     idx = np.arange(-n_steps, n_steps + 1, dtype=np.int64)
     ts = idx.astype(np.float64) * t_step
     ts = ts[np.abs(ts) >= 1.0]  # drop the trivial self-recurrence window
@@ -377,9 +370,7 @@ def recurrence_scan(
         raise PreconditionError(
             "seed disc is not isolating: winding %d on |s - s0| = 3r/2" % isolation
         )
-    ang = np.arange(_RING_SAMPLES, dtype=np.float64) * (2.0 * math.pi / _RING_SAMPLES)
-    ring = s0 + r * np.exp(1j * ang)
-    ring_mags = np.abs(eval_array(f, ring))
+    ring_mags = np.abs(eval_array(f, _ring(s0, r, _RING_SAMPLES)))
     m0 = float(ring_mags.min())
     if m0 <= 1e-12 * float(ring_mags.max()):
         raise PreconditionError("m0 vanishes on the seed circle")
@@ -426,9 +417,7 @@ def recurrence_scan(
     )
 
 
-def rouche_verify(
-    f, s0: complex, t_j: float, r: float, m0: float, boundary_step: float = None
-) -> bool:
+def rouche_verify(f, s0: complex, t_j: float, r: float, m0: float) -> bool:
     """True when the shifted function stays within 0.8 m0 of f on the seed
     circle AND the shifted disc demonstrably contains a zero.
 
@@ -437,12 +426,7 @@ def rouche_verify(
     if r <= 0:
         raise PreconditionError("disc radius must be positive")
     s0 = complex(s0)
-    if boundary_step is None:
-        samples = _RING_SAMPLES
-    else:
-        samples = max(256, int(math.ceil(2.0 * math.pi * r / boundary_step)))
-    ang = np.arange(samples, dtype=np.float64) * (2.0 * math.pi / samples)
-    ring = s0 + r * np.exp(1j * ang)
+    ring = _ring(s0, r, _RING_SAMPLES)
     f_ring = eval_array(f, ring)
     m0_measured = float(np.abs(f_ring).min())
     diff = float(np.abs(eval_array(f, ring + 1j * float(t_j)) - f_ring).max())

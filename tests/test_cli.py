@@ -318,3 +318,22 @@ def test_huge_flow_horizon_is_refused_before_allocating():
                                  + extra)
         assert code == 1 and out == ""
         assert err.startswith("dlab: precondition:") and err.count("\n") == 1
+
+
+def test_huge_recur_horizon_is_refused_before_allocating():
+    # 2e302 grid times, then a T/t_step that overflows to infinity: both are
+    # refused before the time grid is built.
+    argv = ["recur", "--series", "eta-factor", "--s0", "1+0i", "--r", "0.05",
+            "--T", "1e300"]
+    for extra in ([], ["--t-step", "1e-10"]):
+        code, out, err = run_cli(argv + extra)
+        assert code == 1 and out == ""
+        assert err.startswith("dlab: precondition:") and err.count("\n") == 1
+
+
+def test_huge_moment_grid_is_refused_before_allocating():
+    argv = ["moment", "--series", "eta-factor", "--sigma", "1", "--T", "1e300"]
+    for extra in ([], ["--step", "1e-10"]):
+        code, out, err = run_cli(argv + extra)
+        assert code == 1 and out == ""
+        assert err.startswith("dlab: precondition:") and err.count("\n") == 1

@@ -264,3 +264,8 @@ def test_order_scan_guards():
         order_scan(ZETA, 0.75, [0.0, 10.0])
     with pytest.raises(PreconditionError, match="<= 0.05 for zeta"):
         order_scan(ZETA, 0.75, [10.0], cfg=QuadratureConfig(step=0.1))
+
+
+def test_order_scan_refuses_an_infinite_grid():
+    with pytest.raises(PreconditionError, match="T/step must be finite"):
+        order_scan(ZETA, 2.0, [1e300], cfg=QuadratureConfig(step=1e-10))

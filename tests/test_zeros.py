@@ -20,6 +20,7 @@ from dirichlet_lab import (
     zero_scan,
     zeta_values,
 )
+from dirichlet_lab import zeros as zeros_module
 from dirichlet_lab.series import PolynomialEvaluator
 
 from _oracles import (
@@ -123,6 +124,47 @@ def test_zero_scan_adopts_boundary_zero():
     assert abs(records[1].location - (1.0 + 1j * PERIOD2)) < 1e-9
 
 
+def _spy_windings(monkeypatch):
+    """Record every rectangle the zero scanner counts on."""
+    seen = []
+
+    def spy(f, rect, boundary_step=0.01):
+        seen.append(rect)
+        return winding_count(f, rect, boundary_step)
+
+    monkeypatch.setattr(zeros_module, "winding_count", spy)
+    return seen
+
+
+def _vanishing(calls):
+    def f(s):
+        calls.append(1)
+        return np.zeros_like(np.asarray(s, dtype=np.complex128))
+
+    return f
+
+
+def test_zero_scan_nudges_a_cut_off_a_zero(monkeypatch):
+    # the first cut, at t = 2 PERIOD2, runs through a ladder zero; it is
+    # refused and the cut moves up by 1e-3
+    seen = _spy_windings(monkeypatch)
+    rect = Rectangle(0.5, 1.5, PERIOD2 - 1.0, 3.0 * PERIOD2 + 1.0)
+    records = zero_scan(ETA, rect)
+    assert len(records) == 3
+    for k, rec in enumerate(records, start=1):
+        assert abs(rec.location - (1.0 + 1j * k * PERIOD2)) < 1e-9
+        assert rec.winding_confirmed
+    base = 0.5 * (rect.t_lo + rect.t_hi)
+    assert any(r.t_hi == base + 1e-3 for r in seen)
+
+
+def test_zero_scan_gives_up_when_every_expansion_meets_a_zero():
+    calls = []
+    with pytest.raises(NumericalError, match="zero near boundary"):
+        zero_scan(_vanishing(calls), Rectangle(0.0, 1.0, 0.0, 1.0))
+    assert len(calls) == 4  # the rectangle and three expansions
+
+
 def test_zero_scan_rejects_poles():
     f = lambda s: 1.0 / (np.asarray(s, dtype=np.complex128) - (1.0 + 5.0j))
     with pytest.raises(NumericalError, match="negative winding"):
@@ -150,6 +192,21 @@ def test_density_critical_strip_counts():
     # the zero-counting main term tracks the winding counts within one zero
     assert abs(counts[50.0] - RVM_50) < 1.0
     assert abs(counts[100.0] - RVM_100) < 1.0
+
+
+def test_density_nudges_an_edge_off_the_ladder(monkeypatch):
+    # the left edge sigma = 1 runs through every ladder zero; at 1.001 the
+    # rectangle holds none of them
+    seen = _spy_windings(monkeypatch)
+    assert density_table(ETA, [1.0], 50.0) == [(1.0, 50.0, 0)]
+    assert [r.sigma_lo for r in seen] == [1.0, 1.0 + 1e-3]
+
+
+def test_density_gives_up_when_every_edge_meets_a_zero():
+    calls = []
+    with pytest.raises(NumericalError, match="zero near boundary"):
+        density_table(_vanishing(calls), [0.5], 1.0)
+    assert len(calls) == 4  # sigma edges shifted by 0, 1e-3, -1e-3, 2e-3
 
 
 def test_density_validation():
