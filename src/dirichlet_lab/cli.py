@@ -88,35 +88,29 @@ def _parse_complex_literal(text: str) -> complex:
     raise UsageError("complex values use the form a+bi: %r" % text)
 
 
-def _parse_floats(text: str, what: str):
+def _parse_floats(text: str):
+    """argparse type for list options: comma-separated finite numbers."""
     try:
         vals = [float(x) for x in text.split(",")]
     except ValueError:
-        raise UsageError("%s must be comma-separated numbers: %r" % (what, text))
+        raise UsageError("expected comma-separated numbers: %r" % text)
     if not all(map(math.isfinite, vals)):
-        raise UsageError("%s must be finite numbers: %r" % (what, text))
+        raise UsageError("expected finite numbers: %r" % text)
     return vals
 
 
-def _parse_ints(text: str, what: str):
+def _parse_ints(text: str):
     try:
         return [int(x) for x in text.split(",")]
     except ValueError:
-        raise UsageError("%s must be comma-separated integers: %r" % (what, text))
+        raise UsageError("expected comma-separated integers: %r" % text)
 
 
-def _parse_rect(text: str) -> Rectangle:
-    vals = _parse_floats(text, "--rect")
+def _parse_rect(text: str):
+    vals = _parse_floats(text)
     if len(vals) != 4:
-        raise UsageError("--rect takes sigma_lo,sigma_hi,t_lo,t_hi")
-    return Rectangle(*vals)
-
-
-def _parse_box(text: str, dims: int) -> Box:
-    vals = _parse_floats(text, "--box")
-    if len(vals) != 2 * dims:
-        raise UsageError("--box takes one lo,hi pair per dimension")
-    return Box(lo=tuple(vals[0::2]), hi=tuple(vals[1::2]))
+        raise UsageError("expected sigma_lo,sigma_hi,t_lo,t_hi: %r" % text)
+    return vals
 
 
 def _resolve_series(ref: str) -> SeriesSpec:
@@ -139,28 +133,29 @@ def _csv_cell(c) -> str:
     return str(c)
 
 
-def _render(args, config, result, csv_header, csv_rows) -> str:
+def _config(args) -> dict:
+    """Every parsed option, with --format recorded as `output`."""
+    # threads intentionally left out: outputs must not vary with worker count.
+    cfg = {"output": args.fmt}
+    for key, value in vars(args).items():
+        if key not in ("fmt", "out", "threads", "handler"):
+            cfg[key] = _cplx(value) if isinstance(value, complex) else value
+    return cfg
+
+
+def _render(args, result, csv_header, csv_rows) -> str:
     if args.fmt == "csv":
         if csv_header is None:
             raise UsageError("%s emits JSON only" % args.subcommand)
         lines = [csv_header]
         lines.extend(",".join(_csv_cell(c) for c in row) for row in csv_rows)
         return "\n".join(lines) + "\n"
-    doc = {"experiment": args.subcommand, "config": config, "result": result}
+    doc = {"experiment": args.subcommand, "config": _config(args), "result": result}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _base_config(args, **extra):
-    # threads intentionally left out: outputs must not vary with worker count.
-    cfg = {"subcommand": args.subcommand, "seed": args.seed, "output": args.fmt}
-    if hasattr(args, "series"):
-        cfg["series"] = args.series
-    cfg.update(extra)
-    return cfg
-
-
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (config, result, csv_header, csv_rows).
+# Subcommand handlers: each returns (result, csv_header, csv_rows).
 
 
 def _cmd_moment(args, threads):
@@ -171,28 +166,19 @@ def _cmd_moment(args, threads):
         spec, args.sigma, args.k, args.T,
         cfg=cfg, evaluator=evaluator, threads=threads,
     )
-    config = _base_config(
-        args, sigma=args.sigma, k=args.k, T=args.T, step=args.step,
-        rule=args.rule, N=args.N,
-    )
     result = {
         "sigma": rep.sigma, "k": rep.k, "T": rep.T, "step": rep.step,
         "estimate": rep.estimate, "target": rep.target,
         "rel_error": rep.rel_error, "rule": rep.rule, "window": rep.window,
     }
     rows = [(rep.sigma, rep.k, rep.T, rep.step, rep.estimate, rep.target, rep.rel_error)]
-    return config, result, "sigma,k,T,step,estimate,target,rel_error", rows
+    return result, "sigma,k,T,step,estimate,target,rel_error", rows
 
 
 def _cmd_zeros(args, threads):
     spec = _resolve_series(args.series)
-    rect = _parse_rect(args.rect)
     f = default_evaluator(spec, args.N)
-    records = zero_scan(f, rect, tol=args.tol, boundary_step=args.step)
-    config = _base_config(
-        args, rect=[rect.sigma_lo, rect.sigma_hi, rect.t_lo, rect.t_hi],
-        tol=args.tol, step=args.step, N=args.N,
-    )
+    records = zero_scan(f, Rectangle(*args.rect), tol=args.tol, boundary_step=args.step)
     result = {
         "count": len(records),
         "zeros": [
@@ -209,37 +195,34 @@ def _cmd_zeros(args, threads):
         (rec.location.real, rec.location.imag, rec.refinement_residual)
         for rec in records
     ]
-    return config, result, "re,im,residual", rows
+    return result, "re,im,residual", rows
 
 
 def _cmd_density(args, threads):
     spec = _resolve_series(args.series)
-    sigmas = _parse_floats(args.sigma_list, "--sigma-list")
     f = default_evaluator(spec, args.N)
     table = density_table(
-        f, sigmas, args.T,
+        f, args.sigma_list, args.T,
         sigma_hi=args.sigma_hi,
         boundary_step=args.step,
         exclude_origin=spec.has_pole_at_one,
-    )
-    config = _base_config(
-        args, sigma_list=sigmas, T=args.T, sigma_hi=args.sigma_hi,
-        step=args.step, N=args.N,
     )
     result = {
         "rows": [{"sigma": s, "T": T, "count": c} for s, T, c in table]
     }
     rows = [(s, T, c) for s, T, c in table]
-    return config, result, "sigma,T,count", rows
+    return result, "sigma,T,count", rows
 
 
 def _cmd_flow(args, threads):
-    if args.suite and args.box:
+    if "suite" in args and "box" in args:
         raise UsageError("--box and --suite are mutually exclusive")
-    if args.suite:
+    if "suite" in args:
         boxes = standard_box_suite()
-    elif args.box:
-        boxes = [_parse_box(args.box, args.dims)]
+    elif "box" in args:
+        if len(args.box) != 2 * args.dims:
+            raise UsageError("--box takes one lo,hi pair per dimension")
+        boxes = [Box(lo=tuple(args.box[0::2]), hi=tuple(args.box[1::2]))]
     else:
         raise UsageError("flow needs --box or --suite")
     # Coordinate i of the flow depends on step and lam_i only, so one cloud
@@ -250,11 +233,6 @@ def _cmd_flow(args, threads):
         (box, est, box.volume, abs(est - box.volume))
         for box, est in zip(boxes, ests)
     ]
-    config = _base_config(args, dims=args.dims, T=args.T, step=args.step)
-    if args.suite:
-        config["suite"] = args.suite
-    else:
-        config["box"] = list(sum(zip(boxes[0].lo, boxes[0].hi), ()))
     result = {
         "rows": [
             {
@@ -268,7 +246,7 @@ def _cmd_flow(args, threads):
         ]
     }
     rows = [(args.T, est, target, err) for _, est, target, err in out_rows]
-    return config, result, "t-horizon,estimate,target,error", rows
+    return result, "t-horizon,estimate,target,error", rows
 
 
 def _cmd_recur(args, threads):
@@ -280,10 +258,6 @@ def _cmd_recur(args, threads):
     verified = [
         rouche_verify(f, rep.s0, t_j, rep.r, rep.m0) for t_j in rep.hits
     ]
-    config = _base_config(
-        args, s0=_cplx(args.s0), r=args.r, T=args.T, t_step=args.t_step,
-        grid=args.grid, N=args.N,
-    )
     result = {
         "s0": _cplx(rep.s0),
         "r": rep.r,
@@ -296,42 +270,29 @@ def _cmd_recur(args, threads):
         "verified": verified,
         "lower_bound_rate": rep.lower_bound_rate,
     }
-    return config, result, None, None
+    return result, None, None
 
 
 def _cmd_mollify(args, threads):
     spec = _resolve_series(args.series)
-    xs = _parse_ints(args.X_list, "--X-list")
     a = spec.coeffs.dense(args.N)
     b = inverse_coefficients(spec, args.N)
-    pairs = mollifier_tail_decay(a, b, args.sigma, xs, args.N)
-    config = _base_config(args, sigma=args.sigma, X_list=xs, N=args.N)
+    pairs = mollifier_tail_decay(a, b, args.sigma, args.X_list, args.N)
     result = {"pairs": [{"X": X, "tail": tail} for X, tail in pairs]}
     rows = [(X, tail) for X, tail in pairs]
-    return config, result, "X,tail", rows
+    return result, "X,tail", rows
 
 
 def _cmd_truncate(args, threads):
     spec = _resolve_series(args.series)
     value, bound = smooth_truncation_eval(spec, args.s, args.k, args.M)
-    config = _base_config(args, s=_cplx(args.s), k=args.k, M=args.M)
     result = {"value": _cplx(value), "tail_bound": bound, "k": args.k, "M": args.M}
     rows = [(value.real, value.imag, bound)]
-    return config, result, "re,im,tail_bound", rows
+    return result, "re,im,tail_bound", rows
 
 
-_HANDLERS = {
-    "moment": _cmd_moment,
-    "zeros": _cmd_zeros,
-    "density": _cmd_density,
-    "flow": _cmd_flow,
-    "recur": _cmd_recur,
-    "mollify": _cmd_mollify,
-    "truncate": _cmd_truncate,
-}
-
-
-def _add_common(sp, series=True):
+def _add_common(sp, handler, series=True):
+    sp.set_defaults(handler=handler)
     if series:
         sp.add_argument(
             "--series", required=True,
@@ -350,7 +311,7 @@ def _build_parser() -> _Parser:
     sub.required = True
 
     sp = sub.add_parser("moment", help="quadrature mean of |f|^{2k} over [0, T]")
-    _add_common(sp)
+    _add_common(sp, _cmd_moment)
     sp.add_argument("--sigma", type=_parse_float, required=True)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--T", type=_parse_float, required=True)
@@ -360,30 +321,33 @@ def _build_parser() -> _Parser:
                     help="truncation length for generic series evaluators")
 
     sp = sub.add_parser("zeros", help="scan a rectangle for zeros")
-    _add_common(sp)
-    sp.add_argument("--rect", required=True, help="sigma_lo,sigma_hi,t_lo,t_hi")
+    _add_common(sp, _cmd_zeros)
+    sp.add_argument("--rect", type=_parse_rect, required=True,
+                    help="sigma_lo,sigma_hi,t_lo,t_hi")
     sp.add_argument("--tol", type=_parse_float, default=1e-10)
     sp.add_argument("--step", type=_parse_float, default=0.01, help="boundary step")
     sp.add_argument("--N", type=int, default=100_000)
 
     sp = sub.add_parser("density", help="zero counts right of each sigma, up to height T")
-    _add_common(sp)
-    sp.add_argument("--sigma-list", required=True)
+    _add_common(sp, _cmd_density)
+    sp.add_argument("--sigma-list", type=_parse_floats, required=True)
     sp.add_argument("--T", type=_parse_float, required=True)
     sp.add_argument("--sigma-hi", type=_parse_float, default=1.2)
     sp.add_argument("--step", type=_parse_float, default=0.01, help="boundary step")
     sp.add_argument("--N", type=int, default=100_000)
 
     sp = sub.add_parser("flow", help="torus flow box-hitting fractions")
-    _add_common(sp, series=False)
+    _add_common(sp, _cmd_flow, series=False)
     sp.add_argument("--dims", type=int, default=1)
     sp.add_argument("--T", type=_parse_float, required=True)
     sp.add_argument("--step", type=_parse_float, default=0.01)
-    sp.add_argument("--box", default=None, help="lo,hi pairs, one per dimension")
-    sp.add_argument("--suite", choices=("standard",), default=None)
+    # Left out of the namespace, and so of the config block, unless given.
+    sp.add_argument("--box", type=_parse_floats, default=argparse.SUPPRESS,
+                    help="lo,hi pairs, one per dimension")
+    sp.add_argument("--suite", choices=("standard",), default=argparse.SUPPRESS)
 
     sp = sub.add_parser("recur", help="near-recurrence scan around a seed zero")
-    _add_common(sp)
+    _add_common(sp, _cmd_recur)
     sp.add_argument("--s0", type=_parse_complex, required=True, help="seed zero, a+bi")
     sp.add_argument("--r", type=_parse_float, required=True, help="disc radius")
     sp.add_argument("--T", type=_parse_float, required=True)
@@ -392,13 +356,14 @@ def _build_parser() -> _Parser:
     sp.add_argument("--N", type=int, default=100_000)
 
     sp = sub.add_parser("mollify", help="mollified tail decay across cutoffs X")
-    _add_common(sp)
+    _add_common(sp, _cmd_mollify)
     sp.add_argument("--sigma", type=_parse_float, required=True)
-    sp.add_argument("--X-list", required=True, help="comma-separated cutoffs")
+    sp.add_argument("--X-list", type=_parse_ints, required=True,
+                    help="comma-separated cutoffs")
     sp.add_argument("--N", type=int, default=100_000)
 
     sp = sub.add_parser("truncate", help="smooth truncation value with tail bound")
-    _add_common(sp)
+    _add_common(sp, _cmd_truncate)
     sp.add_argument("--s", type=_parse_complex, required=True, help="a+bi")
     sp.add_argument("--k", type=int, required=True, help="smoothness 2^k")
     sp.add_argument("--M", type=int, default=None,
@@ -428,10 +393,8 @@ def run(argv=None) -> int:
             parser = _build_parser()
             args = parser.parse_args(argv)
             threads = resolve_threads(args.threads)
-            config, result, csv_header, csv_rows = _HANDLERS[args.subcommand](
-                args, threads
-            )
-            text = _render(args, config, result, csv_header, csv_rows)
+            result, csv_header, csv_rows = args.handler(args, threads)
+            text = _render(args, result, csv_header, csv_rows)
         except UsageError as exc:
             sys.stderr.write("dlab: usage: %s\n" % exc)
             return 64

@@ -356,7 +356,12 @@ def builtin_series(name: str) -> SeriesSpec:
             raise PreconditionError(
                 "character name must be character_<modulus>_<index>"
             )
-        modulus, index = int(parts[1]), int(parts[2])
+        try:
+            modulus, index = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise PreconditionError(
+                "bad character modulus or index in %r" % name
+            ) from None
         if modulus < 1:
             raise PreconditionError("character modulus must be >= 1")
         table = tuple(_character_table(modulus, index))

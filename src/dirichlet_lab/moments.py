@@ -111,6 +111,10 @@ def estimate_moment(
 
     Node chunks evaluate concurrently; chunk partials are combined with
     math.fsum, so the estimate is bit-identical for every worker count.
+
+    Raises:
+        NumericalError: the estimate is not finite (|f|^{2k} or its sum
+            passes the float range).
     """
     if sigma <= spec.sigma_m:
         raise PreconditionError("sigma must exceed sigma_m of the series")
@@ -139,13 +143,20 @@ def estimate_moment(
         s = np.full(hi - lo, sigma, dtype=np.complex128)
         s += 1j * (idx.astype(np.float64) * h)
         vals = eval_array(evaluator, s)
-        powers = np.abs(vals) ** (2 * k)
-        return float(np.sum(weight_fn(idx, npts) * powers))
+        # A power past the float range becomes inf and is refused below.
+        with np.errstate(over="ignore"):
+            powers = np.abs(vals) ** (2 * k)
+            return float(np.sum(weight_fn(idx, npts) * powers))
 
     partials = map_spans(work, npts + 1, _NODE_CHUNK, threads=threads)
-    total = math.fsum(partials)
+    try:
+        total = math.fsum(partials)
+    except OverflowError:  # finite partials whose sum passes the float range
+        total = math.inf
     integral = total * (h / 3.0 if cfg.rule == "simpson" else h)
     estimate = integral / T
+    if not math.isfinite(estimate):
+        raise NumericalError("the moment estimate is not a finite float")
     target = theoretical_target(spec, sigma, k)
     rel = abs(estimate - target) / target if target else None
     return MomentReport(

@@ -125,30 +125,38 @@ def _polyline_winding(f, pts: np.ndarray) -> int:
     raise NumericalError("zero near boundary; perturb rectangle")
 
 
-def _edge_points(z0: complex, z1: complex, step: float) -> np.ndarray:
-    n = max(2, int(math.ceil(abs(z1 - z0) / step)) + 1)
-    return np.linspace(z0, z1, n)[:-1]
+def _edge_count(z0: complex, z1: complex, step: float) -> int:
+    """Points on the edge z0 -> z1, both ends included, at spacing <= step."""
+    steps = abs(z1 - z0) / step
+    if not math.isfinite(steps):
+        raise PreconditionError("boundary edge length/step must be finite")
+    return max(2, math.ceil(steps) + 1)
 
 
 def _rect_boundary(rect: Rectangle, step: float) -> np.ndarray:
+    """Closed polyline around the rectangle; its size is checked first."""
     c1 = complex(rect.sigma_lo, rect.t_lo)
     c2 = complex(rect.sigma_hi, rect.t_lo)
     c3 = complex(rect.sigma_hi, rect.t_hi)
     c4 = complex(rect.sigma_lo, rect.t_hi)
-    parts = [
-        _edge_points(c1, c2, step),
-        _edge_points(c2, c3, step),
-        _edge_points(c3, c4, step),
-        _edge_points(c4, c1, step),
-        np.asarray([c1]),
-    ]
-    return np.concatenate(parts)
+    edges = [(c1, c2), (c2, c3), (c3, c4), (c4, c1)]
+    counts = [_edge_count(z0, z1, step) for z0, z1 in edges]
+    # Each edge drops its end point; the start corner closes the polyline.
+    if sum(counts) - 3 > _MAX_BOUNDARY_POINTS:
+        raise PreconditionError(
+            "the rectangle boundary needs more than %d points at step %g"
+            % (_MAX_BOUNDARY_POINTS, step)
+        )
+    parts = [np.linspace(z0, z1, n)[:-1] for (z0, z1), n in zip(edges, counts)]
+    return np.concatenate(parts + [np.asarray([c1])])
 
 
 def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
     """Zeros minus poles of f inside the rectangle, by boundary phase change.
 
     Raises:
+        PreconditionError: the boundary would need more than
+            _MAX_BOUNDARY_POINTS points, or a non-finite number of them.
         NumericalError: boundary passes too close to a zero ("zero near
             boundary; perturb rectangle") or the phase does not stabilize.
     """
@@ -350,6 +358,8 @@ def recurrence_scan(
     """
     if r <= 0 or T <= 0 or t_step <= 0:
         raise PreconditionError("recurrence scan needs positive r, T, t_step")
+    if grid < 1:
+        raise PreconditionError("recurrence scan needs grid >= 1")
     n_steps = int(round(finite_steps(T, t_step, "recurrence grid")))
     check_windows(2 * n_steps + 1, _T_CHUNK)
     idx = np.arange(-n_steps, n_steps + 1, dtype=np.int64)

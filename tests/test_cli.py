@@ -337,3 +337,96 @@ def test_huge_moment_grid_is_refused_before_allocating():
         code, out, err = run_cli(argv + extra)
         assert code == 1 and out == ""
         assert err.startswith("dlab: precondition:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeros", "--series", "builtin:eta-factor", "--rect", "0.5,1.5,-1,1e300"],
+        ["density", "--series", "eta-factor", "--sigma-list", "0.9", "--T", "1e300"],
+        ["density", "--series", "eta-factor", "--sigma-list", "0.9", "--T", "5",
+         "--sigma-hi", "1e300"],
+        ["zeros", "--series", "builtin:eta-factor", "--rect", "0.5,1.5,-1,10",
+         "--step", "1e-320"],
+        ["zeros", "--series", "builtin:eta-factor", "--rect", "0.5,1.5,-1,1e9"],
+    ],
+)
+def test_huge_rectangle_boundary_is_refused_before_allocating(argv):
+    # 1e302 boundary points, an edge/step that overflows to infinity, and a
+    # 1.46 TiB boundary: each is counted and refused before any is built.
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("dlab: precondition:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k, T", [("2000", "10"), ("505", "5000")])
+def test_moment_past_float_range_is_numerical(k, T):
+    # |1 - 2^{1-s}|^{2k} reaches 2^{2k} on the line sigma = 1: at k = 2000
+    # the power is inf; at k = 505 each window's sum is finite but their
+    # total passes the float range.
+    argv = ["moment", "--series", "eta-factor", "--sigma", "1", "--T", T,
+            "--k", k]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("dlab: numerical:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grid", ["0", "-5"])
+def test_recur_grid_below_one_is_a_precondition(grid):
+    argv = ["recur", "--series", "eta-factor", "--s0", "1+0i", "--r", "0.05",
+            "--T", "3", "--grid", grid]
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert err == "dlab: precondition: recurrence scan needs grid >= 1\n"
+
+
+@pytest.mark.parametrize("name", ["character_5_x", "character_y_1"])
+def test_bad_character_name_is_a_precondition(name):
+    argv = ["moment", "--series", name, "--sigma", "1", "--T", "10"]
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert err == "dlab: precondition: bad character modulus or index in %r\n" % name
+
+
+def test_malformed_list_option_is_a_usage_error_before_the_series():
+    code, out, err = run_cli(["zeros", "--series", "nope", "--rect", "1,2"])
+    assert code == 64 and out == ""
+    assert err.startswith("dlab: usage: argument --rect:") and err.count("\n") == 1
+
+
+def _replay_argv(doc):
+    """The argv that the config block of a JSON document records."""
+    cfg = dict(doc["config"])
+    argv = [cfg.pop("subcommand")]
+    for key, value in sorted(cfg.items()):
+        if value is None:
+            continue
+        flag = "--format" if key == "output" else "--" + key.replace("_", "-")
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        elif isinstance(value, dict):
+            value = "{re!r}{im:+}i".format(**value)
+        argv.append("%s=%s" % (flag, value))
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        MOMENT_ETA,
+        ["zeros", "--series", "builtin:eta-factor", "--rect", "0.5,1.5,8.5,9.5"],
+        ["density", "--series", "eta-factor", "--sigma-list", "0.9", "--T", "50"],
+        ["flow", "--suite", "standard", "--T", "100"],
+        ["flow", "--dims", "2", "--T", "100", "--box", "0.1,0.4,0.2,0.9"],
+        ["recur", "--series", "eta-factor", "--s0", "1+0i", "--r", "0.05",
+         "--T", "5", "--t-step", "0.01"],
+        ["mollify", "--series", "zeta", "--sigma", "0.75", "--X-list", "10,100",
+         "--N", "10000"],
+        ["truncate", "--series", "zeta", "--s", "1.5+2i", "--k", "3"],
+    ],
+)
+def test_document_replays_from_its_config_block(argv):
+    code, out, err = run_cached(argv)
+    assert code == 0 and err == ""
+    replay = _replay_argv(json.loads(out))
+    assert run_cli(replay) == (0, out, "")
