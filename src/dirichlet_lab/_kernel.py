@@ -11,6 +11,10 @@ Two evaluation paths, chosen from the points alone:
 
 Both paths split the terms into fixed blocks whose size depends only on the
 number of points, never on the worker count.
+
+`shifted` tabulates the sum at every point moved by every vertical shift:
+n^{-(s + it)} = n^{-it} n^{-s}, so the (shifts x points) table is one complex
+matrix product per term block.
 """
 
 import math
@@ -56,6 +60,27 @@ class DirichletPolynomial:
         for lo in range(0, self.logs.size, blk):
             yield slice(lo, lo + blk)
 
+    def shifted(self, points, shifts) -> np.ndarray:
+        """(shifts x points) table of sum_n c_n n^{-(points[j] + i shifts[k])}.
+
+        Each term block is exp(-i shifts log n) @ (c_n n^{-points}), with
+        the shifts taken _CAP // (block terms) rows at a time.  The blocks
+        depend on the number of points only, so the bits of a row do not
+        depend on how many shifts come with it.
+        """
+        points = np.asarray(points, dtype=np.complex128)
+        shifts = np.asarray(shifts, dtype=np.float64)
+        out = np.zeros((shifts.size, points.size), dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, b in enumerate(self._blocks(points.size)):
+                logs = self.logs[b]
+                right = self.coeffs[b, None] * np.exp(-logs[:, None] * points[None, :])
+                rows = _CAP // logs.size
+                for lo in range(0, shifts.size, rows):
+                    left = np.exp(-1j * np.multiply.outer(shifts[lo : lo + rows], logs))
+                    _product(left, right, out[lo : lo + rows], add=i > 0)
+        return out
+
     def _direct(self, s: np.ndarray) -> np.ndarray:
         out = None
         for b in self._blocks(s.size):
@@ -83,6 +108,22 @@ class DirichletPolynomial:
             out += np.concatenate((left, left * self.logs[None, b])) @ right
         P = resid.size
         return out[:nb].ravel()[:P] - 1j * resid * out[nb:].ravel()[:P]
+
+
+def _product(left: np.ndarray, right: np.ndarray, out: np.ndarray, add: bool):
+    """out = left @ right, or out += left @ right, by the matrix-matrix kernel.
+
+    numpy hands a one-row product to BLAS's matrix-vector kernel, whose
+    rounding differs from the matrix-matrix one; a copied second row keeps
+    the bits of a row the same whatever its neighbours.  out must start at
+    zero, so that the one-row case can always add.
+    """
+    if left.shape[0] == 1:
+        out += (np.concatenate((left, left)) @ right)[:1]
+    elif add:
+        out += left @ right
+    else:
+        np.matmul(left, right, out=out)
 
 
 def _vertical_grid(s: np.ndarray):

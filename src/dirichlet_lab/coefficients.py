@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .primes import factorize, primes_up_to
+from .primes import _SIEVE_BOUND, factorize, primes_up_to
 
 __all__ = [
     "CoefficientSource",
@@ -364,6 +364,10 @@ def builtin_series(name: str) -> SeriesSpec:
             ) from None
         if modulus < 1:
             raise PreconditionError("character modulus must be >= 1")
+        if modulus > _SIEVE_BOUND:
+            raise PreconditionError(
+                "character modulus must be <= %d" % _SIEVE_BOUND
+            )
         table = tuple(_character_table(modulus, index))
         return SeriesSpec(
             coeffs=_CharacterSource(modulus=modulus, index=index, table=table),

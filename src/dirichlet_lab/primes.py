@@ -16,6 +16,10 @@ _SIEVE_BOUND = 1_000_000
 # scale computation.
 _MAX_SMOOTH_MEMBERS = 20_000_000
 
+# Cap on the entries of a smooth set's exponent table (members x primes <= r,
+# int16): 512 MB.
+_MAX_EXPONENT_ENTRIES = 1 << 28
+
 
 def primes_up_to(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (empty for limit < 2)."""
@@ -106,50 +110,58 @@ def smooth_enumerate(r: int, bound: int) -> SmoothSet:
 
     Args:
         r: prime bound, >= 2.
-        bound: enumeration cutoff M, >= 1.
+        bound: enumeration cutoff M, 1 <= M < 2^63, so that every member
+            and product fits an int64.
     """
     if r < 2:
         raise PreconditionError("smooth_enumerate requires r >= 2")
     if bound < 1:
         raise PreconditionError("smooth_enumerate requires bound >= 1")
+    if bound >= 2**63:
+        raise PreconditionError("smooth_enumerate requires bound < 2^63")
     return _smooth_cached(int(r), int(bound))
 
 
 @lru_cache(maxsize=64)
 def _smooth_cached(r: int, bound: int) -> SmoothSet:
-    ps = [int(p) for p in _sieved_primes(max(r, 2)) if p <= r]
-    values = [1]
-    exps = [[0] * len(ps)]
-    for i, p in enumerate(ps):
-        fresh_vals = []
-        fresh_exps = []
-        for v, ev in zip(values, exps):
-            pe = v
-            e = 0
-            while pe <= bound // p:
-                pe *= p
-                e += 1
-                ne = list(ev)
-                ne[i] = e
-                fresh_vals.append(pe)
-                fresh_exps.append(ne)
-                if len(values) + len(fresh_vals) > _MAX_SMOOTH_MEMBERS:
-                    raise NumericalError(
-                        "smooth enumeration exceeds the desk-scale cap"
-                    )
-        values.extend(fresh_vals)
-        exps.extend(fresh_exps)
-    order = np.argsort(np.asarray(values, dtype=np.int64), kind="stable")
-    members = np.asarray(values, dtype=np.int64)[order]
-    exponents = (
-        np.asarray(exps, dtype=np.int16)[order]
-        if ps
-        else np.zeros((len(values), 0), dtype=np.int16)
-    )
+    ps = _sieved_primes(max(r, 2))
+    ps = ps[ps <= r]
+    # Each prime p <= bound appends parent * p^e for every member so far that
+    # stays within the bound; primes past the bound add nothing.  `made`
+    # records, per prime, where its members start, their parents' rows and
+    # their exponents e, from which the exponent table is copied row by row.
+    limit = min(_MAX_SMOOTH_MEMBERS, _MAX_EXPONENT_ENTRIES // ps.size)
+    members = np.ones(1, dtype=np.int64)
+    made = []
+    for i, p in enumerate(ps[ps <= bound].tolist()):
+        rows = np.flatnonzero(members <= bound // p)
+        step = members[rows] * p
+        parents, levels, values = [], [], []
+        total = members.size
+        e = 1
+        while rows.size:
+            total += rows.size
+            if total > limit:
+                raise NumericalError("smooth enumeration exceeds the desk-scale cap")
+            parents.append(rows)
+            levels.append(np.full(rows.size, e, dtype=np.int16))
+            values.append(step)
+            keep = step <= bound // p
+            rows, step = rows[keep], step[keep] * p
+            e += 1
+        if values:
+            made.append((i, members.size, np.concatenate(parents), np.concatenate(levels)))
+            members = np.concatenate([members] + values)
+    exponents = np.zeros((members.size, ps.size), dtype=np.int16)
+    for i, start, parents, levels in made:
+        new = slice(start, start + parents.size)
+        exponents[new] = exponents[parents]
+        exponents[new, i] = levels
+    order = np.argsort(members, kind="stable")
     return SmoothSet(
         r=r,
         bound=bound,
-        primes=np.asarray(ps, dtype=np.int64),
-        members=members,
-        exponents=exponents,
+        primes=ps,
+        members=members[order],
+        exponents=exponents[order],
     )

@@ -51,6 +51,10 @@ class PolynomialEvaluator:
             return complex(out[0])
         return out
 
+    def shifted(self, points, shifts) -> np.ndarray:
+        """(shifts x points) table of f(points[j] + i shifts[k])."""
+        return self._sum.shifted(points, shifts)
+
 
 class TruncatedEvaluator(PolynomialEvaluator):
     """Evaluator that sums the first N coefficients of a series."""

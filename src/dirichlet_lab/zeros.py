@@ -31,8 +31,9 @@ __all__ = [
 _REFINE_ROUNDS = 48
 _MAX_BOUNDARY_POINTS = 6_000_000
 
-# Recurrence t-grids are processed in fixed windows of this many grid points.
-_T_CHUNK = 2000
+# A recurrence window evaluates at most this many points (grid times x disc
+# lattice points); a disc lattice larger than this is refused.
+_POINT_CAP = 1 << 20
 
 # Boundary samples used when recomputing circle minima.
 _RING_SAMPLES = 4096
@@ -355,13 +356,27 @@ def recurrence_scan(
     |f| on the disc boundary.  Within each unit t-interval only the smallest
     integral is kept, and hits are thinned to pairwise separation >= 1.
     Times with |t| < 1 are excluded as trivial self-recurrences.
+
+    An evaluator with a `shifted` method (the Dirichlet polynomials) gives
+    each window as one table over its times and the disc lattice; any other
+    callable is evaluated at every point.  Windows hold as many grid times
+    as fit in _POINT_CAP points, and each integral is the sum over one
+    time's row, so the window size never changes its bits.  The reported
+    integral of each hit is recomputed from f's values at its points, so
+    the report does not depend on which path ranked the times.
     """
     if r <= 0 or T <= 0 or t_step <= 0:
         raise PreconditionError("recurrence scan needs positive r, T, t_step")
     if grid < 1:
         raise PreconditionError("recurrence scan needs grid >= 1")
+    if grid * grid > _POINT_CAP:
+        raise PreconditionError(
+            "disc grid %d needs more than %d lattice points" % (grid, _POINT_CAP)
+        )
+    offsets, cell_area = _disc_lattice(r, grid)
+    rows = _POINT_CAP // offsets.size  # grid times per window
     n_steps = int(round(finite_steps(T, t_step, "recurrence grid")))
-    check_windows(2 * n_steps + 1, _T_CHUNK)
+    check_windows(2 * n_steps + 1, rows)
     idx = np.arange(-n_steps, n_steps + 1, dtype=np.int64)
     ts = idx.astype(np.float64) * t_step
     ts = ts[np.abs(ts) >= 1.0]  # drop the trivial self-recurrence window
@@ -386,16 +401,26 @@ def recurrence_scan(
         raise PreconditionError("m0 vanishes on the seed circle")
     threshold = 0.2 * math.pi * r * r * m0
 
-    offsets, cell_area = _disc_lattice(r, grid)
-    base = eval_array(f, s0 + offsets)
+    disc = s0 + offsets
+    base = eval_array(f, disc)
+    shifted = getattr(f, "shifted", None)
 
-    def work(lo, hi):
-        tt = ts[lo:hi]
-        pts = (s0 + offsets)[None, :] + 1j * tt[:, None]
-        vals = eval_array(f, pts.ravel()).reshape(tt.size, offsets.size)
-        return np.abs(vals - base[None, :]).sum(axis=1) * cell_area
+    def window(tt, product):
+        if product:
+            diff = shifted(disc, tt)
+            diff -= base[None, :]  # the table is this scan's own
+        else:
+            pts = disc[None, :] + 1j * tt[:, None]
+            diff = eval_array(f, pts.ravel()).reshape(tt.size, disc.size) - base
+        return np.abs(diff).sum(axis=1) * cell_area
 
-    integrals = np.concatenate(map_spans(work, ts.size, _T_CHUNK, threads=threads))
+    def disc_integrals(tt, product):
+        parts = map_spans(
+            lambda lo, hi: window(tt[lo:hi], product), tt.size, rows, threads=threads
+        )
+        return np.concatenate(parts)
+
+    integrals = disc_integrals(ts, shifted is not None)
 
     hit_mask = integrals <= threshold
     selected = {}
@@ -414,6 +439,8 @@ def recurrence_scan(
                 thinned[-1] = (t, integral)
         else:
             thinned.append((t, integral))
+    hits = np.asarray([t for t, _ in thinned], dtype=np.float64)
+    hit_integrals = disc_integrals(hits, False) if hits.size else hits
     return RecurrenceReport(
         s0=s0,
         r=float(r),
@@ -421,8 +448,8 @@ def recurrence_scan(
         T=float(T),
         t_step=float(t_step),
         threshold=threshold,
-        hits=tuple(t for t, _ in thinned),
-        hit_integrals=tuple(i for _, i in thinned),
+        hits=tuple(float(t) for t in hits),
+        hit_integrals=tuple(float(v) for v in hit_integrals),
         lower_bound_rate=len(thinned) / (2.0 * float(T)),
     )
 

@@ -380,6 +380,23 @@ def test_recur_grid_below_one_is_a_precondition(grid):
     assert err == "dlab: precondition: recurrence scan needs grid >= 1\n"
 
 
+def test_huge_recur_disc_grid_is_refused_before_allocating():
+    # 1e14 lattice points: refused by the size check, before any is built.
+    argv = ["recur", "--series", "eta-factor", "--s0", "1+0i", "--r", "0.05",
+            "--T", "3", "--grid", "10000000"]
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("dlab: precondition: disc grid 10000000 needs more than")
+    assert err.count("\n") == 1
+
+
+def test_huge_character_modulus_is_refused_before_its_table():
+    argv = ["moment", "--series", "character_100000000_1", "--sigma", "1", "--T", "1"]
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert err == "dlab: precondition: character modulus must be <= 1000000\n"
+
+
 @pytest.mark.parametrize("name", ["character_5_x", "character_y_1"])
 def test_bad_character_name_is_a_precondition(name):
     argv = ["moment", "--series", name, "--sigma", "1", "--T", "10"]

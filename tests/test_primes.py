@@ -86,14 +86,36 @@ def test_smooth_exponents_reconstruct_members():
     assert np.all(np.diff(sm.members) > 0)
 
 
+def test_smooth_exponents_match_factorize():
+    # r past the bound: the primes in (40, 60] keep all-zero columns.
+    sm = smooth_enumerate(60, 40)
+    np.testing.assert_array_equal(sm.members, np.arange(1, 41))
+    assert sm.exponents.dtype == np.int16 and sm.exponents.shape == (40, 17)
+    want = np.zeros((40, 17), dtype=np.int16)
+    col = {int(p): i for i, p in enumerate(sm.primes)}
+    for n in range(2, 41):
+        for p, e in factorize(n):
+            want[n - 1, col[p]] = e
+    np.testing.assert_array_equal(sm.exponents, want)
+
+
 def test_smooth_argument_validation():
     with pytest.raises(PreconditionError):
         smooth_enumerate(1, 100)
     with pytest.raises(PreconditionError):
         smooth_enumerate(2, 0)
+    with pytest.raises(PreconditionError, match="2\\^63"):
+        smooth_enumerate(2, 2**63)  # members past int64
 
 
 def test_smooth_cap_trips(monkeypatch):
     monkeypatch.setattr(primes_mod, "_MAX_SMOOTH_MEMBERS", 500)
     with pytest.raises(NumericalError, match="desk-scale cap"):
         smooth_enumerate(30, 999_983)  # uncached argument pair
+
+
+def test_smooth_exponent_table_cap_trips(monkeypatch):
+    # 1,000 primes <= 7919 leave room for ten members in 10,000 entries.
+    monkeypatch.setattr(primes_mod, "_MAX_EXPONENT_ENTRIES", 10_000)
+    with pytest.raises(NumericalError, match="desk-scale cap"):
+        smooth_enumerate(7919, 5000)  # uncached argument pair

@@ -20,7 +20,7 @@ from dirichlet_lab import (
     zeta_eval,
     zeta_values,
 )
-from dirichlet_lab import primes, series
+from dirichlet_lab import _kernel, primes, series
 from dirichlet_lab._kernel import DirichletPolynomial, _vertical_grid
 from dirichlet_lab.coefficients import load_source
 from dirichlet_lab.series import PolynomialEvaluator, TruncatedEvaluator
@@ -345,3 +345,21 @@ def test_kernel_drops_zero_coefficients():
     s = _vertical_line(1.0, 0.0, 0.5, 40)
     want = 1.0 + 2.0 * 4.0 ** (-s) + 3j * 6.0 ** (-s)
     assert np.abs(kernel(s) - want).max() < 1e-14
+
+
+def test_kernel_shifted_matches_direct(monkeypatch):
+    # A small work cap cuts the 2,000 terms into 67 blocks of 30 and the 201
+    # shifts into rows of 100, 100 and 1.
+    monkeypatch.setattr(_kernel, "_CAP", 3000)
+    rng = np.random.default_rng(7)
+    points = 0.9 + rng.uniform(-0.1, 0.1, 100) + 1j * rng.uniform(-0.1, 0.1, 100)
+    shifts = rng.uniform(-500.0, 500.0, 201)
+    ev = TruncatedEvaluator(ZETA, 2000)
+    table = ev.shifted(points, shifts)
+    want = ev._sum._direct((points[None, :] + 1j * shifts[:, None]).ravel())
+    scale = float(np.sum(np.arange(1, 2001, dtype=np.float64) ** -points.real.min()))
+    assert table.shape == (201, 100)
+    assert np.abs(table.ravel() - want).max() <= 1e-11 * scale
+    # The bits of a row do not depend on the rows around it.
+    for lo, hi in ((0, 1), (57, 58), (3, 150), (200, 201)):
+        np.testing.assert_array_equal(ev.shifted(points, shifts[lo:hi]), table[lo:hi])

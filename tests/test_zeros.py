@@ -20,6 +20,7 @@ from dirichlet_lab import (
     zero_scan,
     zeta_values,
 )
+from dirichlet_lab import _kernel
 from dirichlet_lab import zeros as zeros_module
 from dirichlet_lab.series import PolynomialEvaluator
 
@@ -272,6 +273,56 @@ def test_recurrence_second_ladder():
         k = round(t / PERIOD3)
         assert k != 0
         assert abs(t - k * PERIOD3) <= 0.006
+
+
+def _spy_scans(monkeypatch):
+    """The concatenated window results of every map_spans call in zeros."""
+    scans = []
+    real_map_spans = zeros_module.map_spans
+
+    def spy(*args, **kwargs):
+        windows = real_map_spans(*args, **kwargs)
+        scans.append(np.concatenate(windows))
+        return windows
+
+    monkeypatch.setattr(zeros_module, "map_spans", spy)
+    return scans
+
+
+def test_recurrence_product_path_matches_pointwise_path(monkeypatch):
+    # ETA has `shifted`; the lambda hides it, so every point is evaluated.
+    # The scans agree to rounding, and the hit integrals are recomputed
+    # pointwise on both paths, so the two reports are identical.
+    scans = _spy_scans(monkeypatch)
+    fast = recurrence_scan(ETA, 1.0 + 0.0j, 0.05, 20.0, 0.01)
+    slow = recurrence_scan(lambda s: ETA(s), 1.0 + 0.0j, 0.05, 20.0, 0.01)
+    assert len(fast.hits) == 4
+    assert repr(fast) == repr(slow)
+    # Each report maps its windows twice: the scan, then the hits.
+    np.testing.assert_allclose(scans[0], scans[2], rtol=1e-10)
+
+
+@pytest.mark.parametrize("kernel_cap", [None, 4000])
+def test_recurrence_bits_do_not_depend_on_the_window_size(monkeypatch, kernel_cap):
+    # The disc lattice has 3,228 points at grid 64: a cap of 4,096 points
+    # makes one-time windows, 16,147 makes five-time windows.  A kernel cap
+    # of 4,000 splits ETA's two terms into two blocks.  The integrals of
+    # every grid time are compared, not only the reported hits.
+    if kernel_cap is not None:
+        monkeypatch.setattr(_kernel, "_CAP", kernel_cap)
+    scans = _spy_scans(monkeypatch)
+    reports = []
+    for cap in (4096, 5 * 3228 + 7):
+        monkeypatch.setattr(zeros_module, "_POINT_CAP", cap)
+        for threads in (1, 2):
+            reports.append(
+                recurrence_scan(ETA, 1.0 + 0.0j, 0.05, 20.0, 0.01, threads=threads)
+            )
+    assert len(reports[0].hits) == 4
+    assert {repr(rep) for rep in reports} == {repr(reports[0])}
+    assert len(scans) == 8 and scans[0].size == 3802
+    for i, scan in enumerate(scans[2:]):
+        np.testing.assert_array_equal(scan, scans[i % 2])
 
 
 def test_rouche_accepts_true_period_rejects_half():
