@@ -1,20 +1,13 @@
 """The Dirichlet-polynomial kernel: sum_n c_n n^{-s} at each point of an array.
 
-Two evaluation paths, chosen from the points alone:
-
-- separable: the points lie on one vertical line and their imaginary parts
-  form a base + offset grid (checked on every point).  Then
-  n^{-(sigma + i(b + o))} = n^{-(sigma + ib)} n^{-io}, so the sum is one
-  complex matrix product of a (bases x terms) table with a (terms x offsets)
-  table, instead of one complex exp per (point, term).
-- direct: every other input, as a blocked outer product of terms x points.
-
-Both paths split the terms into fixed blocks whose size depends only on the
-number of points, never on the worker count.
-
-`shifted` tabulates the sum at every point moved by every vertical shift:
-n^{-(s + it)} = n^{-it} n^{-s}, so the (shifts x points) table is one complex
-matrix product per term block.
+One block loop serves every call.  It splits the terms into blocks whose
+size depends only on the number of points, never on the worker count,
+builds c_n n^{-points} for each block, and reduces it by the column sum or,
+given vertical shifts, by the matrix product exp(-i shifts log n) @
+(c_n n^{-points}), since n^{-(s + it)} = n^{-it} n^{-s}.  Points on one
+vertical line whose imaginary parts form a base + offset grid (checked on
+every point) are such a table: the offsets are the points and the bases the
+shifts, one matrix product instead of one complex exp per (point, term).
 """
 
 import math
@@ -42,72 +35,67 @@ class DirichletPolynomial:
         self.coeffs = coeffs[keep]
         self.logs = np.log(np.asarray(indices, dtype=np.float64)[keep])
 
-    def __call__(self, s) -> np.ndarray:
-        """Values at every point of the 1-D array s.
+    def __call__(self, s):
+        """Values at every point of s: a complex for a scalar, otherwise an
+        array of the shape of s.
 
         Overflow to inf or nan is left in the result; callers guard
         non-finite values.
         """
-        s = np.asarray(s, dtype=np.complex128)
+        arr = np.asarray(s, dtype=np.complex128)
+        flat = arr.ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            grid = _vertical_grid(s)
+            grid = _vertical_grid(flat)
             if grid is None:
-                return self._direct(s)
-            return self._separable(s.real[0], *grid)
-
-    def _blocks(self, width: int):
-        blk = max(1, _CAP // max(1, width))
-        for lo in range(0, self.logs.size, blk):
-            yield slice(lo, lo + blk)
+                out = self._table(flat)[0]
+            else:
+                # Point a m + c sits at t = bases[a] + offsets[c] + resid.
+                # To first order in resid log n, which is no larger than the
+                # rounding of t log n in the column sum, its sum is
+                # F - i resid G, where G weights every term by log n.
+                bases, offsets, resid = grid
+                m, P = offsets.size, flat.size
+                line = flat.real[0] + 1j * offsets
+                table = self._table(line, bases, weighted=True)
+                out = table[:, :m].ravel()[:P] - 1j * resid * table[:, m:].ravel()[:P]
+        if arr.ndim == 0:
+            return complex(out[0])
+        return out.reshape(arr.shape)
 
     def shifted(self, points, shifts) -> np.ndarray:
         """(shifts x points) table of sum_n c_n n^{-(points[j] + i shifts[k])}.
 
-        Each term block is exp(-i shifts log n) @ (c_n n^{-points}), with
-        the shifts taken _CAP // (block terms) rows at a time.  The blocks
-        depend on the number of points only, so the bits of a row do not
-        depend on how many shifts come with it.
+        The shifts are taken _CAP // (block terms) rows at a time, and the
+        blocks depend on the number of points only, so the bits of a row do
+        not depend on how many shifts come with it.
         """
         points = np.asarray(points, dtype=np.complex128)
         shifts = np.asarray(shifts, dtype=np.float64)
-        out = np.zeros((shifts.size, points.size), dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, b in enumerate(self._blocks(points.size)):
-                logs = self.logs[b]
-                right = self.coeffs[b, None] * np.exp(-logs[:, None] * points[None, :])
-                rows = _CAP // logs.size
-                for lo in range(0, shifts.size, rows):
-                    left = np.exp(-1j * np.multiply.outer(shifts[lo : lo + rows], logs))
-                    _product(left, right, out[lo : lo + rows], add=i > 0)
-        return out
+            return self._table(points, shifts)
 
-    def _direct(self, s: np.ndarray) -> np.ndarray:
-        out = None
-        for b in self._blocks(s.size):
-            terms = np.multiply.outer(-self.logs[b], s)
-            np.exp(terms, out=terms)
-            terms *= self.coeffs[b, None]
-            if out is None:
-                out = terms.sum(axis=0)
+    def _table(self, points, shifts=None, weighted=False) -> np.ndarray:
+        """The one block loop: the (shifts x points) table, or with no
+        shifts the (1 x points) row of sums.  A weighted table has as many
+        companion columns again, with every term weighted by log n."""
+        width = points.size * (2 if weighted else 1)
+        out = np.zeros((1 if shifts is None else shifts.size, width), np.complex128)
+        blk = max(1, _CAP // max(1, width))
+        for lo in range(0, self.logs.size, blk):
+            logs = self.logs[lo : lo + blk]
+            right = np.multiply.outer(-logs, points)
+            np.exp(right, out=right)
+            right *= self.coeffs[lo : lo + blk, None]
+            if weighted:
+                right = np.concatenate((right, right * logs[:, None]), axis=1)
+            if shifts is None:
+                out[0] = out[0] + right.sum(axis=0) if lo else right.sum(axis=0)
             else:
-                out += terms.sum(axis=0)
-        return np.zeros(s.shape, dtype=np.complex128) if out is None else out
-
-    def _separable(self, sigma, bases, offsets, resid) -> np.ndarray:
-        # Point a m + c sits at t = bases[a] + offsets[c] + resid, and its
-        # terms are left[a, n] right[n, c] exp(-i resid log n).  To first
-        # order in resid log n, which is no larger than the rounding of
-        # t log n that the direct path makes, the sum is F - i resid G, where
-        # G weights every term by log n.  One product gives both F and G.
-        rows = sigma + 1j * bases
-        nb = bases.size
-        out = np.zeros((2 * nb, offsets.size), dtype=np.complex128)
-        for b in self._blocks(2 * nb + offsets.size):
-            left = self.coeffs[None, b] * np.exp(-rows[:, None] * self.logs[None, b])
-            right = np.exp(-1j * (self.logs[b, None] * offsets[None, :]))
-            out += np.concatenate((left, left * self.logs[None, b])) @ right
-        P = resid.size
-        return out[:nb].ravel()[:P] - 1j * resid * out[nb:].ravel()[:P]
+                rows = _CAP // logs.size
+                for r in range(0, shifts.size, rows):
+                    left = np.exp(-1j * np.multiply.outer(shifts[r : r + rows], logs))
+                    _product(left, right, out[r : r + rows], add=lo > 0)
+        return out
 
 
 def _product(left: np.ndarray, right: np.ndarray, out: np.ndarray, add: bool):
@@ -133,7 +121,7 @@ def _vertical_grid(s: np.ndarray):
     otherwise.
 
     The grid pays only when its two tables (bases + offsets rows) are
-    smaller than the P rows of the direct product.
+    smaller than the P rows of the column sum.
     """
     P = s.size
     if P < 2:

@@ -30,7 +30,15 @@ _LOCAL_SUM_CAP = 400
 
 def partial_eval(spec: SeriesSpec, s: complex, N: int) -> complex:
     """Sum of a_n n^{-s} for n <= N."""
-    return TruncatedEvaluator(spec, N)(complex(s))
+    return _truncated(spec, N)(complex(s))
+
+
+def _truncated(spec: SeriesSpec, N: int) -> DirichletPolynomial:
+    """The first N terms of the series."""
+    if N < 1:
+        raise PreconditionError("truncation length must be >= 1")
+    N = int(N)
+    return DirichletPolynomial(np.arange(1, N + 1), spec.coeffs.dense(N)[1:])
 
 
 def _explicit_support(src: ExplicitSource):
@@ -39,44 +47,19 @@ def _explicit_support(src: ExplicitSource):
     return idx, val
 
 
-class PolynomialEvaluator:
-    """Vectorized evaluator for a finite Dirichlet polynomial."""
-
-    def __init__(self, indices, values):
-        self._sum = DirichletPolynomial(indices, values)
-
-    def __call__(self, s):
-        out = self._sum(np.atleast_1d(np.asarray(s, dtype=np.complex128)))
-        if np.isscalar(s) or np.asarray(s).ndim == 0:
-            return complex(out[0])
-        return out
-
-    def shifted(self, points, shifts) -> np.ndarray:
-        """(shifts x points) table of f(points[j] + i shifts[k])."""
-        return self._sum.shifted(points, shifts)
-
-
-class TruncatedEvaluator(PolynomialEvaluator):
-    """Evaluator that sums the first N coefficients of a series."""
-
-    def __init__(self, spec: SeriesSpec, N: int):
-        if N < 1:
-            raise PreconditionError("truncation length must be >= 1")
-        N = int(N)
-        super().__init__(np.arange(1, N + 1), spec.coeffs.dense(N)[1:])
-
-
 def default_evaluator(spec: SeriesSpec, N: int = 100_000):
     """An s -> f(s) callable for the series, vectorized over arrays.
 
     The builtin zeta series gets the summation-formula evaluator; finite
     explicit series are evaluated exactly; everything else is truncated at N.
+    The polynomials are DirichletPolynomial, which also tabulates vertical
+    shifts (`shifted`).
     """
     if _is_zeta(spec):
         return zeta_values
     if isinstance(spec.coeffs, ExplicitSource):
-        return PolynomialEvaluator(*_explicit_support(spec.coeffs))
-    return TruncatedEvaluator(spec, N)
+        return DirichletPolynomial(*_explicit_support(spec.coeffs))
+    return _truncated(spec, N)
 
 
 def eval_array(evaluator, s: np.ndarray) -> np.ndarray:
@@ -222,8 +205,9 @@ def _smooth_coefficients(spec: SeriesSpec, sm: SmoothSet) -> np.ndarray:
             if k < len(sm) and sm.members[k] == n:
                 out[k] = val[j]
         return out
+    # A prime past the bound divides no member: its factor is 1.
     out = np.ones(len(sm), dtype=np.complex128)
-    for i, p in enumerate(sm.primes):
+    for i, p in enumerate(sm.primes[sm.primes <= sm.bound]):
         col = sm.exponents[:, i].astype(np.int64)
         emax = int(col.max()) if len(col) else 0
         table = np.asarray(
@@ -242,8 +226,9 @@ def _phase_for(theta, sm: SmoothSet) -> np.ndarray:
         raise PreconditionError(
             "theta lacks a coordinate for prime %d" % missing
         )
+    # A prime past the bound divides no member: its phase term is 0.
     dot = np.zeros(len(sm), dtype=np.float64)
-    for i in range(len(sm.primes)):
+    for i in range(np.count_nonzero(sm.primes <= sm.bound)):
         dot += sm.exponents[:, i].astype(np.float64) * coords[i]
     return np.exp(-2j * math.pi * dot)
 
@@ -319,11 +304,11 @@ def smooth_truncation_eval(spec: SeriesSpec, s: complex, k: int, M=None):
         kept = smooth if M is None else smooth & (idx <= M)
         rest = smooth & ~kept
         tail = math.fsum(np.abs(val[rest]) * idx[rest].astype(np.float64) ** (-s.real))
-        return PolynomialEvaluator(idx[kept], val[kept])(s), tail
+        return DirichletPolynomial(idx[kept], val[kept])(s), tail
     if M is None:
         return _euler_product(spec, s, r), 0.0
     sm = smooth_enumerate(r, M)
-    value = PolynomialEvaluator(sm.members, _smooth_coefficients(spec, sm))(s)
+    value = DirichletPolynomial(sm.members, _smooth_coefficients(spec, sm))(s)
     return value, _rankin_smooth_tail(spec, s.real, r, M)
 
 
@@ -350,4 +335,4 @@ def twisted_eval(spec: SeriesSpec, theta, s: complex, k: int, M: int) -> complex
         raise PreconditionError("twisted evaluation needs a finite cutoff M")
     sm = smooth_enumerate(2**k, int(M))
     coeffs = _smooth_coefficients(spec, sm) * _phase_for(theta, sm)
-    return PolynomialEvaluator(sm.members, coeffs)(s)
+    return DirichletPolynomial(sm.members, coeffs)(s)

@@ -91,14 +91,14 @@ class RecurrenceReport:
 # Winding engine
 
 
-def _polyline_winding(f, pts: np.ndarray) -> int:
-    """Winding number of f along a closed polyline (pts[-1] == pts[0]).
+def _polyline_winding(f, pts: np.ndarray, vals: np.ndarray) -> int:
+    """Winding number of f along a closed polyline (pts[-1] == pts[0]),
+    given its values vals at pts.
 
     Segments are bisected until every step has a phase jump under pi/2 and a
     magnitude change under a tenth of the local |f|, which rules out phase
     aliasing across near-zero passes.
     """
-    vals = eval_array(f, pts)
     for _ in range(_REFINE_ROUNDS):
         if not np.all(np.isfinite(vals)):
             raise NumericalError("evaluator returned a non-finite boundary value")
@@ -134,22 +134,23 @@ def _edge_count(z0: complex, z1: complex, step: float) -> int:
     return max(2, math.ceil(steps) + 1)
 
 
-def _rect_boundary(rect: Rectangle, step: float) -> np.ndarray:
-    """Closed polyline around the rectangle; its size is checked first."""
+def _rect_edges(rect: Rectangle, step: float) -> list:
+    """The four edges of a closed polyline around the rectangle, each without
+    its end point but the last; the size is checked first."""
     c1 = complex(rect.sigma_lo, rect.t_lo)
     c2 = complex(rect.sigma_hi, rect.t_lo)
     c3 = complex(rect.sigma_hi, rect.t_hi)
     c4 = complex(rect.sigma_lo, rect.t_hi)
     edges = [(c1, c2), (c2, c3), (c3, c4), (c4, c1)]
     counts = [_edge_count(z0, z1, step) for z0, z1 in edges]
-    # Each edge drops its end point; the start corner closes the polyline.
+    # Three edges drop their end point; the last ends at the start corner.
     if sum(counts) - 3 > _MAX_BOUNDARY_POINTS:
         raise PreconditionError(
             "the rectangle boundary needs more than %d points at step %g"
             % (_MAX_BOUNDARY_POINTS, step)
         )
-    parts = [np.linspace(z0, z1, n)[:-1] for (z0, z1), n in zip(edges, counts)]
-    return np.concatenate(parts + [np.asarray([c1])])
+    parts = [np.linspace(z0, z1, n) for (z0, z1), n in zip(edges, counts)]
+    return [p[:-1] for p in parts[:3]] + parts[3:]
 
 
 def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
@@ -163,7 +164,11 @@ def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
     """
     if boundary_step <= 0:
         raise PreconditionError("boundary step must be positive")
-    return _polyline_winding(f, _rect_boundary(rect, boundary_step))
+    edges = _rect_edges(rect, boundary_step)
+    # One call per edge, so each vertical side reaches the evaluator as one
+    # vertical line (the kernel's matrix-product branch).
+    vals = np.concatenate([eval_array(f, e) for e in edges])
+    return _polyline_winding(f, np.concatenate(edges), vals)
 
 
 def winding_on_circle(f, center: complex, radius: float, samples: int = 256) -> int:
@@ -171,7 +176,8 @@ def winding_on_circle(f, center: complex, radius: float, samples: int = 256) -> 
     if radius <= 0:
         raise PreconditionError("circle radius must be positive")
     ring = _ring(center, radius, max(16, samples))
-    return _polyline_winding(f, np.append(ring, ring[0]))
+    pts = np.append(ring, ring[0])
+    return _polyline_winding(f, pts, eval_array(f, pts))
 
 
 def _ring(center: complex, r: float, samples: int) -> np.ndarray:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dirichlet_lab import (
     MultiplicativeSource,
@@ -23,7 +25,6 @@ from dirichlet_lab import (
 from dirichlet_lab import _kernel, primes, series
 from dirichlet_lab._kernel import DirichletPolynomial, _vertical_grid
 from dirichlet_lab.coefficients import load_source
-from dirichlet_lab.series import PolynomialEvaluator, TruncatedEvaluator
 
 from _oracles import ZETA_2
 
@@ -56,7 +57,7 @@ def test_partial_eval_requires_positive_N():
 
 def test_polynomial_evaluator_matches_partial_eval():
     ev = default_evaluator(ETA)
-    assert isinstance(ev, PolynomialEvaluator)
+    assert isinstance(ev, DirichletPolynomial)
     pts = np.asarray([0.9 + 1.0j, 1.0 + 0.0j, 1.3 - 22.5j])
     vals = ev(pts)
     for s, v in zip(pts, vals):
@@ -73,7 +74,7 @@ def test_default_evaluator_routes_zeta_to_summation_formula():
 def test_truncated_evaluator_matches_partial_eval():
     N = 2000
     ev = default_evaluator(D3, N)
-    assert isinstance(ev, TruncatedEvaluator)
+    assert isinstance(ev, DirichletPolynomial)
     for s in (1.5 + 4.0j, 2.0 - 1.0j):
         want = partial_eval(D3, s, N)
         got = ev(np.asarray([s]))[0]
@@ -300,14 +301,28 @@ def test_partial_eval_matches_zeta_evaluator():
 
 
 # ---------------------------------------------------------------------------
-# The Dirichlet-polynomial kernel: separable (vertical-line grid) and direct
-# paths.
+# The Dirichlet-polynomial kernel: its base + offset grid branch, its column
+# sum and its shifted tables, against a term-by-term oracle.
 
 
 def _vertical_line(sigma, t0, h, P):
     s = np.full(P, sigma, dtype=np.complex128)
     s += 1j * (t0 + np.arange(P, dtype=np.float64) * h)
     return s
+
+
+def _naive(indices, coeffs, s):
+    """sum_n c_n n^{-s} at every point of the 1-D array s: every term of a
+    point at once, a slice of points at a time."""
+    s = np.asarray(s, dtype=np.complex128)
+    logs = np.log(np.asarray(indices, dtype=np.float64))
+    c = np.asarray(coeffs, dtype=np.complex128)
+    out = np.empty(s.shape, dtype=np.complex128)
+    step = max(1, 2**20 // max(1, logs.size))
+    for lo in range(0, s.size, step):
+        terms = np.exp(np.multiply.outer(-logs, s[lo : lo + step])) * c[:, None]
+        out[lo : lo + step] = terms.sum(axis=0)
+    return out
 
 
 @pytest.mark.parametrize("sigma", [0.501, 0.75, 4.0])
@@ -318,7 +333,7 @@ def test_kernel_separable_path_matches_direct(sigma):
     for t0, h in ((0.0, 0.01), (1800.0, 0.01), (9600.0, 1.0)):
         s = _vertical_line(sigma, t0, h, 400)
         assert _vertical_grid(s) is not None
-        diff = np.abs(kernel(s) - kernel._direct(s)).max()
+        diff = np.abs(kernel(s) - _naive(np.arange(1, N + 1), np.ones(N), s)).max()
         assert diff <= 1e-11 * scale, (sigma, t0, diff / scale)
 
 
@@ -333,10 +348,10 @@ def test_kernel_path_choice():
     assert _vertical_grid(uneven) is None
     # Too few points for the two tables to pay (m + nb >= P).
     assert _vertical_grid(line[:5]) is None
-    # Both inputs still evaluate, through the direct path.
+    # Both inputs still evaluate, by the column sum, term by term.
     kernel = DirichletPolynomial([1.0, 2.0], [1.0, -2.0])
     for s in (mixed, uneven):
-        np.testing.assert_array_equal(kernel(s), kernel._direct(s))
+        np.testing.assert_array_equal(kernel(s), _naive([1.0, 2.0], [1.0, -2.0], s))
 
 
 def test_kernel_drops_zero_coefficients():
@@ -354,12 +369,86 @@ def test_kernel_shifted_matches_direct(monkeypatch):
     rng = np.random.default_rng(7)
     points = 0.9 + rng.uniform(-0.1, 0.1, 100) + 1j * rng.uniform(-0.1, 0.1, 100)
     shifts = rng.uniform(-500.0, 500.0, 201)
-    ev = TruncatedEvaluator(ZETA, 2000)
+    ev = DirichletPolynomial(np.arange(1, 2001), np.ones(2000))
     table = ev.shifted(points, shifts)
-    want = ev._sum._direct((points[None, :] + 1j * shifts[:, None]).ravel())
+    moved = (points[None, :] + 1j * shifts[:, None]).ravel()
+    want = _naive(np.arange(1, 2001), np.ones(2000), moved)
     scale = float(np.sum(np.arange(1, 2001, dtype=np.float64) ** -points.real.min()))
     assert table.shape == (201, 100)
     assert np.abs(table.ravel() - want).max() <= 1e-11 * scale
     # The bits of a row do not depend on the rows around it.
     for lo, hi in ((0, 1), (57, 58), (3, 150), (200, 201)):
         np.testing.assert_array_equal(ev.shifted(points, shifts[lo:hi]), table[lo:hi])
+
+
+# Few, derandomized examples keep the property tests quick and repeatable.
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def _random_coeffs(seed, N):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=N) + 1j * rng.normal(size=N)
+
+
+@_PROPERTY
+@given(
+    sigma=st.floats(0.5, 3.0),
+    t0=st.floats(-2000.0, 2000.0),
+    h=st.floats(1e-3, 1.0),
+    P=st.integers(10, 1500),
+    N=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sigma=0.75, t0=100.0, h=0.01, P=10, N=50, seed=0)  # m = 4: 3 bases, 2 left over
+def test_kernel_grid_branch_matches_term_by_term_sums(sigma, t0, h, P, N, seed):
+    s = _vertical_line(sigma, t0, h, P)
+    assume(_vertical_grid(s) is not None)
+    idx, c = np.arange(1, N + 1), _random_coeffs(seed, N)
+    scale = float(np.sum(np.abs(c) * idx.astype(np.float64) ** -sigma))
+    diff = np.abs(DirichletPolynomial(idx, c)(s) - _naive(idx, c, s)).max()
+    assert diff <= 1e-11 * scale
+
+
+@_PROPERTY
+@given(
+    P=st.integers(1, 60),
+    K=st.integers(1, 40),
+    N=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_shifted_rows_are_sums_at_the_moved_points(P, K, N, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0.5, 2.0, P) + 1j * rng.uniform(-50.0, 50.0, P)
+    shifts = rng.uniform(-1000.0, 1000.0, K)
+    idx, c = np.arange(1, N + 1), _random_coeffs(seed, N)
+    scale = float(np.sum(np.abs(c) * idx.astype(np.float64) ** -points.real.min()))
+    table = DirichletPolynomial(idx, c).shifted(points, shifts)
+    assert table.shape == (K, P)
+    for k in range(K):
+        diff = np.abs(table[k] - _naive(idx, c, points + 1j * shifts[k])).max()
+        assert diff <= 1e-11 * scale
+
+
+def test_kernel_input_of_any_shape():
+    # A 2-D array of points on one vertical line gives the bits of the
+    # flattened call, which takes the grid branch.
+    s = 0.75 + 0.01j * np.arange(400)
+    assert _vertical_grid(s) is not None
+    for f in (zeta_values, default_evaluator(ETA)):
+        np.testing.assert_array_equal(f(s.reshape(20, 20)), f(s).reshape(20, 20))
+
+
+def test_smooth_coefficients_visit_only_primes_up_to_the_bound():
+    # Liouville's lambda; the 1024-smooth members up to 50 only use p <= 47.
+    class Liouville(MultiplicativeSource):
+        def prime_power(self, p, e):
+            if p > 50:
+                raise AssertionError("asked for a_{%d^%d}" % (p, e))
+            return super().prime_power(p, e)
+
+    lam = Liouville(rule=lambda p, e: (-1.0) ** e)
+    spec = SeriesSpec(coeffs=lam, sigma_m=0.5, sigma_a=1.0)
+    sm = primes.smooth_enumerate(1024, 50)
+    got = series._smooth_coefficients(spec, sm)
+    omega = [sum(e for _, e in primes.factorize(int(n))) for n in sm.members]
+    np.testing.assert_array_equal(got, (-1.0) ** np.asarray(omega))

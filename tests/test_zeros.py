@@ -22,7 +22,6 @@ from dirichlet_lab import (
 )
 from dirichlet_lab import _kernel
 from dirichlet_lab import zeros as zeros_module
-from dirichlet_lab.series import PolynomialEvaluator
 
 from _oracles import (
     MOLLIFY_TAILS,
@@ -37,7 +36,7 @@ ETA = default_evaluator(builtin_series("eta-factor"))
 ZETA_SPEC = builtin_series("zeta")
 
 # second ladder fixture: 1 - 3^{0.8} 3^{-s}, zeros at 0.8 + i k (2 pi / log 3)
-LADDER3 = PolynomialEvaluator([1.0, 3.0], [1.0, -(3.0**0.8)])
+LADDER3 = _kernel.DirichletPolynomial([1.0, 3.0], [1.0, -(3.0**0.8)])
 
 
 def _linear(root):
@@ -63,6 +62,21 @@ def test_winding_is_additive_across_a_cut():
     high = winding_count(ETA, Rectangle(0.5, 1.5, 15.5, 31.5))
     assert total == 3  # ladder spacing 2 pi / log 2 = 9.06...
     assert low + high == total
+
+
+def test_winding_evaluates_each_side_in_its_own_call():
+    # Each vertical side reaches the evaluator as one vertical line, the
+    # kernel's matrix-product branch; the bottom and top sides do not.
+    calls = []
+
+    def f(s):
+        calls.append(np.asarray(s))
+        return ETA(s)
+
+    assert winding_count(f, Rectangle(0.5, 1.5, 0.5, 31.5)) == 3
+    sides = [_kernel._vertical_grid(s) is not None for s in calls[:4]]
+    assert sides == [False, True, False, True]
+    assert calls[3][-1] == calls[0][0]  # the left side closes the polyline
 
 
 def test_winding_zero_on_edge_is_detected():
@@ -137,12 +151,8 @@ def _spy_windings(monkeypatch):
     return seen
 
 
-def _vanishing(calls):
-    def f(s):
-        calls.append(1)
-        return np.zeros_like(np.asarray(s, dtype=np.complex128))
-
-    return f
+def _vanishing(s):
+    return np.zeros_like(np.asarray(s, dtype=np.complex128))
 
 
 def test_zero_scan_nudges_a_cut_off_a_zero(monkeypatch):
@@ -159,11 +169,11 @@ def test_zero_scan_nudges_a_cut_off_a_zero(monkeypatch):
     assert any(r.t_hi == base + 1e-3 for r in seen)
 
 
-def test_zero_scan_gives_up_when_every_expansion_meets_a_zero():
-    calls = []
+def test_zero_scan_gives_up_when_every_expansion_meets_a_zero(monkeypatch):
+    seen = _spy_windings(monkeypatch)
     with pytest.raises(NumericalError, match="zero near boundary"):
-        zero_scan(_vanishing(calls), Rectangle(0.0, 1.0, 0.0, 1.0))
-    assert len(calls) == 4  # the rectangle and three expansions
+        zero_scan(_vanishing, Rectangle(0.0, 1.0, 0.0, 1.0))
+    assert len(seen) == 4  # the rectangle and three expansions
 
 
 def test_zero_scan_rejects_poles():
@@ -203,11 +213,11 @@ def test_density_nudges_an_edge_off_the_ladder(monkeypatch):
     assert [r.sigma_lo for r in seen] == [1.0, 1.0 + 1e-3]
 
 
-def test_density_gives_up_when_every_edge_meets_a_zero():
-    calls = []
+def test_density_gives_up_when_every_edge_meets_a_zero(monkeypatch):
+    seen = _spy_windings(monkeypatch)
     with pytest.raises(NumericalError, match="zero near boundary"):
-        density_table(_vanishing(calls), [0.5], 1.0)
-    assert len(calls) == 4  # sigma edges shifted by 0, 1e-3, -1e-3, 2e-3
+        density_table(_vanishing, [0.5], 1.0)
+    assert len(seen) == 4  # sigma edges shifted by 0, 1e-3, -1e-3, 2e-3
 
 
 def test_density_validation():
