@@ -12,9 +12,7 @@ from .coefficients import (
     MultiplicativeSource,
     SeriesSpec,
     builtin_series,
-    coefficient,
     load_source,
-    series_descriptor,
 )
 from .convolution import (
     convolution_power,
@@ -33,8 +31,6 @@ from .moments import (
     lindelof_target,
     order_scan,
     polynomial_mean_exact,
-    shell_disc_distance,
-    shell_sum_bound,
     theoretical_target,
 )
 from .parallel import resolve_threads
@@ -42,7 +38,6 @@ from .primes import SmoothSet, factorize, first_primes, log_frequencies, smooth_
 from .series import (
     default_evaluator,
     eval_array,
-    partial_eval,
     smooth_truncation_eval,
     tail_norm,
     twisted_eval,
@@ -51,17 +46,9 @@ from .torus import (
     Box,
     FlowConfig,
     TorusPoint,
-    TychonoffBall,
-    ball_measure_mc,
-    ball_time_average,
-    box_from_json,
     box_hitting_fraction,
     box_hitting_fractions,
-    flow_config_from_json,
-    flow_point,
     standard_box_suite,
-    time_average,
-    tychonoff_distance,
 )
 from .zeros import (
     Rectangle,
@@ -94,15 +81,10 @@ __all__ = [
     "SeriesSpec",
     "SmoothSet",
     "TorusPoint",
-    "TychonoffBall",
     "ZeroRecord",
-    "ball_measure_mc",
-    "ball_time_average",
-    "box_from_json",
     "box_hitting_fraction",
     "box_hitting_fractions",
     "builtin_series",
-    "coefficient",
     "convolution_power",
     "default_evaluator",
     "density_table",
@@ -111,8 +93,6 @@ __all__ = [
     "eval_array",
     "factorize",
     "first_primes",
-    "flow_config_from_json",
-    "flow_point",
     "identity_coefficients",
     "inverse_coefficients",
     "lindelof_product",
@@ -122,22 +102,16 @@ __all__ = [
     "mollifier_coefficients",
     "mollifier_tail_decay",
     "order_scan",
-    "partial_eval",
     "polynomial_mean_exact",
     "recurrence_scan",
     "resolve_threads",
     "rouche_verify",
-    "series_descriptor",
-    "shell_disc_distance",
-    "shell_sum_bound",
     "smooth_enumerate",
     "smooth_truncation_eval",
     "standard_box_suite",
     "tail_norm",
     "theoretical_target",
-    "time_average",
     "twisted_eval",
-    "tychonoff_distance",
     "winding_count",
     "winding_on_circle",
     "zero_scan",

@@ -302,7 +302,6 @@ def _add_common(sp, handler, series=True):
     sp.add_argument("--out", default=None, help="write the document here instead of stdout")
     sp.add_argument("--threads", type=int, default=None,
                     help="worker cap (default: DLAB_THREADS or 1)")
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def _build_parser() -> _Parser:

@@ -1,10 +1,8 @@
 """Coefficient sources for Dirichlet series and the builtin catalogue.
 
-A source answers two questions: the coefficient a_n for a single index, and a
-dense 1-based array of coefficients up to N.  Multiplicative sources are
-defined by their prime-power rule a_{p^e} and evaluated through factorization;
-explicit sources carry a finite table.  Coefficient files use a small JSON
-schema (see load_source).
+A source gives a dense 1-based array of coefficients up to N.  Multiplicative
+sources are defined by their prime-power rule a_{p^e}; explicit sources carry
+a finite table.  Coefficient files use a small JSON schema (see load_source).
 """
 
 import json
@@ -23,7 +21,6 @@ __all__ = [
     "SeriesSpec",
     "builtin_series",
     "load_source",
-    "series_descriptor",
 ]
 
 
@@ -34,9 +31,6 @@ class CoefficientSource:
     square_growth_base = 1.0
     # True when |a_n| <= 1 for all n (tightest tail bounds apply).
     unit_bounded = True
-
-    def value(self, n: int) -> complex:
-        raise NotImplementedError
 
     def dense(self, limit: int) -> np.ndarray:
         """Coefficients a_1..a_limit as a complex array indexed 1..limit.
@@ -69,12 +63,6 @@ class ExplicitSource(CoefficientSource):
         items = sorted(((int(n), complex(a)) for n, a in pairs), key=lambda e: e[0])
         return ExplicitSource(entries=tuple(items))
 
-    def value(self, n: int) -> complex:
-        for m, a in self.entries:
-            if m == n:
-                return a
-        return 0j
-
     def dense(self, limit: int) -> np.ndarray:
         arr = np.zeros(limit + 1, dtype=np.complex128)
         for n, a in self.entries:
@@ -98,16 +86,6 @@ class MultiplicativeSource(CoefficientSource):
         if e == 0:
             return 1.0 + 0j
         return complex(self.rule(p, e))
-
-    def value(self, n: int) -> complex:
-        if n == 1:
-            return 1.0 + 0j
-        out = 1.0 + 0j
-        for p, e in factorize(n):
-            out *= self.prime_power(p, e)
-            if out == 0:
-                return 0j
-        return out
 
     def dense(self, limit: int) -> np.ndarray:
         # Smallest-prime-factor decomposition; one pass, no per-n factorize.
@@ -152,13 +130,6 @@ class SeriesSpec:
     def __post_init__(self):
         if self.sigma_m > self.sigma_a:
             raise PreconditionError("sigma_m must not exceed sigma_a")
-
-
-def coefficient(spec: SeriesSpec, n: int) -> complex:
-    """The coefficient a_n of the series."""
-    if n < 1:
-        raise PreconditionError("coefficient index must be >= 1")
-    return spec.coeffs.value(int(n))
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +254,7 @@ class _CharacterSource(CoefficientSource):
     unit_bounded = True
 
     def prime_power(self, p: int, e: int) -> complex:
-        return self.value(pow(p, e, self.modulus) if e else 1)
-
-    def value(self, n: int) -> complex:
-        return complex(self.table[n % self.modulus])
+        return complex(self.table[pow(p, e, self.modulus)])
 
     def dense(self, limit: int) -> np.ndarray:
         base = np.asarray(self.table, dtype=np.complex128)
@@ -385,7 +353,7 @@ _DEFAULT_MULT_ABSCISSAS = (0.5, 1.0)
 
 
 def load_source(obj) -> SeriesSpec:
-    """Build a SeriesSpec from a coefficient file path, JSON text, or dict.
+    """Build a SeriesSpec from a coefficient file path or a dict.
 
     Schema:
       {"kind": "explicit", "coeffs": [[n, re, im], ...]}
@@ -393,6 +361,10 @@ def load_source(obj) -> SeriesSpec:
       {"kind": "builtin", "name": "zeta"}
     Optional keys "sigma_m", "sigma_a", "label" override the defaults.
     Unlisted explicit indices and unlisted prime powers are zero.
+
+    Raises:
+        PreconditionError: the file cannot be read or parsed, or the
+            document does not follow the schema.
     """
     if isinstance(obj, str):
         try:
@@ -406,6 +378,17 @@ def load_source(obj) -> SeriesSpec:
         data = obj
     if not isinstance(data, dict) or "kind" not in data:
         raise PreconditionError("coefficient JSON must be an object with 'kind'")
+    try:
+        return _spec_from_doc(data)
+    except PreconditionError:
+        raise
+    except KeyError as exc:
+        raise PreconditionError("coefficient JSON lacks key %s" % exc) from None
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise PreconditionError("malformed coefficient JSON: %s" % exc) from None
+
+
+def _spec_from_doc(data: dict) -> SeriesSpec:
     kind = data["kind"]
     label = data.get("label", "file-series")
     if kind == "builtin":
@@ -451,11 +434,3 @@ def load_source(obj) -> SeriesSpec:
         )
     raise PreconditionError("unknown coefficient kind %r" % kind)
 
-
-def series_descriptor(spec: SeriesSpec) -> dict:
-    """Replayable description of a series for embedding in output documents."""
-    return {
-        "label": spec.label,
-        "sigma_m": spec.sigma_m if math.isfinite(spec.sigma_m) else None,
-        "sigma_a": spec.sigma_a if math.isfinite(spec.sigma_a) else None,
-    }

@@ -1,5 +1,5 @@
 """Mean values of |f(sigma+it)|^{2k}: quadrature estimates, exact polynomial
-means, divisor-sum targets, shell disc distances, and max-modulus scans.
+means, divisor-sum targets, and max-modulus scans.
 """
 
 import math
@@ -7,20 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernel import DirichletPolynomial
 from .coefficients import ExplicitSource, SeriesSpec, _is_zeta, builtin_series
 from .convolution import convolution_power
 from .errors import NumericalError, PreconditionError
 from .parallel import finite_steps, map_spans
-from .primes import smooth_enumerate
-from .series import (
-    _phase_for,
-    _rankin_square_tail,
-    _smooth_coefficients,
-    default_evaluator,
-    eval_array,
-    tail_norm,
-)
+from .series import _rankin_square_tail, default_evaluator, eval_array
 from .zeta import zeta_eval
 
 __all__ = [
@@ -32,18 +23,12 @@ __all__ = [
     "lindelof_target",
     "order_scan",
     "polynomial_mean_exact",
-    "shell_disc_distance",
-    "shell_sum_bound",
     "theoretical_target",
 ]
 
 # Quadrature nodes are processed in fixed windows of this many grid points;
 # the split depends only on the grid, so totals are worker-count independent.
 _NODE_CHUNK = 20000
-
-# Internal cutoff for shell sums; large enough that members beyond it are
-# negligible at the sigma ranges these diagnostics run at.
-_SHELL_CUTOFF = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -250,74 +235,6 @@ def lindelof_product(k: int, sigma: float) -> float:
     if k == 2:
         return float(zeta_eval(2.0 * sigma).real ** 4 / zeta_eval(4.0 * sigma).real)
     raise PreconditionError("closed forms available for k = 1, 2 only")
-
-
-# ---------------------------------------------------------------------------
-# Shell disc distances (consecutive smooth truncations on a disc)
-
-
-def _disc_lattice(r_disc: float, grid: int):
-    """Midpoint lattice of the square [-r, r]^2 masked to the disc."""
-    cell = 2.0 * r_disc / grid
-    centers = -r_disc + (np.arange(grid, dtype=np.float64) + 0.5) * cell
-    X, Y = np.meshgrid(centers, centers)
-    mask = X**2 + Y**2 <= r_disc**2
-    return (X[mask] + 1j * Y[mask]).ravel(), cell * cell
-
-
-def shell_disc_distance(
-    spec: SeriesSpec,
-    theta,
-    sigma: float,
-    k: int,
-    r_disc: float,
-    grid: int = 64,
-) -> float:
-    """Disc integral of |g_k - g_{k-1}| around sigma, by the midpoint rule.
-
-    g_k is the 2^k-smooth truncation (twisted by theta when given); the
-    difference is supported on indices whose largest prime factor lies in
-    (2^{k-1}, 2^k].  Indices are cut off at _SHELL_CUTOFF internally.
-
-    Raises:
-        PreconditionError: grid < 16 or sigma - r_disc <= sigma_m.
-    """
-    if grid < 16:
-        raise PreconditionError("disc grid must be >= 16")
-    if k < 1:
-        raise PreconditionError("shell index k must be >= 1")
-    if sigma - r_disc <= spec.sigma_m:
-        raise PreconditionError("disc must stay right of sigma_m")
-    sm = smooth_enumerate(2**k, _SHELL_CUTOFF)
-    lpf = (
-        (sm.exponents > 0) * sm.primes[None, :].astype(np.int64)
-    ).max(axis=1)
-    shell = lpf > 2 ** (k - 1)
-    if not shell.any():
-        return 0.0
-    coeffs = _smooth_coefficients(spec, sm)
-    if theta is not None:
-        coeffs = coeffs * _phase_for(theta, sm)
-    points, cell_area = _disc_lattice(r_disc, grid)
-    total = DirichletPolynomial(sm.members[shell], coeffs[shell])(sigma + points)
-    return float(np.sum(np.abs(total)) * cell_area)
-
-
-def shell_sum_bound(spec: SeriesSpec, sigma: float, r_disc: float, K: int) -> float:
-    """Closed-form cap on the partial sums of shell disc distances.
-
-    pi r^2 (1 + sum_{k<=K} 2^{-(k-1) delta/10})^{1/2} C^{1/2}, where
-    delta = (sigma - r_disc) - sigma_m and C bounds the squared-coefficient
-    norm a quarter-delta above sigma_m.
-    """
-    alpha = sigma - r_disc
-    delta = alpha - spec.sigma_m
-    if delta <= 0:
-        raise PreconditionError("disc must stay right of sigma_m")
-    value, bound = tail_norm(spec, spec.sigma_m + delta / 4.0, 100_000)
-    C = value + bound
-    geo = sum(2.0 ** (-(k - 1) * delta / 10.0) for k in range(1, K + 1))
-    return math.pi * r_disc**2 * math.sqrt(1.0 + geo) * math.sqrt(C)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ _SIEVE_BOUND = 1_000_000
 # scale computation.
 _MAX_SMOOTH_MEMBERS = 20_000_000
 
-# Cap on the entries of a smooth set's exponent table (members x primes <= r,
-# int16): 512 MB.
+# Cap on the entries of a smooth set's exponent table (members x primes
+# <= min(r, bound), int16): 512 MB.
 _MAX_EXPONENT_ENTRIES = 1 << 28
 
 
@@ -89,7 +89,7 @@ class SmoothSet:
     """All integers <= bound whose prime factors are <= r.
 
     members is sorted ascending and starts with 1; exponents[i] holds the
-    exponent vector of members[i] over `primes` (the primes <= r).
+    exponent vector of members[i] over `primes` (the primes <= min(r, bound)).
     """
 
     r: int
@@ -124,16 +124,16 @@ def smooth_enumerate(r: int, bound: int) -> SmoothSet:
 
 @lru_cache(maxsize=64)
 def _smooth_cached(r: int, bound: int) -> SmoothSet:
-    ps = _sieved_primes(max(r, 2))
-    ps = ps[ps <= r]
-    # Each prime p <= bound appends parent * p^e for every member so far that
-    # stays within the bound; primes past the bound add nothing.  `made`
-    # records, per prime, where its members start, their parents' rows and
-    # their exponents e, from which the exponent table is copied row by row.
-    limit = min(_MAX_SMOOTH_MEMBERS, _MAX_EXPONENT_ENTRIES // ps.size)
+    # A prime past the bound divides no member, so only the primes up to
+    # min(r, bound) get a column.  Each appends parent * p^e for every member
+    # so far that stays within the bound.  `made` records, per prime, where
+    # its members start, their parents' rows and their exponents e, from
+    # which the exponent table is copied row by row.
+    ps = primes_up_to(min(r, bound))
+    limit = min(_MAX_SMOOTH_MEMBERS, _MAX_EXPONENT_ENTRIES // max(ps.size, 1))
     members = np.ones(1, dtype=np.int64)
     made = []
-    for i, p in enumerate(ps[ps <= bound].tolist()):
+    for i, p in enumerate(ps.tolist()):
         rows = np.flatnonzero(members <= bound // p)
         step = members[rows] * p
         parents, levels, values = [], [], []

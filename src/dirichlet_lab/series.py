@@ -12,13 +12,12 @@ import numpy as np
 from ._kernel import DirichletPolynomial
 from .coefficients import ExplicitSource, SeriesSpec, _is_zeta
 from .errors import NumericalError, PreconditionError
-from .primes import _SIEVE_BOUND, SmoothSet, primes_up_to, smooth_enumerate
+from .primes import _SIEVE_BOUND, SmoothSet, first_primes, primes_up_to, smooth_enumerate
 from .zeta import zeta_values
 
 __all__ = [
     "default_evaluator",
     "eval_array",
-    "partial_eval",
     "smooth_truncation_eval",
     "tail_norm",
     "twisted_eval",
@@ -26,11 +25,6 @@ __all__ = [
 
 # Local Euler factors are summed to at most this many terms.
 _LOCAL_SUM_CAP = 400
-
-
-def partial_eval(spec: SeriesSpec, s: complex, N: int) -> complex:
-    """Sum of a_n n^{-s} for n <= N."""
-    return _truncated(spec, N)(complex(s))
 
 
 def _truncated(spec: SeriesSpec, N: int) -> DirichletPolynomial:
@@ -205,9 +199,8 @@ def _smooth_coefficients(spec: SeriesSpec, sm: SmoothSet) -> np.ndarray:
             if k < len(sm) and sm.members[k] == n:
                 out[k] = val[j]
         return out
-    # A prime past the bound divides no member: its factor is 1.
     out = np.ones(len(sm), dtype=np.complex128)
-    for i, p in enumerate(sm.primes[sm.primes <= sm.bound]):
+    for i, p in enumerate(sm.primes):
         col = sm.exponents[:, i].astype(np.int64)
         emax = int(col.max()) if len(col) else 0
         table = np.asarray(
@@ -219,16 +212,19 @@ def _smooth_coefficients(spec: SeriesSpec, sm: SmoothSet) -> np.ndarray:
 
 
 def _phase_for(theta, sm: SmoothSet) -> np.ndarray:
-    """exp(-2 pi i sum_p alpha_p theta_p) per member, from exponent vectors."""
+    """exp(-2 pi i sum_p alpha_p theta_p) per member, from exponent vectors.
+
+    theta must carry a coordinate for every prime <= sm.r, although the
+    exponent table has columns only for the primes <= min(sm.r, sm.bound).
+    """
     coords = np.asarray(theta.coords, dtype=np.float64)
-    if coords.size < len(sm.primes):
-        missing = int(sm.primes[coords.size])
+    missing = int(first_primes(coords.size + 1)[-1])
+    if missing <= sm.r:
         raise PreconditionError(
             "theta lacks a coordinate for prime %d" % missing
         )
-    # A prime past the bound divides no member: its phase term is 0.
     dot = np.zeros(len(sm), dtype=np.float64)
-    for i in range(np.count_nonzero(sm.primes <= sm.bound)):
+    for i in range(len(sm.primes)):
         dot += sm.exponents[:, i].astype(np.float64) * coords[i]
     return np.exp(-2j * math.pi * dot)
 

@@ -1,19 +1,17 @@
-"""Kronecker flow on the torus: equidistribution, time averages, and
-Tychonoff-metric geometry.
+"""Kronecker flow on the torus: box-hitting fractions along the flow.
 
 The flow is t -> ({t l_1}, ..., {t l_m}) with default frequencies
-l_n = log(p_n) / 2 pi over the first m primes.  Time integrals are
-discretized on the right-endpoint grid t = step, 2 step, ..., T, so an
-indicator's time average coincides exactly with its hitting fraction.
+l_n = log(p_n) / 2 pi over the first m primes.  Time is sampled on the
+right-endpoint grid t = step, 2 step, ..., T, so a box's hitting fraction is
+the time average of its indicator.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError
+from .errors import PreconditionError
 from .parallel import finite_steps, map_spans
 from .primes import log_frequencies
 
@@ -21,26 +19,14 @@ __all__ = [
     "Box",
     "FlowConfig",
     "TorusPoint",
-    "TychonoffBall",
-    "ball_measure_mc",
-    "ball_time_average",
-    "box_from_json",
     "box_hitting_fraction",
     "box_hitting_fractions",
-    "flow_config_from_json",
-    "flow_point",
     "standard_box_suite",
-    "time_average",
-    "tychonoff_distance",
 ]
 
 # Time-grid work proceeds in fixed windows of this many steps; the split is a
 # function of the grid alone, so results cannot depend on the worker count.
 _TIME_CHUNK = 1_000_000
-
-# Monte Carlo draws happen in fixed batches, each with its own (seed, batch)
-# generator, so the sample stream is independent of scheduling.
-_MC_BATCH = 65536
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,9 +40,6 @@ class TorusPoint:
         object.__setattr__(
             self, "coords", np.asarray(self.coords, dtype=np.float64)
         )
-
-    def __len__(self) -> int:
-        return len(self.coords)
 
 
 @dataclass(frozen=True)
@@ -131,31 +114,6 @@ class Box:
         return inside
 
 
-@dataclass(frozen=True)
-class TychonoffBall:
-    """Metric ball around a truncated torus point."""
-
-    center: TorusPoint
-    radius: float
-    dims: int
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise PreconditionError("ball radius must be positive")
-        if len(self.center) != self.dims:
-            raise PreconditionError("ball center length must equal dims")
-
-
-def _metric_weights(dims: int) -> np.ndarray:
-    return np.exp(-np.arange(1, dims + 1, dtype=np.float64))
-
-
-def flow_point(cfg: FlowConfig, t: float) -> TorusPoint:
-    """The flow at time t: coordinate-wise fractional parts of t * lam."""
-    lam = np.asarray(cfg.lam, dtype=np.float64)
-    return TorusPoint(coords=np.mod(t * lam, 1.0))
-
-
 def _flow_columns(cfg: FlowConfig, lo: int, hi: int) -> np.ndarray:
     """Flow points for grid steps lo+1..hi as a C-contiguous (dims, k) array:
     row i is the coordinate {t lam_i} over the window, built in place."""
@@ -165,32 +123,6 @@ def _flow_columns(cfg: FlowConfig, lo: int, hi: int) -> np.ndarray:
     x = lam[:, None] * ts[None, :]
     x -= np.floor(x)  # exact, and equal to np.mod(x, 1.0), for every finite x
     return x
-
-
-def _flow_means(cfg: FlowConfig, chunk_sums, threads) -> list:
-    """[(1/npts) sum over the time grid] for each output of chunk_sums(lo, hi),
-    which returns one partial per output for the grid window [lo, hi).
-
-    Each output's window partials are fsum'd part by part in window order,
-    so the means do not depend on the worker count.  A mean is a float when
-    its imaginary part is exactly 0, else the complex value.
-    """
-    npts = cfg.grid_size()
-    if npts < 1:
-        raise PreconditionError("horizon shorter than one step")
-    partials = map_spans(
-        lambda lo, hi: [complex(v) for v in chunk_sums(lo, hi)],
-        npts,
-        _TIME_CHUNK,
-        threads=threads,
-    )
-    means = []
-    for column in zip(*partials):
-        mean = complex(
-            math.fsum(v.real for v in column), math.fsum(v.imag for v in column)
-        ) / npts
-        means.append(mean.real if mean.imag == 0.0 else mean)
-    return means
 
 
 def box_hitting_fractions(cfg: FlowConfig, boxes, threads=None) -> list:
@@ -204,137 +136,22 @@ def box_hitting_fractions(cfg: FlowConfig, boxes, threads=None) -> list:
     boxes = list(boxes)
     if any(box.dims > cfg.dims for box in boxes):
         raise PreconditionError("box dimension exceeds flow dimension")
+    npts = cfg.grid_size()
+    if npts < 1:
+        raise PreconditionError("horizon shorter than one step")
 
-    def chunk_sums(lo, hi):
+    def counts(lo, hi):
         pts = _flow_columns(cfg, lo, hi).T  # each column read is contiguous
-        return [np.count_nonzero(box.contains(pts)) for box in boxes]
+        return [int(np.count_nonzero(box.contains(pts))) for box in boxes]
 
-    return _flow_means(cfg, chunk_sums, threads)
+    windows = map_spans(counts, npts, _TIME_CHUNK, threads=threads)
+    return [math.fsum(column) / npts for column in zip(*windows)]
 
 
 def box_hitting_fraction(cfg: FlowConfig, box: Box, threads=None) -> float:
     """Fraction of grid times in (0, T] whose flow point lies in the box:
     the one-box case of box_hitting_fractions."""
     return box_hitting_fractions(cfg, [box], threads)[0]
-
-
-def _apply_pointwise(F, pts: np.ndarray) -> np.ndarray:
-    """Evaluate F on points (k, m); F that takes only single points (a wrong
-    shape, TypeError or ValueError on the array) is called once per point."""
-    try:
-        vals = np.asarray(F(pts))
-        if vals.shape == (pts.shape[0],):
-            return vals
-    except (PreconditionError, NumericalError):
-        raise
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([F(p) for p in pts])
-
-
-def time_average(cfg: FlowConfig, F, threads=None):
-    """(1/T) integral of F along the flow, by the right-endpoint rule.
-
-    Returns a float for real-valued F and a complex value otherwise.
-    """
-    def chunk_sums(lo, hi):
-        # F sees C-contiguous (k, dims) rows: on a strided view a BLAS-backed
-        # F such as exp(2 pi i pts @ k) can round differently.
-        pts = np.ascontiguousarray(_flow_columns(cfg, lo, hi).T)
-        return [np.sum(_apply_pointwise(F, pts))]
-
-    return _flow_means(cfg, chunk_sums, threads)[0]
-
-
-def ball_time_average(cfg: FlowConfig, ball: TychonoffBall, F, threads=None):
-    """(1/T) integral of F over the times whose flow point lies in the ball.
-
-    Normalized by the full horizon T, not by the time spent inside, so
-    F = 1 recovers the ball's hitting fraction.
-    """
-    if ball.dims > cfg.dims:
-        raise PreconditionError("ball dimension exceeds flow dimension")
-    w = _metric_weights(ball.dims)
-    center = ball.center.coords
-
-    def chunk_sums(lo, hi):
-        # C-contiguous rows for F, as in time_average.
-        pts = np.ascontiguousarray(_flow_columns(cfg, lo, hi).T)
-        dist = (np.abs(pts[:, : ball.dims] - center[None, :]) * w).sum(axis=1)
-        mask = dist <= ball.radius
-        return [np.sum(_apply_pointwise(F, pts[mask])) if mask.any() else 0]
-
-    return _flow_means(cfg, chunk_sums, threads)[0]
-
-
-def tychonoff_distance(x: TorusPoint, y: TorusPoint) -> float:
-    """Weighted coordinate distance sum e^{-n} |x_n - y_n|, n from 1."""
-    if len(x) != len(y):
-        raise PreconditionError("dimension mismatch")
-    w = _metric_weights(len(x))
-    return math.fsum(w * np.abs(x.coords - y.coords))
-
-
-def ball_measure_mc(ball: TychonoffBall, samples: int, seed: int, threads=None):
-    """Monte Carlo volume of the ball: (estimate, binomial standard error).
-
-    Sampling is split into fixed batches with per-batch generators seeded by
-    (seed, batch index), so the estimate depends only on (samples, seed).
-    """
-    if samples < 10_000:
-        raise PreconditionError("ball_measure_mc requires samples >= 10000")
-    if seed < 0:
-        raise PreconditionError("seed must be a nonnegative integer")
-    w = _metric_weights(ball.dims)
-    center = ball.center.coords
-
-    def work(lo, hi):
-        rng = np.random.default_rng([int(seed), lo // _MC_BATCH])
-        pts = rng.random((hi - lo, ball.dims))
-        dist = (np.abs(pts - center[None, :]) * w).sum(axis=1)
-        return int((dist <= ball.radius).sum())
-
-    hits = sum(map_spans(work, samples, _MC_BATCH, threads=threads))
-    est = hits / samples
-    se = math.sqrt(max(est * (1.0 - est), 0.0) / samples)
-    return est, se
-
-
-def _json_doc(doc):
-    if isinstance(doc, dict):
-        return doc
-    with open(doc, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def flow_config_from_json(doc) -> FlowConfig:
-    """FlowConfig from a dict or a JSON file path.
-
-    Keys: dims (int), T (real), optional step (default 0.01) and lam (list of
-    frequencies, default log p_n / 2 pi).
-    """
-    d = _json_doc(doc)
-    try:
-        dims = int(d["dims"])
-        T = float(d["T"])
-    except KeyError as exc:
-        raise PreconditionError("flow config needs keys dims and T") from exc
-    lam = d.get("lam")
-    return FlowConfig(
-        dims=dims,
-        T=T,
-        step=float(d.get("step", 0.01)),
-        lam=None if lam is None else tuple(float(x) for x in lam),
-    )
-
-
-def box_from_json(doc) -> Box:
-    """Box from a dict or a JSON file path with keys lo and hi (lists)."""
-    d = _json_doc(doc)
-    try:
-        return Box(lo=tuple(d["lo"]), hi=tuple(d["hi"]))
-    except KeyError as exc:
-        raise PreconditionError("box jsons need keys lo and hi") from exc
 
 
 def standard_box_suite():

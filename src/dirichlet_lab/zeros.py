@@ -11,7 +11,6 @@ import numpy as np
 
 from .convolution import mollifier_coefficients
 from .errors import NumericalError, PreconditionError
-from .moments import _disc_lattice
 from .parallel import check_windows, finite_steps, map_spans
 from .series import eval_array
 
@@ -344,6 +343,15 @@ def density_table(
 
 # ---------------------------------------------------------------------------
 # Recurrence experiment
+
+
+def _disc_lattice(r_disc: float, grid: int):
+    """Midpoint lattice of the square [-r, r]^2 masked to the disc."""
+    cell = 2.0 * r_disc / grid
+    centers = -r_disc + (np.arange(grid, dtype=np.float64) + 0.5) * cell
+    X, Y = np.meshgrid(centers, centers)
+    mask = X**2 + Y**2 <= r_disc**2
+    return (X[mask] + 1j * Y[mask]).ravel(), cell * cell
 
 
 def recurrence_scan(

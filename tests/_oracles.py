@@ -64,9 +64,6 @@ def two_term_mean(T: float) -> float:
 SQUAREFREE_SQUARE_SUM = 1.5198177546350666
 INV_ZETA_2 = 0.6079271018540267
 
-# Geometry of the weighted metric: sum_{n>=1} e^-n = 1/(e-1)
-WEIGHT_TOTAL = 1.0 / (math.e - 1.0)
-
 # Closed-form ladder data for 1 - 2^{1-s} and 1 - 3^{0.8} 3^{-s}
 LOG2_OVER_2PI = 0.1103178000763258
 LOG3_OVER_2PI = 0.1748495762830299
@@ -95,9 +92,6 @@ MOMENT_ZETA_T250 = 2.19481137321253
 # mollifier_tail_decay(zeta, inverse, sigma=0.75, N=1e5)
 MOLLIFY_TAILS = {10: 0.2785649383119479, 100: 0.10145951650096476,
                  1000: 0.02929832651722231}
-
-# shell_disc_distance(zeta, None, sigma=1.5, k=1, r=0.25, grid=64)
-SHELL_K1_ZETA = 0.10873445429291423
 
 # max over n <= 1e5 of tau_6(n) / n^0.9 (attained at n = 10080)
 DIVISOR_RATIO_MAX = 47.512497240130344

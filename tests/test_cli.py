@@ -36,7 +36,8 @@ def test_moment_json_document():
     assert doc["experiment"] == "moment"
     cfg = doc["config"]
     assert cfg["series"] == "eta-factor"
-    assert cfg["seed"] == 0 and cfg["output"] == "json"
+    assert cfg["output"] == "json"
+    assert "seed" not in cfg  # no computation reads a seed
     assert "threads" not in cfg  # outputs must not encode the worker count
     res = doc["result"]
     assert res["target"] == 2.0
@@ -289,6 +290,26 @@ def test_coefficient_past_float_range_is_not_a_traceback(tmp_path):
         code, out, err = run_cli(argv + extra)
         assert code == 0 and err == ""
         assert json.loads(out)["result"]["value"] == {"re": 2.5e199, "im": 0.0}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "explicit"},
+        {"kind": "explicit", "coeffs": [[1, 1.0]]},
+        {"kind": "builtin"},
+        {"kind": "multiplicative", "prime_powers": [[2, 1, "x", 0]]},
+        {"kind": "explicit", "coeffs": [[1, 1, 0]], "sigma_m": "abc"},
+    ],
+    ids=["no-coeffs", "short-row", "no-name", "text-value", "text-sigma"],
+)
+def test_malformed_coefficient_file_is_a_precondition(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    argv = ["truncate", "--series", str(path), "--s", "2", "--k", "2"]
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("dlab: precondition:") and err.count("\n") == 1
 
 
 def test_recur_horizon_below_one_is_a_precondition():

@@ -9,10 +9,9 @@ from dirichlet_lab import (
     PreconditionError,
     SeriesSpec,
     builtin_series,
-    coefficient,
     load_source,
-    series_descriptor,
 )
+from dirichlet_lab.primes import factorize
 
 # first 20 values of the Moebius function
 MU_20 = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1, 0, -1, 0, -1, 0]
@@ -21,50 +20,55 @@ MU_20 = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1, 0, -1, 0, -1, 0]
 TAU_12 = [1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]
 
 
+def a_n(spec, n):
+    """a_n read from the source's dense table."""
+    return spec.coeffs.dense(n)[n]
+
+
 def test_zeta_builtin():
     spec = builtin_series("zeta")
     assert spec.label == "zeta"
     assert spec.has_pole_at_one
     assert spec.sigma_m == 0.5 and spec.sigma_a == 1.0
-    assert all(coefficient(spec, n) == 1 for n in range(1, 50))
+    assert all(a_n(spec, n) == 1 for n in range(1, 50))
     np.testing.assert_array_equal(spec.coeffs.dense(10)[1:], np.ones(10))
 
 
 def test_moebius_builtin():
     spec = builtin_series("moebius")
-    got = [coefficient(spec, n).real for n in range(1, 21)]
+    got = [a_n(spec, n).real for n in range(1, 21)]
     np.testing.assert_array_equal(got, MU_20)
     np.testing.assert_array_equal(spec.coeffs.dense(20)[1:].real, MU_20)
 
 
 def test_divisor_builtins():
     d2 = builtin_series("divisor_2")
-    got = [coefficient(d2, n).real for n in range(1, 13)]
+    got = [a_n(d2, n).real for n in range(1, 13)]
     np.testing.assert_array_equal(got, TAU_12)
     d3 = builtin_series("divisor_3")
     # tau_3(p^2) = C(4, 2) = 6
-    assert coefficient(d3, 4) == 6
+    assert a_n(d3, 4) == 6
     assert d3.coeffs.square_growth_base == 9.0
     assert not d3.coeffs.unit_bounded
 
 
 def test_eta_factor_builtin():
     spec = builtin_series("eta-factor")
-    assert coefficient(spec, 1) == 1
-    assert coefficient(spec, 2) == -2
-    assert coefficient(spec, 3) == 0
+    assert a_n(spec, 1) == 1
+    assert a_n(spec, 2) == -2
+    assert a_n(spec, 3) == 0
 
 
 def test_character_mod5_table():
     # mod 5 has cyclic group generated by 2; index 1 is the order-4 character
     chi = builtin_series("character_5_1")
-    assert coefficient(chi, 1) == 1
-    assert abs(coefficient(chi, 2) - 1j) < 1e-15
-    assert abs(coefficient(chi, 4) + 1) < 1e-15
-    assert coefficient(chi, 5) == 0
+    assert a_n(chi, 1) == 1
+    assert abs(a_n(chi, 2) - 1j) < 1e-15
+    assert abs(a_n(chi, 4) + 1) < 1e-15
+    assert a_n(chi, 5) == 0
     # periodicity and full-period orthogonality
-    assert coefficient(chi, 7) == coefficient(chi, 2)
-    total = sum(coefficient(chi, n) for n in range(1, 101))
+    assert a_n(chi, 7) == a_n(chi, 2)
+    total = sum(a_n(chi, n) for n in range(1, 101))
     assert abs(total) < 1e-12
 
 
@@ -72,18 +76,18 @@ def test_character_mod8_multiplicative():
     # mod 8 needs the two-generator decomposition of odd residues
     for j in range(4):
         chi = builtin_series("character_8_%d" % j)
-        vals = {n: coefficient(chi, n) for n in (1, 3, 5, 7)}
+        vals = {n: a_n(chi, n) for n in (1, 3, 5, 7)}
         assert vals[1] == 1
         for a in (3, 5, 7):
             for b in (3, 5, 7):
                 prod = vals[a] * vals[b]
-                assert abs(prod - coefficient(chi, a * b)) < 1e-12
-        assert coefficient(chi, 2) == 0
+                assert abs(prod - a_n(chi, a * b)) < 1e-12
+        assert a_n(chi, 2) == 0
 
 
 def test_character_principal_counts():
     chi0 = builtin_series("character_12_0")
-    hits = [n for n in range(1, 13) if coefficient(chi0, n) != 0]
+    hits = [n for n in range(1, 13) if a_n(chi0, n) != 0]
     assert hits == [1, 5, 7, 11]  # units mod 12
 
 
@@ -98,13 +102,17 @@ def test_unknown_builtin():
 
 
 def test_multiplicative_dense_matches_value():
+    # a_n is the product of a_{p^e} over the factorization of n.
     src = MultiplicativeSource(
         rule=lambda p, e: complex(1.0 / (e + 1), 0.1 * (p % 3)),
         square_growth_base=1.0,
     )
     dense = src.dense(2000)
     for n in (1, 2, 6, 12, 360, 1024, 1999):
-        assert abs(dense[n] - src.value(n)) < 1e-12
+        want = 1.0 + 0j
+        for p, e in factorize(n):
+            want *= src.prime_power(p, e)
+        assert abs(dense[n] - want) < 1e-12
 
 
 def test_explicit_source_validation():
@@ -135,10 +143,9 @@ def test_load_source_explicit(tmp_path):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(doc))
     spec = load_source(str(path))
-    assert coefficient(spec, 2) == complex(-2.0, 0.5)
-    desc = series_descriptor(spec)
-    assert desc["label"] == "pair"
-    assert desc["sigma_m"] is None  # finite polynomial: -inf reported as None
+    assert a_n(spec, 2) == complex(-2.0, 0.5)
+    assert spec.label == "pair"
+    assert spec.sigma_m == float("-inf")  # finite polynomial
 
 
 def test_load_source_multiplicative():
@@ -150,8 +157,8 @@ def test_load_source_multiplicative():
             "sigma_a": 1.6,
         }
     )
-    assert coefficient(spec, 6) == 3.0  # a_2 * a_3
-    assert coefficient(spec, 4) == 0.0  # unlisted prime power
+    assert a_n(spec, 6) == 3.0  # a_2 * a_3
+    assert a_n(spec, 4) == 0.0  # unlisted prime power
     assert spec.sigma_m == 0.9
     # growth base: max |a_{p^e}|^{2/e} = 9, so not unit bounded
     assert spec.coeffs.square_growth_base == 9.0

@@ -9,7 +9,6 @@ from dirichlet_lab import (
     PreconditionError,
     QuadratureConfig,
     SeriesSpec,
-    TorusPoint,
     builtin_series,
     convolution_power,
     estimate_moment,
@@ -17,18 +16,14 @@ from dirichlet_lab import (
     lindelof_target,
     order_scan,
     polynomial_mean_exact,
-    shell_disc_distance,
-    shell_sum_bound,
     theoretical_target,
 )
-from dirichlet_lab.moments import _disc_lattice
 
 from _oracles import (
     ABS_ZETA_0_75,
     DIVISOR_RATIO_MAX,
     FOURTH_TARGET_1,
     MOMENT_ZETA_T250,
-    SHELL_K1_ZETA,
     ZETA_1_5,
     ZETA_2,
 )
@@ -161,66 +156,6 @@ def test_divisor_ratio_pin():
     )
     assert tau6[10080] == tau_star
     assert abs(ratios[n_star] - DIVISOR_RATIO_MAX) <= 1e-12 * DIVISOR_RATIO_MAX
-
-
-def test_shell_distances_stay_below_bound():
-    sigma, r = 1.5, 0.25
-    dists = [shell_disc_distance(ZETA, None, sigma, k, r) for k in range(1, 6)]
-    assert all(d >= 0.0 for d in dists)
-    running = 0.0
-    for K, d in enumerate(dists, start=1):
-        running += d
-        assert running <= shell_sum_bound(ZETA, sigma, r, K)
-    # later shells contribute less: the sum is dominated by its head
-    assert dists[-1] < dists[0]
-
-
-def test_shell_first_difference_closed_form():
-    # the k=1 shell of the zeta restriction is the pure power-of-two series,
-    # so the same lattice integral can be rebuilt from a geometric sum
-    sigma, r, grid = 1.5, 0.25, 64
-    got = shell_disc_distance(ZETA, None, sigma, 1, r, grid=grid)
-    assert abs(got - SHELL_K1_ZETA) <= 1e-12 * SHELL_K1_ZETA
-    points, cell_area = _disc_lattice(r, grid)
-    s_vals = sigma + points
-    total = np.zeros(points.shape, dtype=np.complex128)
-    for e in range(1, 20):  # 2^e <= 1e6 internal cutoff
-        total += np.exp(-e * math.log(2.0) * s_vals)
-    want = float(np.sum(np.abs(total)) * cell_area)
-    assert abs(got - want) <= 1e-12 * want
-
-
-def test_shell_grid_refinement_consistency():
-    coarse = shell_disc_distance(ZETA, None, 1.5, 1, 0.25, grid=32)
-    fine = shell_disc_distance(ZETA, None, 1.5, 1, 0.25, grid=64)
-    assert abs(coarse - fine) / fine < 0.01
-
-
-def test_shell_zero_twist_matches_untwisted():
-    theta = TorusPoint(coords=np.zeros(1))
-    a = shell_disc_distance(ZETA, None, 1.5, 1, 0.25)
-    b = shell_disc_distance(ZETA, theta, 1.5, 1, 0.25)
-    assert a == b
-
-
-def test_shell_trivial_series():
-    unit = SeriesSpec(
-        coeffs=ExplicitSource.from_pairs([(1, 1.0)]),
-        sigma_m=float("-inf"),
-        sigma_a=float("-inf"),
-    )
-    assert shell_disc_distance(unit, None, 1.5, 1, 0.25) == 0.0
-
-
-def test_shell_guards():
-    with pytest.raises(PreconditionError, match="grid"):
-        shell_disc_distance(ZETA, None, 1.5, 1, 0.25, grid=8)
-    with pytest.raises(PreconditionError, match="k must be >= 1"):
-        shell_disc_distance(ZETA, None, 1.5, 0, 0.25)
-    with pytest.raises(PreconditionError, match="right of sigma_m"):
-        shell_disc_distance(ZETA, None, 0.6, 1, 0.25)
-    with pytest.raises(PreconditionError, match="right of sigma_m"):
-        shell_sum_bound(ZETA, 0.6, 0.25, 3)
 
 
 def test_order_scan_constant_series():

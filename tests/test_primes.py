@@ -87,16 +87,29 @@ def test_smooth_exponents_reconstruct_members():
 
 
 def test_smooth_exponents_match_factorize():
-    # r past the bound: the primes in (40, 60] keep all-zero columns.
+    # r past the bound: the primes in (40, 60] divide no member and get no
+    # column.
     sm = smooth_enumerate(60, 40)
     np.testing.assert_array_equal(sm.members, np.arange(1, 41))
-    assert sm.exponents.dtype == np.int16 and sm.exponents.shape == (40, 17)
-    want = np.zeros((40, 17), dtype=np.int16)
+    assert sm.exponents.dtype == np.int16 and sm.exponents.shape == (40, 12)
+    want = np.zeros((40, 12), dtype=np.int16)
     col = {int(p): i for i, p in enumerate(sm.primes)}
     for n in range(2, 41):
         for p, e in factorize(n):
             want[n - 1, col[p]] = e
     np.testing.assert_array_equal(sm.exponents, want)
+
+
+def test_smooth_table_columns_stop_at_the_bound():
+    # 2^20-smooth members up to 1000 use the 168 primes below 1000, not the
+    # 82,025 primes up to 2^20.
+    sm = smooth_enumerate(2**20, 1000)
+    assert sm.exponents.shape == (len(sm), 168)
+    np.testing.assert_array_equal(sm.primes, primes_up_to(1000))
+    # bound 1: the member 1 alone, with no prime columns.
+    one = smooth_enumerate(2, 1)
+    np.testing.assert_array_equal(one.members, [1])
+    assert one.exponents.shape == (1, 0) and one.primes.size == 0
 
 
 def test_smooth_argument_validation():
@@ -115,7 +128,7 @@ def test_smooth_cap_trips(monkeypatch):
 
 
 def test_smooth_exponent_table_cap_trips(monkeypatch):
-    # 1,000 primes <= 7919 leave room for ten members in 10,000 entries.
+    # The 669 primes <= 5000 leave room for 14 members in 10,000 entries.
     monkeypatch.setattr(primes_mod, "_MAX_EXPONENT_ENTRIES", 10_000)
     with pytest.raises(NumericalError, match="desk-scale cap"):
         smooth_enumerate(7919, 5000)  # uncached argument pair

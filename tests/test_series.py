@@ -15,7 +15,6 @@ from dirichlet_lab import (
     convolution_power,
     default_evaluator,
     eval_array,
-    partial_eval,
     smooth_truncation_eval,
     tail_norm,
     twisted_eval,
@@ -39,20 +38,20 @@ def _eta_exact(s):
 
 def test_partial_eval_finite_series():
     for s in (0.8 + 3.0j, 1.0, 2.5 - 7.0j):
-        got = partial_eval(ETA, s, 10)
+        got = default_evaluator(ETA, 10)(s)
         assert abs(got - _eta_exact(s)) < 1e-14 * max(1.0, abs(got))
 
 
 def test_partial_eval_zeta_tail_sandwich():
     # integral comparison: 1/(N+1) <= zeta(2) - sum_{n<=N} n^{-2} <= 1/N
     N = 10_000
-    diff = ZETA_2 - partial_eval(ZETA, 2.0, N).real
+    diff = ZETA_2 - series._truncated(ZETA, N)(2.0).real
     assert 1.0 / (N + 1) <= diff <= 1.0 / N
 
 
 def test_partial_eval_requires_positive_N():
-    with pytest.raises(PreconditionError):
-        partial_eval(ETA, 1.0, 0)
+    with pytest.raises(PreconditionError, match="truncation length"):
+        default_evaluator(D3, 0)
 
 
 def test_polynomial_evaluator_matches_partial_eval():
@@ -61,7 +60,7 @@ def test_polynomial_evaluator_matches_partial_eval():
     pts = np.asarray([0.9 + 1.0j, 1.0 + 0.0j, 1.3 - 22.5j])
     vals = ev(pts)
     for s, v in zip(pts, vals):
-        assert abs(v - partial_eval(ETA, complex(s), 2)) < 1e-14
+        assert abs(v - series._truncated(ETA, 2)(complex(s))) < 1e-14
         assert abs(v - _eta_exact(s)) < 1e-13
     # scalar call returns a plain complex
     assert isinstance(ev(1.0 + 1.0j), complex)
@@ -75,10 +74,9 @@ def test_truncated_evaluator_matches_partial_eval():
     N = 2000
     ev = default_evaluator(D3, N)
     assert isinstance(ev, DirichletPolynomial)
-    for s in (1.5 + 4.0j, 2.0 - 1.0j):
-        want = partial_eval(D3, s, N)
-        got = ev(np.asarray([s]))[0]
-        assert abs(got - want) <= 1e-12 * abs(want)
+    pts = np.asarray([1.5 + 4.0j, 2.0 - 1.0j])
+    want = _naive(np.arange(1, N + 1), D3.coeffs.dense(N)[1:], pts)
+    assert np.all(np.abs(ev(pts) - want) <= 1e-12 * np.abs(want))
 
 
 def test_default_evaluator_empty_explicit_series():
@@ -188,6 +186,9 @@ def test_twist_needs_all_coordinates():
     theta = TorusPoint(coords=np.zeros(1))
     with pytest.raises(PreconditionError, match="coordinate for prime 3"):
         twisted_eval(ZETA, theta, 1.4, 2, 100)
+    # M = 2: no member has the factor 3, but theta still needs its coordinate.
+    with pytest.raises(PreconditionError, match="coordinate for prime 3"):
+        twisted_eval(ZETA, theta, 1.4, 2, 2)
 
 
 def test_smooth_rankin_divergence():
@@ -294,7 +295,7 @@ def test_partial_eval_matches_zeta_evaluator():
     # truncated series plus its integral-size tail
     s = 2.5 + 10.0j
     direct = zeta_eval(s)
-    trunc = partial_eval(ZETA, s, 200_000)
+    trunc = series._truncated(ZETA, 200_000)(s)
     # |tail| <= sum_{n>N} n^{-2.5} <= N^{-1.5}/1.5
     assert abs(direct - trunc) <= 200_000**-1.5 / 1.5 * 1.01
     assert math.isfinite(abs(trunc))
