@@ -37,7 +37,6 @@ from .parallel import resolve_threads
 from .primes import SmoothSet, factorize, first_primes, log_frequencies, smooth_enumerate
 from .series import (
     default_evaluator,
-    eval_array,
     smooth_truncation_eval,
     tail_norm,
     twisted_eval,
@@ -90,7 +89,6 @@ __all__ = [
     "density_table",
     "dirichlet_convolve",
     "estimate_moment",
-    "eval_array",
     "factorize",
     "first_primes",
     "identity_coefficients",

@@ -16,6 +16,10 @@ import numpy as np
 
 __all__ = ["DirichletPolynomial"]
 
+# Desk-scale cap on the terms of a polynomial or a dense coefficient table
+# (about 1 GB of tables); larger term counts are refused before allocating.
+_MAX_TERMS = 20_000_000
+
 # Elementwise work arrays (terms x points, or terms x table rows) are capped
 # at this many entries.
 _CAP = 4_000_000

@@ -275,8 +275,9 @@ def _cmd_recur(args, threads):
 
 def _cmd_mollify(args, threads):
     spec = _resolve_series(args.series)
-    a = spec.coeffs.dense(args.N)
+    # The inverse checks N against the term cap before dense allocates.
     b = inverse_coefficients(spec, args.N)
+    a = spec.coeffs.dense(args.N)
     pairs = mollifier_tail_decay(a, b, args.sigma, args.X_list, args.N)
     result = {"pairs": [{"X": X, "tail": tail} for X, tail in pairs]}
     rows = [(X, tail) for X, tail in pairs]

@@ -6,6 +6,7 @@ zero), so a[n] is the coefficient of n^{-s}.
 
 import numpy as np
 
+from ._kernel import _MAX_TERMS
 from .coefficients import SeriesSpec
 from .errors import PreconditionError
 
@@ -84,10 +85,15 @@ def inverse_coefficients(spec: SeriesSpec, N: int) -> np.ndarray:
     a_d b_{n/d}, so each computed b_m is scattered forward once.
 
     Raises:
-        PreconditionError: a_1 = 0 (message "no Dirichlet inverse").
+        PreconditionError: a_1 = 0 (message "no Dirichlet inverse"), or N
+            above the cap of _MAX_TERMS terms.
     """
     if N < 1:
         raise PreconditionError("inverse requires N >= 1")
+    if N > _MAX_TERMS:
+        raise PreconditionError(
+            "inverse length %d exceeds the cap of %d terms" % (N, _MAX_TERMS)
+        )
     a = spec.coeffs.dense(N)
     if a[1] == 0:
         raise PreconditionError("no Dirichlet inverse")

@@ -11,7 +11,7 @@ from .coefficients import ExplicitSource, SeriesSpec, _is_zeta, builtin_series
 from .convolution import convolution_power
 from .errors import NumericalError, PreconditionError
 from .parallel import finite_steps, map_spans
-from .series import _rankin_square_tail, default_evaluator, eval_array
+from .series import _rankin_square_tail, default_evaluator
 from .zeta import zeta_eval
 
 __all__ = [
@@ -127,7 +127,7 @@ def estimate_moment(
         idx = np.arange(lo, hi, dtype=np.int64)
         s = np.full(hi - lo, sigma, dtype=np.complex128)
         s += 1j * (idx.astype(np.float64) * h)
-        vals = eval_array(evaluator, s)
+        vals = evaluator(s)
         # A power past the float range becomes inf and is refused below.
         with np.errstate(over="ignore"):
             powers = np.abs(vals) ** (2 * k)
@@ -193,12 +193,6 @@ def polynomial_mean_exact(coeffs, sigma: float) -> float:
 # Divisor-sum targets
 
 
-def _tau_table(k: int, N: int) -> np.ndarray:
-    ones = np.ones(N + 1, dtype=np.complex128)
-    ones[0] = 0.0
-    return convolution_power(ones, k, N=N).real
-
-
 def lindelof_target(k: int, sigma: float, N: int) -> float:
     """Partial sum of tau_k(n)^2 n^{-2 sigma} to N, certified by a tail bound.
 
@@ -213,10 +207,10 @@ def lindelof_target(k: int, sigma: float, N: int) -> float:
     k = int(k)
     if N < 2:
         raise PreconditionError("need N >= 2")
-    tau = _tau_table(k, int(N))
+    divisor = builtin_series("divisor_%d" % k).coeffs
+    tau = divisor.dense(int(N)).real
     ns = np.arange(1, int(N) + 1, dtype=np.float64)
     partial = math.fsum(tau[1:] ** 2 * ns ** (-2.0 * sigma))
-    divisor = builtin_series("divisor_%d" % k).coeffs
     if _rankin_square_tail(divisor, sigma, int(N)) > 0.35 * partial:
         raise NumericalError("increase N")
     return partial
@@ -270,8 +264,8 @@ def order_scan(
     def work(lo, hi):
         ts = np.arange(lo, hi, dtype=np.float64) * h
         # Conjugate halves scanned explicitly; no symmetry assumed.
-        mags_pos = np.abs(eval_array(evaluator, sigma + 1j * ts))
-        mags_neg = np.abs(eval_array(evaluator, sigma - 1j * ts))
+        mags_pos = np.abs(evaluator(sigma + 1j * ts))
+        mags_neg = np.abs(evaluator(sigma - 1j * ts))
         out = []
         for T in horizons:
             m = ts <= T + 1e-12

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from ._kernel import DirichletPolynomial
+from ._kernel import _MAX_TERMS, DirichletPolynomial
 from .coefficients import ExplicitSource, SeriesSpec, _is_zeta
 from .errors import NumericalError, PreconditionError
 from .primes import _SIEVE_BOUND, SmoothSet, first_primes, primes_up_to, smooth_enumerate
@@ -17,7 +17,6 @@ from .zeta import zeta_values
 
 __all__ = [
     "default_evaluator",
-    "eval_array",
     "smooth_truncation_eval",
     "tail_norm",
     "twisted_eval",
@@ -31,6 +30,10 @@ def _truncated(spec: SeriesSpec, N: int) -> DirichletPolynomial:
     """The first N terms of the series."""
     if N < 1:
         raise PreconditionError("truncation length must be >= 1")
+    if N > _MAX_TERMS:
+        raise PreconditionError(
+            "truncation length %d exceeds the cap of %d terms" % (N, _MAX_TERMS)
+        )
     N = int(N)
     return DirichletPolynomial(np.arange(1, N + 1), spec.coeffs.dense(N)[1:])
 
@@ -54,40 +57,6 @@ def default_evaluator(spec: SeriesSpec, N: int = 100_000):
     if isinstance(spec.coeffs, ExplicitSource):
         return DirichletPolynomial(*_explicit_support(spec.coeffs))
     return _truncated(spec, N)
-
-
-def eval_array(evaluator, s: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation with scalar fallback; failures name the point."""
-    s = np.asarray(s, dtype=np.complex128)
-    try:
-        out = np.asarray(evaluator(s), dtype=np.complex128)
-        if out.shape == s.shape:
-            return out
-    except (PreconditionError, NumericalError):
-        raise
-    except Exception as exc:
-        _raise_at_offender(evaluator, s, exc)
-    # Shape mismatch: fall back to scalar calls.
-    vals = np.empty(s.shape, dtype=np.complex128)
-    for i, z in enumerate(s):
-        try:
-            vals[i] = complex(np.asarray(evaluator(z)).ravel()[0])
-        except Exception as exc:
-            raise NumericalError(
-                "evaluator failed at t = %r: %s" % (float(z.imag), exc)
-            ) from exc
-    return vals
-
-
-def _raise_at_offender(evaluator, s: np.ndarray, exc: Exception):
-    for z in s:
-        try:
-            evaluator(np.asarray([z], dtype=np.complex128))
-        except Exception:
-            raise NumericalError(
-                "evaluator failed at t = %r: %s" % (float(z.imag), exc)
-            ) from exc
-    raise NumericalError("evaluator failed: %s" % exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +83,9 @@ def tail_norm(spec: SeriesSpec, sigma: float, N: int):
             "tail norm diverges: need 2 sigma > 1 for this source"
         )
     ns = np.arange(1, int(N) + 1, dtype=np.float64)
-    sq = np.abs(src.dense(int(N))[1:]) ** 2 * ns ** (-2.0 * sigma)
+    # A square past the float range becomes inf in the partial sum.
+    with np.errstate(over="ignore"):
+        sq = np.abs(src.dense(int(N))[1:]) ** 2 * ns ** (-2.0 * sigma)
     partial = math.fsum(sq)
     if src.unit_bounded:
         return partial, N ** (1.0 - 2.0 * sigma) / (2.0 * sigma - 1.0)

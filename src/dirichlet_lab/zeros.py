@@ -12,7 +12,6 @@ import numpy as np
 from .convolution import mollifier_coefficients
 from .errors import NumericalError, PreconditionError
 from .parallel import check_windows, finite_steps, map_spans
-from .series import eval_array
 
 __all__ = [
     "Rectangle",
@@ -120,7 +119,7 @@ def _polyline_winding(f, pts: np.ndarray, vals: np.ndarray) -> int:
         if pts.size + idx.size > _MAX_BOUNDARY_POINTS:
             raise NumericalError("zero near boundary; perturb rectangle")
         mids = 0.5 * (pts[idx] + pts[idx + 1])
-        vals = np.insert(vals, idx + 1, eval_array(f, mids))
+        vals = np.insert(vals, idx + 1, f(mids))
         pts = np.insert(pts, idx + 1, mids)
     raise NumericalError("zero near boundary; perturb rectangle")
 
@@ -166,7 +165,7 @@ def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
     edges = _rect_edges(rect, boundary_step)
     # One call per edge, so each vertical side reaches the evaluator as one
     # vertical line (the kernel's matrix-product branch).
-    vals = np.concatenate([eval_array(f, e) for e in edges])
+    vals = np.concatenate([f(e) for e in edges])
     return _polyline_winding(f, np.concatenate(edges), vals)
 
 
@@ -176,7 +175,7 @@ def winding_on_circle(f, center: complex, radius: float, samples: int = 256) -> 
         raise PreconditionError("circle radius must be positive")
     ring = _ring(center, radius, max(16, samples))
     pts = np.append(ring, ring[0])
-    return _polyline_winding(f, pts, eval_array(f, pts))
+    return _polyline_winding(f, pts, f(pts))
 
 
 def _ring(center: complex, r: float, samples: int) -> np.ndarray:
@@ -205,7 +204,7 @@ def _first_success(attempt, args):
 
 
 def _eval_scalar(f, z: complex) -> complex:
-    return complex(eval_array(f, np.asarray([z], dtype=np.complex128))[0])
+    return complex(f(np.asarray([z], dtype=np.complex128))[0])
 
 
 def _newton_refine(f, z0: complex, tol: float, max_iter: int = 50, h: float = 1e-6):
@@ -409,14 +408,14 @@ def recurrence_scan(
         raise PreconditionError(
             "seed disc is not isolating: winding %d on |s - s0| = 3r/2" % isolation
         )
-    ring_mags = np.abs(eval_array(f, _ring(s0, r, _RING_SAMPLES)))
+    ring_mags = np.abs(f(_ring(s0, r, _RING_SAMPLES)))
     m0 = float(ring_mags.min())
     if m0 <= 1e-12 * float(ring_mags.max()):
         raise PreconditionError("m0 vanishes on the seed circle")
     threshold = 0.2 * math.pi * r * r * m0
 
     disc = s0 + offsets
-    base = eval_array(f, disc)
+    base = f(disc)
     shifted = getattr(f, "shifted", None)
 
     def window(tt, product):
@@ -424,8 +423,7 @@ def recurrence_scan(
             diff = shifted(disc, tt)
             diff -= base[None, :]  # the table is this scan's own
         else:
-            pts = disc[None, :] + 1j * tt[:, None]
-            diff = eval_array(f, pts.ravel()).reshape(tt.size, disc.size) - base
+            diff = f(disc[None, :] + 1j * tt[:, None]) - base
         return np.abs(diff).sum(axis=1) * cell_area
 
     def disc_integrals(tt, product):
@@ -478,9 +476,9 @@ def rouche_verify(f, s0: complex, t_j: float, r: float, m0: float) -> bool:
         raise PreconditionError("disc radius must be positive")
     s0 = complex(s0)
     ring = _ring(s0, r, _RING_SAMPLES)
-    f_ring = eval_array(f, ring)
+    f_ring = f(ring)
     m0_measured = float(np.abs(f_ring).min())
-    diff = float(np.abs(eval_array(f, ring + 1j * float(t_j)) - f_ring).max())
+    diff = float(np.abs(f(ring + 1j * float(t_j)) - f_ring).max())
     if not diff <= 0.8 * m0_measured:
         return False
     try:

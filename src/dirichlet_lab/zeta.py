@@ -8,7 +8,9 @@ Measured accuracy, not a certified bound: against mpmath (25 digits) at
 0.75, 1, 2, 4} and Im s up to 1e4, the absolute error stayed below 5e-11 and
 the relative error below 9e-11 for Re s >= 0.55.  Nearer the left edge the
 relative error reached 2.2e-9 where |zeta| is small (Re s = 0.501).  The
-partial sum is the Dirichlet-polynomial kernel of ._kernel.
+partial sum is the Dirichlet-polynomial kernel of ._kernel, to about
+max |Im s| terms: past its cap of 20,000,000 terms (|Im s| > 2e7) a point
+is refused before anything of that size is allocated.
 """
 
 import math
@@ -16,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from ._kernel import DirichletPolynomial
+from ._kernel import _MAX_TERMS, DirichletPolynomial
 from .errors import AccuracyWarning, PreconditionError
 
 __all__ = ["zeta_eval", "zeta_values"]
@@ -37,7 +39,8 @@ def zeta_values(s, N=None) -> np.ndarray:
     the correction series convergent throughout the validated strip.
 
     Raises:
-        PreconditionError: some Re s <= 0, or s = 1 (the pole).
+        PreconditionError: some Re s <= 0, s = 1 (the pole), or N above the
+            cap of _MAX_TERMS terms (|Im s| > 2e7 by default).
     """
     arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     if arr.size == 0:
@@ -48,15 +51,20 @@ def zeta_values(s, N=None) -> np.ndarray:
         raise PreconditionError("zeta evaluation requires Re s > 0")
     if np.any(np.abs(arr - 1.0) < 1e-12):
         raise PreconditionError("zeta has a pole at s = 1")
+    if N is None:
+        N = max(32, int(math.ceil(np.abs(arr.imag).max())))
+    N = int(N)
+    if N > _MAX_TERMS:
+        raise PreconditionError(
+            "zeta at |Im s| = %g needs %d terms, above the cap of %d"
+            % (np.abs(arr.imag).max(), N, _MAX_TERMS)
+        )
     if (
         np.any(arr.real <= 0.5)
         or np.any(arr.real > 4.0)
         or np.any(np.abs(arr.imag) > 1e4)
     ):
         warnings.warn("accuracy not guaranteed", AccuracyWarning, stacklevel=2)
-    if N is None:
-        N = max(32, int(math.ceil(np.abs(arr.imag).max())))
-    N = int(N)
 
     out = DirichletPolynomial(np.arange(1, N + 1), np.ones(N))(arr)
     logN = math.log(N)

@@ -380,6 +380,25 @@ def test_huge_rectangle_boundary_is_refused_before_allocating(argv):
     assert err.startswith("dlab: precondition:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moment", "--series", "divisor_2", "--sigma", "1.5", "--T", "10",
+         "--N", "10000000000"],
+        ["mollify", "--series", "zeta", "--sigma", "0.75", "--X-list", "10",
+         "--N", "10000000000"],
+        ["zeros", "--series", "zeta", "--rect", "0.6,0.7,1e10,1.0000001e10"],
+    ],
+    ids=["moment-N", "mollify-N", "zeta-height"],
+)
+def test_huge_term_count_is_refused_before_allocating(argv):
+    # 1e10 terms (a truncation, an inverse, zeta's N = ceil(|Im s|)) are
+    # past the 20,000,000-term cap and refused before any table is built.
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("dlab: precondition:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("k, T", [("2000", "10"), ("505", "5000")])
 def test_moment_past_float_range_is_numerical(k, T):
     # |1 - 2^{1-s}|^{2k} reaches 2^{2k} on the line sigma = 1: at k = 2000

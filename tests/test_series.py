@@ -14,7 +14,6 @@ from dirichlet_lab import (
     builtin_series,
     convolution_power,
     default_evaluator,
-    eval_array,
     smooth_truncation_eval,
     tail_norm,
     twisted_eval,
@@ -86,31 +85,6 @@ def test_default_evaluator_empty_explicit_series():
     np.testing.assert_array_equal(
         f(np.asarray([1.0 + 1.0j, 2.0 - 3.0j])), np.zeros(2, dtype=np.complex128)
     )
-
-
-def test_eval_array_scalar_fallback():
-    vals = eval_array(lambda s: 1.5 + 0.5j, np.asarray([1.0j, 2.0j, 3.0j]))
-    np.testing.assert_array_equal(vals, np.full(3, 1.5 + 0.5j))
-
-
-def test_eval_array_names_offending_point():
-    def ev(s):
-        arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
-        if np.any(arr.imag > 5.0):
-            raise ValueError("boom")
-        return arr
-
-    pts = np.asarray([1.0 + 1.0j, 1.0 + 7.0j, 1.0 + 2.0j])
-    with pytest.raises(NumericalError, match=r"evaluator failed at t = 7\.0"):
-        eval_array(ev, pts)
-
-
-def test_eval_array_passes_through_typed_errors():
-    def ev(s):
-        raise PreconditionError("custom condition")
-
-    with pytest.raises(PreconditionError, match="custom condition"):
-        eval_array(ev, np.asarray([1.0 + 1.0j]))
 
 
 def test_tail_norm_explicit_exact():
@@ -253,8 +227,10 @@ def test_rankin_sieve_is_bounded_before_allocating(monkeypatch):
         tail_norm(spec, 0.75, 1000)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tail_norm_growth_past_float_range():
-    # |a_2|^2 = 1e400 lies past the float range, so G is inf.
+    # |a_2|^2 = 1e400 lies past the float range, so G is inf; the squares
+    # overflow without a numpy warning.
     spec = load_source({"kind": "multiplicative", "prime_powers": [[2, 1, 1e200, 0]]})
     assert spec.coeffs.square_growth_base == math.inf
     with pytest.raises(NumericalError, match="G = inf needs primes past 1000000"):

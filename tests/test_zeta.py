@@ -59,6 +59,12 @@ def test_left_half_plane_rejected():
         zeta_eval(complex(np.inf, 0.0))
 
 
+def test_height_past_the_term_cap_is_refused():
+    # N = ceil(|Im s|) = 1e10 terms would need 80 GB per table.
+    with pytest.raises(PreconditionError, match="above the cap of 20000000"):
+        zeta_values(np.asarray([0.75 + 1e10j]))
+
+
 def test_outside_strip_warns_but_stays_accurate():
     with pytest.warns(AccuracyWarning, match="accuracy not guaranteed"):
         val = zeta_eval(0.5)
