@@ -17,7 +17,7 @@ import sys
 import warnings
 
 from .coefficients import SeriesSpec, builtin_series, load_source
-from .convolution import inverse_coefficients
+from .convolution import _check_inverse_length, _inverse_of_table
 from .errors import AccuracyWarning, NumericalError, PreconditionError
 from .moments import QuadratureConfig, estimate_moment
 from .parallel import resolve_threads
@@ -275,9 +275,11 @@ def _cmd_recur(args, threads):
 
 def _cmd_mollify(args, threads):
     spec = _resolve_series(args.series)
-    # The inverse checks N against the term cap before dense allocates.
-    b = inverse_coefficients(spec, args.N)
+    # N is checked against the term cap before dense allocates; the one
+    # table serves both the inverse and the mollified series.
+    _check_inverse_length(args.N)
     a = spec.coeffs.dense(args.N)
+    b = _inverse_of_table(a)
     pairs = mollifier_tail_decay(a, b, args.sigma, args.X_list, args.N)
     result = {"pairs": [{"X": X, "tail": tail} for X, tail in pairs]}
     rows = [(X, tail) for X, tail in pairs]

@@ -81,20 +81,33 @@ def convolution_power(a, m: int, N=None) -> np.ndarray:
 def inverse_coefficients(spec: SeriesSpec, N: int) -> np.ndarray:
     """Coefficients b of the reciprocal series, with a*b = e up to index N.
 
-    Uses the push form of the recurrence b_n = -a_1^{-1} sum_{d|n, d>1}
-    a_d b_{n/d}, so each computed b_m is scattered forward once.
-
     Raises:
         PreconditionError: a_1 = 0 (message "no Dirichlet inverse"), or N
-            above the cap of _MAX_TERMS terms.
+            below 1 or above the cap of _MAX_TERMS terms.
     """
+    _check_inverse_length(N)
+    return _inverse_of_table(spec.coeffs.dense(N))
+
+
+def _check_inverse_length(N: int) -> None:
+    """PreconditionError unless 1 <= N <= _MAX_TERMS; run before the
+    coefficient table of length N + 1 is built."""
     if N < 1:
         raise PreconditionError("inverse requires N >= 1")
     if N > _MAX_TERMS:
         raise PreconditionError(
             "inverse length %d exceeds the cap of %d terms" % (N, _MAX_TERMS)
         )
-    a = spec.coeffs.dense(N)
+
+
+def _inverse_of_table(a: np.ndarray) -> np.ndarray:
+    """Inverse coefficients b of the dense table a (a[0] ignored), with
+    a*b = e up to index N = a.size - 1.
+
+    Uses the push form of the recurrence b_n = -a_1^{-1} sum_{d|n, d>1}
+    a_d b_{n/d}, so each computed b_m is scattered forward once.
+    """
+    N = a.size - 1
     if a[1] == 0:
         raise PreconditionError("no Dirichlet inverse")
     inv = 1.0 / a[1]

@@ -27,6 +27,9 @@ __all__ = [
 # Time-grid work proceeds in fixed windows of this many steps; the split is a
 # function of the grid alone, so results cannot depend on the worker count.
 _TIME_CHUNK = 1_000_000
+# Each window is walked in blocks of this many steps, whose buffers (about
+# 2.6 MB at four dimensions) stay in cache and are reused by every block.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,24 +117,62 @@ class Box:
         return inside
 
 
+def _flow_blocks(cfg: FlowConfig, lo: int, hi: int):
+    """Flow points for grid steps lo+1..hi, _BLOCK steps at a time, each a
+    (dims, k) array whose row i is the coordinate {t lam_i} over the block.
+
+    Every block is a view of one buffer allocated per call, which the next
+    block overwrites: copy a block to keep it.
+    """
+    size = min(_BLOCK, hi - lo)
+    lam = np.asarray(cfg.lam, dtype=np.float64)[:, None]
+    steps = np.arange(1, size + 1, dtype=np.float64)
+    ts = np.empty(size)
+    x = np.empty((cfg.dims, size))
+    floor = np.empty_like(x)
+    for start in range(lo, hi, _BLOCK):
+        k = min(_BLOCK, hi - start)
+        # Right endpoints (start+1..start+k) * step, from exact integer
+        # floats; t=0 is deliberately excluded.
+        t = np.add(steps[:k], start, out=ts[:k])
+        t *= cfg.step
+        pts = np.multiply(lam, t, out=x[:, :k])
+        # Exact, and equal to np.mod(pts, 1.0), for every finite value.
+        pts -= np.floor(pts, out=floor[:, :k])
+        yield pts
+
+
 def _flow_columns(cfg: FlowConfig, lo: int, hi: int) -> np.ndarray:
-    """Flow points for grid steps lo+1..hi as a C-contiguous (dims, k) array:
-    row i is the coordinate {t lam_i} over the window, built in place."""
-    # Right endpoints (lo+1..hi) * step; t=0 is deliberately excluded.
-    ts = np.arange(lo + 1, hi + 1, dtype=np.float64) * cfg.step
-    lam = np.asarray(cfg.lam, dtype=np.float64)
-    x = lam[:, None] * ts[None, :]
-    x -= np.floor(x)  # exact, and equal to np.mod(x, 1.0), for every finite x
-    return x
+    """Flow points for grid steps lo+1..hi as one C-contiguous (dims, k)
+    array, joined from the blocks of _flow_blocks."""
+    return np.concatenate([pts.copy() for pts in _flow_blocks(cfg, lo, hi)], axis=1)
+
+
+def _edge_tests(box: Box) -> list:
+    """The box's (ufunc, coordinate, edge) tests on flow points.
+
+    A lower edge at 0 is dropped: x - floor(x) >= 0 for every finite x, and
+    a NaN still fails the `< v` test, which every coordinate keeps.  An
+    upper edge at 1 is kept, because a tiny negative x rounds x - floor(x)
+    up to 1.0.
+    """
+    tests = []
+    for i, (u, v) in enumerate(zip(box.lo, box.hi)):
+        if u > 0.0:
+            tests.append((np.greater_equal, i, u))
+        tests.append((np.less, i, v))
+    return tests
 
 
 def box_hitting_fractions(cfg: FlowConfig, boxes, threads=None) -> list:
     """Fraction of grid times in (0, T] whose flow point lies in each box.
 
     Every box is tested against one shared point cloud per window, so the
-    grid is walked once for the whole list.  The grid resolution limit is
-    step/T.  Window counts are integers below 2^53, so their fsum is exact
-    and each result is the exact count / npts.
+    grid is walked once for the whole list.  Each window is walked in blocks
+    of _BLOCK steps through buffers allocated once per window, so memory
+    does not grow with the window.  The grid resolution limit is step/T.
+    Window counts are integers below 2^53, so their fsum is exact and each
+    result is the exact count / npts.
     """
     boxes = list(boxes)
     if any(box.dims > cfg.dims for box in boxes):
@@ -139,10 +180,21 @@ def box_hitting_fractions(cfg: FlowConfig, boxes, threads=None) -> list:
     npts = cfg.grid_size()
     if npts < 1:
         raise PreconditionError("horizon shorter than one step")
+    box_tests = [_edge_tests(box) for box in boxes]
 
     def counts(lo, hi):
-        pts = _flow_columns(cfg, lo, hi).T  # each column read is contiguous
-        return [int(np.count_nonzero(box.contains(pts))) for box in boxes]
+        inside = np.empty(min(_BLOCK, hi - lo), dtype=bool)
+        edge = np.empty_like(inside)
+        totals = [0] * len(boxes)
+        for pts in _flow_blocks(cfg, lo, hi):
+            k = pts.shape[1]
+            mask, tmp = inside[:k], edge[:k]
+            for j, ((op, i, e), *rest) in enumerate(box_tests):
+                op(pts[i], e, out=mask)
+                for op, i, e in rest:
+                    mask &= op(pts[i], e, out=tmp)
+                totals[j] += int(np.count_nonzero(mask))
+        return totals
 
     windows = map_spans(counts, npts, _TIME_CHUNK, threads=threads)
     return [math.fsum(column) / npts for column in zip(*windows)]

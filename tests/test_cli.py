@@ -4,6 +4,7 @@ import pytest
 
 from dirichlet_lab import builtin_series, smooth_truncation_eval
 from dirichlet_lab.cli import UsageError, _parse_complex
+from dirichlet_lab.coefficients import MultiplicativeSource
 
 from _harness import run_cached, run_cli
 
@@ -167,6 +168,23 @@ def test_mollify_subcommand():
     x1, tail1 = lines[2].split(",")
     assert (int(x0), int(x1)) == (10, 100)
     assert float(tail1) < float(tail0)
+
+
+def test_mollify_builds_its_table_once(monkeypatch):
+    # The inverse and the mollified series share one dense table.
+    limits = []
+    dense = MultiplicativeSource.dense
+
+    def counted(self, limit):
+        limits.append(limit)
+        return dense(self, limit)
+
+    monkeypatch.setattr(MultiplicativeSource, "dense", counted)
+    argv = ["mollify", "--series", "divisor_2", "--sigma", "1.2", "--X-list",
+            "10", "--N", "2000"]
+    code, _, _ = run_cli(argv)
+    assert code == 0
+    assert limits == [2000]
 
 
 def test_truncate_subcommand():

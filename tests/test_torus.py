@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,23 +126,63 @@ def test_box_suite_shares_one_cloud(cfg, boxes):
         assert shared == alone
 
 
-@pytest.mark.parametrize("lam", [None, (-0.3, 0.7, 0.05)])
-def test_box_fractions_match_row_major_mod(monkeypatch, lam):
-    # Small windows, so the walk crosses several; the oracle builds the grid
-    # row-major with np.mod, as the flow is defined.
+_MOD_BOXES = [
+    Box(lo=(0.2,), hi=(0.7,)),
+    Box(lo=(0.0, 0.1), hi=(0.5, 0.8)),
+    Box(lo=(0.1, 0.3, 0.0), hi=(0.9, 0.6, 0.5)),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, boxes",
+    [
+        pytest.param(FlowConfig(dims=3, T=50.0, step=0.02), _MOD_BOXES, id="None"),
+        pytest.param(
+            FlowConfig(dims=3, T=50.0, step=0.02, lam=(-0.3, 0.7, 0.05)),
+            _MOD_BOXES,
+            id="lam1",
+        ),
+        # Every coordinate lands exactly on 0, .25, .5 or .75, so each box
+        # edge is hit; lo = 0 and hi = 1 edges among them.
+        pytest.param(
+            FlowConfig(dims=2, T=2500.0, step=1.0, lam=(0.25, 0.5)),
+            [
+                Box(lo=(0.0,), hi=(0.25,)),
+                Box(lo=(0.75,), hi=(1.0,)),
+                Box(lo=(0.0, 0.5), hi=(1.0, 1.0)),
+                Box(lo=(0.25, 0.0), hi=(0.75, 0.5)),
+                Box(lo=(0.0, 0.0), hi=(1.0, 1.0)),
+            ],
+            id="exact-edges",
+        ),
+    ],
+)
+def test_box_fractions_match_row_major_mod(monkeypatch, cfg, boxes):
+    # Small windows and blocks, so the walk crosses several windows and each
+    # window ends in a ragged block; the oracle builds the grid row-major
+    # with np.mod, as the flow is defined.
     monkeypatch.setattr(torus, "_TIME_CHUNK", 700)
-    cfg = FlowConfig(dims=3, T=50.0, step=0.02, lam=lam)
-    boxes = [
-        Box(lo=(0.2,), hi=(0.7,)),
-        Box(lo=(0.0, 0.1), hi=(0.5, 0.8)),
-        Box(lo=(0.1, 0.3, 0.0), hi=(0.9, 0.6, 0.5)),
-    ]
+    monkeypatch.setattr(torus, "_BLOCK", 256)
     n = cfg.grid_size()
     ts = np.arange(1, n + 1, dtype=np.float64) * cfg.step
     pts = np.mod(ts[:, None] * np.asarray(cfg.lam)[None, :], 1.0)
     want = [int(box.contains(pts).sum()) / n for box in boxes]
     for threads in (1, 2):
         assert box_hitting_fractions(cfg, boxes, threads) == want
+
+
+def test_box_fractions_memory_does_not_grow_with_the_window():
+    # numpy reports its data allocations to tracemalloc.  2e6 grid points in
+    # two windows of 1e6; each window walks them through block buffers of
+    # about 2.6 MB, where one window's full (4, 1e6) cloud alone is 32 MB.
+    cfg = FlowConfig(dims=4, T=20_000.0)
+    tracemalloc.start()
+    try:
+        box_hitting_fractions(cfg, standard_box_suite(), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_box_wider_than_flow_is_refused():
