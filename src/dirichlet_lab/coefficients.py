@@ -250,9 +250,6 @@ class _CharacterSource(CoefficientSource):
     index: int
     table: tuple
 
-    square_growth_base = 1.0
-    unit_bounded = True
-
     def prime_power(self, p: int, e: int) -> complex:
         return complex(self.table[pow(p, e, self.modulus)])
 

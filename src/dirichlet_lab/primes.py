@@ -16,9 +16,9 @@ _SIEVE_BOUND = 1_000_000
 # scale computation.
 _MAX_SMOOTH_MEMBERS = 20_000_000
 
-# Cap on the entries of a smooth set's exponent table (members x primes
-# <= min(r, bound), int16): 512 MB.
-_MAX_EXPONENT_ENTRIES = 1 << 28
+# Cap on a smooth set's members x primes (<= min(r, bound)): each prime scans
+# every member built before it, so the product bounds the enumeration's work.
+_MAX_MEMBER_PRIME_SCANS = 1 << 28
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -86,24 +86,37 @@ def factorize(n: int):
 
 @dataclass(frozen=True)
 class SmoothSet:
-    """All integers <= bound whose prime factors are <= r.
-
-    members is sorted ascending and starts with 1; exponents[i] holds the
-    exponent vector of members[i] over `primes` (the primes <= min(r, bound)).
+    """All integers <= bound whose prime factors are <= r, ascending in
+    `members`, with their construction over `primes` (those <= min(r, bound)).
+    In the order `built`, entry 0 is 1 and entry k of block i (starts[i] <= k
+    < starts[i + 1]) is entry parents[k], which is free of primes >=
+    primes[i], times primes[i] ** levels[k]; members = built[order].
     """
 
     r: int
     bound: int
     primes: np.ndarray = field(repr=False)
     members: np.ndarray = field(repr=False)
-    exponents: np.ndarray = field(repr=False)
+    parents: np.ndarray = field(repr=False)
+    levels: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
+    order: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.members)
 
+    def fold(self, one, step) -> np.ndarray:
+        """Per member, in sorted order: `one` for 1, and step(i, parent_values,
+        e) for the members parent * primes[i] ** e, one call per prime."""
+        built = np.full(len(self), one)
+        for i in range(self.primes.size):
+            block = slice(self.starts[i], self.starts[i + 1])
+            built[block] = step(i, built[self.parents[block]], self.levels[block])
+        return built[self.order]
+
 
 def smooth_enumerate(r: int, bound: int) -> SmoothSet:
-    """Enumerate the r-smooth integers up to `bound` with exponent vectors.
+    """Enumerate the r-smooth integers up to `bound`, with their construction.
 
     Generated as products of prime powers over the primes <= r, so membership
     is by construction rather than by testing.
@@ -125,18 +138,18 @@ def smooth_enumerate(r: int, bound: int) -> SmoothSet:
 @lru_cache(maxsize=64)
 def _smooth_cached(r: int, bound: int) -> SmoothSet:
     # A prime past the bound divides no member, so only the primes up to
-    # min(r, bound) get a column.  Each appends parent * p^e for every member
-    # so far that stays within the bound.  `made` records, per prime, where
-    # its members start, their parents' rows and their exponents e, from
-    # which the exponent table is copied row by row.
+    # min(r, bound) are used.  Each appends parent * p^e for every member so
+    # far that stays within the bound, and records the parent's index and e.
     ps = primes_up_to(min(r, bound))
-    limit = min(_MAX_SMOOTH_MEMBERS, _MAX_EXPONENT_ENTRIES // max(ps.size, 1))
+    limit = min(_MAX_SMOOTH_MEMBERS, _MAX_MEMBER_PRIME_SCANS // max(ps.size, 1))
     members = np.ones(1, dtype=np.int64)
-    made = []
-    for i, p in enumerate(ps.tolist()):
+    parents = [np.zeros(1, dtype=np.int64)]
+    levels = [np.zeros(1, dtype=np.int16)]
+    starts = [1]
+    for p in ps.tolist():
         rows = np.flatnonzero(members <= bound // p)
         step = members[rows] * p
-        parents, levels, values = [], [], []
+        values = []
         total = members.size
         e = 1
         while rows.size:
@@ -149,19 +162,16 @@ def _smooth_cached(r: int, bound: int) -> SmoothSet:
             keep = step <= bound // p
             rows, step = rows[keep], step[keep] * p
             e += 1
-        if values:
-            made.append((i, members.size, np.concatenate(parents), np.concatenate(levels)))
-            members = np.concatenate([members] + values)
-    exponents = np.zeros((members.size, ps.size), dtype=np.int16)
-    for i, start, parents, levels in made:
-        new = slice(start, start + parents.size)
-        exponents[new] = exponents[parents]
-        exponents[new, i] = levels
+        members = np.concatenate([members] + values)
+        starts.append(members.size)
     order = np.argsort(members, kind="stable")
     return SmoothSet(
         r=r,
         bound=bound,
         primes=ps,
         members=members[order],
-        exponents=exponents[order],
+        parents=np.concatenate(parents),
+        levels=np.concatenate(levels),
+        starts=np.asarray(starts),
+        order=order,
     )

@@ -159,34 +159,33 @@ def _local_factor(coef, x):
 
 
 def _smooth_coefficients(spec: SeriesSpec, sm: SmoothSet) -> np.ndarray:
-    """a_n for every member of the smooth set, via per-prime tables."""
+    """a_n for every member of the smooth set, folded over its construction:
+    a_{m p^e} = a_m a_{p^e} with m free of primes >= p."""
     src = spec.coeffs
     if isinstance(src, ExplicitSource):
         out = np.zeros(len(sm), dtype=np.complex128)
         idx, val = _explicit_support(src)
-        pos = np.searchsorted(sm.members, idx)
-        for j, n in enumerate(idx):
-            k = pos[j]
-            if k < len(sm) and sm.members[k] == n:
-                out[k] = val[j]
+        hit = np.isin(idx, sm.members)
+        out[np.searchsorted(sm.members, idx[hit])] = val[hit]
         return out
-    out = np.ones(len(sm), dtype=np.complex128)
-    for i, p in enumerate(sm.primes):
-        col = sm.exponents[:, i].astype(np.int64)
-        emax = int(col.max()) if len(col) else 0
+
+    def times_prime_power(i, parent, e):
+        p = int(sm.primes[i])
         table = np.asarray(
-            [src.prime_power(int(p), e) for e in range(emax + 1)],
+            [src.prime_power(p, j) for j in range(int(e.max()) + 1)],
             dtype=np.complex128,
         )
-        out *= table[col]
-    return out
+        return parent * table[e]
+
+    return sm.fold(1.0 + 0j, times_prime_power)
 
 
 def _phase_for(theta, sm: SmoothSet) -> np.ndarray:
-    """exp(-2 pi i sum_p alpha_p theta_p) per member, from exponent vectors.
+    """exp(-2 pi i sum_p alpha_p theta_p) per member, folded over its
+    construction.
 
-    theta must carry a coordinate for every prime <= sm.r, although the
-    exponent table has columns only for the primes <= min(sm.r, sm.bound).
+    theta must carry a coordinate for every prime <= sm.r, although the fold
+    visits only the primes <= min(sm.r, sm.bound).
     """
     coords = np.asarray(theta.coords, dtype=np.float64)
     missing = int(first_primes(coords.size + 1)[-1])
@@ -194,9 +193,7 @@ def _phase_for(theta, sm: SmoothSet) -> np.ndarray:
         raise PreconditionError(
             "theta lacks a coordinate for prime %d" % missing
         )
-    dot = np.zeros(len(sm), dtype=np.float64)
-    for i in range(len(sm.primes)):
-        dot += sm.exponents[:, i].astype(np.float64) * coords[i]
+    dot = sm.fold(0.0, lambda i, parent, e: parent + e.astype(np.float64) * coords[i])
     return np.exp(-2j * math.pi * dot)
 
 

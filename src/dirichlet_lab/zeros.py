@@ -39,6 +39,11 @@ _RING_SAMPLES = 4096
 # Shifts tried, in order, for a sigma edge or a cut that meets a zero.
 _NUDGES = (0.0, 1e-3, -1e-3, 2e-3)
 
+# Newton refinement of a zero, and the circle whose winding then confirms it.
+_NEWTON_MAX_ITER = 50
+_NEWTON_STEP = 1e-6
+_CONFIRM_RADIUS = 1e-3
+
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -207,11 +212,12 @@ def _eval_scalar(f, z: complex) -> complex:
     return complex(f(np.asarray([z], dtype=np.complex128))[0])
 
 
-def _newton_refine(f, z0: complex, tol: float, max_iter: int = 50, h: float = 1e-6):
+def _newton_refine(f, z0: complex, tol: float):
     z = complex(z0)
+    h = _NEWTON_STEP
     try:
         fz = _eval_scalar(f, z)
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             if abs(fz) <= tol:
                 return z, abs(fz), True
             df = (_eval_scalar(f, z + h) - _eval_scalar(f, z - h)) / (2.0 * h)
@@ -227,9 +233,9 @@ def _newton_refine(f, z0: complex, tol: float, max_iter: int = 50, h: float = 1e
     return z, abs(fz), abs(fz) <= tol
 
 
-def _confirm_circle(f, z: complex, radius: float = 1e-3) -> int:
+def _confirm_circle(f, z: complex) -> int:
     try:
-        return winding_on_circle(f, z, radius, samples=128)
+        return winding_on_circle(f, z, _CONFIRM_RADIUS, samples=128)
     except NumericalError:
         return 0
 

@@ -202,6 +202,17 @@ def test_truncate_subcommand():
     assert float(bound_s) == want_bound
 
 
+@pytest.mark.parametrize("M", ["1000000", "100000000000000"])
+def test_truncate_past_the_smooth_work_cap_is_numerical(M):
+    # The primes <= min(2^24, M) number 78,498 or 1,077,871, so the
+    # member-prime scan cap leaves room for 3,419 or 249 members, and the
+    # enumeration is refused early.
+    argv = ["truncate", "--series", "zeta", "--s", "1.5", "--k", "24", "--M", M]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("dlab: numerical:") and err.count("\n") == 1
+
+
 def test_series_resolution(tmp_path):
     spec = {"kind": "explicit", "coeffs": [[1, 1.0, 0.0], [2, -2.0, 0.0]]}
     path = tmp_path / "ladder.json"

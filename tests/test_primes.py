@@ -58,7 +58,7 @@ def test_factorize_rejects_out_of_range():
 def test_smooth_powers_of_two():
     sm = smooth_enumerate(2, 16)
     np.testing.assert_array_equal(sm.members, [1, 2, 4, 8, 16])
-    np.testing.assert_array_equal(sm.exponents[:, 0], [0, 1, 2, 3, 4])
+    np.testing.assert_array_equal(sm.fold(0, lambda i, parent, e: parent + e), [0, 1, 2, 3, 4])
 
 
 def test_smooth_matches_brute_force():
@@ -76,11 +76,22 @@ def test_smooth_matches_brute_force():
     np.testing.assert_array_equal(sm.members, expect)
 
 
+def _factor_pairs(sm):
+    # Each member's (p, e) pairs, gathered by a fold in ascending p.
+    def append(i, parent, e):
+        out = np.empty(parent.size, dtype=object)
+        for k, (pairs, x) in enumerate(zip(parent, e)):
+            out[k] = (pairs or ()) + ((int(sm.primes[i]), int(x)),)
+        return out
+
+    return [list(pairs or ()) for pairs in sm.fold(None, append)]
+
+
 def test_smooth_exponents_reconstruct_members():
     sm = smooth_enumerate(12, 10_000)
-    rebuilt = np.ones(len(sm), dtype=np.int64)
-    for i, p in enumerate(sm.primes):
-        rebuilt *= np.int64(p) ** sm.exponents[:, i].astype(np.int64)
+    rebuilt = sm.fold(
+        np.int64(1), lambda i, parent, e: parent * np.int64(sm.primes[i]) ** e.astype(np.int64)
+    )
     np.testing.assert_array_equal(rebuilt, sm.members)
     assert sm.members[0] == 1
     assert np.all(np.diff(sm.members) > 0)
@@ -88,28 +99,26 @@ def test_smooth_exponents_reconstruct_members():
 
 def test_smooth_exponents_match_factorize():
     # r past the bound: the primes in (40, 60] divide no member and get no
-    # column.
+    # block.
     sm = smooth_enumerate(60, 40)
     np.testing.assert_array_equal(sm.members, np.arange(1, 41))
-    assert sm.exponents.dtype == np.int16 and sm.exponents.shape == (40, 12)
-    want = np.zeros((40, 12), dtype=np.int16)
-    col = {int(p): i for i, p in enumerate(sm.primes)}
-    for n in range(2, 41):
-        for p, e in factorize(n):
-            want[n - 1, col[p]] = e
-    np.testing.assert_array_equal(sm.exponents, want)
+    assert sm.levels.dtype == np.int16 and sm.primes.size == 12
+    assert _factor_pairs(sm) == [factorize(n) for n in range(1, 41)]
+    sm = smooth_enumerate(12, 10_000)
+    assert _factor_pairs(sm) == [factorize(int(n)) for n in sm.members]
 
 
-def test_smooth_table_columns_stop_at_the_bound():
+def test_smooth_primes_stop_at_the_bound():
     # 2^20-smooth members up to 1000 use the 168 primes below 1000, not the
     # 82,025 primes up to 2^20.
     sm = smooth_enumerate(2**20, 1000)
-    assert sm.exponents.shape == (len(sm), 168)
     np.testing.assert_array_equal(sm.primes, primes_up_to(1000))
-    # bound 1: the member 1 alone, with no prime columns.
+    assert sm.starts.size == 169
+    # bound 1: the member 1 alone, with no primes.
     one = smooth_enumerate(2, 1)
     np.testing.assert_array_equal(one.members, [1])
-    assert one.exponents.shape == (1, 0) and one.primes.size == 0
+    assert one.primes.size == 0
+    np.testing.assert_array_equal(one.fold(7.0, None), [7.0])
 
 
 def test_smooth_argument_validation():
@@ -128,7 +137,7 @@ def test_smooth_cap_trips(monkeypatch):
 
 
 def test_smooth_exponent_table_cap_trips(monkeypatch):
-    # The 669 primes <= 5000 leave room for 14 members in 10,000 entries.
-    monkeypatch.setattr(primes_mod, "_MAX_EXPONENT_ENTRIES", 10_000)
+    # The 669 primes <= 5000 leave room for 14 members in 10,000 scans.
+    monkeypatch.setattr(primes_mod, "_MAX_MEMBER_PRIME_SCANS", 10_000)
     with pytest.raises(NumericalError, match="desk-scale cap"):
         smooth_enumerate(7919, 5000)  # uncached argument pair

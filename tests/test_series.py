@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,23 @@ def test_twist_at_origin_is_identity():
     plain, _ = smooth_truncation_eval(ZETA, s, 2, M=5000)
     twisted = twisted_eval(ZETA, theta, s, 2, 5000)
     assert abs(twisted - plain) <= 1e-15 * abs(plain)
+
+
+def test_twist_of_an_explicit_series_matches_its_direct_sum():
+    # Indices that are 4-smooth and <= M keep their coefficients, rotated by
+    # theta; 5, 7 and 10 (a prime past 4) and 2000 (past M) drop out.
+    pairs = [(1, 0.5), (2, -1j), (5, 2 + 0j), (6, 1 + 1j), (7, 3 + 0j),
+             (9, -2 + 0j), (10, 4j), (12, 0.25 - 1j), (2000, 9 + 0j)]
+    spec = load_source({"kind": "explicit", "coeffs": [[n, a.real, a.imag] for n, a in pairs]})
+    theta = TorusPoint(coords=np.asarray([0.3, 0.71]))
+    s = 1.2 - 0.5j
+    want = 0j
+    for n, a in pairs:
+        fac = dict(primes.factorize(n))
+        if n <= 1000 and set(fac) <= {2, 3}:
+            phase = fac.get(2, 0) * 0.3 + fac.get(3, 0) * 0.71
+            want += a * np.exp(-2j * math.pi * phase) * n ** -s
+    assert abs(twisted_eval(spec, theta, s, 2, 1000) - want) <= 1e-14 * abs(want)
 
 
 def test_twist_needs_all_coordinates():
@@ -429,3 +447,28 @@ def test_smooth_coefficients_visit_only_primes_up_to_the_bound():
     got = series._smooth_coefficients(spec, sm)
     omega = [sum(e for _, e in primes.factorize(int(n))) for n in sm.members]
     np.testing.assert_array_equal(got, (-1.0) ** np.asarray(omega))
+
+
+def test_smooth_coefficients_of_a_complex_multiplicative_source():
+    # A complex rule, so the fold's products of a_{p^e} are complex too.
+    src = MultiplicativeSource(rule=lambda p, e: complex(math.cos(p * e), math.sin(p + e)) / (e + 1))
+    spec = SeriesSpec(coeffs=src, sigma_m=1.0, sigma_a=1.0)
+    sm = primes.smooth_enumerate(64, 20_000)
+    got = series._smooth_coefficients(spec, sm)
+    for n, a in zip(sm.members.tolist(), got):
+        want = math.prod((src.prime_power(p, e) for p, e in primes.factorize(n)), start=1 + 0j)
+        assert abs(a - want) <= 1e-13
+
+
+def test_smooth_truncation_memory_does_not_grow_with_the_primes():
+    # numpy reports its data allocations to tracemalloc.  The 4096-smooth
+    # members up to 10^5 use 564 primes; per-member arrays take a few MB,
+    # while any per-member table with a column per prime passes 100 MB.
+    primes._smooth_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        smooth_truncation_eval(builtin_series("zeta"), 1.5, 12, 10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
