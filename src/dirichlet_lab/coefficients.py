@@ -63,15 +63,21 @@ class ExplicitSource(CoefficientSource):
         items = sorted(((int(n), complex(a)) for n, a in pairs), key=lambda e: e[0])
         return ExplicitSource(entries=tuple(items))
 
+    def support(self):
+        """(indices, values) of the table as int64 and complex128 arrays."""
+        idx = np.asarray([n for n, _ in self.entries], dtype=np.int64)
+        val = np.asarray([a for _, a in self.entries], dtype=np.complex128)
+        return idx, val
+
     def dense(self, limit: int) -> np.ndarray:
+        idx, val = self.support()
+        keep = idx <= limit
         arr = np.zeros(limit + 1, dtype=np.complex128)
-        for n, a in self.entries:
-            if n <= limit:
-                arr[n] = a
+        arr[idx[keep]] = val[keep]
         return arr
 
     def max_index(self) -> int:
-        return max((n for n, _ in self.entries), default=1)
+        return int(self.support()[0].max(initial=1))
 
 
 @dataclass(frozen=True)
@@ -88,29 +94,22 @@ class MultiplicativeSource(CoefficientSource):
         return complex(self.rule(p, e))
 
     def dense(self, limit: int) -> np.ndarray:
-        # Smallest-prime-factor decomposition; one pass, no per-n factorize.
+        # One sieve over the primes, largest first: a_n = 1 * a_{p_k^{e_k}}
+        # ... a_{p_1^{e_1}}, and j p takes a_{p^e} where p^{e-1} divides j.
         arr = np.zeros(limit + 1, dtype=np.complex128)
-        if limit >= 1:
-            arr[1] = 1.0
-        spf = _smallest_prime_factor(limit)
-        for n in range(2, limit + 1):
-            p = int(spf[n])
-            m = n
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            arr[n] = arr[m] * self.prime_power(p, e)
+        arr[1:] = 1.0
+        for p in primes_up_to(limit)[::-1].tolist():
+            multiples = arr[p::p]
+            if p * p > limit:
+                multiples *= self.prime_power(p, 1)
+                continue
+            factor = np.empty(multiples.size, dtype=np.complex128)
+            q, e = 1, 1
+            while q <= limit // p:
+                factor[q - 1 :: q] = self.prime_power(p, e)
+                q, e = q * p, e + 1
+            multiples *= factor
         return arr
-
-
-def _smallest_prime_factor(limit: int) -> np.ndarray:
-    spf = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, int(math.isqrt(limit)) + 1):
-        if spf[p] == p:
-            sl = spf[p * p :: p]
-            sl[sl == np.arange(p * p, limit + 1, p)] = p
-    return spf
 
 
 @dataclass(frozen=True)
@@ -136,17 +135,6 @@ class SeriesSpec:
 # Builtin catalogue
 
 
-def _moebius_dense(limit: int) -> np.ndarray:
-    mu = np.ones(limit + 1, dtype=np.float64)
-    mu[0] = 0.0
-    for p in primes_up_to(limit):
-        p = int(p)
-        mu[p::p] *= -1.0
-        if p * p <= limit:
-            mu[p * p :: p * p] = 0.0
-    return mu.astype(np.complex128)
-
-
 class _ZetaSource(MultiplicativeSource):
     def dense(self, limit: int) -> np.ndarray:
         arr = np.ones(limit + 1, dtype=np.complex128)
@@ -159,20 +147,26 @@ def _is_zeta(spec: SeriesSpec) -> bool:
     return isinstance(spec.coeffs, _ZetaSource)
 
 
-class _MoebiusSource(MultiplicativeSource):
-    def dense(self, limit: int) -> np.ndarray:
-        return _moebius_dense(limit)
-
-
 def _primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
     phi = p - 1
     fac = [f for f, _ in factorize(phi)]
     for g in range(2, p):
         if all(pow(g, phi // f, p) != 1 for f in fac):
             return g
-    raise PreconditionError("no primitive root found")  # unreachable for prime p
+    raise PreconditionError("no primitive root found")  # unreachable for odd p
+
+
+def _discrete_log(g: int, order: int, q: int) -> np.ndarray:
+    """Per residue mod q, the k in [0, order) with g^k = it, or -1."""
+    powers = np.ones(order, dtype=np.int64)
+    done = 1
+    while done < order:  # g^{done + i} = g^i g^done, doubling the span
+        step = min(done, order - done)
+        powers[done : done + step] = powers[:step] * pow(g, done, q) % q
+        done += step
+    logs = np.full(q, -1, dtype=np.int64)
+    logs[powers] = np.arange(order)
+    return logs
 
 
 def _character_table(modulus: int, index: int) -> np.ndarray:
@@ -182,83 +176,54 @@ def _character_table(modulus: int, index: int) -> np.ndarray:
     components of the unit group: odd prime powers are cyclic, 4 is cyclic
     of order 2, and 2^a with a >= 3 splits as {+-1} x <3>.
     """
-    if modulus == 1:
-        if index != 0:
-            raise PreconditionError("character index must lie in [0, 1)")
-        return np.ones(1, dtype=np.complex128)
-    # Per prime power: (q, residue -> exponent tuple, component orders).
+    # Per cyclic component: (q, exponent of each residue mod q, order).
     comps = []
     for p, a in factorize(modulus):
         q = p**a
-        if p == 2:
-            if a == 1:
-                comps.append((q, {1: ()}, ()))
-            elif a == 2:
-                comps.append((q, {1: (0,), 3: (1,)}, (2,)))
-            else:
-                emap = {}
-                half = q // 4
-                for s in range(2):
-                    for k in range(half):
-                        r = pow(3, k, q)
-                        if s:
-                            r = q - r
-                        emap[r] = (s, k)
-                comps.append((q, emap, (2, half)))
-        else:
-            phi_q = q - q // p
+        if p == 2 and a >= 3:
+            half = q // 4
+            logs = _discrete_log(3, half, q)
+            powers = np.flatnonzero(logs >= 0)
+            sign = np.full(q, -1, dtype=np.int64)
+            sign[powers], sign[q - powers] = 0, 1
+            logs[q - powers] = logs[powers]
+            comps += [(q, sign, 2), (q, logs, half)]
+        elif q == 4:
+            comps.append((q, _discrete_log(3, 2, q), 2))
+        elif p > 2:
             g = _primitive_root(p)
             if a > 1 and pow(g, p - 1, p * p) == 1:
                 g += p
-            emap = {}
-            x = 1
-            for k in range(phi_q):
-                emap[x] = (k,)
-                x = (x * g) % q
-            comps.append((q, emap, (phi_q,)))
-    orders = [d for _, _, ords in comps for d in ords]
-    phi = 1
-    for d in orders:
-        phi *= d
+            comps.append((q, _discrete_log(g, q - q // p, q), q - q // p))
+    phi = math.prod(order for _, _, order in comps)
     if not 0 <= index < phi:
         raise PreconditionError("character index must lie in [0, %d)" % phi)
     # Mixed-radix digits of the index pick one root of unity per component.
-    digits = []
+    n = np.arange(modulus)
+    phase = np.zeros(modulus)
     rem = index
-    for d in orders:
-        digits.append(rem % d)
-        rem //= d
-
+    for q, logs, order in comps:
+        phase += (rem % order) * logs[n % q] / order
+        rem //= order
     values = np.zeros(modulus, dtype=np.complex128)
-    for n in range(modulus):
-        if math.gcd(n, modulus) != 1:
-            continue
-        phase = 0.0
-        pos = 0
-        for q, emap, ords in comps:
-            exps = emap[n % q]
-            for exp, order in zip(exps, ords):
-                phase += digits[pos] * exp / order
-                pos += 1
-        values[n] = np.exp(2j * math.pi * phase)
+    units = np.gcd(n, modulus) == 1
+    values[units] = np.exp(2j * math.pi * phase[units])
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _CharacterSource(CoefficientSource):
     modulus: int
     index: int
-    table: tuple
+    table: np.ndarray  # read-only chi(0..modulus-1)
 
     def prime_power(self, p: int, e: int) -> complex:
         return complex(self.table[pow(p, e, self.modulus)])
 
     def dense(self, limit: int) -> np.ndarray:
-        base = np.asarray(self.table, dtype=np.complex128)
-        reps = limit // self.modulus + 1
-        return np.concatenate(
-            [[0.0], np.tile(base, reps)[1 : limit + 1]]
-        ).astype(np.complex128)
+        arr = np.resize(self.table, limit + 1)
+        arr[0] = 0.0
+        return arr
 
 
 def _divisor_rule(k: int):
@@ -286,7 +251,7 @@ def builtin_series(name: str) -> SeriesSpec:
         )
     if name == "moebius":
         return SeriesSpec(
-            coeffs=_MoebiusSource(rule=lambda p, e: -1.0 if e == 1 else 0.0),
+            coeffs=MultiplicativeSource(rule=lambda p, e: -1.0 if e == 1 else 0.0),
             sigma_m=0.5,
             sigma_a=1.0,
             label="moebius",
@@ -333,7 +298,8 @@ def builtin_series(name: str) -> SeriesSpec:
             raise PreconditionError(
                 "character modulus must be <= %d" % _SIEVE_BOUND
             )
-        table = tuple(_character_table(modulus, index))
+        table = _character_table(modulus, index)
+        table.flags.writeable = False
         return SeriesSpec(
             coeffs=_CharacterSource(modulus=modulus, index=index, table=table),
             sigma_m=0.5,

@@ -38,12 +38,6 @@ def _truncated(spec: SeriesSpec, N: int) -> DirichletPolynomial:
     return DirichletPolynomial(np.arange(1, N + 1), spec.coeffs.dense(N)[1:])
 
 
-def _explicit_support(src: ExplicitSource):
-    idx = np.asarray([n for n, _ in src.entries], dtype=np.int64)
-    val = np.asarray([a for _, a in src.entries], dtype=np.complex128)
-    return idx, val
-
-
 def default_evaluator(spec: SeriesSpec, N: int = 100_000):
     """An s -> f(s) callable for the series, vectorized over arrays.
 
@@ -55,7 +49,7 @@ def default_evaluator(spec: SeriesSpec, N: int = 100_000):
     if _is_zeta(spec):
         return zeta_values
     if isinstance(spec.coeffs, ExplicitSource):
-        return DirichletPolynomial(*_explicit_support(spec.coeffs))
+        return DirichletPolynomial(*spec.coeffs.support())
     return _truncated(spec, N)
 
 
@@ -75,7 +69,7 @@ def tail_norm(spec: SeriesSpec, sigma: float, N: int):
         raise PreconditionError("tail_norm requires N >= 1")
     src = spec.coeffs
     if isinstance(src, ExplicitSource):
-        idx, val = _explicit_support(src)
+        idx, val = src.support()
         sq = np.abs(val) ** 2 * np.asarray(idx, dtype=np.float64) ** (-2.0 * sigma)
         return math.fsum(sq[idx <= N]), math.fsum(sq[idx > N])
     if 2.0 * sigma <= 1.0:
@@ -164,7 +158,7 @@ def _smooth_coefficients(spec: SeriesSpec, sm: SmoothSet) -> np.ndarray:
     src = spec.coeffs
     if isinstance(src, ExplicitSource):
         out = np.zeros(len(sm), dtype=np.complex128)
-        idx, val = _explicit_support(src)
+        idx, val = src.support()
         hit = np.isin(idx, sm.members)
         out[np.searchsorted(sm.members, idx[hit])] = val[hit]
         return out
@@ -263,8 +257,8 @@ def smooth_truncation_eval(spec: SeriesSpec, s: complex, k: int, M=None):
             raise PreconditionError("cutoff M must be >= 1")
     r = 2**k
     if isinstance(spec.coeffs, ExplicitSource):
-        idx, val = _explicit_support(spec.coeffs)
-        smooth = np.asarray([_is_smooth(int(n), r) for n in idx], dtype=bool)
+        idx, val = spec.coeffs.support()
+        smooth = _smooth_mask(idx, r)
         kept = smooth if M is None else smooth & (idx <= M)
         rest = smooth & ~kept
         tail = math.fsum(np.abs(val[rest]) * idx[rest].astype(np.float64) ** (-s.real))
@@ -276,12 +270,20 @@ def smooth_truncation_eval(spec: SeriesSpec, s: complex, k: int, M=None):
     return value, _rankin_smooth_tail(spec, s.real, r, M)
 
 
-def _is_smooth(n: int, r: int) -> bool:
-    m = n
-    for p in primes_up_to(min(n, r)).tolist():
-        while m % p == 0:
-            m //= p
-    return m == 1
+def _smooth_mask(idx: np.ndarray, r: int) -> np.ndarray:
+    """Per index n >= 1: whether n is r-smooth.  Trial division by the
+    primes up to min(r, sqrt(max n)), stopped once p^2 exceeds what is left,
+    leaves a cofactor that is <= r exactly when n is r-smooth."""
+    ps = primes_up_to(min(r, math.isqrt(int(idx.max(initial=1))))).tolist()
+    smooth = []
+    for m in idx.tolist():
+        for p in ps:
+            if p * p > m:
+                break
+            while m % p == 0:
+                m //= p
+        smooth.append(m <= r)
+    return np.asarray(smooth, dtype=bool)
 
 
 def twisted_eval(spec: SeriesSpec, theta, s: complex, k: int, M: int) -> complex:

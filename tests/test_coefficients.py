@@ -1,4 +1,6 @@
+import cmath
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from dirichlet_lab import (
     builtin_series,
     load_source,
 )
+from dirichlet_lab.coefficients import _primitive_root
 from dirichlet_lab.primes import factorize
 
 # first 20 values of the Moebius function
@@ -39,6 +42,12 @@ def test_moebius_builtin():
     got = [a_n(spec, n).real for n in range(1, 21)]
     np.testing.assert_array_equal(got, MU_20)
     np.testing.assert_array_equal(spec.coeffs.dense(20)[1:].real, MU_20)
+    # mu(n) from the factorization: 0 on a square factor, else (-1)^omega.
+    mu = [0.0] + [
+        0.0 if any(e > 1 for _, e in f) else (-1.0) ** len(f)
+        for f in map(factorize, range(1, 5001))
+    ]
+    np.testing.assert_array_equal(spec.coeffs.dense(5000), mu)
 
 
 def test_divisor_builtins():
@@ -113,6 +122,89 @@ def test_multiplicative_dense_matches_value():
         for p, e in factorize(n):
             want *= src.prime_power(p, e)
         assert abs(dense[n] - want) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        builtin_series("divisor_3").coeffs,
+        MultiplicativeSource(rule=lambda p, e: float(p % 4 - 2 * e)),
+    ],
+    ids=["divisor_3", "integer-rule"],
+)
+def test_integer_dense_is_the_exact_product(src):
+    # Integer prime-power values multiply exactly, in any order.
+    want = [0.0]
+    for n in range(1, 5001):
+        want.append(math.prod(src.prime_power(p, e) for p, e in factorize(n)))
+    np.testing.assert_array_equal(src.dense(5000), want)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["zeta", "moebius", "divisor_3", "eta-factor", "character_1_0",
+     "character_5_1", "character_8_3"],
+)
+def test_dense_at_the_smallest_limits(name):
+    src = builtin_series(name).coeffs
+    full = src.dense(10)
+    for limit in (0, 1, 2):
+        got = src.dense(limit)
+        assert got.shape == (limit + 1,) and got.dtype == np.complex128
+        np.testing.assert_array_equal(got, full[: limit + 1])
+    assert full[0] == 0 and full[1] == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_prime_modulus_characters_follow_the_primitive_root(p):
+    g = _primitive_root(p)
+    for j in range(p - 1):
+        chi = builtin_series("character_%d_%d" % (p, j)).coeffs.dense(p)
+        for k in range(p - 1):
+            want = cmath.exp(2j * math.pi * j * k / (p - 1))
+            assert abs(chi[pow(g, k, p)] - want) < 1e-12
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 9, 24, 40])
+def test_characters_are_orthogonal_and_multiplicative(q):
+    phi = sum(1 for n in range(q) if math.gcd(n, q) == 1)
+    rows = np.asarray(
+        [builtin_series("character_%d_%d" % (q, j)).coeffs.dense(q * q)
+         for j in range(phi)]
+    )
+    gram = rows[:, 1 : q + 1] @ rows[:, 1 : q + 1].conj().T
+    np.testing.assert_allclose(gram, phi * np.eye(phi), atol=1e-12)
+    for a in range(1, q + 1):
+        for b in range(1, q + 1):
+            np.testing.assert_allclose(
+                rows[:, a * b], rows[:, a] * rows[:, b], atol=1e-12
+            )
+    with pytest.raises(PreconditionError, match=r"\[0, %d\)" % phi):
+        builtin_series("character_%d_%d" % (q, phi))
+
+
+def test_character_values_are_pinned():
+    # Exact table values, including the rounding of the phases.
+    pins = {
+        "character_16_5": {
+            1: 1 + 0j,
+            3: complex(-1, 1.2246467991473532e-16),
+            5: complex(1, -4.898587196589413e-16),
+            7: complex(-1, 3.6739403974420594e-16),
+            15: complex(-1, 1.2246467991473532e-16),
+        },
+        "character_40_7": {
+            1: 1 + 0j,
+            3: complex(3.061616997868383e-16, 1),
+            7: complex(-1.8369701987210297e-16, -1),
+            13: complex(-4.286263797015736e-16, -1),
+            17: complex(6.123233995736766e-17, 1),
+            39: complex(1, -2.4492935982947064e-16),
+        },
+    }
+    for name, values in pins.items():
+        table = builtin_series(name).coeffs.dense(40)
+        assert {n: complex(table[n]) for n in values} == values
 
 
 def test_explicit_source_validation():

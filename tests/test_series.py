@@ -149,6 +149,21 @@ def test_smooth_explicit_series():
     assert abs(val - _eta_exact(2.0)) < 1e-15
 
 
+@pytest.mark.parametrize("k", [1, 5, 10])
+def test_smooth_mask_matches_the_factorization(k):
+    r = 2**k
+    ps = primes.primes_up_to(4 * r + 50).tolist()
+    below = [p for p in ps if p <= r][-2:]
+    above = [p for p in ps if p > r][:2]
+    idx = [1, 2, r, r + 1] + below + above
+    idx += [p * p for p in below + above] + [below[-1] * above[0], below[0] ** 3]
+    rng = np.random.default_rng(k)
+    idx += rng.integers(1, 10**9, 200).tolist() + rng.integers(1, 4 * r, 50).tolist()
+    want = [max((p for p, _ in primes.factorize(n)), default=1) <= r for n in idx]
+    got = series._smooth_mask(np.asarray(idx, dtype=np.int64), r)
+    assert got.tolist() == want
+
+
 def test_twist_at_origin_is_identity():
     theta = TorusPoint(coords=np.zeros(2))  # primes 2 and 3
     s = 1.4 + 2.0j
