@@ -9,6 +9,7 @@ error, 2 numerical failure, 64 usage.
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -374,11 +375,42 @@ def _build_parser() -> _Parser:
     return p
 
 
+@functools.cache
+def _pin_blas() -> bool:
+    """Put numpy's bundled OpenBLAS on one thread, once per process; True
+    when a thread setter was found.
+
+    OpenBLAS rounds its one-thread and threaded products differently, so a
+    document on the kernel's matrix products would otherwise depend on
+    OPENBLAS_NUM_THREADS in its last bits.  Called at the first run, not at
+    import, so that importing the package stays cheap.  A BLAS without
+    either setter (MKL, Accelerate, a system OpenBLAS) is left alone.
+    """
+    import ctypes
+    import glob
+
+    import numpy
+
+    libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+                return True
+    return False
+
+
 def run(argv=None) -> int:
     """Parse argv, run one experiment, write one document.  Returns the
     process exit code; errors print one line on stderr.  A successful run
     that raised AccuracyWarnings prints one `dlab: warning:` line on stderr
-    per distinct message."""
+    per distinct message.  The first run in a process pins BLAS to one
+    thread (_pin_blas)."""
+    _pin_blas()
     notes = set()
     with warnings.catch_warnings():
         warnings.simplefilter("always", AccuracyWarning)

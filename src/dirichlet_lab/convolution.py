@@ -36,7 +36,8 @@ def identity_coefficients(N: int) -> np.ndarray:
 def dirichlet_convolve(a, b) -> np.ndarray:
     """c with c_n = sum over divisors d of n of a_d b_{n/d}.
 
-    Runs in O(N log N) by pushing each a_d across the stride-d slice.
+    Runs in O(N log N) by pushing each nonzero a_d across the stride-d
+    slice.
 
     Raises:
         PreconditionError: the arrays differ in length.
@@ -47,10 +48,8 @@ def dirichlet_convolve(a, b) -> np.ndarray:
         raise PreconditionError("length mismatch")
     N = a.size - 1
     c = np.zeros_like(a)
-    for d in range(1, N + 1):
-        ad = a[d]
-        if ad != 0:
-            c[d::d] += ad * b[1 : N // d + 1]
+    for d in np.flatnonzero(a[1:]) + 1:
+        c[d::d] += a[d] * b[1 : N // d + 1]
     return c
 
 
@@ -105,7 +104,15 @@ def _inverse_of_table(a: np.ndarray) -> np.ndarray:
     a*b = e up to index N = a.size - 1.
 
     Uses the push form of the recurrence b_n = -a_1^{-1} sum_{d|n, d>1}
-    a_d b_{n/d}, so each computed b_m is scattered forward once.
+    a_d b_{n/d}, one block of n with the same q = N // n at a time, in about
+    2 sqrt(N) blocks.  Every proper divisor of n lies in an earlier block,
+    so acc[n] is complete when its block starts; the block's b_n then push
+    acc[k n] += b_n a_k for 2 <= k <= q at once.  No two pairs (k, n) of a
+    block meet at one k n: k1 n1 = k2 n2 with n1 < n2 would give
+    k1 / k2 = n2 / n1 < (q + 1) / q, but k2 < k1 <= q gives
+    k1 / k2 >= q / (q - 1).  So each acc entry gains its terms one at a
+    time, in the order of n, as the one-n-at-a-time loop adds them, and
+    the bits are that loop's.
     """
     N = a.size - 1
     if a[1] == 0:
@@ -116,11 +123,23 @@ def _inverse_of_table(a: np.ndarray) -> np.ndarray:
     b[1] = inv
     if 2 <= N:
         acc[2:] += b[1] * a[2:]
-    for n in range(2, N + 1):
-        bn = -inv * acc[n]
-        b[n] = bn
-        if bn != 0 and 2 * n <= N:
-            acc[2 * n :: n] += bn * a[2 : N // n + 1]
+    neg = -inv
+    n = 2
+    while n <= N:
+        q = N // n
+        hi = N // q + 1  # the block is n <= m < hi
+        # b = -inv * acc in real arithmetic: the complex multiply of an
+        # array may fuse a multiply-add, which a scalar multiply does not.
+        block = acc[n:hi]
+        b[n:hi].real = neg.real * block.real - neg.imag * block.imag
+        b[n:hi].imag = neg.real * block.imag + neg.imag * block.real
+        if q >= 2:
+            ns = n + np.flatnonzero(b[n:hi])
+            # One row per n, b_n times a_2..a_q, as each n pushed its own.
+            acc[np.multiply.outer(ns, np.arange(2, q + 1))] += (
+                b[ns, None] * a[None, 2 : q + 1]
+            )
+        n = hi
     return b
 
 

@@ -94,9 +94,10 @@ class RecurrenceReport:
 # Winding engine
 
 
-def _polyline_winding(f, pts: np.ndarray, vals: np.ndarray) -> int:
-    """Winding number of f along a closed polyline (pts[-1] == pts[0]),
-    given its values vals at pts.
+def _polyline_winding(f, pts: np.ndarray, vals: np.ndarray):
+    """(winding, pts, vals): the winding number of f along a closed polyline
+    (pts[-1] == pts[0]) given its values vals at pts, with the refined
+    polyline and its values.
 
     Segments are bisected until every step has a phase jump under pi/2 and a
     magnitude change under a tenth of the local |f|, which rules out phase
@@ -120,7 +121,7 @@ def _polyline_winding(f, pts: np.ndarray, vals: np.ndarray) -> int:
             nearest = round(total)
             if abs(total - nearest) > 0.25:
                 raise NumericalError("winding number failed to stabilize")
-            return int(nearest)
+            return int(nearest), pts, vals
         if pts.size + idx.size > _MAX_BOUNDARY_POINTS:
             raise NumericalError("zero near boundary; perturb rectangle")
         mids = 0.5 * (pts[idx] + pts[idx + 1])
@@ -138,8 +139,11 @@ def _edge_count(z0: complex, z1: complex, step: float) -> int:
 
 
 def _rect_edges(rect: Rectangle, step: float) -> list:
-    """The four edges of a closed polyline around the rectangle, each without
-    its end point but the last; the size is checked first."""
+    """The four edges of a closed polyline around the rectangle,
+    counter-clockwise from its lower-left corner, each without its end point
+    but the last; the step and the size are checked first."""
+    if step <= 0:
+        raise PreconditionError("boundary step must be positive")
     c1 = complex(rect.sigma_lo, rect.t_lo)
     c2 = complex(rect.sigma_hi, rect.t_lo)
     c3 = complex(rect.sigma_hi, rect.t_hi)
@@ -156,22 +160,34 @@ def _rect_edges(rect: Rectangle, step: float) -> list:
     return [p[:-1] for p in parts[:3]] + parts[3:]
 
 
+def _rect_winding(f, rect: Rectangle, step: float, boundary=None):
+    """(winding, pts, vals) of f around the rectangle, with its refined
+    boundary: a closed polyline counter-clockwise from the lower-left corner.
+
+    boundary is that polyline's (pts, vals) when the caller has it already
+    (a half cell: its parent's refined boundary plus the cut); otherwise
+    the edges are sampled at step.  Every rectangle count goes through here.
+    """
+    if boundary is None:
+        edges = _rect_edges(rect, step)
+        # One call per edge, so each vertical side reaches the evaluator as
+        # one vertical line (the kernel's matrix-product branch).
+        vals = np.concatenate([f(e) for e in edges])
+        boundary = (np.concatenate(edges), vals)
+    return _polyline_winding(f, *boundary)
+
+
 def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
     """Zeros minus poles of f inside the rectangle, by boundary phase change.
 
     Raises:
-        PreconditionError: the boundary would need more than
-            _MAX_BOUNDARY_POINTS points, or a non-finite number of them.
+        PreconditionError: the boundary step is not positive, or the boundary
+            would need more than _MAX_BOUNDARY_POINTS points, or a non-finite
+            number of them.
         NumericalError: boundary passes too close to a zero ("zero near
             boundary; perturb rectangle") or the phase does not stabilize.
     """
-    if boundary_step <= 0:
-        raise PreconditionError("boundary step must be positive")
-    edges = _rect_edges(rect, boundary_step)
-    # One call per edge, so each vertical side reaches the evaluator as one
-    # vertical line (the kernel's matrix-product branch).
-    vals = np.concatenate([f(e) for e in edges])
-    return _polyline_winding(f, np.concatenate(edges), vals)
+    return _rect_winding(f, rect, boundary_step)[0]
 
 
 def winding_on_circle(f, center: complex, radius: float, samples: int = 256) -> int:
@@ -180,7 +196,7 @@ def winding_on_circle(f, center: complex, radius: float, samples: int = 256) -> 
         raise PreconditionError("circle radius must be positive")
     ring = _ring(center, radius, max(16, samples))
     pts = np.append(ring, ring[0])
-    return _polyline_winding(f, pts, f(pts))
+    return _polyline_winding(f, pts, f(pts))[0]
 
 
 def _ring(center: complex, r: float, samples: int) -> np.ndarray:
@@ -245,20 +261,34 @@ def zero_scan(f, rect: Rectangle, tol: float = 1e-10, boundary_step: float = 0.0
 
     Subdivides until each cell holds winding one, then refines by Newton
     iteration from the cell center and re-verifies each zero on a small
-    circle.  A boundary that passes through a zero is pushed outward in 1e-3
+    circle.  The rectangle's boundary is sampled and refined once; each half
+    of a split cell inherits its parent's refined boundary on its side, so a
+    split evaluates only the cut, and counting the halves refines only near
+    it.  A boundary that passes through a zero is pushed outward in 1e-3
     steps (up to three times), which can only adopt zeros sitting on the
     original edge, never lose interior ones.  Cells whose refinement fails
     are returned with winding_confirmed False rather than dropped.
     """
     if tol <= 0:
         raise PreconditionError("tolerance must be positive")
-    cur, w = _first_success(
-        lambda r: (r, winding_count(f, r, boundary_step)),
+    cur, (w, pts, vals) = _first_success(
+        lambda r: (r, _rect_winding(f, r, boundary_step)),
         accumulate(repeat(1e-3, 3), Rectangle.expanded, initial=rect),
     )
     if w < 0:
         raise NumericalError("negative winding; the region contains poles")
-    records = _scan_cell(f, cur, w, tol, boundary_step)
+    records = []
+    # Depth first, lower or left half first; a cell's boundary is dropped
+    # once it is split, so only pending halves keep theirs.
+    pending = [(cur, w, pts, vals)] if w else []
+    while pending:
+        cell, w, pts, vals = pending.pop()
+        rec = _cell_zero(f, cell, w, tol)
+        if rec is not None:
+            records += [rec] * w
+            continue
+        halves = _split(f, cell, w, pts, vals, boundary_step)
+        pending += [half for half in reversed(halves) if half[1]]
     records.sort(key=lambda rec: (rec.location.imag, rec.location.real))
     return records
 
@@ -270,47 +300,78 @@ def _cell_contains(cell: Rectangle, z: complex, margin: float) -> bool:
     )
 
 
-def _scan_cell(f, cell: Rectangle, w: int, tol: float, step: float):
-    if w == 0:
-        return []
+def _cell_zero(f, cell: Rectangle, w: int, tol: float):
+    """The ZeroRecord of a cell of winding one, or of a tiny cell of any
+    winding (its w zeros are reported as one location); None when the cell
+    must be split."""
     width = cell.sigma_hi - cell.sigma_lo
     height = cell.t_hi - cell.t_lo
     tiny = max(width, height) < 1e-6
-    if w == 1 or tiny:
-        center = complex(
-            0.5 * (cell.sigma_lo + cell.sigma_hi), 0.5 * (cell.t_lo + cell.t_hi)
-        )
-        z, residual, ok = _newton_refine(f, center, tol)
-        inside = ok and _cell_contains(cell, z, 0.1 * max(width, height))
-        if inside or tiny:
-            confirmed = inside and _confirm_circle(f, z) >= 1 and residual <= 1e-8
-            rec = ZeroRecord(
-                location=z, winding_confirmed=confirmed, refinement_residual=residual
-            )
-            return [rec] * w
-    # Split the longer axis; nudge the cut if it lands on a zero.
-    vertical = height >= width
-    lo, hi = (cell.t_lo, cell.t_hi) if vertical else (cell.sigma_lo, cell.sigma_hi)
+    if w != 1 and not tiny:
+        return None
+    center = complex(
+        0.5 * (cell.sigma_lo + cell.sigma_hi), 0.5 * (cell.t_lo + cell.t_hi)
+    )
+    z, residual, ok = _newton_refine(f, center, tol)
+    inside = ok and _cell_contains(cell, z, 0.1 * max(width, height))
+    if not (inside or tiny):
+        return None
+    confirmed = inside and _confirm_circle(f, z) >= 1 and residual <= 1e-8
+    return ZeroRecord(
+        location=z, winding_confirmed=confirmed, refinement_residual=residual
+    )
+
+
+def _split(f, cell: Rectangle, w: int, pts, vals, step: float):
+    """The two halves of a cell of winding w, as (cell, winding, pts, vals),
+    lower or left half first.
+
+    The longer axis is cut at its middle, and the cut is nudged if it meets
+    a zero.  Only the cut is evaluated, in one call that both halves share.
+    Each half's boundary is the cut plus the parent's refined points on its
+    side of the cut: one run of the parent's polyline, which starts at the
+    lower-left corner, for the upper or right half, and a run at each end
+    for the other.
+    """
+    across_t = cell.t_hi - cell.t_lo >= cell.sigma_hi - cell.sigma_lo
+    lo, hi = (cell.t_lo, cell.t_hi) if across_t else (cell.sigma_lo, cell.sigma_hi)
     base = 0.5 * (lo + hi)
     cuts = [base + shift for shift in _NUDGES if lo < base + shift < hi]
     if not cuts:
         raise NumericalError("could not place a zero-free cut")
+    key = pts.imag if across_t else pts.real
 
-    def split(cut):
-        if vertical:
+    def halves(cut):
+        if across_t:
             first, second = replace(cell, t_hi=cut), replace(cell, t_lo=cut)
+            z0, z1 = complex(cell.sigma_hi, cut), complex(cell.sigma_lo, cut)
         else:
             first, second = replace(cell, sigma_hi=cut), replace(cell, sigma_lo=cut)
-        w1 = winding_count(f, first, step)
-        w2 = winding_count(f, second, step)
+            z0, z1 = complex(cut, cell.t_lo), complex(cut, cell.t_hi)
+        # The cut runs the way the first half's boundary crosses it.
+        line = np.linspace(z0, z1, _edge_count(z0, z1, step))
+        # The parent's points at or above the cut are the run [a, b), and
+        # those strictly above it the run [a2, b2).
+        above = np.flatnonzero(key >= cut)
+        a, b = above[0], above[-1] + 1
+        above = np.flatnonzero(key > cut)
+        a2, b2 = above[0], above[-1] + 1
+        pairs = ((pts, line), (vals, f(line)))
+        p1, v1 = (np.concatenate((x[:a], seg, x[b:])) for x, seg in pairs)
+        # The second half starts at its lower-left corner, an end of the cut.
+        if across_t:
+            p2, v2 = (np.concatenate((seg[::-1], x[a2:b2], seg[-1:])) for x, seg in pairs)
+        else:
+            p2, v2 = (np.concatenate((seg[:1], x[a2:b2], seg[::-1])) for x, seg in pairs)
+        w1, p1, v1 = _rect_winding(f, first, step, (p1, v1))
+        w2, p2, v2 = _rect_winding(f, second, step, (p2, v2))
         if w1 + w2 != w:
             raise NumericalError(
                 "winding split %d + %d does not match parent %d" % (w1, w2, w)
             )
-        return first, w1, second, w2
+        return (first, w1, p1, v1), (second, w2, p2, v2)
 
-    first, w1, second, w2 = _first_success(split, cuts)
-    return _scan_cell(f, first, w1, tol, step) + _scan_cell(f, second, w2, tol, step)
+    return _first_success(halves, cuts)
 
 
 def density_table(
@@ -337,9 +398,9 @@ def density_table(
         if sigma >= sigma_hi:
             raise PreconditionError("sigma must be below sigma_hi")
         count = _first_success(
-            lambda d: winding_count(
+            lambda d: _rect_winding(
                 f, Rectangle(sigma + d, sigma_hi + d, t_lo, float(T)), boundary_step
-            ),
+            )[0],
             _NUDGES,
         )
         rows.append((sigma, float(T), int(count)))

@@ -1,4 +1,4 @@
-"""Reference values for the test suite.
+"""Reference values and reference loops for the test suite.
 
 Unless marked as a regression pin, every constant here was computed with an
 independent tool (mpmath at 40 significant digits, or a closed form) and
@@ -8,6 +8,8 @@ and each sits next to an independent plausibility check in the tests.
 """
 
 import math
+
+import numpy as np
 
 # mpmath.zeta at real points
 ZETA_2 = 1.6449340668482264
@@ -95,3 +97,36 @@ MOLLIFY_TAILS = {10: 0.2785649383119479, 100: 0.10145951650096476,
 
 # max over n <= 1e5 of tau_6(n) / n^0.9 (attained at n = 10080)
 DIVISOR_RATIO_MAX = 47.512497240130344
+
+
+# --- Reference loops (the one-index-at-a-time forms of the convolution code;
+# the array forms must give the same bits) ---
+
+
+def inverse_loop(a):
+    """Dirichlet inverse of the dense table a, one n at a time: b_n =
+    -a_1^{-1} acc_n, then b_n pushed across acc[2n::n]."""
+    N = a.size - 1
+    inv = 1.0 / a[1]
+    b = np.zeros(N + 1, dtype=np.complex128)
+    acc = np.zeros(N + 1, dtype=np.complex128)
+    b[1] = inv
+    if 2 <= N:
+        acc[2:] += b[1] * a[2:]
+    for n in range(2, N + 1):
+        bn = -inv * acc[n]
+        b[n] = bn
+        if bn != 0 and 2 * n <= N:
+            acc[2 * n :: n] += bn * a[2 : N // n + 1]
+    return b
+
+
+def convolve_loop(a, b):
+    """Dirichlet convolution of equal-length dense tables, visiting every d."""
+    N = a.size - 1
+    c = np.zeros_like(a)
+    for d in range(1, N + 1):
+        ad = a[d]
+        if ad != 0:
+            c[d::d] += ad * b[1 : N // d + 1]
+    return c

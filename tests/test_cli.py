@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -516,3 +519,21 @@ def test_document_replays_from_its_config_block(argv):
     assert code == 0 and err == ""
     replay = _replay_argv(json.loads(out))
     assert run_cli(replay) == (0, out, "")
+
+
+def test_moment_bits_independent_of_blas_threads():
+    # OpenBLAS rounds its one-thread and threaded matrix products
+    # differently; unpinned, this moment's estimate read 1.0906806989826843
+    # at one BLAS thread and 1.090680698982684 at two on a 2-vCPU Xeon VM.
+    # dlab pins BLAS to one thread at its first run.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    argv = [sys.executable, "-m", "dirichlet_lab.cli", "moment", "--series",
+            "character_12_2", "--sigma", "1", "--T", "100", "--N", "20000"]
+    docs = []
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        docs.append(proc.stdout)
+    assert docs[0] == docs[1]

@@ -10,6 +10,9 @@ from dirichlet_lab import (
     inverse_coefficients,
     mollifier_coefficients,
 )
+from dirichlet_lab.convolution import _inverse_of_table
+
+from _oracles import convolve_loop, inverse_loop
 
 
 def _random_coeffs(rng, N):
@@ -104,6 +107,35 @@ def test_inverse_requires_unit():
     )
     with pytest.raises(PreconditionError, match="no Dirichlet inverse"):
         inverse_coefficients(spec, 10)
+
+
+def _loop_table(kind, N):
+    """A builtin's table, or random complex coefficients with about a third
+    of them zero and a_1 = 1 or a non-real a_1."""
+    if kind not in ("complex-gaps", "nonreal-a1"):
+        return builtin_series(kind).coeffs.dense(N)
+    rng = np.random.default_rng(N)
+    a = _random_coeffs(rng, N)
+    a[rng.random(N + 1) < 0.3] = 0.0
+    a[0] = 0.0
+    a[1] = 1.0 if kind == "complex-gaps" else 0.7 - 0.4j
+    return a
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["zeta", "moebius", "divisor_2", "character_7_1", "character_16_5",
+     "complex-gaps", "nonreal-a1"],
+)
+def test_inverse_and_convolve_bit_identical_to_index_loops(kind):
+    # The quotient-block inverse and the nonzero-only convolution must give
+    # the bits of the loops that visit one index at a time, a non-real a_1
+    # included: the block's -a_1^{-1} acc is taken in real arithmetic.
+    for N in (1, 2, 3, 7, 1000, 99991):
+        a = _loop_table(kind, N)
+        b = _inverse_of_table(a)
+        assert b.tobytes() == inverse_loop(a).tobytes(), N
+        assert dirichlet_convolve(a, b).tobytes() == convolve_loop(a, b).tobytes(), N
 
 
 def test_mollifier_head_pattern():

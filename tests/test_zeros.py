@@ -142,12 +142,13 @@ def test_zero_scan_adopts_boundary_zero():
 def _spy_windings(monkeypatch):
     """Record every rectangle the zero scanner counts on."""
     seen = []
+    count = zeros_module._rect_winding
 
-    def spy(f, rect, boundary_step=0.01):
+    def spy(f, rect, *args):
         seen.append(rect)
-        return winding_count(f, rect, boundary_step)
+        return count(f, rect, *args)
 
-    monkeypatch.setattr(zeros_module, "winding_count", spy)
+    monkeypatch.setattr(zeros_module, "_rect_winding", spy)
     return seen
 
 
@@ -174,6 +175,40 @@ def test_zero_scan_gives_up_when_every_expansion_meets_a_zero(monkeypatch):
     with pytest.raises(NumericalError, match="zero near boundary"):
         zero_scan(_vanishing, Rectangle(0.0, 1.0, 0.0, 1.0))
     assert len(seen) == 4  # the rectangle and three expansions
+
+
+def test_zero_scan_evaluates_each_boundary_point_once(monkeypatch):
+    # Halves inherit their parent's refined boundary, so beyond the first
+    # boundary only the cuts (and refinement near them) are evaluated;
+    # Newton steps and the confirming circles are not counted here.
+    counted = [0]
+    quiet = [False]
+
+    def f(s):
+        if not quiet[0]:
+            counted[0] += np.size(s)
+        return ETA(s)
+
+    def uncounted(fn):
+        def wrapped(*args):
+            quiet[0] = True
+            try:
+                return fn(*args)
+            finally:
+                quiet[0] = False
+
+        return wrapped
+
+    for name in ("_newton_refine", "_confirm_circle"):
+        monkeypatch.setattr(zeros_module, name, uncounted(getattr(zeros_module, name)))
+    rect = Rectangle(0.5, 1.5, -1.0, 200.0)
+    records = zero_scan(f, rect)
+    first = sum(edge.size for edge in zeros_module._rect_edges(rect, 0.01))
+    assert counted[0] <= 1.2 * first
+    assert len(records) == 23  # t = 0, PERIOD2, ..., 22 PERIOD2 < 200
+    for k, rec in enumerate(records):
+        assert abs(rec.location - (1.0 + 1j * k * PERIOD2)) < 1e-9
+        assert rec.winding_confirmed
 
 
 def test_zero_scan_rejects_poles():
