@@ -8,6 +8,10 @@ given vertical shifts, by the matrix product exp(-i shifts log n) @
 vertical line whose imaginary parts form a base + offset grid (checked on
 every point) are such a table: the offsets are the points and the bases the
 shifts, one matrix product instead of one complex exp per (point, term).
+A caller that needs only a reduction of each shifted row (the recurrence
+scan's disc integrals) passes a reduce function: the loop hands it the rows
+_ROW_POINTS entries at a time, while they are in cache, and a polynomial
+within one term block never holds more than one such chunk.
 """
 
 import math
@@ -23,6 +27,10 @@ _MAX_TERMS = 20_000_000
 # Elementwise work arrays (terms x points, or terms x table rows) are capped
 # at this many entries.
 _CAP = 4_000_000
+
+# Rows handed to a reduce function go this many table entries (at least one
+# row) at a time: 1 MB of complex values.
+_ROW_POINTS = 1 << 16
 
 # How far t[a m + c] may sit from t[a m] + (t[c] - t[0]) for the points to
 # count as a base + offset grid, in ulps of max |t|.  Rounded uniform grids
@@ -66,26 +74,39 @@ class DirichletPolynomial:
             return complex(out[0])
         return out.reshape(arr.shape)
 
-    def shifted(self, points, shifts) -> np.ndarray:
+    def shifted(self, points, shifts, reduce=None) -> np.ndarray:
         """(shifts x points) table of sum_n c_n n^{-(points[j] + i shifts[k])}.
 
-        The shifts are taken _CAP // (block terms) rows at a time, and the
-        blocks depend on the number of points only, so the bits of a row do
-        not depend on how many shifts come with it.
+        The term blocks depend on the number of points only, and a row's
+        bits do not depend on the rows computed with it, so they do not
+        depend on how many shifts come with it.  With reduce, the table goes
+        to reduce(rows) in chunks of its rows, which reduce may overwrite,
+        and the concatenated results are returned instead.
         """
         points = np.asarray(points, dtype=np.complex128)
         shifts = np.asarray(shifts, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._table(points, shifts)
+            return self._table(points, shifts, reduce=reduce)
 
-    def _table(self, points, shifts=None, weighted=False) -> np.ndarray:
+    def _table(self, points, shifts=None, weighted=False, reduce=None) -> np.ndarray:
         """The one block loop: the (shifts x points) table, or with no
         shifts the (1 x points) row of sums.  A weighted table has as many
-        companion columns again, with every term weighted by log n."""
+        companion columns again, with every term weighted by log n.
+
+        Given shifts and reduce, the rows go to reduce _ROW_POINTS // width
+        at a time, as soon as their last term block is added.  Within one
+        term block every chunk is built in the same buffer, so the whole
+        table never exists."""
         width = points.size * (2 if weighted else 1)
-        out = np.zeros((1 if shifts is None else shifts.size, width), np.complex128)
+        n = 1 if shifts is None else shifts.size
+        terms = self.logs.size
         blk = max(1, _CAP // max(1, width))
-        for lo in range(0, self.logs.size, blk):
+        chunk = max(1, _ROW_POINTS // max(1, width))
+        reuse = reduce is not None and terms <= blk
+        out = np.empty((min(chunk, n) if reuse else n, width), np.complex128)
+        reduced = []
+        # An empty polynomial still runs one empty block, which writes zeros.
+        for lo in range(0, max(1, terms), blk):
             logs = self.logs[lo : lo + blk]
             right = np.multiply.outer(-logs, points)
             np.exp(right, out=right)
@@ -94,12 +115,15 @@ class DirichletPolynomial:
                 right = np.concatenate((right, right * logs[:, None]), axis=1)
             if shifts is None:
                 out[0] = out[0] + right.sum(axis=0) if lo else right.sum(axis=0)
-            else:
-                rows = _CAP // logs.size
-                for r in range(0, shifts.size, rows):
-                    left = np.exp(-1j * np.multiply.outer(shifts[r : r + rows], logs))
-                    _product(left, right, out[r : r + rows], add=lo > 0)
-        return out
+                continue
+            rows = chunk if reduce is not None else _CAP // max(1, logs.size)
+            for r in range(0, n, rows):
+                left = np.exp(-1j * np.multiply.outer(shifts[r : r + rows], logs))
+                part = out[: left.shape[0]] if reuse else out[r : r + rows]
+                _product(left, right, part, add=lo > 0)
+                if reduce is not None and lo + blk >= terms:
+                    reduced.append(reduce(part))
+        return out if reduce is None else np.concatenate(reduced)
 
 
 def _product(left: np.ndarray, right: np.ndarray, out: np.ndarray, add: bool):
@@ -107,10 +131,12 @@ def _product(left: np.ndarray, right: np.ndarray, out: np.ndarray, add: bool):
 
     numpy hands a one-row product to BLAS's matrix-vector kernel, whose
     rounding differs from the matrix-matrix one; a copied second row keeps
-    the bits of a row the same whatever its neighbours.  out must start at
-    zero, so that the one-row case can always add.
+    the bits of a row the same whatever its neighbours.  That row is added
+    to zeros, not assigned, so an exact zero sum reads +0.0 (0 + -0.0).
     """
     if left.shape[0] == 1:
+        if not add:
+            out[...] = 0
         out += (np.concatenate((left, left)) @ right)[:1]
     elif add:
         out += left @ right

@@ -437,13 +437,15 @@ def recurrence_scan(
     integral is kept, and hits are thinned to pairwise separation >= 1.
     Times with |t| < 1 are excluded as trivial self-recurrences.
 
-    An evaluator with a `shifted` method (the Dirichlet polynomials) gives
-    each window as one table over its times and the disc lattice; any other
-    callable is evaluated at every point.  Windows hold as many grid times
-    as fit in _POINT_CAP points, and each integral is the sum over one
-    time's row, so the window size never changes its bits.  The reported
-    integral of each hit is recomputed from f's values at its points, so
-    the report does not depend on which path ranked the times.
+    Windows hold as many grid times as fit in _POINT_CAP points.  An
+    evaluator with a `shifted` method (the Dirichlet polynomials) builds
+    each window's table over its times and the disc lattice a few rows at a
+    time, and each chunk of rows is reduced to its integrals while it is in
+    cache; any other callable is evaluated at every point of the window.
+    Each integral is the sum over one time's row, so neither the window nor
+    the chunk size changes its bits.  The reported integral of each hit is
+    recomputed from f's values at its points, so the report does not depend
+    on which path ranked the times.
     """
     if r <= 0 or T <= 0 or t_step <= 0:
         raise PreconditionError("recurrence scan needs positive r, T, t_step")
@@ -487,10 +489,8 @@ def recurrence_scan(
 
     def window(tt, product):
         if product:
-            diff = shifted(disc, tt)
-            diff -= base[None, :]  # the table is this scan's own
-        else:
-            diff = f(disc[None, :] + 1j * tt[:, None]) - base
+            return shifted(disc, tt, _row_distances(base)) * cell_area
+        diff = f(disc[None, :] + 1j * tt[:, None]) - base
         return np.abs(diff).sum(axis=1) * cell_area
 
     def disc_integrals(tt, product):
@@ -531,6 +531,22 @@ def recurrence_scan(
         hit_integrals=tuple(float(v) for v in hit_integrals),
         lower_bound_rate=len(thinned) / (2.0 * float(T)),
     )
+
+
+def _row_distances(base: np.ndarray):
+    """A reduce for `shifted`: the sum of |row - base| over each row of a
+    chunk, which it overwrites.  The moduli go through one float buffer,
+    sized by the first chunk, which is the largest."""
+    mags = None
+
+    def reduce(rows):
+        nonlocal mags
+        rows -= base
+        if mags is None:
+            mags = np.empty(rows.shape)
+        return np.abs(rows, out=mags[: len(rows)]).sum(axis=1)
+
+    return reduce
 
 
 def rouche_verify(f, s0: complex, t_j: float, r: float, m0: float) -> bool:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,6 +369,82 @@ def test_recurrence_bits_do_not_depend_on_the_window_size(monkeypatch, kernel_ca
     assert len(scans) == 8 and scans[0].size == 3802
     for i, scan in enumerate(scans[2:]):
         np.testing.assert_array_equal(scan, scans[i % 2])
+
+
+def _whole_table_distances(ev, points, shifts, base):
+    """Each row's sum of |f - base| as the scan once took it: the whole
+    shifted table first, then |table - base| and the row sums."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(ev.shifted(points, shifts) - base).sum(axis=1)
+
+
+# A complex polynomial with gaps in its indices, and one whose two terms
+# both reach about 1e308 near Re s = -600, so that their sum overflows on the
+# rows where their phases line up.
+_GAPPED = _kernel.DirichletPolynomial(
+    [1, 2, 5, 12, 13, 97], [1.0, -0.5 + 2j, 3j, 0.25 - 1j, -1.5, 0.75 + 0.5j]
+)
+_HUGE = _kernel.DirichletPolynomial([2, 3], [1e308 / 2.0**600, 1e308 / 3.0**600])
+
+
+@pytest.mark.parametrize(
+    "ev, sigma, P, K, kernel_cap, chunks",
+    [
+        # 1,000 points make chunks of 65 rows, so 131 shifts end in a
+        # one-row chunk, which takes _product's duplicated-row path.
+        (_GAPPED, 0.9, 1000, 131, None, [65, 65, 1]),
+        # A kernel cap of 2,000 cuts the six terms into three blocks, so the
+        # whole table is summed before its chunks are reduced.
+        (_GAPPED, 0.9, 1000, 131, 2000, [65, 65, 1]),
+        (_HUGE, -600.0, 1000, 131, None, [65, 65, 1]),
+        # Past 32,768 points every chunk is a single row.
+        (_GAPPED, 0.9, 40000, 3, None, [1, 1, 1]),
+    ],
+)
+def test_streamed_row_distances_match_the_whole_table(
+    monkeypatch, ev, sigma, P, K, kernel_cap, chunks
+):
+    if kernel_cap is not None:
+        monkeypatch.setattr(_kernel, "_CAP", kernel_cap)
+    rng = np.random.default_rng(P + K)
+    # The two terms of _HUGE cancel near t = pi / log 1.5, and again at every
+    # shift by a multiple of 2 pi / log 1.5, so there its rows stay finite.
+    # Half of the shifts are such multiples.
+    centre = sigma + 1j * math.pi / math.log(1.5)
+    points = centre + rng.uniform(-5e-4, 5e-4, P) + 1j * rng.uniform(-5e-4, 5e-4, P)
+    period = 2.0 * math.pi / math.log(1.5)
+    shifts = np.concatenate(
+        (rng.uniform(-100.0, 100.0, K - K // 2), period * np.arange(1, K // 2 + 1))
+    )
+    base = ev(points)
+    reduce = zeros_module._row_distances(base)
+    seen = []
+
+    def spy(rows):
+        seen.append(len(rows))
+        return reduce(rows)
+
+    got = ev.shifted(points, shifts, spy)
+    assert seen == chunks
+    assert np.array_equal(got, _whole_table_distances(ev, points, shifts, base), equal_nan=True)
+    if ev is _HUGE:
+        assert np.isfinite(base).all()
+        assert 0 < np.isfinite(got).sum() < K
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_recurrence_memory_does_not_grow_with_the_window(threads):
+    # numpy reports its data allocations to tracemalloc.  A window of 324
+    # grid times on the 3,228-point disc lattice took 16 MB as one table and
+    # 8 MB more for its moduli, about 24 MB per running window; the reduced
+    # chunks take about 1.5 MB.
+    tracemalloc.start()
+    try:
+        recurrence_scan(ETA, 1.0 + 0.0j, 0.05, 20.0, 0.01, threads=threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_rouche_accepts_true_period_rejects_half():
