@@ -28,7 +28,6 @@ from .moments import (
     QuadratureConfig,
     estimate_moment,
     lindelof_product,
-    lindelof_target,
     order_scan,
     polynomial_mean_exact,
     theoretical_target,
@@ -94,7 +93,6 @@ __all__ = [
     "identity_coefficients",
     "inverse_coefficients",
     "lindelof_product",
-    "lindelof_target",
     "load_source",
     "log_frequencies",
     "mollifier_coefficients",

@@ -39,7 +39,8 @@ class CoefficientSource:
         """
         raise NotImplementedError
 
-    def prime_power(self, p: int, e: int) -> complex:
+    def prime_powers(self, ps: np.ndarray, e: int) -> np.ndarray:
+        """a_{p^e} for every prime of the int64 array ps, at one e >= 1."""
         raise PreconditionError("source is not multiplicative")
 
 
@@ -82,33 +83,40 @@ class ExplicitSource(CoefficientSource):
 
 @dataclass(frozen=True)
 class MultiplicativeSource(CoefficientSource):
-    """Source defined by a prime-power rule a_{p^e}, with a_1 = 1."""
+    """Source defined by a prime-power rule a_{p^e}, with a_1 = 1: rule(ps, e)
+    gets an int64 array of primes and one e >= 1 and returns a_{p^e} for
+    each, or anything that broadcasts to that shape (one number for a rule
+    of e alone)."""
 
-    rule: object  # callable (p, e) -> complex
+    rule: object
     square_growth_base: float = 1.0
     unit_bounded: bool = True
 
-    def prime_power(self, p: int, e: int) -> complex:
-        if e == 0:
-            return 1.0 + 0j
-        return complex(self.rule(p, e))
+    def prime_powers(self, ps: np.ndarray, e: int) -> np.ndarray:
+        return np.broadcast_to(np.asarray(self.rule(ps, e), dtype=np.complex128), ps.shape)
 
     def dense(self, limit: int) -> np.ndarray:
         # One sieve over the primes, largest first: a_n = 1 * a_{p_k^{e_k}}
         # ... a_{p_1^{e_1}}, and j p takes a_{p^e} where p^{e-1} divides j.
         arr = np.zeros(limit + 1, dtype=np.complex128)
         arr[1:] = 1.0
-        for p in primes_up_to(limit)[::-1].tolist():
-            multiples = arr[p::p]
-            if p * p > limit:
-                multiples *= self.prime_power(p, 1)
-                continue
-            factor = np.empty(multiples.size, dtype=np.complex128)
-            q, e = 1, 1
+        ps = primes_up_to(limit)
+        a_p = self.prime_powers(ps, 1)
+        small = int(np.searchsorted(ps, math.isqrt(limit), side="right"))
+        # A prime past sqrt(limit) divides n <= limit at most once, and comes
+        # first in the sieve: each cofactor j takes every such p at once.
+        big, a_big = ps[small:], a_p[small:]
+        for j in range(1, math.isqrt(limit) + 1):
+            count = np.searchsorted(big, limit // j, side="right")
+            arr[j * big[:count]] *= a_big[:count]
+        for i in range(small - 1, -1, -1):
+            p = int(ps[i])
+            factor = np.full(limit // p, a_p[i])
+            q, e = p, 2
             while q <= limit // p:
-                factor[q - 1 :: q] = self.prime_power(p, e)
+                factor[q - 1 :: q] = self.prime_powers(ps[i : i + 1], e)
                 q, e = q * p, e + 1
-            multiples *= factor
+            arr[p::p] *= factor
         return arr
 
 
@@ -217,20 +225,17 @@ class _CharacterSource(CoefficientSource):
     index: int
     table: np.ndarray  # read-only chi(0..modulus-1)
 
-    def prime_power(self, p: int, e: int) -> complex:
-        return complex(self.table[pow(p, e, self.modulus)])
+    def prime_powers(self, ps: np.ndarray, e: int) -> np.ndarray:
+        # chi(p^e mod q); residues stay below q <= 10^6, so products fit int64.
+        base = residue = ps % self.modulus
+        for _ in range(e - 1):
+            residue = residue * base % self.modulus
+        return self.table[residue]
 
     def dense(self, limit: int) -> np.ndarray:
         arr = np.resize(self.table, limit + 1)
         arr[0] = 0.0
         return arr
-
-
-def _divisor_rule(k: int):
-    def rule(p, e):
-        return float(math.comb(e + k - 1, k - 1))
-
-    return rule
 
 
 def builtin_series(name: str) -> SeriesSpec:
@@ -272,7 +277,7 @@ def builtin_series(name: str) -> SeriesSpec:
             raise PreconditionError("divisor order must be >= 1")
         return SeriesSpec(
             coeffs=MultiplicativeSource(
-                rule=_divisor_rule(k),
+                rule=lambda p, e: float(math.comb(e + k - 1, k - 1)),
                 square_growth_base=float(k * k),
                 unit_bounded=(k == 1),
             ),
@@ -323,7 +328,9 @@ def load_source(obj) -> SeriesSpec:
       {"kind": "multiplicative", "prime_powers": [[p, e, re, im], ...]}
       {"kind": "builtin", "name": "zeta"}
     Optional keys "sigma_m", "sigma_a", "label" override the defaults.
-    Unlisted explicit indices and unlisted prime powers are zero.
+    Unlisted explicit indices and unlisted prime powers are zero.  A
+    multiplicative file becomes a MultiplicativeSource whose rule(ps, e)
+    looks up the listed a_{p^e} for a whole array of primes at one e.
 
     Raises:
         PreconditionError: the file cannot be read or parsed, or the
@@ -380,8 +387,16 @@ def _spec_from_doc(data: dict) -> SeriesSpec:
         except OverflowError:  # some |v|^(2/e) lies past the float range
             growth = math.inf
 
-        def rule(p, e, _table=table):
-            return _table.get((int(p), int(e)), 0j)
+        keys = sorted(table)  # ascending (p, e); past int64 is malformed
+        listed = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+        values = np.asarray([table[k] for k in keys], dtype=np.complex128)
+
+        def rule(ps, e):
+            at_e = listed[:, 1] == e
+            # A sentinel 0, which is no prime, past the listed primes: a miss.
+            primes, vals = np.append(listed[at_e, 0], 0), np.append(values[at_e], 0j)
+            i = np.searchsorted(primes[:-1], ps)
+            return np.where(primes[i] == ps, vals[i], 0j)
 
         src = MultiplicativeSource(
             rule=rule,

@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import ExplicitSource, SeriesSpec, _is_zeta, builtin_series
+from .coefficients import ExplicitSource, SeriesSpec, _is_zeta
 from .convolution import convolution_power
 from .errors import NumericalError, PreconditionError
 from .parallel import finite_steps, map_spans
-from .series import _rankin_square_tail, default_evaluator
+from .series import default_evaluator
 from .zeta import zeta_eval
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "QuadratureConfig",
     "estimate_moment",
     "lindelof_product",
-    "lindelof_target",
     "order_scan",
     "polynomial_mean_exact",
     "theoretical_target",
@@ -191,29 +190,6 @@ def polynomial_mean_exact(coeffs, sigma: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Divisor-sum targets
-
-
-def lindelof_target(k: int, sigma: float, N: int) -> float:
-    """Partial sum of tau_k(n)^2 n^{-2 sigma} to N, certified by a tail bound.
-
-    Raises:
-        PreconditionError: k outside 1..6 or 2 sigma <= 1.
-        NumericalError: the tail bound exceeds 0.35 * partial ("increase N").
-    """
-    if not 1 <= int(k) <= 6:
-        raise PreconditionError("divisor order k must be in 1..6")
-    if 2.0 * sigma <= 1.0:
-        raise PreconditionError("need 2 sigma > 1 for the divisor sum")
-    k = int(k)
-    if N < 2:
-        raise PreconditionError("need N >= 2")
-    divisor = builtin_series("divisor_%d" % k).coeffs
-    tau = divisor.dense(int(N)).real
-    ns = np.arange(1, int(N) + 1, dtype=np.float64)
-    partial = math.fsum(tau[1:] ** 2 * ns ** (-2.0 * sigma))
-    if _rankin_square_tail(divisor, sigma, int(N)) > 0.35 * partial:
-        raise NumericalError("increase N")
-    return partial
 
 
 def lindelof_product(k: int, sigma: float) -> float:

@@ -3,8 +3,10 @@ truncations with certified tails, torus twists, and squared-coefficient
 (tail) norms.
 """
 
-import cmath
+import functools
+import itertools
 import math
+import operator
 import sys
 
 import numpy as np
@@ -22,8 +24,10 @@ __all__ = [
     "twisted_eval",
 ]
 
-# Local Euler factors are summed to at most this many terms.
+# Local Euler factors are summed to at most this many terms, over blocks of
+# at most this many primes at a time.
 _LOCAL_SUM_CAP = 400
+_PRIME_BLOCK = 1 << 16
 
 
 def _truncated(spec: SeriesSpec, N: int) -> DirichletPolynomial:
@@ -112,40 +116,56 @@ def _rankin_square_tail(src, sigma: float, N: int) -> float:
         )
     best = math.inf  # log of the least bound
     for beta, P in trials:
-        log_prod = 0.0
-        for p in primes_up_to(P).tolist():
-            local = _local_factor(
-                lambda e: abs(src.prime_power(p, e)) ** 2, float(p) ** (-beta)
-            )
-            if local is None:
-                break
-            log_prod += math.log(local)
-        else:
-            # Primes beyond P: each factor <= 1 + 2 G p^{-beta}, log-summed
-            # against the integral envelope (valid once G P^{-beta} <= 1/2).
-            log_prod += 2.0 * G * P ** (1.0 - beta) / (beta - 1.0)
-            best = min(best, (beta - 2.0 * sigma) * math.log(N) + log_prod)
+        local = _local_factors(
+            src, primes_up_to(P), beta, lambda a: _pow(np.hypot(a.real, a.imag), 2)
+        )
+        if not np.isfinite(local).all():
+            continue
+        # Primes beyond P: each factor <= 1 + 2 G p^{-beta}, log-summed
+        # against the integral envelope (valid once G P^{-beta} <= 1/2).
+        log_prod = _log_sum(local) + 2.0 * G * P ** (1.0 - beta) / (beta - 1.0)
+        best = min(best, (beta - 2.0 * sigma) * math.log(N) + log_prod)
     if not best < math.log(sys.float_info.max):
         raise NumericalError("divergence detected in tail norm")
     return math.exp(best)
 
 
-def _local_factor(coef, x):
-    """sum_{e >= 0} coef(e) x^e, or None when it does not converge: no term
-    falls below 1e-18 of the total within _LOCAL_SUM_CAP terms, the total is
-    not finite, or the rule overflows."""
-    try:
-        total = coef(0)
-        for e in range(1, _LOCAL_SUM_CAP + 1):
-            term = coef(e) * x**e
-            total += term
-            if not cmath.isfinite(total):
-                return None
-            if abs(term) <= 1e-18 * abs(total):
-                return total
-    except OverflowError:
-        pass
-    return None
+def _local_factors(src, ps, s, weight):
+    """sum_{e >= 0} weight(a_{p^e}) p^{-es} for every prime of ps, with
+    weight(a_1) = 1, one exponent per step over the primes of a block still
+    open.  Not finite where the sum does not converge: no term falls below
+    1e-18 of the total within _LOCAL_SUM_CAP terms, the total is not
+    finite, or the rule overflows (ending every prime open at that e)."""
+    out = np.ones(ps.size, dtype=np.result_type(float, s))
+    for lo in range(0, ps.size, _PRIME_BLOCK):
+        x = _pow(ps[lo : lo + _PRIME_BLOCK].astype(np.float64), -s)
+        total = out[lo : lo + x.size]
+        live = np.arange(x.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for e in range(1, _LOCAL_SUM_CAP + 1):
+                    if not live.size:
+                        break
+                    term = weight(src.prime_powers(ps[lo + live], e)) * _pow(x[live], e)
+                    total[live] += term
+                    sums = total[live]
+                    live = live[np.isfinite(sums) & (np.abs(term) > 1e-18 * np.abs(sums))]
+            except OverflowError:
+                pass
+        total[live] = np.nan
+    return out
+
+
+def _pow(base, exponent):
+    """base ** exponent per element, as Python computes it.  Local factors take
+    powers, |a_{p^e}| (hypot) and logs as Python does, since numpy's pow, abs
+    and log may round the last bit differently, and sum them in order."""
+    powers = map(pow, base.tolist(), itertools.repeat(exponent))
+    return np.fromiter(powers, np.result_type(base, exponent), base.size)
+
+
+def _log_sum(values):
+    return functools.reduce(operator.add, map(math.log, values), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +183,11 @@ def _smooth_coefficients(spec: SeriesSpec, sm: SmoothSet) -> np.ndarray:
         out[np.searchsorted(sm.members, idx[hit])] = val[hit]
         return out
 
-    def times_prime_power(i, parent, e):
-        p = int(sm.primes[i])
-        table = np.asarray(
-            [src.prime_power(p, j) for j in range(int(e.max()) + 1)],
-            dtype=np.complex128,
-        )
-        return parent * table[e]
-
-    return sm.fold(1.0 + 0j, times_prime_power)
+    # table[i, e] = a_{p^e} for p = primes[i], one call per level e.
+    table = np.ones((sm.primes.size, int(sm.levels.max()) + 1), dtype=np.complex128)
+    for e in range(1, table.shape[1]):
+        table[:, e] = src.prime_powers(sm.primes, e)
+    return sm.fold(1.0 + 0j, lambda i, parent, e: parent * table[i, e])
 
 
 def _phase_for(theta, sm: SmoothSet) -> np.ndarray:
@@ -205,13 +221,10 @@ def _rankin_smooth_tail(spec: SeriesSpec, sigma: float, r: int, M: int):
         beta = 0.5 * (sigma + spec.sigma_m)
     if beta >= sigma:
         raise PreconditionError("Rankin exponent must satisfy beta < sigma")
-    log_prod = 0.0
-    for p in primes_up_to(r).tolist():
-        local = _local_factor(lambda e: abs(src.prime_power(p, e)), float(p) ** (-beta))
-        if local is None:
-            raise PreconditionError("series not in J at this σ")
-        log_prod += math.log(local)
-    log_bound = (beta - sigma) * math.log(M) + log_prod
+    local = _local_factors(src, primes_up_to(r), beta, lambda a: np.hypot(a.real, a.imag))
+    if not np.isfinite(local).all():
+        raise PreconditionError("series not in J at this σ")
+    log_bound = (beta - sigma) * math.log(M) + _log_sum(local)
     if not log_bound < math.log(sys.float_info.max):
         raise NumericalError("smooth tail bound exceeds the float range")
     return math.exp(log_bound)
@@ -219,14 +232,12 @@ def _rankin_smooth_tail(spec: SeriesSpec, sigma: float, r: int, M: int):
 
 def _euler_product(spec: SeriesSpec, s: complex, r: int) -> complex:
     """prod over p <= r of sum_e a_{p^e} p^{-e s} (the full local series)."""
-    src = spec.coeffs
-    out = 1.0 + 0j
-    for p in primes_up_to(r).tolist():
-        factor = _local_factor(lambda e: src.prime_power(p, e), float(p) ** (-s))
-        if factor is None:
-            raise NumericalError("Euler factor diverges at p = %d" % p)
-        out *= factor
-    return out
+    ps = primes_up_to(r)
+    factors = _local_factors(spec.coeffs, ps, s, lambda a: a)
+    diverges = ~np.isfinite(factors)
+    if diverges.any():
+        raise NumericalError("Euler factor diverges at p = %d" % ps[diverges.argmax()])
+    return functools.reduce(operator.mul, map(complex, factors), 1.0 + 0j)
 
 
 def smooth_truncation_eval(spec: SeriesSpec, s: complex, k: int, M=None):
@@ -271,19 +282,18 @@ def smooth_truncation_eval(spec: SeriesSpec, s: complex, k: int, M=None):
 
 
 def _smooth_mask(idx: np.ndarray, r: int) -> np.ndarray:
-    """Per index n >= 1: whether n is r-smooth.  Trial division by the
-    primes up to min(r, sqrt(max n)), stopped once p^2 exceeds what is left,
-    leaves a cofactor that is <= r exactly when n is r-smooth."""
-    ps = primes_up_to(min(r, math.isqrt(int(idx.max(initial=1))))).tolist()
-    smooth = []
-    for m in idx.tolist():
-        for p in ps:
-            if p * p > m:
-                break
-            while m % p == 0:
-                m //= p
-        smooth.append(m <= r)
-    return np.asarray(smooth, dtype=bool)
+    """Per index n >= 1: whether n is r-smooth.  Dividing every index by the
+    primes up to min(r, sqrt(max n)), one array pass per prime power and
+    stopped once p^2 exceeds every cofactor, leaves a cofactor that is <= r
+    exactly when n is r-smooth."""
+    rest = idx.copy()
+    divisors = primes_up_to(min(r, math.isqrt(int(idx.max(initial=1)))))
+    for p in divisors.tolist():
+        if p * p > rest.max():
+            break
+        while (hit := rest % p == 0).any():
+            rest[hit] //= p
+    return rest <= r
 
 
 def twisted_eval(spec: SeriesSpec, theta, s: complex, k: int, M: int) -> complex:

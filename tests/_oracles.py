@@ -7,9 +7,14 @@ package's own first verified run; they guard against drift, not correctness,
 and each sits next to an independent plausibility check in the tests.
 """
 
+import cmath
 import math
+import sys
 
 import numpy as np
+
+from dirichlet_lab import NumericalError, PreconditionError
+from dirichlet_lab.primes import _SIEVE_BOUND, primes_up_to
 
 # mpmath.zeta at real points
 ZETA_2 = 1.6449340668482264
@@ -130,3 +135,89 @@ def convolve_loop(a, b):
         if ad != 0:
             c[d::d] += ad * b[1 : N // d + 1]
     return c
+
+
+# --- Reference loops for the local Euler factors: one prime at a time and
+# one Python scalar at a time, as dirichlet_lab.series summed them before
+# its array helper.  For real s the array forms must give the same bits. ---
+
+LOCAL_SUM_CAP = 400
+
+
+def local_factor(coef, x):
+    """sum_{e >= 0} coef(e) x^e, or None when it does not converge: no term
+    falls below 1e-18 of the total within LOCAL_SUM_CAP terms, the total is
+    not finite, or the rule overflows."""
+    try:
+        total = coef(0)
+        for e in range(1, LOCAL_SUM_CAP + 1):
+            term = coef(e) * x**e
+            total += term
+            if not cmath.isfinite(total):
+                return None
+            if abs(term) <= 1e-18 * abs(total):
+                return total
+    except OverflowError:
+        pass
+    return None
+
+
+def prime_power(src, p, e):
+    """a_{p^e} of the one prime p (a_1 = 1 at e = 0)."""
+    if e == 0:
+        return 1.0 + 0j
+    return complex(src.prime_powers(np.asarray([p], dtype=np.int64), e)[0])
+
+
+def euler_product_loop(src, s, r):
+    """prod over p <= r of sum_e a_{p^e} p^{-e s}."""
+    out = 1.0 + 0j
+    for p in primes_up_to(r).tolist():
+        factor = local_factor(lambda e: prime_power(src, p, e), float(p) ** (-s))
+        if factor is None:
+            raise NumericalError("Euler factor diverges at p = %d" % p)
+        out *= factor
+    return out
+
+
+def rankin_smooth_tail_loop(spec, sigma, r, M):
+    """Rankin bound on sum_{n r-smooth, n > M} |a_n| n^{-sigma}."""
+    src = spec.coeffs
+    beta = sigma - 1.0 if not math.isfinite(spec.sigma_m) else 0.5 * (sigma + spec.sigma_m)
+    log_prod = 0.0
+    for p in primes_up_to(r).tolist():
+        local = local_factor(lambda e: abs(prime_power(src, p, e)), float(p) ** (-beta))
+        if local is None:
+            raise PreconditionError("series not in J at this σ")
+        log_prod += math.log(local)
+    log_bound = (beta - sigma) * math.log(M) + log_prod
+    if not log_bound < math.log(sys.float_info.max):
+        raise NumericalError("smooth tail bound exceeds the float range")
+    return math.exp(log_bound)
+
+
+def rankin_square_tail_loop(src, sigma, N):
+    """Rankin bound on sum_{n > N} |a_n|^2 n^{-2 sigma}, the least over five
+    trial exponents."""
+    G = max(1.0, float(src.square_growth_base))
+    best = math.inf
+    for frac in (0.2, 0.35, 0.5, 0.65, 0.8):
+        beta = 1.0 + frac * (2.0 * sigma - 1.0)
+        bound = (2.0 * G) ** (1.0 / beta)
+        if bound > _SIEVE_BOUND:
+            continue
+        P = max(1000, math.ceil(bound))
+        log_prod = 0.0
+        for p in primes_up_to(P).tolist():
+            local = local_factor(
+                lambda e: abs(prime_power(src, p, e)) ** 2, float(p) ** (-beta)
+            )
+            if local is None:
+                break
+            log_prod += math.log(local)
+        else:
+            log_prod += 2.0 * G * P ** (1.0 - beta) / (beta - 1.0)
+            best = min(best, (beta - 2.0 * sigma) * math.log(N) + log_prod)
+    if not best < math.log(sys.float_info.max):
+        raise NumericalError("divergence detected in tail norm")
+    return math.exp(best)

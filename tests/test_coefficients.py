@@ -113,14 +113,14 @@ def test_unknown_builtin():
 def test_multiplicative_dense_matches_value():
     # a_n is the product of a_{p^e} over the factorization of n.
     src = MultiplicativeSource(
-        rule=lambda p, e: complex(1.0 / (e + 1), 0.1 * (p % 3)),
+        rule=lambda p, e: 1.0 / (e + 1) + 0.1j * (p % 3),
         square_growth_base=1.0,
     )
     dense = src.dense(2000)
     for n in (1, 2, 6, 12, 360, 1024, 1999):
         want = 1.0 + 0j
         for p, e in factorize(n):
-            want *= src.prime_power(p, e)
+            want *= src.prime_powers(np.asarray([p]), e)[0]
         assert abs(dense[n] - want) < 1e-12
 
 
@@ -128,7 +128,7 @@ def test_multiplicative_dense_matches_value():
     "src",
     [
         builtin_series("divisor_3").coeffs,
-        MultiplicativeSource(rule=lambda p, e: float(p % 4 - 2 * e)),
+        MultiplicativeSource(rule=lambda p, e: 1.0 * (p % 4 - 2 * e)),
     ],
     ids=["divisor_3", "integer-rule"],
 )
@@ -136,7 +136,7 @@ def test_integer_dense_is_the_exact_product(src):
     # Integer prime-power values multiply exactly, in any order.
     want = [0.0]
     for n in range(1, 5001):
-        want.append(math.prod(src.prime_power(p, e) for p, e in factorize(n)))
+        want.append(math.prod(src.prime_powers(np.asarray([p]), e)[0] for p, e in factorize(n)))
     np.testing.assert_array_equal(src.dense(5000), want)
 
 
@@ -217,7 +217,7 @@ def test_explicit_source_validation():
 def test_prime_power_requires_multiplicative():
     src = ExplicitSource.from_pairs([(1, 1.0)])
     with pytest.raises(PreconditionError, match="not multiplicative"):
-        src.prime_power(2, 1)
+        src.prime_powers(np.asarray([2]), 1)
 
 
 def test_abscissa_ordering():

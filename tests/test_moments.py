@@ -5,7 +5,6 @@ import pytest
 
 from dirichlet_lab import (
     ExplicitSource,
-    NumericalError,
     PreconditionError,
     QuadratureConfig,
     SeriesSpec,
@@ -13,7 +12,6 @@ from dirichlet_lab import (
     convolution_power,
     estimate_moment,
     lindelof_product,
-    lindelof_target,
     order_scan,
     polynomial_mean_exact,
     theoretical_target,
@@ -103,32 +101,6 @@ def test_moment_guards():
         QuadratureConfig(rule="midpoint")
     with pytest.raises(PreconditionError, match="step"):
         QuadratureConfig(step=0.0)
-
-
-def test_lindelof_target_first_order():
-    # tau_1 = 1, so the certified partial sum must sit just below zeta(1.5)
-    N = 200_000
-    got = lindelof_target(1, 0.75, N)
-    assert 0.0 < ZETA_1_5 - got <= 2.01 * N**-0.5
-
-
-def test_lindelof_target_second_order():
-    got = lindelof_target(2, 1.0, 200_000)
-    assert abs(got - FOURTH_TARGET_1) / FOURTH_TARGET_1 < 1e-3
-    assert got < FOURTH_TARGET_1  # partial sums increase to the limit
-
-
-def test_lindelof_target_guards():
-    with pytest.raises(NumericalError, match="increase N"):
-        lindelof_target(2, 0.6, 10)
-    with pytest.raises(PreconditionError, match="1..6"):
-        lindelof_target(0, 0.75, 100)
-    with pytest.raises(PreconditionError, match="1..6"):
-        lindelof_target(7, 0.75, 100)
-    with pytest.raises(PreconditionError, match="2 sigma > 1"):
-        lindelof_target(1, 0.5, 100)
-    with pytest.raises(PreconditionError, match="N >= 2"):
-        lindelof_target(1, 0.75, 1)
 
 
 def test_lindelof_product_values():

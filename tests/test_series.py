@@ -21,11 +21,18 @@ from dirichlet_lab import (
     zeta_eval,
     zeta_values,
 )
-from dirichlet_lab import _kernel, primes, series
+from dirichlet_lab import _kernel, cli, coefficients, primes, series
 from dirichlet_lab._kernel import DirichletPolynomial, _vertical_grid
 from dirichlet_lab.coefficients import load_source
 
-from _oracles import ZETA_2
+from _oracles import (
+    FOURTH_TARGET_1,
+    ZETA_1_5,
+    ZETA_2,
+    euler_product_loop,
+    rankin_smooth_tail_loop,
+    rankin_square_tail_loop,
+)
 
 ETA = builtin_series("eta-factor")
 ZETA = builtin_series("zeta")
@@ -112,6 +119,20 @@ def test_tail_norm_divisor_bound_covers_next_block():
     assert 0.0 < next_block <= bound_N
 
 
+def test_tail_norm_brackets_zeta_of_2sigma():
+    # tau_1 = 1, so the partial sum sits just below zeta(1.5), within the bound
+    N = 200_000
+    partial, bound = tail_norm(builtin_series("divisor_1"), 0.75, N)
+    assert 0.0 < ZETA_1_5 - partial <= bound <= 2.01 * N**-0.5
+
+
+def test_tail_norm_brackets_the_divisor_square_sum():
+    # sum tau(n)^2 n^{-2} = zeta(2)^4 / zeta(4); partial sums increase to it
+    partial, bound = tail_norm(builtin_series("divisor_2"), 1.0, 200_000)
+    assert partial < FOURTH_TARGET_1 <= partial + bound
+    assert abs(partial - FOURTH_TARGET_1) / FOURTH_TARGET_1 < 1e-3
+
+
 def test_tail_norm_divergent_abscissa():
     with pytest.raises(PreconditionError, match="2 sigma > 1"):
         tail_norm(ZETA, 0.5, 100)
@@ -157,6 +178,7 @@ def test_smooth_mask_matches_the_factorization(k):
     above = [p for p in ps if p > r][:2]
     idx = [1, 2, r, r + 1] + below + above
     idx += [p * p for p in below + above] + [below[-1] * above[0], below[0] ** 3]
+    idx += [2**39, 3**24, 2**20 * above[0]]
     rng = np.random.default_rng(k)
     idx += rng.integers(1, 10**9, 200).tolist() + rng.integers(1, 4 * r, 50).tolist()
     want = [max((p for p, _ in primes.factorize(n)), default=1) <= r for n in idx]
@@ -451,10 +473,10 @@ def test_kernel_input_of_any_shape():
 def test_smooth_coefficients_visit_only_primes_up_to_the_bound():
     # Liouville's lambda; the 1024-smooth members up to 50 only use p <= 47.
     class Liouville(MultiplicativeSource):
-        def prime_power(self, p, e):
-            if p > 50:
-                raise AssertionError("asked for a_{%d^%d}" % (p, e))
-            return super().prime_power(p, e)
+        def prime_powers(self, ps, e):
+            if (ps > 50).any():
+                raise AssertionError("asked for a_{%d^%d}" % (ps.max(), e))
+            return super().prime_powers(ps, e)
 
     lam = Liouville(rule=lambda p, e: (-1.0) ** e)
     spec = SeriesSpec(coeffs=lam, sigma_m=0.5, sigma_a=1.0)
@@ -466,12 +488,12 @@ def test_smooth_coefficients_visit_only_primes_up_to_the_bound():
 
 def test_smooth_coefficients_of_a_complex_multiplicative_source():
     # A complex rule, so the fold's products of a_{p^e} are complex too.
-    src = MultiplicativeSource(rule=lambda p, e: complex(math.cos(p * e), math.sin(p + e)) / (e + 1))
+    src = MultiplicativeSource(rule=lambda p, e: (np.cos(p * e) + 1j * np.sin(p + e)) / (e + 1))
     spec = SeriesSpec(coeffs=src, sigma_m=1.0, sigma_a=1.0)
     sm = primes.smooth_enumerate(64, 20_000)
     got = series._smooth_coefficients(spec, sm)
     for n, a in zip(sm.members.tolist(), got):
-        want = math.prod((src.prime_power(p, e) for p, e in primes.factorize(n)), start=1 + 0j)
+        want = math.prod((complex(src.rule(p, e)) for p, e in primes.factorize(n)), start=1 + 0j)
         assert abs(a - want) <= 1e-13
 
 
@@ -487,3 +509,82 @@ def test_smooth_truncation_memory_does_not_grow_with_the_primes():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Local Euler factors: the array helper against the one-prime-at-a-time loop.
+
+_LOCAL_SOURCES = {
+    name: builtin_series(name) for name in ("zeta", "moebius", "divisor_3", "character_7_1")
+}
+_LOCAL_SOURCES["file"] = load_source(
+    {
+        "kind": "multiplicative",
+        "prime_powers": [[2, 1, 1.5, 0.0], [2, 2, -0.75, 0.0], [3, 1, 2.0, 0.0],
+                         [5, 3, 0.3, 0.0], [7, 1, -1.25, 0.0], [11, 2, 1.1, 0.0],
+                         [4093, 1, 0.5, 0.0]],
+    }
+)
+
+
+@pytest.mark.parametrize("name", sorted(_LOCAL_SOURCES))
+def test_local_factor_routines_match_the_scalar_loop(name):
+    spec = _LOCAL_SOURCES[name]
+    for r in (2, 64, 4096):
+        for s in (0.75, 1.2, 1.7, 3.0):
+            got = series._euler_product(spec, complex(s), r)
+            assert got == euler_product_loop(spec.coeffs, complex(s), r), (r, s)
+            got = series._rankin_smooth_tail(spec, s, r, 1000)
+            assert got == rankin_smooth_tail_loop(spec, s, r, 1000), (r, s)
+    for sigma in (0.6, 0.75, 1.0, 1.5):
+        got = series._rankin_square_tail(spec.coeffs, sigma, 1000)
+        assert got == rankin_square_tail_loop(spec.coeffs, sigma, 1000), sigma
+
+
+@pytest.mark.parametrize("name", ["zeta", "character_7_1", "file"])
+def test_complex_euler_product_is_within_4_ulp_of_the_scalar_loop(name):
+    # numpy's complex product may fuse a multiply-add where Python's does not.
+    spec = _LOCAL_SOURCES[name]
+    for r in (64, 4096):
+        for s in (1.5 + 2j, 1.7 + 3j, 0.8 - 5j, 2.5 + 100j):
+            want = euler_product_loop(spec.coeffs, s, r)
+            got = series._euler_product(spec, s, r)
+            assert abs(got - want) <= 4 * np.spacing(abs(want)), (r, s)
+
+
+def test_divergent_rule_gives_the_scalar_loops_errors():
+    # Only p = 5 diverges: 4^e 5^{-e s} grows at s = 0.75, and |4^e|^2
+    # overflows the float range before the square sum's cap.
+    src = MultiplicativeSource(
+        rule=lambda ps, e: np.where(ps == 5, 4.0**e, 1.0),
+        square_growth_base=16.0,
+        unit_bounded=False,
+    )
+    spec = SeriesSpec(coeffs=src, sigma_m=0.5, sigma_a=2.0, label="five")
+    for route in (series._euler_product, lambda spec, s, r: euler_product_loop(spec.coeffs, s, r)):
+        with pytest.raises(NumericalError, match=r"diverges at p = 5$"):
+            route(spec, 0.75 + 0j, 64)
+    for route in (series._rankin_smooth_tail, rankin_smooth_tail_loop):
+        with pytest.raises(PreconditionError, match="not in J"):
+            route(spec, 1.0, 64, 100)
+    for route in (series._rankin_square_tail, rankin_square_tail_loop):
+        with pytest.raises(NumericalError, match="divergence detected"):
+            route(src, 0.75, 1000)
+
+
+def test_truncate_fetches_prime_powers_per_exponent_not_per_prime(monkeypatch, capsys):
+    # The Rankin tail at k = 20 sums the local factors of 82,025 primes; a
+    # fetch per prime would make tens of thousands of calls.
+    calls = []
+    fetch = coefficients.MultiplicativeSource.prime_powers
+
+    def spy(self, ps, e):
+        calls.append(ps.size)
+        return fetch(self, ps, e)
+
+    monkeypatch.setattr(coefficients.MultiplicativeSource, "prime_powers", spy)
+    argv = ["truncate", "--series", "zeta", "--s", "1.7", "--k", "20", "--M", "1000"]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert max(calls) == 2**16  # one block of primes at e = 1
+    assert len(calls) <= 300
