@@ -11,7 +11,10 @@ shifts, one matrix product instead of one complex exp per (point, term).
 A caller that needs only a reduction of each shifted row (the recurrence
 scan's disc integrals) passes a reduce function: the loop hands it the rows
 _ROW_POINTS entries at a time, while they are in cache, and a polynomial
-within one term block never holds more than one such chunk.
+within one term block never holds more than one such chunk.  `disc_sum`
+folds an array of points into the coefficients: sum_p f(p + s) is the
+polynomial with coefficients c_n sum_p n^{-p}, whose values bound the
+scan's disc integrals from below at O(terms) per shift.
 """
 
 import math
@@ -87,6 +90,39 @@ class DirichletPolynomial:
         shifts = np.asarray(shifts, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
             return self._table(points, shifts, reduce=reduce)
+
+    def disc_sum(self, points):
+        """(g, weight) for the sum over an array of points p of the shifted
+        polynomial: g(s) = sum_p f(p + s), the polynomial over the same logs
+        with coefficients c_n S_n, S_n = sum_p n^{-p}, and
+
+            weight = sum_n |c_n| sum_p max(n^{-Re p}, tiny) + K P tiny,
+
+        with K terms, P points and tiny the smallest normal float.  The
+        weight is the sum of the moduli of the K P terms c_n n^{-p}, which
+        scales every rounding error of this kernel's values of f at the
+        points (shifted or not); the floors make each underflow a relative
+        error of it too.  S_n is summed in term blocks of _CAP / P terms, so
+        g costs one pass over the terms x points table, and g at s = i t for
+        every t of ts is one matrix product per term block,
+        `g.shifted(np.zeros(1), ts)`.  An overflow leaves the weight or
+        coefficients non-finite.
+        """
+        points = np.asarray(points, dtype=np.complex128)
+        sums = np.empty_like(self.coeffs)
+        mags = np.empty(self.logs.size)
+        blk = max(1, _CAP // max(1, points.size))
+        tiny = np.finfo(np.float64).tiny
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, self.logs.size, blk):
+                terms = np.exp(np.multiply.outer(-self.logs[lo : lo + blk], points))
+                sums[lo : lo + blk] = terms.sum(axis=1)
+                mags[lo : lo + blk] = np.maximum(np.abs(terms), tiny).sum(axis=1)
+            weight = float(np.abs(self.coeffs) @ mags) + self.logs.size * points.size * tiny
+            # Same indices: keep the logs rather than exp and log them again.
+            g = DirichletPolynomial.__new__(DirichletPolynomial)
+            g.logs, g.coeffs = self.logs, self.coeffs * sums
+        return g, weight
 
     def _table(self, points, shifts=None, weighted=False, reduce=None) -> np.ndarray:
         """The one block loop: the (shifts x points) table, or with no

@@ -165,7 +165,7 @@ def _pow(base, exponent):
 
 
 def _log_sum(values):
-    return functools.reduce(operator.add, map(math.log, values), 0.0)
+    return functools.reduce(operator.add, map(math.log, values.tolist()), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def _euler_product(spec: SeriesSpec, s: complex, r: int) -> complex:
     diverges = ~np.isfinite(factors)
     if diverges.any():
         raise NumericalError("Euler factor diverges at p = %d" % ps[diverges.argmax()])
-    return functools.reduce(operator.mul, map(complex, factors), 1.0 + 0j)
+    return functools.reduce(operator.mul, factors.astype(complex).tolist(), 1.0 + 0j)
 
 
 def smooth_truncation_eval(spec: SeriesSpec, s: complex, k: int, M=None):

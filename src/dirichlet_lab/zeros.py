@@ -437,15 +437,19 @@ def recurrence_scan(
     integral is kept, and hits are thinned to pairwise separation >= 1.
     Times with |t| < 1 are excluded as trivial self-recurrences.
 
-    Windows hold as many grid times as fit in _POINT_CAP points.  An
-    evaluator with a `shifted` method (the Dirichlet polynomials) builds
-    each window's table over its times and the disc lattice a few rows at a
-    time, and each chunk of rows is reduced to its integrals while it is in
-    cache; any other callable is evaluated at every point of the window.
+    For an evaluator with a `shifted` method (the Dirichlet polynomials,
+    which also have `disc_sum`), a lower bound on every time's integral at
+    O(terms) per time (see _lower_bounds) first drops the times whose bound
+    exceeds the threshold by more than its rounding margin: their computed
+    integrals would exceed it too, so they cannot be hits.  The kept times go to
+    windows of as many grid times as fit in _POINT_CAP points, each built
+    over its times and the disc lattice a few rows at a time, and each
+    chunk of rows is reduced to its integrals while it is in cache.  Any
+    other callable is evaluated at every point of every time's window.
     Each integral is the sum over one time's row, so neither the window nor
-    the chunk size changes its bits.  The reported integral of each hit is
-    recomputed from f's values at its points, so the report does not depend
-    on which path ranked the times.
+    the chunk size nor the pruned times change its bits.  The reported
+    integral of each hit is recomputed from f's values at its points, so
+    the report does not depend on which path ranked the times.
     """
     if r <= 0 or T <= 0 or t_step <= 0:
         raise PreconditionError("recurrence scan needs positive r, T, t_step")
@@ -497,8 +501,11 @@ def recurrence_scan(
         parts = map_spans(
             lambda lo, hi: window(tt[lo:hi], product), tt.size, rows, threads=threads
         )
-        return np.concatenate(parts)
+        return np.concatenate(parts) if parts else tt
 
+    if shifted is not None:
+        lower, margin = _lower_bounds(f, disc, cell_area, ts)
+        ts = ts[~(np.isfinite(lower) & (lower > threshold + margin))]
     integrals = disc_integrals(ts, shifted is not None)
 
     hit_mask = integrals <= threshold
@@ -519,7 +526,7 @@ def recurrence_scan(
         else:
             thinned.append((t, integral))
     hits = np.asarray([t for t, _ in thinned], dtype=np.float64)
-    hit_integrals = disc_integrals(hits, False) if hits.size else hits
+    hit_integrals = disc_integrals(hits, False)
     return RecurrenceReport(
         s0=s0,
         r=float(r),
@@ -531,6 +538,44 @@ def recurrence_scan(
         hit_integrals=tuple(float(v) for v in hit_integrals),
         lower_bound_rate=len(thinned) / (2.0 * float(T)),
     )
+
+
+def _lower_bounds(f, disc, cell_area, ts):
+    """(LB, margin): a lower bound on the row integral of every time of ts,
+    and the rounding margin by which a computed LB may exceed a computed
+    row integral.
+
+    The row integral of t is A sum_p |f(p + it) - f(p)| over the P lattice
+    points p of cell area A.  By the triangle inequality it is at least
+    LB(t) = A |g(it) - g(0)|, with g(s) = sum_p f(p + s) the K-term
+    polynomial of `disc_sum`, which costs O(K) per time instead of O(K P).
+    The margin is
+
+        2^-46 A (K + P + tau + 8) W,
+
+    with W the `disc_sum` weight and tau = max |log n| (max |p| + max |t|).
+
+    Derivation, with u = 2^-53, arithmetic correctly rounded and every exp,
+    cos, sin and hypot within 2 ulps (W's floors make underflow such an
+    error too).  Write F_p = sum_n |c_n n^{-p}|, so that W >= sum_p F_p.  A
+    computed term c_n n^{-p-it} is within (2 tau + 16) u of its modulus,
+    tau covering the rounded phases t log n and p log n, and a K-term BLAS
+    sum adds (6K + 3) u F_p, so a computed f(p + it) or f(p) is within
+    (6K + 2 tau + 19) u F_p.  The difference, its modulus, the P-term sum
+    and the factor A then put the computed row integral within
+    A u W (12K + 2P + 4 tau + 50) of the exact one.  The computed LB, from
+    the P-term sums S_n, the products c_n S_n, the K-term sums g(it) and
+    g(0), their difference and its modulus, is within
+    A u W (7K + 2P + 6 tau + 39) of the exact LB.  The margin is more than
+    six times the sum of the two.  An overflow leaves the margin or an LB
+    non-finite.
+    """
+    g, weight = f.disc_sum(disc)
+    tau = np.abs(g.logs).max(initial=0.0) * (np.abs(disc).max() + np.abs(ts).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = 2.0**-46 * cell_area * (g.logs.size + disc.size + tau + 8) * weight
+        lower = cell_area * np.abs(g.shifted(np.zeros(1), ts)[:, 0] - g.coeffs.sum())
+    return lower, float(margin)
 
 
 def _row_distances(base: np.ndarray):

@@ -13,7 +13,8 @@ import sys
 
 import numpy as np
 
-from dirichlet_lab import NumericalError, PreconditionError
+from dirichlet_lab import NumericalError, PreconditionError, RecurrenceReport
+from dirichlet_lab import zeros as _zeros
 from dirichlet_lab.primes import _SIEVE_BOUND, primes_up_to
 
 # mpmath.zeta at real points
@@ -221,3 +222,62 @@ def rankin_square_tail_loop(src, sigma, N):
     if not best < math.log(sys.float_info.max):
         raise NumericalError("divergence detected in tail norm")
     return math.exp(best)
+
+
+# --- Reference scan: the recurrence scan as it was before its lower-bound
+# prune, taking the row integral of every grid time. ---
+
+
+def recurrence_scan_all_rows(f, s0, r, T, t_step, grid=64):
+    """(report, ts, integrals) of zeros.recurrence_scan with every grid
+    time's row integral computed: by f.shifted when f has it, else at every
+    point.  The arguments must pass recurrence_scan's checks."""
+    offsets, cell_area = _zeros._disc_lattice(r, grid)
+    rows = _zeros._POINT_CAP // offsets.size
+    n_steps = int(round(T / t_step))
+    ts = np.arange(-n_steps, n_steps + 1, dtype=np.int64).astype(np.float64) * t_step
+    ts = ts[np.abs(ts) >= 1.0]
+    s0 = complex(s0)
+    m0 = float(np.abs(f(_zeros._ring(s0, r, _zeros._RING_SAMPLES))).min())
+    threshold = 0.2 * math.pi * r * r * m0
+    disc = s0 + offsets
+    base = f(disc)
+
+    def integrals_of(tt, product):
+        parts = []
+        for lo in range(0, tt.size, rows):
+            window = tt[lo : lo + rows]
+            if product:
+                sums = f.shifted(disc, window, _zeros._row_distances(base))
+            else:
+                sums = np.abs(f(disc[None, :] + 1j * window[:, None]) - base).sum(axis=1)
+            parts.append(sums * cell_area)
+        return np.concatenate(parts) if parts else tt
+
+    integrals = integrals_of(ts, hasattr(f, "shifted"))
+    selected = {}
+    for t, integral in zip(ts.tolist(), integrals.tolist()):
+        if integral <= threshold:
+            held = selected.get(math.floor(t))
+            if held is None or (integral, t) < held:
+                selected[math.floor(t)] = (integral, t)
+    thinned = []
+    for t, integral in sorted((t, v) for v, t in selected.values()):
+        if thinned and t - thinned[-1][0] < 1.0:
+            if integral < thinned[-1][1]:
+                thinned[-1] = (t, integral)
+        else:
+            thinned.append((t, integral))
+    hits = np.asarray([t for t, _ in thinned], dtype=np.float64)
+    report = RecurrenceReport(
+        s0=s0,
+        r=float(r),
+        m0=m0,
+        T=float(T),
+        t_step=float(t_step),
+        threshold=threshold,
+        hits=tuple(hits.tolist()),
+        hit_integrals=tuple(integrals_of(hits, False).tolist()),
+        lower_bound_rate=len(thinned) / (2.0 * float(T)),
+    )
+    return report, ts, integrals

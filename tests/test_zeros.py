@@ -24,6 +24,7 @@ from dirichlet_lab import (
 from dirichlet_lab import _kernel
 from dirichlet_lab import zeros as zeros_module
 
+from _harness import run_cli
 from _oracles import (
     MOLLIFY_TAILS,
     PERIOD2,
@@ -31,6 +32,7 @@ from _oracles import (
     RH_ZERO_1,
     RVM_100,
     RVM_50,
+    recurrence_scan_all_rows,
 )
 
 ETA = default_evaluator(builtin_series("eta-factor"))
@@ -335,27 +337,61 @@ def _spy_scans(monkeypatch):
     return scans
 
 
+def _spy_rows(monkeypatch):
+    """(points, shifts, row sums) of every `shifted` call that reduces rows
+    (the scan's lattice rows), and the shift count of every other call."""
+    rows, others = [], []
+    real_shifted = _kernel.DirichletPolynomial.shifted
+
+    def spy(self, points, shifts, reduce=None):
+        out = real_shifted(self, points, shifts, reduce)
+        if reduce is None:
+            others.append(np.size(shifts))
+        else:
+            rows.append((np.size(points), np.array(shifts), out.copy()))
+        return out
+
+    monkeypatch.setattr(_kernel.DirichletPolynomial, "shifted", spy)
+    return rows, others
+
+
+def _row_times(rows):
+    return np.concatenate([shifts for _, shifts, _ in rows] or [np.empty(0)])
+
+
 def test_recurrence_product_path_matches_pointwise_path(monkeypatch):
     # ETA has `shifted`; the lambda hides it, so every point is evaluated.
-    # The scans agree to rounding, and the hit integrals are recomputed
-    # pointwise on both paths, so the two reports are identical.
+    # The product path computes only the rows the disc-sum bound leaves, and
+    # every time it prunes has an all-rows integral above the threshold.  The
+    # rows it computes agree with the pointwise rows to rounding, and the hit
+    # integrals are recomputed pointwise on both paths, so the two reports
+    # are identical.
+    _, ts, full = recurrence_scan_all_rows(ETA, 1.0 + 0.0j, 0.05, 20.0, 0.01)
+    rows, _ = _spy_rows(monkeypatch)
     scans = _spy_scans(monkeypatch)
     fast = recurrence_scan(ETA, 1.0 + 0.0j, 0.05, 20.0, 0.01)
     slow = recurrence_scan(lambda s: ETA(s), 1.0 + 0.0j, 0.05, 20.0, 0.01)
     assert len(fast.hits) == 4
     assert repr(fast) == repr(slow)
+    kept = np.isin(ts, _row_times(rows))
+    assert 4 <= kept.sum() < 200
+    assert np.all(full[~kept] > fast.threshold)
     # Each report maps its windows twice: the scan, then the hits.
-    np.testing.assert_allclose(scans[0], scans[2], rtol=1e-10)
+    assert scans[2].size == ts.size
+    np.testing.assert_allclose(scans[0], scans[2][kept], rtol=1e-10)
 
 
 @pytest.mark.parametrize("kernel_cap", [None, 4000])
 def test_recurrence_bits_do_not_depend_on_the_window_size(monkeypatch, kernel_cap):
     # The disc lattice has 3,228 points at grid 64: a cap of 4,096 points
     # makes one-time windows, 16,147 makes five-time windows.  A kernel cap
-    # of 4,000 splits ETA's two terms into two blocks.  The integrals of
-    # every grid time are compared, not only the reported hits.
+    # of 4,000 splits ETA's two terms into two blocks.  The integral of every
+    # time the prune leaves is compared, not only the reported hits, and
+    # every time it prunes has an all-rows integral above the threshold.
     if kernel_cap is not None:
         monkeypatch.setattr(_kernel, "_CAP", kernel_cap)
+    _, ts, full = recurrence_scan_all_rows(ETA, 1.0 + 0.0j, 0.05, 20.0, 0.01)
+    rows, _ = _spy_rows(monkeypatch)
     scans = _spy_scans(monkeypatch)
     reports = []
     for cap in (4096, 5 * 3228 + 7):
@@ -366,9 +402,58 @@ def test_recurrence_bits_do_not_depend_on_the_window_size(monkeypatch, kernel_ca
             )
     assert len(reports[0].hits) == 4
     assert {repr(rep) for rep in reports} == {repr(reports[0])}
-    assert len(scans) == 8 and scans[0].size == 3802
+    kept = np.isin(ts, _row_times(rows))
+    assert len(scans) == 8 and 4 <= scans[0].size == kept.sum() < 200
+    assert np.all(full[~kept] > reports[0].threshold)
+    np.testing.assert_array_equal(scans[0], full[kept])
     for i, scan in enumerate(scans[2:]):
         np.testing.assert_array_equal(scan, scans[i % 2])
+
+
+# 1 - 2 2^{-s} + 0.15 3^{-s} - 0.1 5^{-s} + 0.05 7^{-s} + 0.03 11^{-s}, and
+# its real zero (mpmath findroot: 0.93986658570405145056...).
+SIX = _kernel.DirichletPolynomial(
+    [1, 2, 3, 5, 7, 11], [1.0, -2.0, 0.15, -0.1, 0.05, 0.03]
+)
+SIX_ZERO = 0.9398665857040515
+
+
+@pytest.mark.parametrize(
+    "ev, s0, T, n_hits",
+    [(ETA, complex(1.0, k * PERIOD2), 20.0, 4) for k in (0, 1, -1, 2, -2)]
+    + [
+        (LADDER3, 0.8 + 0.0j, 20.0, 6),
+        # No time up to 20 survives the prune; the hits are at +-63.46.
+        (SIX, complex(SIX_ZERO), 20.0, 0),
+        (SIX, complex(SIX_ZERO), 70.0, 2),
+    ],
+)
+def test_pruned_scan_matches_the_all_rows_scan(monkeypatch, ev, s0, T, n_hits):
+    # Reports and the integral of every row the prune leaves equal the
+    # all-rows scan's bit for bit, at one and two threads, with the default
+    # caps and with one-time windows and single-term kernel blocks.
+    want, _, _ = recurrence_scan_all_rows(ev, s0, 0.05, T, 0.01)
+    assert len(want.hits) == n_hits
+    cell_area = zeros_module._disc_lattice(0.05, 64)[1]
+    for point_cap, kernel_cap in ((zeros_module._POINT_CAP, _kernel._CAP), (4096, 4000)):
+        # The kernel cap moves the term blocks, and so the bits; the window
+        # size does not, so the oracle keeps its large windows.
+        monkeypatch.setattr(_kernel, "_CAP", kernel_cap)
+        _, ts, full = recurrence_scan_all_rows(ev, s0, 0.05, T, 0.01)
+        monkeypatch.setattr(zeros_module, "_POINT_CAP", point_cap)
+        for threads in (1, 2):
+            with monkeypatch.context() as m:
+                rows, _ = _spy_rows(m)
+                got = recurrence_scan(ev, s0, 0.05, T, 0.01, threads=threads)
+            assert repr(got) == repr(want)
+            times = _row_times(rows)
+            kept = np.isin(ts, times)
+            assert kept.sum() == times.size < 200
+            sums = np.concatenate([out for _, _, out in rows] or [np.empty(0)])
+            np.testing.assert_array_equal(
+                sums[np.argsort(times)] * cell_area, full[kept]
+            )
+            assert np.all(full[~kept] > got.threshold)
 
 
 def _whole_table_distances(ev, points, shifts, base):
@@ -430,6 +515,97 @@ def test_streamed_row_distances_match_the_whole_table(
     if ev is _HUGE:
         assert np.isfinite(base).all()
         assert 0 < np.isfinite(got).sum() < K
+
+
+# One term on a one-point lattice, where the lower bound is the row integral
+# in exact arithmetic, so only the margin covers the rounding.
+_MONO = _kernel.DirichletPolynomial([7], [0.3 - 0.4j])
+
+_BOUND_CASES = [
+    (ETA, 1.0 + 0.0j, 0.05, 64),
+    (LADDER3, 0.8 + 0.0j, 0.05, 64),
+    (_GAPPED, 0.9 + 3.0j, 0.05, 32),
+    # At Re s = -600.3 the rows of _HUGE overflow to inf or nan on most
+    # shifts, while f stays finite on the lattice itself.
+    (_HUGE, complex(-600.3, math.pi / math.log(1.5)), 5e-4, 16),
+    (_MONO, 0.5 + 2.0j, 0.05, 1),
+]
+
+
+def _bound_shifts(seed):
+    rng = np.random.default_rng(seed)
+    return np.concatenate(
+        (
+            rng.uniform(-1e6, 1e6, 200),
+            rng.uniform(-50.0, 50.0, 200),
+            [-1e6, 1e6],
+            PERIOD2 * np.arange(-5, 6),
+            PERIOD3 * np.arange(-5, 6),
+            2.0 * math.pi / math.log(1.5) * np.arange(1, 40),
+        )
+    )
+
+
+@pytest.mark.parametrize("ev, centre, r, grid", _BOUND_CASES)
+def test_lower_bound_minus_margin_is_at_most_the_row_integral(ev, centre, r, grid):
+    offsets, area = zeros_module._disc_lattice(r, grid)
+    disc = centre + offsets
+    shifts = _bound_shifts(grid)
+    lower, margin = zeros_module._lower_bounds(ev, disc, area, shifts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = ev.shifted(disc, shifts, zeros_module._row_distances(ev(disc))) * area
+    bounded = np.isfinite(lower) & math.isfinite(margin)
+    assert np.all(lower[bounded] - margin <= rows[bounded])
+    # A row that overflows is never bounded, so it is never pruned.
+    assert np.all(np.isfinite(rows[bounded]))
+    if ev is _HUGE:
+        assert not bounded.any()
+        assert np.isfinite(rows).any()
+        assert np.isnan(rows).any() and np.isinf(rows).any()
+    else:
+        assert bounded.all()
+
+
+def test_margin_covers_the_rounding_of_both_sides():
+    # Against 40-digit values of the same polynomial (the stored logs taken
+    # as exact) on a 12-point lattice, the computed bound and the computed
+    # row integral are each within the margin of their exact values.
+    mpmath = pytest.importorskip("mpmath")
+    offsets, area = zeros_module._disc_lattice(0.05, 4)
+    disc = 0.9 + 3.0j + offsets
+    shifts = np.array([-1e6, -777.25, -3.5, 1.0, 12.0, 4321.125, 1e6])
+    lower, margin = zeros_module._lower_bounds(_GAPPED, disc, area, shifts)
+    rows = _GAPPED.shifted(disc, shifts, zeros_module._row_distances(_GAPPED(disc)))
+    with mpmath.workdps(40):
+        logs = [mpmath.mpf(x) for x in _GAPPED.logs.tolist()]
+        coeffs = [mpmath.mpc(c) for c in _GAPPED.coeffs.tolist()]
+
+        def f(s):
+            return mpmath.fsum(c * mpmath.exp(-l * s) for c, l in zip(coeffs, logs))
+
+        ps = [mpmath.mpc(p) for p in disc.tolist()]
+        at_p = [f(p) for p in ps]
+        for t, low, row in zip(shifts.tolist(), lower.tolist(), rows.tolist()):
+            diffs = [f(p + mpmath.mpc(0, t)) - v for p, v in zip(ps, at_p)]
+            exact_row = area * mpmath.fsum(abs(d) for d in diffs)
+            exact_low = area * abs(mpmath.fsum(diffs))
+            assert exact_low <= exact_row
+            error = abs(low - exact_low) + abs(row * area - exact_row)
+            assert error <= margin
+
+
+def test_quick_start_recur_computes_few_lattice_rows(monkeypatch):
+    # The disc-sum bound is evaluated once at all 19,802 grid times; only the
+    # times it cannot rule out reach a full 3,228-point lattice row (44 of
+    # them), so a return to the full scan fails here.
+    rows, others = _spy_rows(monkeypatch)
+    code, _, err = run_cli(
+        ["recur", "--series", "eta-factor", "--s0", "1+0i", "--r", "0.05", "--T", "100"]
+    )
+    assert code == 0, err
+    assert others == [19802]
+    assert {points for points, _, _ in rows} == {3228}
+    assert 0 < _row_times(rows).size <= 200
 
 
 @pytest.mark.parametrize("threads", [1, 2])
