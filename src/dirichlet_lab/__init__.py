@@ -22,16 +22,7 @@ from .convolution import (
     mollifier_coefficients,
 )
 from .errors import AccuracyWarning, NumericalError, PreconditionError
-from .moments import (
-    MomentReport,
-    OrderScanReport,
-    QuadratureConfig,
-    estimate_moment,
-    lindelof_product,
-    order_scan,
-    polynomial_mean_exact,
-    theoretical_target,
-)
+from .moments import MomentReport, QuadratureConfig, estimate_moment, theoretical_target
 from .parallel import resolve_threads
 from .primes import SmoothSet, factorize, first_primes, log_frequencies, smooth_enumerate
 from .series import (
@@ -71,7 +62,6 @@ __all__ = [
     "MomentReport",
     "MultiplicativeSource",
     "NumericalError",
-    "OrderScanReport",
     "PreconditionError",
     "QuadratureConfig",
     "Rectangle",
@@ -92,13 +82,10 @@ __all__ = [
     "first_primes",
     "identity_coefficients",
     "inverse_coefficients",
-    "lindelof_product",
     "load_source",
     "log_frequencies",
     "mollifier_coefficients",
     "mollifier_tail_decay",
-    "order_scan",
-    "polynomial_mean_exact",
     "recurrence_scan",
     "resolve_threads",
     "rouche_verify",

@@ -17,6 +17,8 @@ import re
 import sys
 import warnings
 
+import numpy as np
+
 from .coefficients import SeriesSpec, builtin_series, load_source
 from .convolution import _check_inverse_length, _inverse_of_table
 from .errors import AccuracyWarning, NumericalError, PreconditionError
@@ -280,7 +282,9 @@ def _cmd_mollify(args, threads):
     # table serves both the inverse and the mollified series.
     _check_inverse_length(args.N)
     a = spec.coeffs.dense(args.N)
-    b = _inverse_of_table(a)
+    # An inverse entry past the float range makes the tail it reaches inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = _inverse_of_table(a)
     pairs = mollifier_tail_decay(a, b, args.sigma, args.X_list, args.N)
     result = {"pairs": [{"X": X, "tail": tail} for X, tail in pairs]}
     rows = [(X, tail) for X, tail in pairs]

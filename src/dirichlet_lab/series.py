@@ -61,30 +61,47 @@ def default_evaluator(spec: SeriesSpec, N: int = 100_000):
 # Squared-coefficient norms
 
 
+def _square_sum(values, ns, sigma: float) -> float:
+    """sum |a|^2 n^{-2 sigma} over the paired arrays values and ns (integer
+    or float), by math.fsum.  inf, without a warning, when a term or the sum
+    passes the float range (an overflowed |a|^2 times an underflowed
+    n^{-2 sigma} is such a term)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.abs(values) ** 2 * ns ** (-2.0 * sigma)
+    try:
+        return math.fsum(sq) if np.isfinite(sq).all() else math.inf
+    except OverflowError:  # finite terms whose sum passes the float range
+        return math.inf
+
+
 def tail_norm(spec: SeriesSpec, sigma: float, N: int):
     """(partial, bound): sum of |a_n|^2 n^{-2 sigma} to N plus a certified
     bound on the rest.
 
     Explicit series get the exact finite remainder.  Unit-bounded sources use
     the integral comparison N^{1-2s}/(2s-1); other multiplicative sources get
-    a shifted-exponent bound through their Euler factors.
+    a shifted-exponent bound through their Euler factors.  A partial sum
+    past the float range is inf.
+
+    Raises:
+        PreconditionError: N < 1, 2 sigma <= 1 for a non-explicit source, or
+            N above _MAX_TERMS (checked before the table is built).
     """
     if N < 1:
         raise PreconditionError("tail_norm requires N >= 1")
     src = spec.coeffs
     if isinstance(src, ExplicitSource):
         idx, val = src.support()
-        sq = np.abs(val) ** 2 * np.asarray(idx, dtype=np.float64) ** (-2.0 * sigma)
-        return math.fsum(sq[idx <= N]), math.fsum(sq[idx > N])
+        return tuple(_square_sum(val[m], idx[m], sigma) for m in (idx <= N, idx > N))
     if 2.0 * sigma <= 1.0:
         raise PreconditionError(
             "tail norm diverges: need 2 sigma > 1 for this source"
         )
-    ns = np.arange(1, int(N) + 1, dtype=np.float64)
-    # A square past the float range becomes inf in the partial sum.
-    with np.errstate(over="ignore"):
-        sq = np.abs(src.dense(int(N))[1:]) ** 2 * ns ** (-2.0 * sigma)
-    partial = math.fsum(sq)
+    if N > _MAX_TERMS:
+        raise PreconditionError(
+            "tail norm length %d exceeds the cap of %d terms" % (N, _MAX_TERMS)
+        )
+    partial = _square_sum(src.dense(int(N))[1:], np.arange(1, int(N) + 1), sigma)
     if src.unit_bounded:
         return partial, N ** (1.0 - 2.0 * sigma) / (2.0 * sigma - 1.0)
     return partial, _rankin_square_tail(src, sigma, N)

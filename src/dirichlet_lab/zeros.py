@@ -12,6 +12,7 @@ import numpy as np
 from .convolution import mollifier_coefficients
 from .errors import NumericalError, PreconditionError
 from .parallel import check_windows, finite_steps, map_spans
+from .series import _square_sum
 
 __all__ = [
     "Rectangle",
@@ -629,8 +630,9 @@ def mollifier_tail_decay(a, b, sigma: float, X_list, N: int):
     n^{-2 sigma} falloff of the summand.
 
     Raises:
-        NumericalError: the extrapolated remainder exceeds 10% of the partial
-            value ("increase N").
+        NumericalError: the tail passes the float range, or the
+            extrapolated remainder exceeds 10% of the partial value
+            ("increase N").
     """
     if sigma <= 0.5:
         raise PreconditionError("need sigma > 1/2 for the remainder model")
@@ -644,12 +646,15 @@ def mollifier_tail_decay(a, b, sigma: float, X_list, N: int):
         if X >= N:
             out.append((X, 0.0))
             continue
-        d = mollifier_coefficients(a, b, X, N)
+        # A coefficient past the float range makes the tail inf, refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = mollifier_coefficients(a, b, X, N)
         ns = np.arange(X + 1, N + 1, dtype=np.float64)
-        sq = np.abs(d[X + 1 :]) ** 2 * ns ** (-2.0 * sigma)
-        tail = math.fsum(sq)
+        tail = _square_sum(d[X + 1 :], ns, sigma)
+        if not math.isfinite(tail):
+            raise NumericalError("the mollified tail is not a finite float")
         octave_start = max(X, N // 2)
-        octave = math.fsum(sq[octave_start - X :])
+        octave = _square_sum(d[octave_start + 1 :], ns[octave_start - X :], sigma)
         remainder = octave * q / (1.0 - q)
         if remainder > 0.1 * tail:
             raise NumericalError("increase N")

@@ -443,6 +443,59 @@ def test_moment_past_float_range_is_numerical(k, T):
     assert err.startswith("dlab: numerical:") and err.count("\n") == 1
 
 
+def _explicit_file(tmp_path, pairs):
+    path = tmp_path / "explicit.json"
+    coeffs = [[n, a, 0.0] for n, a in pairs]
+    path.write_text(json.dumps({"kind": "explicit", "coeffs": coeffs}))
+    return str(path)
+
+
+def _refuse_constant(name):
+    raise ValueError("non-finite JSON constant %s" % name)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("sigma, k", [("200", "1"), ("500", "2")])
+def test_moment_target_past_float_range_is_null(tmp_path, fmt, sigma, k):
+    # |a_2|^2 = 1e400 overflows: in the target's squares at k = 1, and in
+    # the convolution square's a_2 a_2 at k = 2, so the target has no float
+    # value.  The estimate (about 3.9e279, and 8.7e197) is finite.
+    path = _explicit_file(tmp_path, [(1, 1.0), (2, 1e200), (3, 1.0)])
+    argv = ["moment", "--series", path, "--sigma", sigma, "--k", k,
+            "--T", "10", "--format", fmt]
+    code, out, err = run_cli(argv)
+    assert code == 0 and err == ""
+    if fmt == "csv":
+        assert out.split("\n")[1].endswith(",,")
+        return
+    result = json.loads(out, parse_constant=_refuse_constant)["result"]
+    assert result["target"] is None and result["rel_error"] is None
+    assert 1e197 < result["estimate"] < 1e280
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "pairs, extra",
+    [
+        # finite squares 1.69e308 n^{-1.02} whose sum overflows
+        ([(1, 1.0)] + [(p, 1.3e154) for p in (2, 3, 5, 7)],
+         ["--sigma", "0.51", "--X-list", "1", "--N", "10"]),
+        # |a_2|^2 overflows, and so do the inverse's entries
+        ([(1, 1.0), (2, 1e200), (3, 1.0)],
+         ["--sigma", "0.75", "--X-list", "1,2", "--N", "100"]),
+        # a finite inverse whose mollified tail overflows
+        ([(1, 1.0), (2, 1e200)], ["--sigma", "0.75", "--X-list", "1", "--N", "2"]),
+    ],
+    ids=["sum", "squares", "finite-inverse"],
+)
+def test_mollify_past_float_range_is_numerical(tmp_path, pairs, extra):
+    path = _explicit_file(tmp_path, pairs)
+    code, out, err = run_cli(["mollify", "--series", path] + extra)
+    assert code == 2 and out == ""
+    assert err == "dlab: numerical: the mollified tail is not a finite float\n"
+
+
 @pytest.mark.parametrize("grid", ["0", "-5"])
 def test_recur_grid_below_one_is_a_precondition(grid):
     argv = ["recur", "--series", "eta-factor", "--s0", "1+0i", "--r", "0.05",

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from dirichlet_lab import (
+    AccuracyWarning,
     ExplicitSource,
     PreconditionError,
     QuadratureConfig,
@@ -11,33 +13,35 @@ from dirichlet_lab import (
     builtin_series,
     convolution_power,
     estimate_moment,
-    lindelof_product,
-    order_scan,
-    polynomial_mean_exact,
+    load_source,
     theoretical_target,
 )
 
 from _oracles import (
-    ABS_ZETA_0_75,
     DIVISOR_RATIO_MAX,
     FOURTH_TARGET_1,
     MOMENT_ZETA_T250,
     ZETA_1_5,
-    ZETA_2,
 )
 
 ETA = builtin_series("eta-factor")
 ZETA = builtin_series("zeta")
 
 
-def test_polynomial_mean_exact_hand_values():
-    # |1 .. -2| at sigma = 1: 1 + 4/4
-    assert polynomial_mean_exact([0.0, 1.0, -2.0], 1.0) == 2.0
-    # sqrt-weighted second entry
-    got = polynomial_mean_exact([0.0, 2.0, 0.0, 3.0j], 0.5)
+def _explicit(pairs):
+    return SeriesSpec(
+        coeffs=ExplicitSource.from_pairs(pairs),
+        sigma_m=float("-inf"),
+        sigma_a=float("-inf"),
+    )
+
+
+def test_explicit_target_hand_values():
+    # 1 - 2 2^{-s} at sigma = 1: 1 + 4/4
+    assert theoretical_target(_explicit([(1, 1.0), (2, -2.0)]), 1.0, 1) == 2.0
+    # sqrt-weighted third entry: 4 + 9/3
+    got = theoretical_target(_explicit([(1, 2.0), (3, 3.0j)]), 0.5, 1)
     assert abs(got - (4.0 + 3.0)) < 1e-14
-    with pytest.raises(PreconditionError):
-        polynomial_mean_exact([1.0], 1.0)
 
 
 def test_polynomial_moment_converges_to_exact_mean():
@@ -72,20 +76,56 @@ def test_moment_zeta_regression_pin():
 
 def test_theoretical_targets():
     assert abs(theoretical_target(ZETA, 0.75, 1) - ZETA_1_5) < 1e-10
-    want4 = lindelof_product(2, 1.0)
-    assert abs(theoretical_target(ZETA, 1.0, 2) - want4) < 1e-12
+    assert abs(theoretical_target(ZETA, 1.0, 2) - FOURTH_TARGET_1) < 1e-12
     assert theoretical_target(ZETA, 0.75, 3) is None
     assert theoretical_target(ZETA, 0.5, 1) is None  # 2 sigma hits the pole
     assert theoretical_target(ZETA, 0.25, 1) is None  # 4 sigma hits the pole
     assert theoretical_target(ETA, 1.0, 1) == 2.0
     assert theoretical_target(builtin_series("divisor_2"), 1.0, 1) is None
     # explicit series with an index too large for the k-fold convolution
-    far = SeriesSpec(
-        coeffs=ExplicitSource.from_pairs([(1, 1.0), (2000, 1.0)]),
-        sigma_m=float("-inf"),
-        sigma_a=float("-inf"),
-    )
-    assert theoretical_target(far, 1.0, 3) is None
+    assert theoretical_target(_explicit([(1, 1.0), (2000, 1.0)]), 1.0, 3) is None
+
+
+SIX_TERMS = load_source({"kind": "explicit", "coeffs": [
+    [1, 1, 0], [2, -0.5, 0.25], [3, 0.3, -0.2], [5, 0.1, 0.4], [7, -0.2, -0.1], [11, 0.05, 0.3],
+]})
+
+# theoretical_target at sigma = 0.75, 1.0, 1.3, recorded by repr when the
+# targets were computed by separate zeta-identity and polynomial-mean helpers.
+TARGET_BITS = [
+    (ZETA, 1, ("2.612375348685488", "1.6449340668482266", "1.3054778090727808")),
+    (ZETA, 2, ("38.745144143901314", "6.7645202106946165", "2.8154086169587123")),
+    (ETA, 1, ("2.414213562373095", "2.0", "1.659753955386447")),
+    (ETA, 2, ("8.65685424949238", "6.0", "4.0742911031938505")),
+    (ETA, 3, ("34.55634918610405", "20.0", "11.14243772205984")),
+    (SIX_TERMS, 1, ("1.1559443910147373", "1.101154315417627", "1.0621029265840911")),
+    (SIX_TERMS, 2, ("1.6593369959939348", "1.41872162948921", "1.2534058788623024")),
+    (SIX_TERMS, 3, ("2.7334054028954293", "2.039668906628521", "1.6043405437001765")),
+]
+
+
+@pytest.mark.parametrize("spec,k,reprs", TARGET_BITS)
+def test_targets_keep_their_bits(spec, k, reprs):
+    with warnings.catch_warnings():
+        # zeta(4 sigma) at 4 sigma = 5.2 lies outside zeta's validated strip
+        warnings.simplefilter("ignore", AccuracyWarning)
+        got = [theoretical_target(spec, sigma, k) for sigma in (0.75, 1.0, 1.3)]
+    assert got == [float(r) for r in reprs]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_target_past_the_float_range_is_none():
+    # |a_2|^2 = 1e400 overflows, also at sigma = 600 where 2^{-1200}
+    # underflows to 0.
+    big = _explicit([(1, 1.0), (2, 1e200), (3, 1.0)])
+    assert theoretical_target(big, 200.0, 1) is None
+    assert theoretical_target(big, 600.0, 1) is None
+    report = estimate_moment(big, 200.0, 1, 10.0)
+    assert math.isfinite(report.estimate)
+    assert report.target is None and report.rel_error is None
+    # finite squares whose sum passes the float range
+    wide = _explicit([(1, 1.3e154), (2, 1.3e154), (3, 1.3e154)])
+    assert theoretical_target(wide, 0.0, 1) is None
 
 
 def test_moment_guards():
@@ -101,15 +141,6 @@ def test_moment_guards():
         QuadratureConfig(rule="midpoint")
     with pytest.raises(PreconditionError, match="step"):
         QuadratureConfig(step=0.0)
-
-
-def test_lindelof_product_values():
-    assert abs(lindelof_product(1, 0.75) - ZETA_1_5) < 1e-10
-    assert abs(lindelof_product(2, 1.0) - FOURTH_TARGET_1) < 1e-10 * FOURTH_TARGET_1
-    with pytest.raises(PreconditionError, match="k = 1, 2 only"):
-        lindelof_product(3, 0.75)
-    with pytest.raises(PreconditionError, match="2 sigma > 1"):
-        lindelof_product(1, 0.5)
 
 
 def test_divisor_ratio_pin():
@@ -128,51 +159,3 @@ def test_divisor_ratio_pin():
     )
     assert tau6[10080] == tau_star
     assert abs(ratios[n_star] - DIVISOR_RATIO_MAX) <= 1e-12 * DIVISOR_RATIO_MAX
-
-
-def test_order_scan_constant_series():
-    unit = SeriesSpec(
-        coeffs=ExplicitSource.from_pairs([(1, 2.5)]),
-        sigma_m=float("-inf"),
-        sigma_a=float("-inf"),
-    )
-    report = order_scan(unit, 1.0, [10.0, 100.0])
-    assert report.slope == 0.0
-    assert all(m == 2.5 for _, m in report.points)
-
-
-def test_order_scan_zeta_near_critical():
-    report = order_scan(ZETA, 0.75, [100.0, 1000.0])
-    # t = 0 lies on the grid, where |zeta(0.75)| still dominates both windows
-    t100 = dict(report.points)[100.0]
-    assert abs(t100 - ABS_ZETA_0_75) <= 1e-8 * ABS_ZETA_0_75
-    assert 0.0 <= report.slope < 0.25
-
-
-def test_order_scan_same_bits_at_any_thread_count():
-    # 20,021 nodes: two windows of _NODE_CHUNK, so threads=2 uses the pool.
-    one = order_scan(ZETA, 0.75, [100.0, 1001.0], threads=1)
-    assert one == order_scan(ZETA, 0.75, [100.0, 1001.0], threads=2)
-
-
-def test_order_scan_absolute_convergence_is_flat():
-    report = order_scan(ZETA, 2.0, [10.0, 50.0])
-    assert report.slope == 0.0
-    for _, m in report.points:
-        assert m <= ZETA_2 * (1.0 + 1e-10)
-
-
-def test_order_scan_guards():
-    with pytest.raises(PreconditionError, match="exceed sigma_m"):
-        order_scan(ZETA, 0.5, [10.0])
-    with pytest.raises(PreconditionError, match="positive horizons"):
-        order_scan(ZETA, 0.75, [])
-    with pytest.raises(PreconditionError, match="positive horizons"):
-        order_scan(ZETA, 0.75, [0.0, 10.0])
-    with pytest.raises(PreconditionError, match="<= 0.05 for zeta"):
-        order_scan(ZETA, 0.75, [10.0], cfg=QuadratureConfig(step=0.1))
-
-
-def test_order_scan_refuses_an_infinite_grid():
-    with pytest.raises(PreconditionError, match="T/step must be finite"):
-        order_scan(ZETA, 2.0, [1e300], cfg=QuadratureConfig(step=1e-10))

@@ -133,6 +133,24 @@ def test_tail_norm_brackets_the_divisor_square_sum():
     assert abs(partial - FOURTH_TARGET_1) / FOURTH_TARGET_1 < 1e-3
 
 
+def test_tail_norm_square_past_float_range_is_inf():
+    spec = load_source({"kind": "explicit", "coeffs": [[1, 1, 0], [2, 1e200, 0]]})
+    assert tail_norm(spec, 1.0, 1) == (1.0, math.inf)
+    assert tail_norm(spec, 1.0, 2) == (math.inf, 0.0)
+
+
+@pytest.mark.parametrize("name", ["zeta", "divisor_2"])
+def test_tail_norm_length_is_checked_before_allocating(monkeypatch, name):
+    spec = builtin_series(name)
+
+    def refuse(self, limit):
+        raise AssertionError("dense(%d) was called" % limit)
+
+    monkeypatch.setattr(type(spec.coeffs), "dense", refuse)
+    with pytest.raises(PreconditionError, match="exceeds the cap of 20000000"):
+        tail_norm(spec, 0.75, _kernel._MAX_TERMS + 1)
+
+
 def test_tail_norm_divergent_abscissa():
     with pytest.raises(PreconditionError, match="2 sigma > 1"):
         tail_norm(ZETA, 0.5, 100)
