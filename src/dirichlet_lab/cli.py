@@ -17,10 +17,8 @@ import re
 import sys
 import warnings
 
-import numpy as np
-
 from .coefficients import SeriesSpec, builtin_series, load_source
-from .convolution import _check_inverse_length, _inverse_of_table
+from .convolution import _inverse_of_table
 from .errors import AccuracyWarning, NumericalError, PreconditionError
 from .moments import QuadratureConfig, estimate_moment
 from .parallel import resolve_threads
@@ -278,13 +276,10 @@ def _cmd_recur(args, threads):
 
 def _cmd_mollify(args, threads):
     spec = _resolve_series(args.series)
-    # N is checked against the term cap before dense allocates; the one
-    # table serves both the inverse and the mollified series.
-    _check_inverse_length(args.N)
+    # One table serves the inverse and the mollified series.  The tails
+    # read b_1..b_X only, so the inverse stops at the largest X below N.
     a = spec.coeffs.dense(args.N)
-    # An inverse entry past the float range makes the tail it reaches inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = _inverse_of_table(a)
+    b = _inverse_of_table(a[: max(1, min(args.N, max(args.X_list))) + 1])
     pairs = mollifier_tail_decay(a, b, args.sigma, args.X_list, args.N)
     result = {"pairs": [{"X": X, "tail": tail} for X, tail in pairs]}
     rows = [(X, tail) for X, tail in pairs]

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernel import _MAX_TERMS
 from .errors import PreconditionError
 from .primes import _SIEVE_BOUND, factorize, primes_up_to
 
@@ -25,18 +26,26 @@ __all__ = [
 
 
 class CoefficientSource:
-    """Interface shared by all coefficient sources."""
+    """Interface shared by all coefficient sources: subclasses implement
+    _dense, and prime_powers when multiplicative."""
 
-    # Upper bound G with |a_{p^e}|^2 <= G^e, used by tail estimates.
+    # Upper bound G with |a_{p^e}|^2 <= G^e, used by tail estimates; G <= 1
+    # means |a_n| <= 1 for all n, where the tightest tail bounds apply.
     square_growth_base = 1.0
-    # True when |a_n| <= 1 for all n (tightest tail bounds apply).
-    unit_bounded = True
 
     def dense(self, limit: int) -> np.ndarray:
         """Coefficients a_1..a_limit as a complex array indexed 1..limit.
 
-        Index 0 is present and zero so that arr[n] is a_n.
+        Index 0 is present and zero so that arr[n] is a_n.  A limit outside
+        0.._MAX_TERMS is a PreconditionError, raised before allocating.
         """
+        if not 0 <= limit <= _MAX_TERMS:
+            raise PreconditionError(
+                "coefficient table length %d lies outside 0..%d" % (limit, _MAX_TERMS)
+            )
+        return self._dense(int(limit))
+
+    def _dense(self, limit: int) -> np.ndarray:
         raise NotImplementedError
 
     def prime_powers(self, ps: np.ndarray, e: int) -> np.ndarray:
@@ -70,7 +79,7 @@ class ExplicitSource(CoefficientSource):
         val = np.asarray([a for _, a in self.entries], dtype=np.complex128)
         return idx, val
 
-    def dense(self, limit: int) -> np.ndarray:
+    def _dense(self, limit: int) -> np.ndarray:
         idx, val = self.support()
         keep = idx <= limit
         arr = np.zeros(limit + 1, dtype=np.complex128)
@@ -90,12 +99,11 @@ class MultiplicativeSource(CoefficientSource):
 
     rule: object
     square_growth_base: float = 1.0
-    unit_bounded: bool = True
 
     def prime_powers(self, ps: np.ndarray, e: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.rule(ps, e), dtype=np.complex128), ps.shape)
 
-    def dense(self, limit: int) -> np.ndarray:
+    def _dense(self, limit: int) -> np.ndarray:
         # One sieve over the primes, largest first: a_n = 1 * a_{p_k^{e_k}}
         # ... a_{p_1^{e_1}}, and j p takes a_{p^e} where p^{e-1} divides j.
         arr = np.zeros(limit + 1, dtype=np.complex128)
@@ -144,7 +152,7 @@ class SeriesSpec:
 
 
 class _ZetaSource(MultiplicativeSource):
-    def dense(self, limit: int) -> np.ndarray:
+    def _dense(self, limit: int) -> np.ndarray:
         arr = np.ones(limit + 1, dtype=np.complex128)
         arr[0] = 0.0
         return arr
@@ -232,7 +240,7 @@ class _CharacterSource(CoefficientSource):
             residue = residue * base % self.modulus
         return self.table[residue]
 
-    def dense(self, limit: int) -> np.ndarray:
+    def _dense(self, limit: int) -> np.ndarray:
         arr = np.resize(self.table, limit + 1)
         arr[0] = 0.0
         return arr
@@ -279,7 +287,6 @@ def builtin_series(name: str) -> SeriesSpec:
             coeffs=MultiplicativeSource(
                 rule=lambda p, e: float(math.comb(e + k - 1, k - 1)),
                 square_growth_base=float(k * k),
-                unit_bounded=(k == 1),
             ),
             sigma_m=0.5,
             sigma_a=1.0,
@@ -398,11 +405,7 @@ def _spec_from_doc(data: dict) -> SeriesSpec:
             i = np.searchsorted(primes[:-1], ps)
             return np.where(primes[i] == ps, vals[i], 0j)
 
-        src = MultiplicativeSource(
-            rule=rule,
-            square_growth_base=max(1.0, growth),
-            unit_bounded=all(abs(v) <= 1.0 for v in table.values()),
-        )
+        src = MultiplicativeSource(rule=rule, square_growth_base=max(1.0, growth))
         sm, sa = _DEFAULT_MULT_ABSCISSAS
         return SeriesSpec(
             coeffs=src,

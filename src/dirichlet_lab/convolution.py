@@ -6,7 +6,6 @@ zero), so a[n] is the coefficient of n^{-s}.
 
 import numpy as np
 
-from ._kernel import _MAX_TERMS
 from .coefficients import SeriesSpec
 from .errors import PreconditionError
 
@@ -82,26 +81,16 @@ def inverse_coefficients(spec: SeriesSpec, N: int) -> np.ndarray:
 
     Raises:
         PreconditionError: a_1 = 0 (message "no Dirichlet inverse"), or N
-            below 1 or above the cap of _MAX_TERMS terms.
+            below 1 or past the term cap (refused by dense).
     """
-    _check_inverse_length(N)
     return _inverse_of_table(spec.coeffs.dense(N))
 
 
-def _check_inverse_length(N: int) -> None:
-    """PreconditionError unless 1 <= N <= _MAX_TERMS; run before the
-    coefficient table of length N + 1 is built."""
-    if N < 1:
-        raise PreconditionError("inverse requires N >= 1")
-    if N > _MAX_TERMS:
-        raise PreconditionError(
-            "inverse length %d exceeds the cap of %d terms" % (N, _MAX_TERMS)
-        )
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def _inverse_of_table(a: np.ndarray) -> np.ndarray:
     """Inverse coefficients b of the dense table a (a[0] ignored), with
-    a*b = e up to index N = a.size - 1.
+    a*b = e up to index N = a.size - 1 >= 1; entries past the float range
+    are inf or nan, without a warning.
 
     Uses the push form of the recurrence b_n = -a_1^{-1} sum_{d|n, d>1}
     a_d b_{n/d}, one block of n with the same q = N // n at a time, in about
@@ -112,9 +101,11 @@ def _inverse_of_table(a: np.ndarray) -> np.ndarray:
     k1 / k2 = n2 / n1 < (q + 1) / q, but k2 < k1 <= q gives
     k1 / k2 >= q / (q - 1).  So each acc entry gains its terms one at a
     time, in the order of n, as the one-n-at-a-time loop adds them, and
-    the bits are that loop's.
+    the bits are that loop's at any N: a[:t + 1] gives b[:t + 1].
     """
     N = a.size - 1
+    if N < 1:
+        raise PreconditionError("inverse requires N >= 1")
     if a[1] == 0:
         raise PreconditionError("no Dirichlet inverse")
     inv = 1.0 / a[1]

@@ -3,6 +3,7 @@ truncations with certified tails, torus twists, and squared-coefficient
 (tail) norms.
 """
 
+import cmath
 import functools
 import itertools
 import math
@@ -34,12 +35,8 @@ def _truncated(spec: SeriesSpec, N: int) -> DirichletPolynomial:
     """The first N terms of the series."""
     if N < 1:
         raise PreconditionError("truncation length must be >= 1")
-    if N > _MAX_TERMS:
-        raise PreconditionError(
-            "truncation length %d exceeds the cap of %d terms" % (N, _MAX_TERMS)
-        )
-    N = int(N)
-    return DirichletPolynomial(np.arange(1, N + 1), spec.coeffs.dense(N)[1:])
+    table = spec.coeffs.dense(N)
+    return DirichletPolynomial(np.arange(1, table.size), table[1:])
 
 
 def default_evaluator(spec: SeriesSpec, N: int = 100_000):
@@ -61,13 +58,13 @@ def default_evaluator(spec: SeriesSpec, N: int = 100_000):
 # Squared-coefficient norms
 
 
-def _square_sum(values, ns, sigma: float) -> float:
-    """sum |a|^2 n^{-2 sigma} over the paired arrays values and ns (integer
-    or float), by math.fsum.  inf, without a warning, when a term or the sum
-    passes the float range (an overflowed |a|^2 times an underflowed
-    n^{-2 sigma} is such a term)."""
+def _square_sum(values, ns, sigma: float, power=2) -> float:
+    """sum |a|^power n^{-power sigma} (squares by default) over the paired
+    arrays values and ns (integer or float), by math.fsum.  inf, without a
+    warning, when a term or the sum passes the float range (an overflowed
+    |a|^2 times an underflowed n^{-2 sigma} is such a term)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.abs(values) ** 2 * ns ** (-2.0 * sigma)
+        sq = np.abs(values) ** power * ns ** (-power * sigma)
     try:
         return math.fsum(sq) if np.isfinite(sq).all() else math.inf
     except OverflowError:  # finite terms whose sum passes the float range
@@ -78,10 +75,10 @@ def tail_norm(spec: SeriesSpec, sigma: float, N: int):
     """(partial, bound): sum of |a_n|^2 n^{-2 sigma} to N plus a certified
     bound on the rest.
 
-    Explicit series get the exact finite remainder.  Unit-bounded sources use
-    the integral comparison N^{1-2s}/(2s-1); other multiplicative sources get
-    a shifted-exponent bound through their Euler factors.  A partial sum
-    past the float range is inf.
+    Explicit series get the exact finite remainder.  Sources whose square
+    growth base is at most 1 (so |a_n| <= 1) use the integral comparison
+    N^{1-2s}/(2s-1); other multiplicative sources get a shifted-exponent
+    bound through their Euler factors.  A partial sum past the float range is inf.
 
     Raises:
         PreconditionError: N < 1, 2 sigma <= 1 for a non-explicit source, or
@@ -102,7 +99,7 @@ def tail_norm(spec: SeriesSpec, sigma: float, N: int):
             "tail norm length %d exceeds the cap of %d terms" % (N, _MAX_TERMS)
         )
     partial = _square_sum(src.dense(int(N))[1:], np.arange(1, int(N) + 1), sigma)
-    if src.unit_bounded:
+    if src.square_growth_base <= 1.0:
         return partial, N ** (1.0 - 2.0 * sigma) / (2.0 * sigma - 1.0)
     return partial, _rankin_square_tail(src, sigma, N)
 
@@ -269,8 +266,8 @@ def smooth_truncation_eval(spec: SeriesSpec, s: complex, k: int, M=None):
     Raises:
         PreconditionError: Re s <= sigma_m, or a divergent local factor
             ("series not in J at this σ").
-        NumericalError: a divergent Euler factor, or a tail bound past the
-            float range.
+        NumericalError: a divergent Euler factor, or a value or tail bound
+            past the float range.
     """
     if k < 1:
         raise PreconditionError("smooth truncation requires k >= 1")
@@ -289,13 +286,17 @@ def smooth_truncation_eval(spec: SeriesSpec, s: complex, k: int, M=None):
         smooth = _smooth_mask(idx, r)
         kept = smooth if M is None else smooth & (idx <= M)
         rest = smooth & ~kept
-        tail = math.fsum(np.abs(val[rest]) * idx[rest].astype(np.float64) ** (-s.real))
-        return DirichletPolynomial(idx[kept], val[kept])(s), tail
-    if M is None:
-        return _euler_product(spec, s, r), 0.0
-    sm = smooth_enumerate(r, M)
-    value = DirichletPolynomial(sm.members, _smooth_coefficients(spec, sm))(s)
-    return value, _rankin_smooth_tail(spec, s.real, r, M)
+        value = DirichletPolynomial(idx[kept], val[kept])(s)
+        bound = _square_sum(val[rest], idx[rest], s.real, power=1)
+    elif M is None:
+        value, bound = _euler_product(spec, s, r), 0.0
+    else:
+        sm = smooth_enumerate(r, M)
+        value = DirichletPolynomial(sm.members, _smooth_coefficients(spec, sm))(s)
+        bound = _rankin_smooth_tail(spec, s.real, r, M)
+    if not (cmath.isfinite(value) and math.isfinite(bound)):
+        raise NumericalError("smooth truncation is not a finite float")
+    return value, bound
 
 
 def _smooth_mask(idx: np.ndarray, r: int) -> np.ndarray:

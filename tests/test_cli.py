@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dirichlet_lab import builtin_series, smooth_truncation_eval
+from dirichlet_lab import builtin_series, cli, smooth_truncation_eval
 from dirichlet_lab.cli import UsageError, _parse_complex
 from dirichlet_lab.coefficients import MultiplicativeSource
 
@@ -190,6 +190,24 @@ def test_mollify_builds_its_table_once(monkeypatch):
     assert limits == [2000]
 
 
+@pytest.mark.parametrize("xs, size", [("10,100", 101), ("10,5000", 2001)])
+def test_mollify_inverts_only_the_prefix_it_reads(monkeypatch, xs, size):
+    # The tails read b_1..b_X, so the inverse runs to the largest X below N.
+    sizes = []
+    inverse = cli._inverse_of_table
+
+    def counted(a):
+        sizes.append(a.size)
+        return inverse(a)
+
+    monkeypatch.setattr(cli, "_inverse_of_table", counted)
+    argv = ["mollify", "--series", "divisor_2", "--sigma", "1.2", "--X-list",
+            xs, "--N", "2000"]
+    code, _, _ = run_cli(argv)
+    assert code == 0
+    assert sizes == [size]
+
+
 def test_truncate_subcommand():
     argv = ["truncate", "--series", "zeta", "--s", "1.5", "--k", "2", "--M", "1000"]
     code, out, _ = run_cli(argv + ["--format", "csv"])
@@ -216,6 +234,28 @@ def test_truncate_past_the_smooth_work_cap_is_numerical(M):
     assert err.startswith("dlab: numerical:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "pairs, extra",
+    [
+        # finite smooth-tail terms 1e308 4^{-0.1} whose sum overflows
+        ([(1, 1.0), (2, 1e308), (4, 1e308)], ["--s", "0.1", "--k", "2", "--M", "1"]),
+        # the tail's terms n^{2000} overflow
+        ([(1, 1.0), (2, 1.0), (3, 1.0)], ["--s", "-2000", "--k", "2", "--M", "1"]),
+        # the value overflows
+        ([(1, 1.0), (2, 1.0), (3, 1.0)], ["--s", "-2000", "--k", "2"]),
+        # the Euler product over p <= 2^16 is nan
+        (None, ["--series", "divisor_40", "--s", "0.51", "--k", "16",
+                "--format", "csv"]),
+    ],
+    ids=["tail-sum", "tail-terms", "value", "euler-product"],
+)
+def test_truncate_past_float_range_is_numerical(tmp_path, pairs, extra):
+    series = [] if pairs is None else ["--series", _explicit_file(tmp_path, pairs)]
+    code, out, err = run_cli(["truncate"] + series + extra)
+    assert code == 2 and out == ""
+    assert err.startswith("dlab: numerical:") and err.count("\n") == 1
+
+
 def test_series_resolution(tmp_path):
     spec = {"kind": "explicit", "coeffs": [[1, 1.0, 0.0], [2, -2.0, 0.0]]}
     path = tmp_path / "ladder.json"
@@ -230,6 +270,17 @@ def test_series_resolution(tmp_path):
     )
     assert code == 1
     assert err.startswith("dlab: precondition: unknown builtin series")
+
+
+@pytest.mark.parametrize("sigma, k", [("1.3", "2"), ("2.5", "1")])
+def test_zeta_moment_target_does_not_warn(sigma, k):
+    # Every node lies in zeta's validated strip; the target's zeta(4 sigma)
+    # or zeta(2 sigma) lies on the real axis past 4, where zeta is as
+    # accurate (test_zeta checks it against mpmath).
+    argv = ["moment", "--series", "zeta", "--sigma", sigma, "--k", k, "--T", "10"]
+    code, out, err = run_cli(argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["target"] is not None
 
 
 def test_exit_codes_and_stderr_prefixes():

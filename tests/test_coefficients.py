@@ -13,6 +13,7 @@ from dirichlet_lab import (
     builtin_series,
     load_source,
 )
+from dirichlet_lab._kernel import _MAX_TERMS
 from dirichlet_lab.coefficients import _primitive_root
 from dirichlet_lab.primes import factorize
 
@@ -58,7 +59,6 @@ def test_divisor_builtins():
     # tau_3(p^2) = C(4, 2) = 6
     assert a_n(d3, 4) == 6
     assert d3.coeffs.square_growth_base == 9.0
-    assert not d3.coeffs.unit_bounded
 
 
 def test_eta_factor_builtin():
@@ -254,7 +254,6 @@ def test_load_source_multiplicative():
     assert spec.sigma_m == 0.9
     # growth base: max |a_{p^e}|^{2/e} = 9, so not unit bounded
     assert spec.coeffs.square_growth_base == 9.0
-    assert not spec.coeffs.unit_bounded
 
 
 def test_load_source_builtin_kind():
@@ -265,3 +264,22 @@ def test_load_source_builtin_kind():
 def test_load_source_bad_kind():
     with pytest.raises(PreconditionError):
         load_source({"kind": "mystery"})
+
+
+_MULT_FILE = {"kind": "multiplicative", "prime_powers": [[2, 1, 3.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "ref",
+    ["zeta", "moebius", "divisor_3", "character_5_1", "eta-factor", "file"],
+)
+def test_dense_refuses_past_the_term_cap_before_allocating(monkeypatch, ref):
+    spec = load_source(_MULT_FILE) if ref == "file" else builtin_series(ref)
+
+    def refuse(self, limit):
+        raise AssertionError("_dense(%d) was called" % limit)
+
+    monkeypatch.setattr(type(spec.coeffs), "_dense", refuse)
+    for limit in (_MAX_TERMS + 1, -1):
+        with pytest.raises(PreconditionError, match="table length %d" % limit):
+            spec.coeffs.dense(limit)

@@ -3,6 +3,7 @@ import pytest
 
 from dirichlet_lab import (
     PreconditionError,
+    load_source,
     builtin_series,
     convolution_power,
     dirichlet_convolve,
@@ -190,3 +191,30 @@ def test_mollifier_bit_identical_to_full_order_convolution():
         want[2 : X + 1] = 0.0
         got = mollifier_coefficients(a, b, X, N)
         assert got.tobytes() == want.tobytes(), X
+
+
+# a_n = 1/n + (-1)^n i/(n + 1) for n < 60, so a_1 = 1 - i/2 is not real.
+_NONREAL_FILE = {
+    "kind": "explicit",
+    "coeffs": [[n, 1.0 / n, (-1.0) ** n / (n + 1)] for n in range(1, 60)],
+}
+
+
+@pytest.mark.parametrize(
+    "ref", ["zeta", "moebius", "divisor_2", "character_12_2", "nonreal-file"]
+)
+def test_inverse_of_a_prefix_is_the_prefix_of_the_inverse(ref):
+    # Entry n of the inverse gains its terms in the same order at any table
+    # length, so the mollify command may invert only b_1..b_X.
+    spec = load_source(_NONREAL_FILE) if ref == "nonreal-file" else builtin_series(ref)
+    N = 20_000
+    a = spec.coeffs.dense(N)
+    full = _inverse_of_table(a)
+    for t in (1, 2, 7, 1000, N):
+        got = _inverse_of_table(a[: t + 1])
+        np.testing.assert_array_equal(got.view(np.uint64), full[: t + 1].view(np.uint64))
+
+
+def test_inverse_of_an_empty_table_is_refused():
+    with pytest.raises(PreconditionError, match="inverse requires N >= 1"):
+        _inverse_of_table(np.zeros(1, dtype=np.complex128))

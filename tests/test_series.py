@@ -158,7 +158,7 @@ def test_tail_norm_divergent_abscissa():
 
 def test_tail_norm_divergent_source():
     src = MultiplicativeSource(
-        rule=lambda p, e: 2.0**e, square_growth_base=4.0, unit_bounded=False
+        rule=lambda p, e: 2.0**e, square_growth_base=4.0
     )
     spec = SeriesSpec(coeffs=src, sigma_m=1.0, sigma_a=2.0, label="growing")
     with pytest.raises(NumericalError, match="divergence detected in tail norm"):
@@ -240,7 +240,7 @@ def test_twist_needs_all_coordinates():
 
 def test_smooth_rankin_divergence():
     src = MultiplicativeSource(
-        rule=lambda p, e: 3.0**e, square_growth_base=9.0, unit_bounded=False
+        rule=lambda p, e: 3.0**e, square_growth_base=9.0
     )
     spec = SeriesSpec(coeffs=src, sigma_m=0.5, sigma_a=3.0, label="steep")
     with pytest.raises(PreconditionError, match="not in J"):
@@ -261,9 +261,23 @@ def test_tail_norm_divisor_bound_covers_brute_force_tail(k):
     assert math.isfinite(bound) and bound >= brute
 
 
+def test_tail_norm_bound_covers_a_growing_sources_tail():
+    # a_{p^e} = 1.5^e, so |a_n| > 1 and the unit integral bound (5e-7 here)
+    # would be short of the tail, which reaches 2.5e-5 by n = 200,000.
+    src = MultiplicativeSource(rule=lambda p, e: 1.5**e, square_growth_base=2.25)
+    spec = SeriesSpec(coeffs=src, sigma_m=0.5, sigma_a=2.0, label="growing")
+    sigma, N, N_far = 1.5, 1000, 200_000
+    _, bound = tail_norm(spec, sigma, N)
+    a = src.dense(N_far).real
+    ns = np.arange(N + 1, N_far + 1, dtype=np.float64)
+    brute = math.fsum(a[N + 1 :] ** 2 * ns ** (-2.0 * sigma))
+    assert brute > 2.5e-5
+    assert math.isfinite(bound) and bound >= brute
+
+
 def test_overflowing_rule_gives_each_callers_error():
     src = MultiplicativeSource(
-        rule=lambda p, e: 10.0**e, square_growth_base=100.0, unit_bounded=False
+        rule=lambda p, e: 10.0**e, square_growth_base=100.0
     )
     spec = SeriesSpec(coeffs=src, sigma_m=0.5, sigma_a=3.0, label="tenfold")
     with pytest.raises(PreconditionError, match="not in J"):
@@ -278,7 +292,6 @@ def test_smooth_tail_bound_past_float_range_is_numerical_error():
     src = MultiplicativeSource(
         rule=lambda p, e: 1e6 if e == 1 else 0.0,
         square_growth_base=1e12,
-        unit_bounded=False,
     )
     spec = SeriesSpec(coeffs=src, sigma_m=0.5, sigma_a=3.0, label="huge")
     with pytest.raises(NumericalError, match="float range"):
@@ -576,7 +589,6 @@ def test_divergent_rule_gives_the_scalar_loops_errors():
     src = MultiplicativeSource(
         rule=lambda ps, e: np.where(ps == 5, 4.0**e, 1.0),
         square_growth_base=16.0,
-        unit_bounded=False,
     )
     spec = SeriesSpec(coeffs=src, sigma_m=0.5, sigma_a=2.0, label="five")
     for route in (series._euler_product, lambda spec, s, r: euler_product_loop(spec.coeffs, s, r)):

@@ -76,6 +76,21 @@ def test_outside_strip_warns_but_stays_accurate():
         zeta_eval(0.75 + 10001.0j)
 
 
+@pytest.mark.parametrize(
+    "x", [4.0001, 4.2, 4.5, 5.2, 6, 8, 10, 16, 40, 100, 400, 1000, 5000]
+)
+def test_real_axis_past_the_strip_against_mpmath(x):
+    # The moment targets take zeta(2 sigma) and zeta(4 sigma) here, without
+    # the strip warning.
+    mpmath.mp.dps = 40
+    want = mpmath.zeta(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        got = zeta_eval(x)
+    assert got.imag == 0.0
+    assert abs(mpmath.mpf(got.real) - want) <= 4.2e-16 * want
+
+
 def test_inside_strip_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
