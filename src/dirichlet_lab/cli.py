@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import warnings
+from dataclasses import asdict
 
 from .coefficients import SeriesSpec, builtin_series, load_source
 from .convolution import _inverse_of_table
@@ -145,18 +146,22 @@ def _config(args) -> dict:
 
 
 def _render(args, result, csv_header, csv_rows) -> str:
+    """The JSON document, or the CSV rows projected from result's row dicts:
+    column c reads key c.replace("-", "_")."""
     if args.fmt == "csv":
         if csv_header is None:
             raise UsageError("%s emits JSON only" % args.subcommand)
+        keys = [c.replace("-", "_") for c in csv_header.split(",")]
         lines = [csv_header]
-        lines.extend(",".join(_csv_cell(c) for c in row) for row in csv_rows)
+        lines.extend(",".join(_csv_cell(row[k]) for k in keys) for row in csv_rows)
         return "\n".join(lines) + "\n"
     doc = {"experiment": args.subcommand, "config": _config(args), "result": result}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (result, csv_header, csv_rows).
+# Subcommand handlers: each returns (result, csv_header, csv_rows), where the
+# CSV rows are dicts of the result itself.
 
 
 def _cmd_moment(args, threads):
@@ -167,36 +172,20 @@ def _cmd_moment(args, threads):
         spec, args.sigma, args.k, args.T,
         cfg=cfg, evaluator=evaluator, threads=threads,
     )
-    result = {
-        "sigma": rep.sigma, "k": rep.k, "T": rep.T, "step": rep.step,
-        "estimate": rep.estimate, "target": rep.target,
-        "rel_error": rep.rel_error, "rule": rep.rule, "window": rep.window,
-    }
-    rows = [(rep.sigma, rep.k, rep.T, rep.step, rep.estimate, rep.target, rep.rel_error)]
-    return result, "sigma,k,T,step,estimate,target,rel_error", rows
+    result = asdict(rep)
+    return result, "sigma,k,T,step,estimate,target,rel_error", [result]
 
 
 def _cmd_zeros(args, threads):
     spec = _resolve_series(args.series)
     f = default_evaluator(spec, args.N)
     records = zero_scan(f, Rectangle(*args.rect), tol=args.tol, boundary_step=args.step)
-    result = {
-        "count": len(records),
-        "zeros": [
-            {
-                "re": rec.location.real,
-                "im": rec.location.imag,
-                "residual": rec.refinement_residual,
-                "confirmed": rec.winding_confirmed,
-            }
-            for rec in records
-        ],
-    }
-    rows = [
-        (rec.location.real, rec.location.imag, rec.refinement_residual)
+    zeros = [
+        {"re": rec.location.real, "im": rec.location.imag,
+         "residual": rec.refinement_residual, "confirmed": rec.winding_confirmed}
         for rec in records
     ]
-    return result, "re,im,residual", rows
+    return {"count": len(zeros), "zeros": zeros}, "re,im,residual", zeros
 
 
 def _cmd_density(args, threads):
@@ -208,11 +197,8 @@ def _cmd_density(args, threads):
         boundary_step=args.step,
         exclude_origin=spec.has_pole_at_one,
     )
-    result = {
-        "rows": [{"sigma": s, "T": T, "count": c} for s, T, c in table]
-    }
-    rows = [(s, T, c) for s, T, c in table]
-    return result, "sigma,T,count", rows
+    rows = [{"sigma": s, "T": T, "count": c} for s, T, c in table]
+    return {"rows": rows}, "sigma,T,count", rows
 
 
 def _cmd_flow(args, threads):
@@ -230,24 +216,12 @@ def _cmd_flow(args, threads):
     # of the widest box's dimension serves every box.
     cfg = FlowConfig(dims=max(box.dims for box in boxes), T=args.T, step=args.step)
     ests = box_hitting_fractions(cfg, boxes, threads=threads)
-    out_rows = [
-        (box, est, box.volume, abs(est - box.volume))
+    rows = [
+        {"t_horizon": args.T, "estimate": est, "target": box.volume,
+         "error": abs(est - box.volume), "box": {"lo": list(box.lo), "hi": list(box.hi)}}
         for box, est in zip(boxes, ests)
     ]
-    result = {
-        "rows": [
-            {
-                "t_horizon": args.T,
-                "estimate": est,
-                "target": target,
-                "error": err,
-                "box": {"lo": list(box.lo), "hi": list(box.hi)},
-            }
-            for box, est, target, err in out_rows
-        ]
-    }
-    rows = [(args.T, est, target, err) for _, est, target, err in out_rows]
-    return result, "t-horizon,estimate,target,error", rows
+    return {"rows": rows}, "t-horizon,estimate,target,error", rows
 
 
 def _cmd_recur(args, threads):
@@ -256,21 +230,11 @@ def _cmd_recur(args, threads):
     rep = recurrence_scan(
         f, args.s0, args.r, args.T, args.t_step, grid=args.grid, threads=threads
     )
-    verified = [
+    result = asdict(rep)
+    result["s0"] = _cplx(rep.s0)
+    result["verified"] = [
         rouche_verify(f, rep.s0, t_j, rep.r, rep.m0) for t_j in rep.hits
     ]
-    result = {
-        "s0": _cplx(rep.s0),
-        "r": rep.r,
-        "m0": rep.m0,
-        "T": rep.T,
-        "t_step": rep.t_step,
-        "threshold": rep.threshold,
-        "hits": list(rep.hits),
-        "hit_integrals": list(rep.hit_integrals),
-        "verified": verified,
-        "lower_bound_rate": rep.lower_bound_rate,
-    }
     return result, None, None
 
 
@@ -280,18 +244,18 @@ def _cmd_mollify(args, threads):
     # read b_1..b_X only, so the inverse stops at the largest X below N.
     a = spec.coeffs.dense(args.N)
     b = _inverse_of_table(a[: max(1, min(args.N, max(args.X_list))) + 1])
-    pairs = mollifier_tail_decay(a, b, args.sigma, args.X_list, args.N)
-    result = {"pairs": [{"X": X, "tail": tail} for X, tail in pairs]}
-    rows = [(X, tail) for X, tail in pairs]
-    return result, "X,tail", rows
+    pairs = [
+        {"X": X, "tail": tail}
+        for X, tail in mollifier_tail_decay(a, b, args.sigma, args.X_list, args.N)
+    ]
+    return {"pairs": pairs}, "X,tail", pairs
 
 
 def _cmd_truncate(args, threads):
     spec = _resolve_series(args.series)
     value, bound = smooth_truncation_eval(spec, args.s, args.k, args.M)
     result = {"value": _cplx(value), "tail_bound": bound, "k": args.k, "M": args.M}
-    rows = [(value.real, value.imag, bound)]
-    return result, "re,im,tail_bound", rows
+    return result, "re,im,tail_bound", [dict(result["value"], tail_bound=bound)]
 
 
 def _add_common(sp, handler, series=True):

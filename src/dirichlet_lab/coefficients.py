@@ -5,6 +5,7 @@ sources are defined by their prime-power rule a_{p^e}; explicit sources carry
 a finite table.  Coefficient files use a small JSON schema (see load_source).
 """
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import numpy as np
 
 from ._kernel import _MAX_TERMS
 from .errors import PreconditionError
-from .primes import _SIEVE_BOUND, factorize, primes_up_to
+from .primes import _SIEVE_BOUND, _sieved_primes, factorize, primes_up_to
 
 __all__ = [
     "CoefficientSource",
@@ -140,11 +141,15 @@ class SeriesSpec:
     sigma_m: float
     sigma_a: float
     label: str = "series"
-    has_pole_at_one: bool = False
 
     def __post_init__(self):
         if self.sigma_m > self.sigma_a:
             raise PreconditionError("sigma_m must not exceed sigma_a")
+
+    @property
+    def has_pole_at_one(self) -> bool:
+        """True for the builtin zeta series, the one series with a pole at 1."""
+        return _is_zeta(self)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +265,6 @@ def builtin_series(name: str) -> SeriesSpec:
             sigma_m=0.5,
             sigma_a=1.0,
             label="zeta",
-            has_pole_at_one=True,
         )
     if name == "moebius":
         return SeriesSpec(
@@ -334,10 +338,12 @@ def load_source(obj) -> SeriesSpec:
       {"kind": "explicit", "coeffs": [[n, re, im], ...]}
       {"kind": "multiplicative", "prime_powers": [[p, e, re, im], ...]}
       {"kind": "builtin", "name": "zeta"}
-    Optional keys "sigma_m", "sigma_a", "label" override the defaults.
-    Unlisted explicit indices and unlisted prime powers are zero.  A
-    multiplicative file becomes a MultiplicativeSource whose rule(ps, e)
-    looks up the listed a_{p^e} for a whole array of primes at one e.
+    Optional keys "sigma_m", "sigma_a", "label" override the defaults.  n, p
+    and e are whole, p a prime up to 10^12, no n or (p, e) repeats, and re,
+    im are finite.  Unlisted explicit indices and unlisted prime powers are
+    zero.  A multiplicative file becomes a MultiplicativeSource whose
+    rule(ps, e) looks up the listed a_{p^e} for a whole array of primes at
+    one e.
 
     Raises:
         PreconditionError: the file cannot be read or parsed, or the
@@ -365,13 +371,41 @@ def load_source(obj) -> SeriesSpec:
         raise PreconditionError("malformed coefficient JSON: %s" % exc) from None
 
 
+def _whole(x, name: str) -> int:
+    """x as an int; a value that is not a whole number is refused."""
+    if not float(x).is_integer():
+        raise PreconditionError("%s must be a whole number, got %r" % (name, x))
+    return int(x)
+
+
+def _finite(re, im) -> complex:
+    a = complex(re, im)
+    if not cmath.isfinite(a):
+        raise PreconditionError("coefficient values must be finite, got %r" % a)
+    return a
+
+
+def _refuse_non_primes(ps: np.ndarray):
+    """PreconditionError unless every entry of the int64 array ps is a prime
+    up to 10^12.  Entries up to the sieve bound are looked up in its sieve,
+    and the rest are factorized."""
+    ok = np.isin(ps, _sieved_primes(_SIEVE_BOUND))
+    for i in np.flatnonzero(ps > _SIEVE_BOUND):
+        p = int(ps[i])
+        ok[i] = p <= _SIEVE_BOUND**2 and factorize(p) == [(p, 1)]
+    if not ok.all():
+        raise PreconditionError(
+            "prime powers need a prime p <= 10^12, got %d" % ps[~ok][0]
+        )
+
+
 def _spec_from_doc(data: dict) -> SeriesSpec:
     kind = data["kind"]
     label = data.get("label", "file-series")
     if kind == "builtin":
         return builtin_series(data["name"])
     if kind == "explicit":
-        pairs = [(int(n), complex(re, im)) for n, re, im in data["coeffs"]]
+        pairs = [(_whole(n, "index"), _finite(re, im)) for n, re, im in data["coeffs"]]
         src = ExplicitSource.from_pairs(pairs)
         return SeriesSpec(
             coeffs=src,
@@ -382,10 +416,12 @@ def _spec_from_doc(data: dict) -> SeriesSpec:
     if kind == "multiplicative":
         table = {}
         for p, e, re, im in data["prime_powers"]:
-            p, e = int(p), int(e)
+            p, e = _whole(p, "p"), _whole(e, "e")
             if e < 1:
                 raise PreconditionError("prime powers need exponent >= 1")
-            table[(p, e)] = complex(re, im)
+            if (p, e) in table:
+                raise PreconditionError("duplicate prime power %d^%d" % (p, e))
+            table[(p, e)] = _finite(re, im)
         try:
             growth = max(
                 [abs(v) ** (2.0 / e) for (p, e), v in table.items() if v != 0],
@@ -396,6 +432,7 @@ def _spec_from_doc(data: dict) -> SeriesSpec:
 
         keys = sorted(table)  # ascending (p, e); past int64 is malformed
         listed = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+        _refuse_non_primes(listed[:, 0])
         values = np.asarray([table[k] for k in keys], dtype=np.complex128)
 
         def rule(ps, e):
@@ -414,4 +451,3 @@ def _spec_from_doc(data: dict) -> SeriesSpec:
             label=label,
         )
     raise PreconditionError("unknown coefficient kind %r" % kind)
-

@@ -124,7 +124,8 @@ def smooth_enumerate(r: int, bound: int) -> SmoothSet:
     Args:
         r: prime bound, >= 2.
         bound: enumeration cutoff M, 1 <= M < 2^63, so that every member
-            and product fits an int64.
+            and product fits an int64.  The primes up to min(r, M) are
+            sieved, and past 2^24 (truncate's k <= 24) refused before that.
     """
     if r < 2:
         raise PreconditionError("smooth_enumerate requires r >= 2")
@@ -132,6 +133,11 @@ def smooth_enumerate(r: int, bound: int) -> SmoothSet:
         raise PreconditionError("smooth_enumerate requires bound >= 1")
     if bound >= 2**63:
         raise PreconditionError("smooth_enumerate requires bound < 2^63")
+    if min(r, bound) > 2**24:
+        raise PreconditionError(
+            "smooth enumeration sieves primes up to min(r, bound) = %d, past 2^24"
+            % min(r, bound)
+        )
     return _smooth_cached(int(r), int(bound))
 
 

@@ -204,23 +204,6 @@ def _smooth_coefficients(spec: SeriesSpec, sm: SmoothSet) -> np.ndarray:
     return sm.fold(1.0 + 0j, lambda i, parent, e: parent * table[i, e])
 
 
-def _phase_for(theta, sm: SmoothSet) -> np.ndarray:
-    """exp(-2 pi i sum_p alpha_p theta_p) per member, folded over its
-    construction.
-
-    theta must carry a coordinate for every prime <= sm.r, although the fold
-    visits only the primes <= min(sm.r, sm.bound).
-    """
-    coords = np.asarray(theta.coords, dtype=np.float64)
-    missing = int(first_primes(coords.size + 1)[-1])
-    if missing <= sm.r:
-        raise PreconditionError(
-            "theta lacks a coordinate for prime %d" % missing
-        )
-    dot = sm.fold(0.0, lambda i, parent, e: parent + e.astype(np.float64) * coords[i])
-    return np.exp(-2j * math.pi * dot)
-
-
 def _rankin_smooth_tail(spec: SeriesSpec, sigma: float, r: int, M: int):
     """Bound on the omitted smooth tail sum_{n in N(r), n > M} |a_n| n^{-sigma}.
 
@@ -318,7 +301,8 @@ def twisted_eval(spec: SeriesSpec, theta, s: complex, k: int, M: int) -> complex
     """Smooth truncation with each term twisted by the torus phase
     exp(-2 pi i sum alpha_p theta_p) where n factors as prod p^{alpha_p}.
 
-    theta must carry a coordinate for every prime <= 2^k, ordered by prime.
+    theta must carry a coordinate for every prime <= 2^k, ordered by prime,
+    checked before the smooth set is enumerated.
     """
     if k < 1:
         raise PreconditionError("twisted evaluation requires k >= 1")
@@ -327,6 +311,12 @@ def twisted_eval(spec: SeriesSpec, theta, s: complex, k: int, M: int) -> complex
         raise PreconditionError("Re s must exceed sigma_m")
     if M is None or int(M) < 1:
         raise PreconditionError("twisted evaluation needs a finite cutoff M")
+    coords = np.asarray(theta.coords, dtype=np.float64)
+    missing = int(first_primes(coords.size + 1)[-1])
+    if missing <= 2**k:
+        raise PreconditionError("theta lacks a coordinate for prime %d" % missing)
     sm = smooth_enumerate(2**k, int(M))
-    coeffs = _smooth_coefficients(spec, sm) * _phase_for(theta, sm)
+    # sum_p alpha_p theta_p per member, folded over its construction.
+    dot = sm.fold(0.0, lambda i, parent, e: parent + e.astype(np.float64) * coords[i])
+    coeffs = _smooth_coefficients(spec, sm) * np.exp(-2j * math.pi * dot)
     return DirichletPolynomial(sm.members, coeffs)(s)

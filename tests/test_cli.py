@@ -256,6 +256,61 @@ def test_truncate_past_float_range_is_numerical(tmp_path, pairs, extra):
     assert err.startswith("dlab: numerical:") and err.count("\n") == 1
 
 
+# Where each CSV's rows live in its JSON result.
+_CSV_ROWS = {
+    "moment": lambda res: [res],
+    "zeros": lambda res: res["zeros"],
+    "density": lambda res: res["rows"],
+    "flow": lambda res: res["rows"],
+    "mollify": lambda res: res["pairs"],
+    "truncate": lambda res: [dict(res["value"], tail_bound=res["tail_bound"])],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (MOMENT_ETA, "sigma,k,T,step,estimate,target,rel_error"),
+        (["moment", "--series", "divisor_2", "--sigma", "1.5", "--T", "5",
+          "--step", "0.05", "--N", "500"], "sigma,k,T,step,estimate,target,rel_error"),
+        (["zeros", "--series", "eta-factor", "--rect", "0.5,1.5,-1,30"], "re,im,residual"),
+        (["density", "--series", "eta-factor", "--sigma-list", "0.9,1.1", "--T", "50"],
+         "sigma,T,count"),
+        (["flow", "--suite", "standard", "--T", "1000"], "t-horizon,estimate,target,error"),
+        (["mollify", "--series", "divisor_2", "--sigma", "1.2", "--X-list", "10,100,5000",
+          "--N", "2000"], "X,tail"),
+        (["truncate", "--series", "zeta", "--s", "1.5", "--k", "2", "--M", "1000"],
+         "re,im,tail_bound"),
+        (["truncate", "--series", "character_7_1", "--s", "1.7+3i", "--k", "6"],
+         "re,im,tail_bound"),
+    ],
+    ids=["moment", "moment-no-target", "zeros", "density", "flow", "mollify",
+         "truncate", "truncate-euler"],
+)
+def test_csv_is_a_projection_of_the_json(argv, header):
+    # Column c is the JSON row value under c.replace("-", "_"), as _csv_cell
+    # writes it; recur has no CSV (test_recur_json_only).
+    code, text, _ = run_cached(argv)
+    assert code == 0
+    rows = _CSV_ROWS[argv[0]](json.loads(text)["result"])
+    code, csv, _ = run_cached(argv + ["--format", "csv"])
+    assert code == 0
+    lines = csv.split("\n")
+    assert lines[0] == header and lines[-1] == ""
+    keys = [c.replace("-", "_") for c in header.split(",")]
+    want = [",".join(cli._csv_cell(row[k]) for k in keys) for row in rows]
+    assert len(want) >= 1 and lines[1:-1] == want
+
+
+def test_non_finite_coefficient_file_is_a_precondition(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"kind": "multiplicative", "prime_powers": [[2, 1, NaN, 0], [3, 1, 2, 0]]}')
+    code, out, err = run_cli(["moment", "--series", str(path), "--sigma", "1.5", "--T", "10",
+                              "--N", "1000"])
+    assert code == 1 and out == ""
+    assert err.startswith("dlab: precondition:") and err.count("\n") == 1
+
+
 def test_series_resolution(tmp_path):
     spec = {"kind": "explicit", "coeffs": [[1, 1.0, 0.0], [2, -2.0, 0.0]]}
     path = tmp_path / "ladder.json"

@@ -256,6 +256,67 @@ def test_load_source_multiplicative():
     assert spec.coeffs.square_growth_base == 9.0
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "explicit", "coeffs": [[1, 1.0, 0.0], [2, math.nan, 0.0]]},
+        {"kind": "explicit", "coeffs": [[1, 1.0, math.inf]]},
+        {"kind": "multiplicative", "prime_powers": [[2, 1, math.nan, 0], [3, 1, 2, 0]]},
+        {"kind": "multiplicative", "prime_powers": [[2, 1, -math.inf, 0]]},
+    ],
+    ids=["explicit-nan", "explicit-inf", "multiplicative-nan", "multiplicative-minus-inf"],
+)
+def test_load_source_refuses_non_finite_values(tmp_path, doc):
+    # json.dumps writes NaN and Infinity, which json.load accepts.
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PreconditionError, match="must be finite"):
+        load_source(str(path))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "explicit", "coeffs": [[2.5, 3.0, 0.0]]},
+        {"kind": "multiplicative", "prime_powers": [[2.5, 1, 3.0, 0.0]]},
+        {"kind": "multiplicative", "prime_powers": [[2, 1.5, 3.0, 0.0]]},
+    ],
+    ids=["index", "p", "e"],
+)
+def test_load_source_refuses_fractional_indices(doc):
+    with pytest.raises(PreconditionError, match="whole number"):
+        load_source(doc)
+    # Whole numbers written as floats are read as such.
+    whole = {"kind": "explicit", "coeffs": [[2.0, 3.0, 0.0]]}
+    assert a_n(load_source(whole), 2) == 3.0
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -3, 91, 10**12 + 39])
+def test_load_source_refuses_non_primes(p):
+    doc = {"kind": "multiplicative", "prime_powers": [[2, 1, 3.0, 0.0], [p, 1, 5.0, 0.0]]}
+    with pytest.raises(PreconditionError, match="prime p"):
+        load_source(doc)
+
+
+def test_load_source_refuses_a_repeated_prime_power():
+    doc = {"kind": "multiplicative", "prime_powers": [[2, 1, 5.0, 0.0], [2, 1, 7.0, 0.0]]}
+    with pytest.raises(PreconditionError, match="duplicate prime power 2\\^1"):
+        load_source(doc)
+    # The same prime at another exponent is another prime power.
+    doc["prime_powers"][1][1] = 2
+    assert a_n(load_source(doc), 4) == 7.0
+
+
+def test_pole_at_one_marks_the_zeta_source_only():
+    assert builtin_series("zeta").has_pole_at_one
+    for name in ("moebius", "eta-factor", "divisor_2", "character_5_1"):
+        assert not builtin_series(name).has_pole_at_one
+    named = load_source({"kind": "multiplicative", "prime_powers": [], "label": "zeta"})
+    assert not named.has_pole_at_one
+    with pytest.raises(TypeError):
+        SeriesSpec(coeffs=named.coeffs, sigma_m=0.5, sigma_a=1.0, has_pole_at_one=True)
+
+
 def test_load_source_builtin_kind():
     spec = load_source({"kind": "builtin", "name": "zeta"})
     assert spec.label == "zeta"

@@ -141,3 +141,13 @@ def test_smooth_exponent_table_cap_trips(monkeypatch):
     monkeypatch.setattr(primes_mod, "_MAX_MEMBER_PRIME_SCANS", 10_000)
     with pytest.raises(NumericalError, match="desk-scale cap"):
         smooth_enumerate(7919, 5000)  # uncached argument pair
+
+
+def test_smooth_sieve_past_2_24_is_refused_before_sieving(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("primes_up_to(%d) was called" % limit)
+
+    monkeypatch.setattr(primes_mod, "primes_up_to", refuse)
+    for r, bound in ((2**24 + 1, 2**30), (2**30, 2**24 + 1), (2**30, 10**9)):
+        with pytest.raises(PreconditionError, match="past 2\\^24"):
+            smooth_enumerate(r, bound)

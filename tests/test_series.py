@@ -238,6 +238,20 @@ def test_twist_needs_all_coordinates():
         twisted_eval(ZETA, theta, 1.4, 2, 2)
 
 
+def test_twist_refuses_before_sieving(monkeypatch):
+    # k = 26 asks for the primes up to 2^26; theta's two coordinates are
+    # refused before the smooth set is enumerated.  The first primes that
+    # the coordinate check reads come from sieves below 2^16.
+    def small_only(limit, sieve=primes.primes_up_to):
+        assert limit <= 2**16, "primes_up_to(%d) was called" % limit
+        return sieve(limit)
+
+    monkeypatch.setattr(primes, "primes_up_to", small_only)
+    monkeypatch.setattr(series, "primes_up_to", small_only)
+    with pytest.raises(PreconditionError, match="coordinate for prime 5"):
+        twisted_eval(ZETA, TorusPoint(np.zeros(2)), 2.0, 26, 10**9)
+
+
 def test_smooth_rankin_divergence():
     src = MultiplicativeSource(
         rule=lambda p, e: 3.0**e, square_growth_base=9.0
