@@ -7,9 +7,10 @@ given vertical shifts, by the matrix product exp(-i shifts log n) @
 (c_n n^{-points}), since n^{-(s + it)} = n^{-it} n^{-s}.  Points on one
 vertical line whose imaginary parts form a base + offset grid (checked on
 every point) are such a table: the offsets are the points and the bases the
-shifts, one matrix product instead of one complex exp per (point, term).
-A caller that needs only a reduction of each shifted row (the recurrence
-scan's disc integrals) passes a reduce function: the loop hands it the rows
+shifts, one matrix product instead of one complex exp per (point, term);
+_cis builds each of its exp tables from square-root-sized factors.  A
+caller that needs only a reduction of each shifted row (the recurrence scan's
+disc integrals) passes a reduce function: the loop hands it the rows
 _ROW_POINTS entries at a time, while they are in cache, and a polynomial
 within one term block never holds more than one such chunk.  `disc_sum`
 folds an array of points into the coefficients: sum_p f(p + s) is the
@@ -68,11 +69,10 @@ class DirichletPolynomial:
                 # To first order in resid log n, which is no larger than the
                 # rounding of t log n in the column sum, its sum is
                 # F - i resid G, where G weights every term by log n.
-                bases, offsets, resid = grid
+                sigma, offsets, bases, ks, resid = grid
                 m, P = offsets.size, flat.size
-                line = flat.real[0] + 1j * offsets
-                table = self._table(line, bases, weighted=True)
-                out = table[:, :m].ravel()[:P] - 1j * resid * table[:, m:].ravel()[:P]
+                table = self._table(offsets, bases, grid=(sigma, *ks))
+                out = table[:, :m].ravel()[:P] - 1j * resid[:P] * table[:, m:].ravel()[:P]
         if arr.ndim == 0:
             return complex(out[0])
         return out.reshape(arr.shape)
@@ -124,16 +124,17 @@ class DirichletPolynomial:
             g.logs, g.coeffs = self.logs, self.coeffs * sums
         return g, weight
 
-    def _table(self, points, shifts=None, weighted=False, reduce=None) -> np.ndarray:
+    def _table(self, points, shifts=None, reduce=None, grid=None) -> np.ndarray:
         """The one block loop: the (shifts x points) table, or with no
-        shifts the (1 x points) row of sums.  A weighted table has as many
-        companion columns again, with every term weighted by log n.
+        shifts the (1 x points) row of sums.  Given grid = (sigma, k, kb),
+        the points are sigma + i offsets, both exp tables come from _cis, and
+        as many companion columns again weight every term by log n.
 
         Given shifts and reduce, the rows go to reduce _ROW_POINTS // width
         at a time, as soon as their last term block is added.  Within one
         term block every chunk is built in the same buffer, so the whole
         table never exists."""
-        width = points.size * (2 if weighted else 1)
+        width = points.size * (1 if grid is None else 2)
         n = 1 if shifts is None else shifts.size
         terms = self.logs.size
         blk = max(1, _CAP // max(1, width))
@@ -143,23 +144,43 @@ class DirichletPolynomial:
         reduced = []
         # An empty polynomial still runs one empty block, which writes zeros.
         for lo in range(0, max(1, terms), blk):
-            logs = self.logs[lo : lo + blk]
-            right = np.multiply.outer(-logs, points)
-            np.exp(right, out=right)
-            right *= self.coeffs[lo : lo + blk, None]
-            if weighted:
-                right = np.concatenate((right, right * logs[:, None]), axis=1)
+            logs, coeffs = self.logs[lo : lo + blk], self.coeffs[lo : lo + blk]
+            if grid is None:
+                right = np.multiply.outer(-logs, points)
+                np.exp(right, out=right)
+                right *= coeffs[:, None]
+            else:
+                # Transposed, so that the factors' products run along terms.
+                right = np.empty((width, logs.size), np.complex128)
+                _cis(points, grid[1], logs, coeffs * np.exp(-grid[0] * logs), right)
+                np.multiply(right[: points.size], logs, out=right[points.size :])
+                right = right.T
             if shifts is None:
                 out[0] = out[0] + right.sum(axis=0) if lo else right.sum(axis=0)
                 continue
+            # Given grid, rows >= width > n: the left table is built whole.
             rows = chunk if reduce is not None else _CAP // max(1, logs.size)
             for r in range(0, n, rows):
-                left = np.exp(-1j * np.multiply.outer(shifts[r : r + rows], logs))
+                if grid is None:
+                    left = np.exp(-1j * np.multiply.outer(shifts[r : r + rows], logs))
+                else:
+                    left = _cis(shifts, grid[2], logs)
                 part = out[: left.shape[0]] if reuse else out[r : r + rows]
                 _product(left, right, part, add=lo > 0)
                 if reduce is not None and lo + blk >= terms:
                     reduced.append(reduce(part))
         return out if reduce is None else np.concatenate(reduced)
+
+
+def _cis(x, k, logs, amp=1.0, out=None) -> np.ndarray:
+    """The (x.size x terms) table amp_n exp(-i x log n), row q k + r the product
+    of those of x[q k] and x[r] - x[0] (_split), in the first rows of out."""
+    hi = np.exp(-1j * np.multiply.outer(x[::k], logs))
+    lo = np.exp(-1j * np.multiply.outer(x[:k] - x[0], logs)) * amp
+    if out is None:
+        out = np.empty((hi.shape[0] * k, logs.size), np.complex128)
+    np.multiply(hi[:, None], lo, out=out[: hi.shape[0] * k].reshape(hi.shape[0], k, -1))
+    return out[: x.size]
 
 
 def _product(left: np.ndarray, right: np.ndarray, out: np.ndarray, add: bool):
@@ -181,10 +202,12 @@ def _product(left: np.ndarray, right: np.ndarray, out: np.ndarray, add: bool):
 
 
 def _vertical_grid(s: np.ndarray):
-    """(bases, offsets, resid) when every point is
+    """(sigma, offsets, bases, ks, resid) when every point is
     sigma + i(bases[a] + offsets[c] + resid[a m + c]) at index a m + c, with
     m = ceil(sqrt(P)) and every |resid| within 2 ulps of max |t|; None
-    otherwise.
+    otherwise.  ks splits offsets and bases (_cis) at ceil(sqrt(size)) where
+    that passes the same check, its residuals added to resid (zero-padded to
+    nb m), and at 1 where not, as for the irregular bases of refinements.
 
     The grid pays only when its two tables (bases + offsets rows) are
     smaller than the P rows of the column sum.
@@ -200,10 +223,25 @@ def _vertical_grid(s: np.ndarray):
     if not np.all(re == re[0]):
         return None
     t = s.imag
-    bases = t[::m]
-    offsets = t[:m] - t[0]
-    grid = (bases[:, None] + offsets[None, :]).ravel()[:P]
-    resid = t - grid
-    if not np.all(np.abs(resid) <= _GRID_ULPS * np.spacing(np.abs(t).max())):
+    tol = _GRID_ULPS * np.spacing(np.abs(t).max())
+    resid = _split(t, m, tol)
+    if resid is None:
         return None
-    return bases, offsets, resid
+    offsets, bases, rows, ks = t[:m] - t[0], t[::m], resid.reshape(nb, m), []
+    for x, view in ((offsets, rows), (bases, rows.T)):
+        ks.append(math.isqrt(x.size - 1) + 1)
+        r = _split(x, ks[-1], tol)
+        if r is None:
+            ks[-1] = 1
+        else:
+            view += r[: x.size]
+    return re[0], offsets, bases, ks, resid
+
+
+def _split(x: np.ndarray, k: int, tol: float):
+    """The residuals x[q k + r] - (x[q k] + (x[r] - x[0])), zero-padded to a
+    multiple of k entries; None unless every one is within tol."""
+    resid = np.add.outer(x[::k], x[:k] - x[0]).ravel()
+    np.subtract(x, resid[: x.size], out=resid[: x.size])
+    resid[x.size :] = 0
+    return resid if np.all(np.abs(resid) <= tol) else None

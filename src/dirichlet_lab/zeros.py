@@ -229,7 +229,9 @@ def _eval_scalar(f, z: complex) -> complex:
     return complex(f(np.asarray([z], dtype=np.complex128))[0])
 
 
-def _newton_refine(f, z0: complex, tol: float):
+def _newton_refine(f, z0: complex, tol: float, keep=None):
+    """(z, |f(z)|, converged) by Newton from z0, f' from one two-point call.
+    An iterate that fails keep(z) ends it unconverged, unevaluated."""
     z = complex(z0)
     h = _NEWTON_STEP
     try:
@@ -237,12 +239,15 @@ def _newton_refine(f, z0: complex, tol: float):
         for _ in range(_NEWTON_MAX_ITER):
             if abs(fz) <= tol:
                 return z, abs(fz), True
-            df = (_eval_scalar(f, z + h) - _eval_scalar(f, z - h)) / (2.0 * h)
+            up, down = f(np.asarray([z + h, z - h], dtype=np.complex128))
+            df = (complex(up) - complex(down)) / (2.0 * h)
             if df == 0 or not np.isfinite(df):
                 return z, abs(fz), False
             z = z - fz / df
             if not np.isfinite(z):
                 return z0, abs(_eval_scalar(f, z0)), False
+            if keep is not None and not keep(z):
+                return z, math.inf, False
             fz = _eval_scalar(f, z)
     except (PreconditionError, NumericalError):
         # An iterate escaped the evaluator's domain: not converged.
@@ -313,8 +318,10 @@ def _cell_zero(f, cell: Rectangle, w: int, tol: float):
     center = complex(
         0.5 * (cell.sigma_lo + cell.sigma_hi), 0.5 * (cell.t_lo + cell.t_hi)
     )
-    z, residual, ok = _newton_refine(f, center, tol)
-    inside = ok and _cell_contains(cell, z, 0.1 * max(width, height))
+    margin = 0.1 * max(width, height)
+    keep = None if tiny else lambda z: _cell_contains(cell, z, margin)
+    z, residual, ok = _newton_refine(f, center, tol, keep)
+    inside = ok and _cell_contains(cell, z, margin)
     if not (inside or tiny):
         return None
     confirmed = inside and _confirm_circle(f, z) >= 1 and residual <= 1e-8

@@ -431,6 +431,56 @@ def test_kernel_path_choice():
         np.testing.assert_array_equal(kernel(s), _naive([1.0, 2.0], [1.0, -2.0], s))
 
 
+@pytest.mark.parametrize(
+    "P, irregular",
+    [(10, None), (20_001, None), (10, "bases"), (20_001, "bases"), (400, "offsets")],
+)
+def test_kernel_grid_factors_match_column_sum(P, irregular):
+    # Every block of m points shares its offsets.  Irregular bases are what
+    # the winding engine's refinement midpoints give: they fail their own
+    # square-root split, and an unchecked split reads them as a progression.
+    # Steps of 1/64 keep every sum exact, so the points pass the grid check.
+    m = math.isqrt(P - 1) + 1
+    nb = -(-P // m)
+    rng = np.random.default_rng(P)
+    bases = 1800.0 + np.arange(nb) * m / 64
+    offsets = np.arange(m) / 64
+    if irregular == "bases":
+        bases = 1800.0 + np.cumsum(rng.integers(1, 200, nb)) / 64
+    elif irregular == "offsets":
+        offsets = np.concatenate(([0.0], np.cumsum(rng.integers(1, 9, m - 1)))) / 64
+    s = 0.75 + 1j * (bases[:, None] + offsets[None, :]).ravel()[:P]
+    assert _vertical_grid(s) is not None
+    N = 300
+    idx, c = np.arange(1, N + 1), _random_coeffs(P, N)
+    scale = float(np.sum(np.abs(c) * idx.astype(np.float64) ** -0.75))
+    diff = np.abs(DirichletPolynomial(idx, c)(s) - _naive(idx, c, s)).max()
+    assert diff <= 1e-11 * scale, diff / scale
+
+
+def test_kernel_grid_exps_grow_with_square_roots(monkeypatch):
+    # One moment window: 20,000 points on a line and 2,000 terms.  Factored
+    # tables take about 2 (sqrt(m) + sqrt(nb)) complex exps per term, where
+    # whole tables took m + nb (283 here).
+    P, N = 20_000, 2_000
+    s = _vertical_line(0.75, 1800.0, 0.01, P)
+    m = math.isqrt(P - 1) + 1
+    nb = -(-P // m)
+    counted = []
+    exp = np.exp
+
+    def spy(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            counted.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    kernel = DirichletPolynomial(np.arange(1, N + 1), np.ones(N))
+    monkeypatch.setattr(np, "exp", spy)
+    kernel(s)
+    monkeypatch.undo()
+    assert 0 < sum(counted) <= N * 4 * (math.sqrt(m) + math.sqrt(nb))
+
+
 def test_kernel_drops_zero_coefficients():
     kernel = DirichletPolynomial(np.arange(1, 7), [1.0, 0.0, 0.0, 2.0, 0.0, 3j])
     np.testing.assert_array_equal(np.exp(kernel.logs), [1.0, 4.0, 6.0])

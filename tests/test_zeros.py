@@ -142,6 +142,40 @@ def test_zero_scan_adopts_boundary_zero():
     assert abs(records[1].location - (1.0 + 1j * PERIOD2)) < 1e-9
 
 
+@pytest.mark.filterwarnings("ignore:accuracy not guaranteed")
+@pytest.mark.parametrize(
+    "g, rect",
+    [(ETA, Rectangle(0.5, 1.5, -1.0, 1000.0)), (zeta_values, Rectangle(0.5, 1.5, 10.0, 100.0))],
+    ids=["eta", "zeta"],
+)
+def test_newton_iterates_stay_in_their_cell(monkeypatch, g, rect):
+    # Newton's one-point calls are its iterates; a step that would leave the
+    # cell's 10% margin is refused before it is evaluated.  Unchecked, the
+    # zeta rectangle evaluates 12 iterates far outside their cells.
+    cells, far = [], []
+    cell_zero = zeros_module._cell_zero
+
+    def spy(f, cell, *args):
+        cells.append(cell)
+        try:
+            return cell_zero(f, cell, *args)
+        finally:
+            cells.pop()
+
+    def f(s):
+        s = np.asarray(s)
+        if cells and s.size == 1:
+            c = cells[-1]
+            size = max(c.sigma_hi - c.sigma_lo, c.t_hi - c.t_lo)
+            if size >= 1e-6 and not zeros_module._cell_contains(c, s[0], 0.1 * size):
+                far.append(s[0])
+        return g(s)
+
+    monkeypatch.setattr(zeros_module, "_cell_zero", spy)
+    assert all(rec.winding_confirmed for rec in zero_scan(f, rect))
+    assert far == []
+
+
 def _spy_windings(monkeypatch):
     """Record every rectangle the zero scanner counts on."""
     seen = []
