@@ -3,14 +3,24 @@
 Validated envelope: 1/2 < Re s <= 4, |Im s| <= 1e4.  Outside that strip (but
 still Re s > 0) values are computed and an AccuracyWarning is emitted.
 
-Measured accuracy, not a certified bound: against mpmath (25 digits) at
-3,968 points on vertical-line arrays, Re s in {0.501, 0.51, 0.55, 0.6,
-0.75, 1, 2, 4} and Im s up to 1e4, the absolute error stayed below 5e-11 and
-the relative error below 9e-11 for Re s >= 0.55.  Nearer the left edge the
-relative error reached 2.2e-9 where |zeta| is small (Re s = 0.501).  The
-partial sum is the Dirichlet-polynomial kernel of ._kernel, to about
-max |Im s| terms: past its cap of 20,000,000 terms (|Im s| > 2e7) a point
-is refused before anything of that size is allocated.
+Each batch of points takes N = max(32, ceil(max |Im s| / 2.5)) terms of the
+partial sum, the Dirichlet-polynomial kernel of ._kernel, and the least
+number K >= 5 of Bernoulli correction terms whose remainder bound
+(Backlund's, _orders), taken over the whole batch, is at most 1e-13.  So
+the truncation remainder is certified: at most 1e-13 absolute at every
+point, in exact arithmetic.  A 20,000-node moment window at Re s = 0.75
+and Im s up to 2,000 takes N = 800 and K = 15, where a fixed
+N = ceil(max |Im s|) took 2,000 terms and five orders; the window takes
+0.008 s against 0.021 s (one core of a 2-vCPU Xeon VM).
+
+The rounding error is measured, not certified: against mpmath (25 digits)
+at 3,968 points, 124 from each of 32 vertical-line arrays of 20,001 points
+(step 0.01, Im s from 10, 1,800, 5,000 or 9,800; Re s in {0.501, 0.51,
+0.55, 0.6, 0.75, 1, 2, 4}), the absolute error stayed below 2.2e-11 and the
+relative error below 7.3e-11 for Re s >= 0.55.  Nearer the left edge the
+relative error reached 2.6e-10 where |zeta| is small (Re s = 0.501).  Past
+the kernel's cap of 20,000,000 terms (|Im s| > 5e7) a point is refused
+before anything of that size is allocated.
 """
 
 import math
@@ -23,24 +33,120 @@ from .errors import AccuracyWarning, PreconditionError
 
 __all__ = ["zeta_eval", "zeta_values"]
 
-# B_{2k} / (2k)! for k = 1..5; the correction terms of the summation formula.
+# The partial sum runs to N = max(32, ceil(max |Im s| / _RATIO)) terms.  Each
+# further Bernoulli order then shrinks the correction by about
+# (_RATIO / 2 pi)^2 = 0.16.
+_RATIO = 2.5
+
+# Absolute tolerance on the remainder bound: a batch takes the least order
+# K >= 5 whose bound meets it.
+_TOL = 1e-13
+
+# B_{2k} / (2k)! for k = 1..40 (the nearest doubles), the coefficients of the
+# correction terms of the summation formula.
 _BERN = (
     1.0 / 12.0,
     -1.0 / 720.0,
     1.0 / 30240.0,
     -1.0 / 1209600.0,
     1.0 / 47900160.0,
+    -5.284190138687493e-10,
+    1.3382536530684679e-11,
+    -3.3896802963225827e-13,
+    8.586062056277845e-15,
+    -2.174868698558062e-16,
+    5.5090028283602295e-18,
+    -1.3954464685812522e-19,
+    3.534707039629467e-21,
+    -8.953517427037546e-23,
+    2.267952452337683e-24,
+    -5.744790668872202e-26,
+    1.455172475614865e-27,
+    -3.6859949406653103e-29,
+    9.336734257095045e-31,
+    -2.36502241570063e-32,
+    5.990671762482134e-34,
+    -1.5174548844682903e-35,
+    3.843758125454189e-37,
+    -9.736353072646691e-39,
+    2.466247044200681e-40,
+    -6.247076741820743e-42,
+    1.5824030244644914e-43,
+    -4.008273685948936e-45,
+    1.0153075855569557e-46,
+    -2.5718041582418717e-48,
+    6.514456035233815e-50,
+    -1.6501309906896525e-51,
+    4.179830628539476e-53,
+    -1.058763466770291e-54,
+    2.6818791912607708e-56,
+    -6.793279351107421e-58,
+    1.7207577616681404e-59,
+    -4.358730329348894e-61,
+    1.1040792903684666e-62,
+    -2.7966655133781345e-64,
 )
+_LOG_BERN = tuple(math.log(abs(c)) for c in _BERN)
+
+
+def _orders(N, sigma, corner):
+    """Least K >= 5 whose remainder bound at N is at most _TOL, or None.
+
+    Backlund's bound (Edwards, Riemann's Zeta Function, 6.4) on the
+    remainder after K correction terms is
+        |R_K| <= |s + 2K + 1| / (sigma + 2K + 1) |T_{K+1}|,
+        T_j = B_{2j} / (2j)! s (s + 1) ... (s + 2j - 2) N^{1 - s - 2j}.
+    It is taken at Re s = sigma, the batch's smallest real part, and with
+    |s + j| <= |corner + j|, where corner = max Re s + i max |Im s|: a bound
+    for every point, and on a vertical line the bound at its top point.
+    Summed in logs, so it never overflows.
+    """
+    def log_abs(j):  # log |corner + j|
+        return math.log(abs(corner + j))
+
+    log_n, log_tol = math.log(N), math.log(_TOL)
+    log_rising = sum(log_abs(j) for j in range(11))  # |s ... (s + 10)|
+    for K in range(5, len(_BERN)):
+        e = sigma + 2 * K + 1
+        bound = log_abs(2 * K + 1) - math.log(e) + _LOG_BERN[K] + log_rising - e * log_n
+        if bound <= log_tol:
+            return K
+        log_rising += log_abs(2 * K + 1) + log_abs(2 * K + 2)
+    return None
+
+
+def _terms_and_orders(arr, N=None):
+    """(N, K) for the batch arr: terms of the partial sum and Bernoulli orders.
+
+    N defaults to max(32, ceil(max |Im s| / _RATIO)); K is the least order
+    whose remainder bound meets _TOL (_orders).  When no tabled order meets
+    it, N doubles until one does or N passes _MAX_TERMS (K is then None).
+    """
+    height = float(np.abs(arr.imag).max())
+    if N is None:
+        N = max(32, math.ceil(height / _RATIO))
+    N = int(N)
+    if N < 1:
+        raise PreconditionError("zeta needs N >= 1 terms")
+    sigma, corner = float(arr.real.min()), complex(arr.real.max(), height)
+    while N <= _MAX_TERMS:
+        K = _orders(N, sigma, corner)
+        if K is not None:
+            return N, K
+        N *= 2
+    return N, None
+
 
 def zeta_values(s, N=None) -> np.ndarray:
     """zeta at every point of the complex array s.
 
-    The truncation point defaults to max(32, ceil(max |Im s|)), which keeps
-    the correction series convergent throughout the validated strip.
+    The truncation point N and the Bernoulli order K come from the batch's
+    points alone (_terms_and_orders).  An explicit N grows if no tabled
+    order meets the remainder tolerance there.
 
     Raises:
-        PreconditionError: some Re s <= 0, s = 1 (the pole), or N above the
-            cap of _MAX_TERMS terms (|Im s| > 2e7 by default).
+        PreconditionError: some Re s <= 0, s = 1 (the pole), N < 1, or N
+            above the cap of _MAX_TERMS terms (|Im s| > 5e7 by default).
     """
     arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     if arr.size == 0:
@@ -51,9 +157,7 @@ def zeta_values(s, N=None) -> np.ndarray:
         raise PreconditionError("zeta evaluation requires Re s > 0")
     if np.any(np.abs(arr - 1.0) < 1e-12):
         raise PreconditionError("zeta has a pole at s = 1")
-    if N is None:
-        N = max(32, int(math.ceil(np.abs(arr.imag).max())))
-    N = int(N)
+    N, K = _terms_and_orders(arr, N)
     if N > _MAX_TERMS:
         raise PreconditionError(
             "zeta at |Im s| = %g needs %d terms, above the cap of %d"
@@ -72,9 +176,21 @@ def zeta_values(s, N=None) -> np.ndarray:
     out += pow_1ms / (arr - 1.0)
     out -= 0.5 * pow_1ms / N
     rising = arr.copy()  # s (s+1) ... (s+2k-2), built incrementally
-    for k, c in enumerate(_BERN, start=1):
+    for k, c in enumerate(_BERN[:5], start=1):
         out += c * rising * pow_1ms * math.exp(-2.0 * k * logN)
         rising = rising * (arr + (2 * k - 1)) * (arr + 2 * k)
+    if K > 5:
+        # Orders 6..K: term_{k+1} = term_k (s + 2k - 1)(s + 2k) / N^2, taken
+        # as (w + (2k - 1) / N)(w + 2k / N) with w = s / N, in place on one
+        # accumulator that is added once.
+        term = rising * pow_1ms * math.exp(-12.0 * logN)
+        acc = _BERN[5] * term
+        w, step = arr / N, np.empty_like(arr)
+        for k in range(6, K):
+            term *= np.add(w, (2 * k - 1) / N, out=step)
+            term *= np.add(w, 2 * k / N, out=step)
+            acc += np.multiply(term, _BERN[k], out=step)
+        out += acc
     return out
 
 

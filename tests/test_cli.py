@@ -530,8 +530,9 @@ def test_huge_rectangle_boundary_is_refused_before_allocating(argv):
     ids=["moment-N", "mollify-N", "zeta-height"],
 )
 def test_huge_term_count_is_refused_before_allocating(argv):
-    # 1e10 terms (a truncation, an inverse, zeta's N = ceil(|Im s|)) are
-    # past the 20,000,000-term cap and refused before any table is built.
+    # 1e10 terms (a truncation, an inverse) and zeta's 4e9 (its
+    # N = ceil(|Im s| / 2.5)) are past the 20,000,000-term cap and refused
+    # before any table is built.
     code, out, err = run_cli(argv)
     assert code == 1 and out == ""
     assert err.startswith("dlab: precondition:") and err.count("\n") == 1

@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,8 @@ import pytest
 
 from dirichlet_lab import AccuracyWarning, PreconditionError, zeta_eval, zeta_values
 from dirichlet_lab._kernel import _vertical_grid
+from dirichlet_lab import zeta as zeta_mod
+from dirichlet_lab.zeta import _BERN, _TOL, _terms_and_orders
 
 from _oracles import ZETA_0_5, ZETA_2, ZETA_4
 
@@ -60,7 +63,7 @@ def test_left_half_plane_rejected():
 
 
 def test_height_past_the_term_cap_is_refused():
-    # N = ceil(|Im s|) = 1e10 terms would need 80 GB per table.
+    # N = ceil(|Im s| / 2.5) = 4e9 terms would need 32 GB per table.
     with pytest.raises(PreconditionError, match="above the cap of 20000000"):
         zeta_values(np.asarray([0.75 + 1e10j]))
 
@@ -100,9 +103,9 @@ def test_inside_strip_no_warning():
 def test_vector_matches_scalar():
     pts = np.asarray(STRIP_POINTS)
     vec = zeta_values(pts)
-    # The shared truncation point is the max over the batch, so recompute
-    # the scalars at that same N for a like-for-like comparison.
-    N = max(32, int(math.ceil(np.abs(pts.imag).max())))
+    # The batch shares one truncation point, so recompute the scalars at the
+    # N that zeta_values chose for the batch, for a like-for-like comparison.
+    N, _ = _terms_and_orders(pts)
     for i, s in enumerate(STRIP_POINTS):
         assert abs(vec[i] - zeta_eval(s, N=N)) < 1e-13 * max(1.0, abs(vec[i]))
 
@@ -146,3 +149,84 @@ def test_document_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         docs.append(proc.stdout)
     assert docs[0] == docs[1]
+
+
+def test_bernoulli_coefficients_are_the_nearest_doubles():
+    assert len(_BERN) == 40
+    for k, c in enumerate(_BERN, start=1):
+        num, den = mpmath.bernfrac(2 * k)
+        assert c == float(Fraction(int(num), int(den) * math.factorial(2 * k))), k
+
+
+def _backlund_bound(s, N, K):
+    # |s + 2K + 1| / (sigma + 2K + 1) |T_{K+1}|, with
+    # T_j = B_{2j} / (2j)! s (s + 1) ... (s + 2j - 2) N^{1 - s - 2j}.
+    s = mpmath.mpc(s.real, s.imag)
+    j = K + 1
+    term = (mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j)
+            * mpmath.rf(s, 2 * j - 1) * mpmath.power(N, 1 - s - 2 * j))
+    return abs(s + 2 * K + 1) / (s.real + 2 * K + 1) * abs(term)
+
+
+# Each line is one 20,001-point vertical array, as a moment window: its
+# (N, K) must meet the remainder tolerance at every point, K must be the
+# least order that does at the line's top point, where the batch's bound is
+# taken, and spot points stay within 1e-10 of mpmath.  The
+# check is relative, except where |zeta| is below 1/2: there the rounding of
+# the partial sum, which is measured (up to 2.2e-11 absolute near t = 1e4)
+# and not certified, is checked as absolute.  At sigma = 0.51 near t = 1e4
+# it reaches 3e-10 relative, as it did before N fell.
+@pytest.mark.parametrize("t0, h", [(10.0, 0.01), (1800.0, 0.01), (9900.0, 0.005)])
+@pytest.mark.parametrize("sigma", [0.51, 0.75, 2.0])
+def test_chosen_order_meets_the_remainder_bound(sigma, t0, h):
+    mpmath.mp.dps = 30
+    s = np.full(20001, sigma, dtype=np.complex128)
+    s += 1j * (t0 + np.arange(20001, dtype=np.float64) * h)
+    N, K = _terms_and_orders(s)
+    assert N == max(32, math.ceil(s.imag.max() / 2.5)) and 5 <= K < len(_BERN)
+    for p in s[::2000]:
+        assert _backlund_bound(p, N, K) <= _TOL, p
+    assert K == 5 or _backlund_bound(s[-1], N, K - 1) > _TOL
+    vals = zeta_values(s)
+    for j in range(0, s.size, 2000):
+        want = complex(mpmath.zeta(mpmath.mpc(s[j].real, s[j].imag)))
+        assert abs(vals[j] - want) <= 1e-10 * max(abs(want), 0.5), s[j]
+
+
+# A small explicit N grows (doubles) until a tabled order meets the remainder
+# tolerance.  The values match the same formula in mpmath at the chosen
+# (N, K): the last order summed, about 2e-13, is far above the rounding of a
+# partial sum this short, so a missing or wrong order shows.
+@pytest.mark.parametrize("s, N0", [(0.75 + 20j, 8), (2.0 + 12j, 4), (0.51 + 30j, 10)])
+def test_small_explicit_N_grows_and_every_order_is_summed(s, N0):
+    mpmath.mp.dps = 30
+    N, K = _terms_and_orders(np.asarray([s]), N0)
+    assert N > N0 and N % N0 == 0 and K > 5
+    assert _backlund_bound(s, N, K) <= _TOL
+    z = mpmath.mpc(s.real, s.imag)
+    want = mpmath.fsum(mpmath.power(n, -z) for n in range(1, N + 1))
+    want += mpmath.power(N, 1 - z) / (z - 1) - mpmath.power(N, -z) / 2
+    want += mpmath.fsum(
+        mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * mpmath.rf(z, 2 * j - 1)
+        * mpmath.power(N, 1 - z - 2 * j) for j in range(1, K + 1))
+    assert abs(zeta_eval(s, N=N0) - complex(want)) <= 1e-14
+
+
+def test_nonpositive_N_is_refused():
+    with pytest.raises(PreconditionError, match="N >= 1"):
+        zeta_eval(2.0, N=0)
+
+
+def test_moment_window_sums_at_most_800_terms(monkeypatch):
+    terms = []
+
+    class Spy(zeta_mod.DirichletPolynomial):
+        def __init__(self, indices, coeffs):
+            terms.append(len(indices))
+            super().__init__(indices, coeffs)
+
+    monkeypatch.setattr(zeta_mod, "DirichletPolynomial", Spy)
+    s = np.full(20001, 0.75, dtype=np.complex128)
+    s += 1j * (1800.0 + np.arange(20001, dtype=np.float64) * 0.01)
+    zeta_values(s)
+    assert terms == [800]
