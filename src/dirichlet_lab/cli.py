@@ -207,7 +207,7 @@ def _cmd_flow(args, threads):
     if "suite" in args:
         boxes = standard_box_suite()
     elif "box" in args:
-        if len(args.box) != 2 * args.dims:
+        if len(args.box) % 2:
             raise UsageError("--box takes one lo,hi pair per dimension")
         boxes = [Box(lo=tuple(args.box[0::2]), hi=tuple(args.box[1::2]))]
     else:
@@ -304,7 +304,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("flow", help="torus flow box-hitting fractions")
     _add_common(sp, _cmd_flow, series=False)
-    sp.add_argument("--dims", type=int, default=1)
     sp.add_argument("--T", type=_parse_float, required=True)
     sp.add_argument("--step", type=_parse_float, default=0.01)
     # Left out of the namespace, and so of the config block, unless given.
@@ -369,23 +368,13 @@ def _pin_blas() -> bool:
 
 def run(argv=None) -> int:
     """Parse argv, run one experiment, write one document.  Returns the
-    process exit code; errors print one line on stderr.  A successful run
-    that raised AccuracyWarnings prints one `dlab: warning:` line on stderr
-    per distinct message.  The first run in a process pins BLAS to one
-    thread (_pin_blas)."""
+    process exit code.  Every stderr line starts with `dlab:`: a failed run
+    prints one error line, and a successful run prints each distinct warning
+    message it raised once, sorted, as a `dlab: warning:` line.  The first
+    run in a process pins BLAS to one thread (_pin_blas)."""
     _pin_blas()
-    notes = set()
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AccuracyWarning)
-        show = warnings.showwarning
-
-        def note(message, category, *rest, **kwargs):
-            if issubclass(category, AccuracyWarning):
-                notes.add(str(message))
-            else:
-                show(message, category, *rest, **kwargs)
-
-        warnings.showwarning = note
         try:
             parser = _build_parser()
             args = parser.parse_args(argv)
@@ -406,7 +395,7 @@ def run(argv=None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    for message in sorted(notes):
+    for message in sorted({str(w.message) for w in caught}):
         sys.stderr.write("dlab: warning: %s\n" % message)
     return 0
 

@@ -53,7 +53,6 @@ class MomentReport:
     target: float = None
     rel_error: float = None
     rule: str = "simpson"
-    window: str = "0..T"
 
 
 def _simpson_weights(idx: np.ndarray, npts: int) -> np.ndarray:
@@ -120,6 +119,8 @@ def estimate_moment(
             powers = np.abs(vals) ** (2 * k)
             return float(np.sum(weight_fn(idx, npts) * powers))
 
+    # The top node first, so that zeta's term cap refuses T before any window.
+    evaluator(np.asarray([complex(sigma, npts * h)]))
     partials = map_spans(work, npts + 1, _NODE_CHUNK, threads=threads)
     try:
         total = math.fsum(partials)

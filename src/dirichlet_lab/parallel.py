@@ -24,8 +24,12 @@ def resolve_threads(requested=None) -> int:
     if requested is not None:
         n = int(requested)
     else:
-        raw = os.environ.get(ENV_THREADS, "").strip()
-        n = int(raw) if raw else 1
+        raw = os.environ.get(ENV_THREADS, "").strip() or "1"
+        try:
+            n = int(raw)
+        except ValueError:
+            msg = "thread count must be an integer: %s=%r" % (ENV_THREADS, raw)
+            raise PreconditionError(msg) from None
     if n < 1:
         raise PreconditionError("thread count must be >= 1")
     return n

@@ -86,15 +86,13 @@ def factorize(n: int):
 
 @dataclass(frozen=True)
 class SmoothSet:
-    """All integers <= bound whose prime factors are <= r, ascending in
-    `members`, with their construction over `primes` (those <= min(r, bound)).
-    In the order `built`, entry 0 is 1 and entry k of block i (starts[i] <= k
-    < starts[i + 1]) is entry parents[k], which is free of primes >=
-    primes[i], times primes[i] ** levels[k]; members = built[order].
+    """smooth_enumerate(r, bound): the r-smooth integers <= bound, ascending
+    in `members`, with their construction over `primes` (those <= min(r,
+    bound)).  In the order `built`, entry 0 is 1 and entry k of block i
+    (starts[i] <= k < starts[i + 1]) is entry parents[k], which is free of
+    primes >= primes[i], times primes[i] ** levels[k]; members = built[order].
     """
 
-    r: int
-    bound: int
     primes: np.ndarray = field(repr=False)
     members: np.ndarray = field(repr=False)
     parents: np.ndarray = field(repr=False)
@@ -172,8 +170,6 @@ def _smooth_cached(r: int, bound: int) -> SmoothSet:
         starts.append(members.size)
     order = np.argsort(members, kind="stable")
     return SmoothSet(
-        r=r,
-        bound=bound,
         primes=ps,
         members=members[order],
         parents=np.concatenate(parents),

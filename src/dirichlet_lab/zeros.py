@@ -461,6 +461,8 @@ def recurrence_scan(
     """
     if r <= 0 or T <= 0 or t_step <= 0:
         raise PreconditionError("recurrence scan needs positive r, T, t_step")
+    if not math.isfinite(2.0 * r * r):  # the lattice's x^2 + y^2 stays below 2 r^2
+        raise PreconditionError("disc radius %g is too large: 2 r^2 is not finite" % r)
     if grid < 1:
         raise PreconditionError("recurrence scan needs grid >= 1")
     if grid * grid > _POINT_CAP:

@@ -20,7 +20,9 @@ at 3,968 points, 124 from each of 32 vertical-line arrays of 20,001 points
 relative error below 7.3e-11 for Re s >= 0.55.  Nearer the left edge the
 relative error reached 2.6e-10 where |zeta| is small (Re s = 0.501).  Past
 the kernel's cap of 20,000,000 terms (|Im s| > 5e7) a point is refused
-before anything of that size is allocated.
+before anything of that size is allocated.  No caller sets N.  Where a
+correction term passes the float range (Re s near 1e300) the value is inf
+or nan, without a numpy warning, for the caller to refuse.
 """
 
 import math
@@ -115,19 +117,16 @@ def _orders(N, sigma, corner):
     return None
 
 
-def _terms_and_orders(arr, N=None):
+def _terms_and_orders(arr):
     """(N, K) for the batch arr: terms of the partial sum and Bernoulli orders.
 
-    N defaults to max(32, ceil(max |Im s| / _RATIO)); K is the least order
-    whose remainder bound meets _TOL (_orders).  When no tabled order meets
-    it, N doubles until one does or N passes _MAX_TERMS (K is then None).
+    N is max(32, ceil(max |Im s| / _RATIO)) and K the least order whose
+    remainder bound meets _TOL (_orders).  Where none does (real parts past
+    about 2 pi N, as on a zero scan's side from Re s = 0.5 to 300), N doubles
+    until one does or N passes _MAX_TERMS (K is then None).
     """
     height = float(np.abs(arr.imag).max())
-    if N is None:
-        N = max(32, math.ceil(height / _RATIO))
-    N = int(N)
-    if N < 1:
-        raise PreconditionError("zeta needs N >= 1 terms")
+    N = max(32, math.ceil(height / _RATIO))
     sigma, corner = float(arr.real.min()), complex(arr.real.max(), height)
     while N <= _MAX_TERMS:
         K = _orders(N, sigma, corner)
@@ -137,16 +136,43 @@ def _terms_and_orders(arr, N=None):
     return N, None
 
 
-def zeta_values(s, N=None) -> np.ndarray:
+def _euler_maclaurin(arr, N, K) -> np.ndarray:
+    """The summation formula at every point of arr: N terms of the partial
+    sum and K Bernoulli correction terms."""
+    out = DirichletPolynomial(np.arange(1, N + 1), np.ones(N))(arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logN = math.log(N)
+        pow_1ms = np.exp((1.0 - arr) * logN)  # N^{1-s}
+        out += pow_1ms / (arr - 1.0)
+        out -= 0.5 * pow_1ms / N
+        rising = arr.copy()  # s (s+1) ... (s+2k-2), built incrementally
+        for k, c in enumerate(_BERN[:5], start=1):
+            out += c * rising * pow_1ms * math.exp(-2.0 * k * logN)
+            rising = rising * (arr + (2 * k - 1)) * (arr + 2 * k)
+        if K > 5:
+            # Orders 6..K: term_{k+1} = term_k (s + 2k - 1)(s + 2k) / N^2,
+            # taken as (w + (2k - 1) / N)(w + 2k / N) with w = s / N, in place
+            # on one accumulator that is added once.
+            term = rising * pow_1ms * math.exp(-12.0 * logN)
+            acc = _BERN[5] * term
+            w, step = arr / N, np.empty_like(arr)
+            for k in range(6, K):
+                term *= np.add(w, (2 * k - 1) / N, out=step)
+                term *= np.add(w, 2 * k / N, out=step)
+                acc += np.multiply(term, _BERN[k], out=step)
+            out += acc
+    return out
+
+
+def zeta_values(s) -> np.ndarray:
     """zeta at every point of the complex array s.
 
     The truncation point N and the Bernoulli order K come from the batch's
-    points alone (_terms_and_orders).  An explicit N grows if no tabled
-    order meets the remainder tolerance there.
+    points alone (_terms_and_orders).
 
     Raises:
-        PreconditionError: some Re s <= 0, s = 1 (the pole), N < 1, or N
-            above the cap of _MAX_TERMS terms (|Im s| > 5e7 by default).
+        PreconditionError: some Re s <= 0, s = 1 (the pole), or N above the
+            cap of _MAX_TERMS terms (|Im s| > 5e7).
     """
     arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     if arr.size == 0:
@@ -157,7 +183,7 @@ def zeta_values(s, N=None) -> np.ndarray:
         raise PreconditionError("zeta evaluation requires Re s > 0")
     if np.any(np.abs(arr - 1.0) < 1e-12):
         raise PreconditionError("zeta has a pole at s = 1")
-    N, K = _terms_and_orders(arr, N)
+    N, K = _terms_and_orders(arr)
     if N > _MAX_TERMS:
         raise PreconditionError(
             "zeta at |Im s| = %g needs %d terms, above the cap of %d"
@@ -169,31 +195,9 @@ def zeta_values(s, N=None) -> np.ndarray:
         or np.any(np.abs(arr.imag) > 1e4)
     ):
         warnings.warn("accuracy not guaranteed", AccuracyWarning, stacklevel=2)
-
-    out = DirichletPolynomial(np.arange(1, N + 1), np.ones(N))(arr)
-    logN = math.log(N)
-    pow_1ms = np.exp((1.0 - arr) * logN)  # N^{1-s}
-    out += pow_1ms / (arr - 1.0)
-    out -= 0.5 * pow_1ms / N
-    rising = arr.copy()  # s (s+1) ... (s+2k-2), built incrementally
-    for k, c in enumerate(_BERN[:5], start=1):
-        out += c * rising * pow_1ms * math.exp(-2.0 * k * logN)
-        rising = rising * (arr + (2 * k - 1)) * (arr + 2 * k)
-    if K > 5:
-        # Orders 6..K: term_{k+1} = term_k (s + 2k - 1)(s + 2k) / N^2, taken
-        # as (w + (2k - 1) / N)(w + 2k / N) with w = s / N, in place on one
-        # accumulator that is added once.
-        term = rising * pow_1ms * math.exp(-12.0 * logN)
-        acc = _BERN[5] * term
-        w, step = arr / N, np.empty_like(arr)
-        for k in range(6, K):
-            term *= np.add(w, (2 * k - 1) / N, out=step)
-            term *= np.add(w, 2 * k / N, out=step)
-            acc += np.multiply(term, _BERN[k], out=step)
-        out += acc
-    return out
+    return _euler_maclaurin(arr, N, K)
 
 
-def zeta_eval(s, N=None) -> complex:
+def zeta_eval(s) -> complex:
     """zeta(s) for a single complex point."""
-    return complex(zeta_values(np.asarray([s], dtype=np.complex128), N=N)[0])
+    return complex(zeta_values(np.asarray([s], dtype=np.complex128))[0])

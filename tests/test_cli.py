@@ -2,10 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from dirichlet_lab import builtin_series, cli, smooth_truncation_eval
+from dirichlet_lab import (
+    AccuracyWarning,
+    NumericalError,
+    builtin_series,
+    cli,
+    smooth_truncation_eval,
+)
 from dirichlet_lab.cli import UsageError, _parse_complex
 from dirichlet_lab.coefficients import MultiplicativeSource
 
@@ -44,6 +51,8 @@ def test_moment_json_document():
     assert "seed" not in cfg  # no computation reads a seed
     assert "threads" not in cfg  # outputs must not encode the worker count
     res = doc["result"]
+    assert set(res) == {"sigma", "k", "T", "step", "estimate", "target",
+                        "rel_error", "rule"}
     assert res["target"] == 2.0
     assert abs(res["estimate"] - 2.0) < 0.01
 
@@ -61,10 +70,12 @@ def test_env_thread_override(monkeypatch):
     monkeypatch.setenv("DLAB_THREADS", "4")
     code, out, err = run_cli(MOMENT_ETA)
     assert code == 0 and out == base[1]
-    monkeypatch.setenv("DLAB_THREADS", "0")
-    code, out, err = run_cli(MOMENT_ETA)
-    assert code == 1
-    assert err.startswith("dlab: precondition: thread count")
+    for bad in ("0", "abc"):
+        monkeypatch.setenv("DLAB_THREADS", bad)
+        code, out, err = run_cli(MOMENT_ETA)
+        assert code == 1 and out == ""
+        assert err.startswith("dlab: precondition: thread count")
+        assert err.count("\n") == 1
 
 
 def test_moment_csv_shape():
@@ -119,10 +130,11 @@ def test_density_subcommand():
 
 
 def test_flow_box_subcommand():
-    argv = ["flow", "--dims", "1", "--T", "100", "--box", "0,0.5"]
+    argv = ["flow", "--T", "100", "--box", "0,0.5"]
     code, out, _ = run_cli(argv)
     assert code == 0
     doc = json.loads(out)
+    assert "dims" not in doc["config"]
     row = doc["result"]["rows"][0]
     assert row["target"] == 0.5
     assert row["error"] < 0.05
@@ -138,7 +150,7 @@ def test_flow_argument_conflicts():
         ["flow", "--T", "100", "--box", "0,0.5", "--suite", "standard"]
     )
     assert code == 64 and "mutually exclusive" in err
-    code, _, err = run_cli(["flow", "--dims", "2", "--T", "100", "--box", "0,0.5"])
+    code, _, err = run_cli(["flow", "--T", "100", "--box", "0,0.5,0.2"])
     assert code == 64 and "one lo,hi pair per dimension" in err
 
 
@@ -470,6 +482,53 @@ def test_accuracy_warning_is_one_dlab_line():
     assert outs[0] == outs[1] and "warning" not in outs[0]
 
 
+def test_warnings_are_sorted_dlab_lines_and_a_failure_prints_only_its_error(
+    monkeypatch,
+):
+    # Under a fresh process's filters, where a RuntimeWarning is shown, not
+    # raised: every recorded message becomes one `dlab: warning:` line.
+    def noisy(fail):
+        def handler(args, threads):
+            warnings.warn("b", AccuracyWarning)
+            warnings.warn("a", RuntimeWarning)
+            warnings.warn("b", AccuracyWarning)
+            if fail:
+                raise NumericalError("boom")
+            return {"rows": []}, "t-horizon,estimate,target,error", []
+        return handler
+
+    argv = ["flow", "--suite", "standard", "--T", "1"]
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        warnings.simplefilter("default")
+        monkeypatch.setattr(cli, "_cmd_flow", noisy(False))
+        assert run_cli(argv)[::2] == (0, "dlab: warning: a\ndlab: warning: b\n")
+        monkeypatch.setattr(cli, "_cmd_flow", noisy(True))
+        assert run_cli(argv) == (2, "", "dlab: numerical: boom\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # 2 r^2 past the float range: the disc lattice's x^2 + y^2.
+        (["recur", "--series", "eta-factor", "--s0", "1+0i", "--r", "1e155",
+          "--T", "2"], 1),
+        (["recur", "--series", "eta-factor", "--s0", "1+0i", "--r", "1e154",
+          "--T", "2"], 1),
+        # zeta's correction terms pass the float range at Re s = 1e300.
+        (["moment", "--series", "zeta", "--sigma", "1e300", "--T", "10"], 2),
+        # The top node passes zeta's term cap: refused before any window.
+        (["moment", "--series", "zeta", "--sigma", "0.75", "--T", "6e7",
+          "--step", "0.05"], 1),
+    ],
+    ids=["recur-r-1e155", "recur-r-1e154", "zeta-sigma-1e300", "zeta-T-6e7"],
+)
+def test_failure_is_one_dlab_line(argv, code):
+    got, out, err = run_cli(argv)
+    assert got == code and out == ""
+    assert err.startswith("dlab: ") and err.count("\n") == 1
+
+
 def test_huge_flow_horizon_is_refused_before_allocating():
     # 1e302 grid points: the window count is checked before any window.
     for extra in ([], ["--step", "1e-10"]):
@@ -666,7 +725,7 @@ def _replay_argv(doc):
         ["zeros", "--series", "builtin:eta-factor", "--rect", "0.5,1.5,8.5,9.5"],
         ["density", "--series", "eta-factor", "--sigma-list", "0.9", "--T", "50"],
         ["flow", "--suite", "standard", "--T", "100"],
-        ["flow", "--dims", "2", "--T", "100", "--box", "0.1,0.4,0.2,0.9"],
+        ["flow", "--T", "100", "--box", "0.1,0.4,0.2,0.9"],
         ["recur", "--series", "eta-factor", "--s0", "1+0i", "--r", "0.05",
          "--T", "5", "--t-step", "0.01"],
         ["mollify", "--series", "zeta", "--sigma", "0.75", "--X-list", "10,100",

@@ -15,6 +15,7 @@ from dirichlet_lab import (
     estimate_moment,
     load_source,
     theoretical_target,
+    zeta_values,
 )
 
 from _oracles import (
@@ -59,6 +60,36 @@ def test_quadrature_rules_agree():
     a = estimate_moment(ETA, 1.0, 1, 500.0, cfg=QuadratureConfig(rule="simpson"))
     b = estimate_moment(ETA, 1.0, 1, 500.0, cfg=QuadratureConfig(rule="trapezoid"))
     assert abs(a.estimate - b.estimate) < 5e-8
+
+
+def test_simpson_takes_an_even_node_count():
+    # T / step = 3 steps: Simpson needs an even count, so the grid takes 4
+    # steps of 0.0075.  |1 - 2^{1-s}|^2 on sigma = 1 is 2 - 2 cos(t log 2),
+    # whose mean over [0, T] is 2 - 2 sin(T log 2) / (T log 2); Simpson's
+    # error is at most h^4 / 180 times the largest fourth derivative,
+    # 2 (log 2)^4.
+    T = 0.03
+    report = estimate_moment(ETA, 1.0, 1, T, cfg=QuadratureConfig(step=0.01))
+    assert report.step == T / 4
+    x = T * math.log(2.0)
+    bound = report.step**4 / 180.0 * 2.0 * math.log(2.0) ** 4
+    assert abs(report.estimate - (2.0 - 2.0 * math.sin(x) / x)) <= 1.01 * bound
+
+
+def test_top_node_is_evaluated_before_any_window():
+    # 60,000 windows of 20,000 nodes; zeta's term cap (|Im s| <= 5e7) refuses
+    # the top node, so no window may reach the evaluator first.
+    sizes = []
+
+    def spy(s):
+        assert sizes or s.size == 1, "a window came before the top node"
+        sizes.append(s.size)
+        return zeta_values(s)
+
+    cfg = QuadratureConfig(step=0.05)
+    with pytest.raises(PreconditionError, match="above the cap"):
+        estimate_moment(ZETA, 0.75, 1, 6e7, cfg=cfg, evaluator=spy)
+    assert sizes == [1]
 
 
 def test_moment_thread_count_invariance():

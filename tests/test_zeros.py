@@ -357,6 +357,19 @@ def test_recurrence_second_ladder():
         assert abs(t - k * PERIOD3) <= 0.006
 
 
+def test_recurrence_thinning_keeps_the_smaller_of_two_close_hits():
+    # 1 - 1000^{1-s} vanishes at 1 + 2 pi i k / log 1000, 0.91 apart, so
+    # adjacent unit cells hold hits closer than 1 and thinning replaces the
+    # earlier one when the later integral is smaller.
+    f = _kernel.DirichletPolynomial([1, 1000], [1.0, -1000.0])
+    report = recurrence_scan(f, 1.0 + 0.0j, 0.05, 5.0, 0.01)
+    assert report.hits == (-1.82, 1.82, 3.64)
+    assert np.all(np.diff(report.hits) >= 1.0)
+    assert all(v <= report.threshold for v in report.hit_integrals)
+    slow = recurrence_scan(lambda s: f(s), 1.0 + 0.0j, 0.05, 5.0, 0.01)
+    assert repr(slow) == repr(report)
+
+
 def _spy_scans(monkeypatch):
     """The concatenated window results of every map_spans call in zeros."""
     scans = []

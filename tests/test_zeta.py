@@ -11,7 +11,7 @@ import pytest
 from dirichlet_lab import AccuracyWarning, PreconditionError, zeta_eval, zeta_values
 from dirichlet_lab._kernel import _vertical_grid
 from dirichlet_lab import zeta as zeta_mod
-from dirichlet_lab.zeta import _BERN, _TOL, _terms_and_orders
+from dirichlet_lab.zeta import _BERN, _TOL, _euler_maclaurin, _orders, _terms_and_orders
 
 from _oracles import ZETA_0_5, ZETA_2, ZETA_4
 
@@ -103,11 +103,13 @@ def test_inside_strip_no_warning():
 def test_vector_matches_scalar():
     pts = np.asarray(STRIP_POINTS)
     vec = zeta_values(pts)
-    # The batch shares one truncation point, so recompute the scalars at the
-    # N that zeta_values chose for the batch, for a like-for-like comparison.
-    N, _ = _terms_and_orders(pts)
+    # The batch shares one truncation point and order, so recompute the
+    # scalars at the (N, K) that zeta_values chose for the batch, for a
+    # like-for-like comparison.
+    N, K = _terms_and_orders(pts)
     for i, s in enumerate(STRIP_POINTS):
-        assert abs(vec[i] - zeta_eval(s, N=N)) < 1e-13 * max(1.0, abs(vec[i]))
+        one = _euler_maclaurin(np.asarray([s]), N, K)[0]
+        assert abs(vec[i] - one) < 1e-13 * max(1.0, abs(vec[i]))
 
 
 def test_conjugate_symmetry():
@@ -193,28 +195,46 @@ def test_chosen_order_meets_the_remainder_bound(sigma, t0, h):
         assert abs(vals[j] - want) <= 1e-10 * max(abs(want), 0.5), s[j]
 
 
-# A small explicit N grows (doubles) until a tabled order meets the remainder
-# tolerance.  The values match the same formula in mpmath at the chosen
-# (N, K): the last order summed, about 2e-13, is far above the rounding of a
-# partial sum this short, so a missing or wrong order shows.
-@pytest.mark.parametrize("s, N0", [(0.75 + 20j, 8), (2.0 + 12j, 4), (0.51 + 30j, 10)])
-def test_small_explicit_N_grows_and_every_order_is_summed(s, N0):
+# At a small N the formula matches the same formula in mpmath at the least
+# order K that meets the remainder tolerance: the last order summed, about
+# 2e-13, is far above the rounding of a partial sum this short, so a missing
+# or wrong order shows.
+@pytest.mark.parametrize("s, N", [(0.75 + 20j, 16), (2.0 + 12j, 8), (0.51 + 30j, 20)])
+def test_every_order_is_summed_at_a_small_N(s, N):
     mpmath.mp.dps = 30
-    N, K = _terms_and_orders(np.asarray([s]), N0)
-    assert N > N0 and N % N0 == 0 and K > 5
-    assert _backlund_bound(s, N, K) <= _TOL
+    K = _orders(N, s.real, s)
+    assert K > 5 and _backlund_bound(s, N, K) <= _TOL
     z = mpmath.mpc(s.real, s.imag)
     want = mpmath.fsum(mpmath.power(n, -z) for n in range(1, N + 1))
     want += mpmath.power(N, 1 - z) / (z - 1) - mpmath.power(N, -z) / 2
     want += mpmath.fsum(
         mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * mpmath.rf(z, 2 * j - 1)
         * mpmath.power(N, 1 - z - 2 * j) for j in range(1, K + 1))
-    assert abs(zeta_eval(s, N=N0) - complex(want)) <= 1e-14
+    assert abs(_euler_maclaurin(np.asarray([s]), N, K)[0] - complex(want)) <= 1e-14
 
 
-def test_nonpositive_N_is_refused():
-    with pytest.raises(PreconditionError, match="N >= 1"):
-        zeta_eval(2.0, N=0)
+def test_wide_batch_doubles_N_until_an_order_meets_the_bound():
+    # A zero scan's horizontal side from Re s = 0.5 to 300: at N = 32 and 64
+    # the terms grow with the order at Re s = 300, so no tabled order meets
+    # the tolerance, and N doubles to 128.
+    s = np.asarray([0.5 + 10j, 300.0 + 20j])
+    N, K = _terms_and_orders(s)
+    assert N == 128 and K is not None
+    assert _orders(64, 0.5, 300.0 + 20j) is None
+    with pytest.warns(AccuracyWarning):
+        vals = zeta_values(s)
+    for p, val in zip(s, vals):
+        assert _backlund_bound(p, N, K) <= _TOL
+        want = complex(mpmath.zeta(mpmath.mpc(p.real, p.imag)))
+        assert abs(val - want) <= 1e-12 * abs(want), p
+
+
+def test_far_right_is_non_finite_without_a_numpy_warning():
+    # Re s = 1e300: the correction terms pass the float range.  The suite
+    # turns RuntimeWarning into an error, so a numpy warning would raise.
+    with pytest.warns(AccuracyWarning):
+        val = zeta_values(np.asarray([1e300 + 0j]))
+    assert not np.isfinite(val).all()
 
 
 def test_moment_window_sums_at_most_800_terms(monkeypatch):
