@@ -1,28 +1,30 @@
-"""The Dirichlet-polynomial kernel: sum_n c_n n^{-s} at each point of an array.
+"""The Dirichlet-polynomial kernel: sum_n c_n n^{-s} at each point of an array
+or at each node of a VerticalLine.
 
 One block loop serves every call.  It splits the terms into blocks whose
 size depends only on the number of points, never on the worker count,
 builds c_n n^{-points} for each block, and reduces it by the column sum or,
 given vertical shifts, by the matrix product exp(-i shifts log n) @
-(c_n n^{-points}), since n^{-(s + it)} = n^{-it} n^{-s}.  Points on one
-vertical line whose imaginary parts form a base + offset grid (checked on
-every point) are such a table: the offsets are the points and the bases the
-shifts, one matrix product instead of one complex exp per (point, term);
-_cis builds each of its exp tables from square-root-sized factors.  A
-caller that needs only a reduction of each shifted row (the recurrence scan's
-disc integrals) passes a reduce function: the loop hands it the rows
-_ROW_POINTS entries at a time, while they are in cache, and a polynomial
-within one term block never holds more than one such chunk.  `disc_sum`
-folds an array of points into the coefficients: sum_p f(p + s) is the
-polynomial with coefficients c_n sum_p n^{-p}, whose values bound the
-scan's disc integrals from below at O(terms) per shift.
+(c_n n^{-points}), since n^{-(s + it)} = n^{-it} n^{-s}.  A VerticalLine is
+such a table: its nodes are bases + offsets, the offsets are the points and
+the bases the shifts, one matrix product instead of one complex exp per
+(node, term); _cis builds each of its exp tables from square-root-sized
+factors.  The caller states the line, so nothing is detected and no node
+needs a correction.  A caller that needs only a reduction of each shifted
+row (the recurrence scan's disc integrals) passes a reduce function: the
+loop hands it the rows _ROW_POINTS entries at a time, while they are in
+cache, and a polynomial within one term block never holds more than one
+such chunk.  `disc_sum` folds an array of points into the coefficients:
+sum_p f(p + s) is the polynomial with coefficients c_n sum_p n^{-p}, whose
+values bound the scan's disc integrals from below at O(terms) per shift.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DirichletPolynomial"]
+__all__ = ["DirichletPolynomial", "VerticalLine"]
 
 # Desk-scale cap on the terms of a polynomial or a dense coefficient table
 # (about 1 GB of tables); larger term counts are refused before allocating.
@@ -36,10 +38,70 @@ _CAP = 4_000_000
 # row) at a time: 1 MB of complex values.
 _ROW_POINTS = 1 << 16
 
-# How far t[a m + c] may sit from t[a m] + (t[c] - t[0]) for the points to
-# count as a base + offset grid, in ulps of max |t|.  Rounded uniform grids
-# such as t = j h miss the exact sum by about one ulp.
-_GRID_ULPS = 2.0
+
+@dataclass(frozen=True)
+class VerticalLine:
+    """The count nodes sigma + i t_j, j = 0..count-1, of a vertical line with
+    t_j = t0 + j h up to a few ulps.
+
+    Node j = a m + c, with m = ceil(sqrt(count)) and c < m, has its offset
+    index c = qc ko + rc and its base index a = qa kb + ra, where ko and kb
+    are the ceilings of the square roots of m and of the number of bases.
+    t_j is defined as the exact sum of four floats,
+
+        fl(t0 + fl(qa kb m h)) + fl(ra m h) + fl(qc ko h) + fl(rc h),
+
+    the factors of the kernel's exp tables (_cis).  So t_0 is t0, and t_j is
+    within 2^-53 (|t0| + 3 j |h|) of t0 + j h.  `np.asarray(line)` gives the
+    nodes as a complex array, each t_j rounded to a float (within one ulp),
+    and `size` is their count.  A line is a plain value: a slice or an
+    arithmetic result goes through that array and is no longer a line.
+    """
+
+    sigma: float
+    t0: float
+    h: float
+    count: int
+
+    @property
+    def size(self) -> int:
+        return self.count
+
+    def _digits(self):
+        """((hi, lo, m), (hi, lo, nb)): the offset and the base digits, with
+        node a m + c at the sum of hi[qc] + lo[rc] and hi[qa] + lo[ra]."""
+        m = math.isqrt(max(self.count - 1, 0)) + 1
+        nb = -(-self.count // m)
+        ko, kb = math.isqrt(m - 1) + 1, math.isqrt(max(nb - 1, 0)) + 1
+
+        def times_h(stop, step):  # fl(index h) for index = 0, step, ... < stop
+            return np.arange(0, stop, step, dtype=np.float64) * self.h
+
+        offsets = times_h(m, ko), times_h(ko, 1), m
+        return offsets, (self.t0 + times_h(nb * m, kb * m), times_h(kb * m, m), nb)
+
+    def __array__(self, dtype=None, copy=None):
+        # The offsets and the bases as sums and rounding errors (_two_sum);
+        # a node is the rounded sum of its two sums and three errors, within
+        # one ulp of the exact sum.
+        sums = []
+        for hi, lo, rows in self._digits():
+            s, e = _two_sum(hi[:, None], lo[None, :])
+            sums.append((s.ravel()[:rows], e.ravel()[:rows]))
+        (o, oe), (b, be) = sums
+        t, te = _two_sum(b[:, None], o[None, :])
+        t += te + (be[:, None] + oe[None, :])
+        out = np.empty(self.count, np.complex128)
+        out.real = self.sigma
+        out.imag = t.ravel()[: self.count]
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
 
 
 class DirichletPolynomial:
@@ -53,26 +115,21 @@ class DirichletPolynomial:
 
     def __call__(self, s):
         """Values at every point of s: a complex for a scalar, otherwise an
-        array of the shape of s.
+        array of the shape of s.  A VerticalLine gives its count values, at
+        its exact nodes, by the factored matrix product when its two tables
+        (m offsets and nb bases) are smaller than the line (nb + m < count),
+        and otherwise by the column sum at np.asarray(s).
 
         Overflow to inf or nan is left in the result; callers guard
         non-finite values.
         """
-        arr = np.asarray(s, dtype=np.complex128)
-        flat = arr.ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            grid = _vertical_grid(flat)
-            if grid is None:
-                out = self._table(flat)[0]
-            else:
-                # Point a m + c sits at t = bases[a] + offsets[c] + resid.
-                # To first order in resid log n, which is no larger than the
-                # rounding of t log n in the column sum, its sum is
-                # F - i resid G, where G weights every term by log n.
-                sigma, offsets, bases, ks, resid = grid
-                m, P = offsets.size, flat.size
-                table = self._table(offsets, bases, grid=(sigma, *ks))
-                out = table[:, :m].ravel()[:P] - 1j * resid[:P] * table[:, m:].ravel()[:P]
+            if isinstance(s, VerticalLine):
+                (_, _, m), (_, _, nb) = s._digits()
+                if nb + m < s.count:
+                    return self._table(None, line=s).ravel()[: s.count]
+            arr = np.asarray(s, dtype=np.complex128)
+            out = self._table(arr.ravel())[0]
         if arr.ndim == 0:
             return complex(out[0])
         return out.reshape(arr.shape)
@@ -124,18 +181,22 @@ class DirichletPolynomial:
             g.logs, g.coeffs = self.logs, self.coeffs * sums
         return g, weight
 
-    def _table(self, points, shifts=None, reduce=None, grid=None) -> np.ndarray:
+    def _table(self, points, shifts=None, reduce=None, line=None) -> np.ndarray:
         """The one block loop: the (shifts x points) table, or with no
-        shifts the (1 x points) row of sums.  Given grid = (sigma, k, kb),
-        the points are sigma + i offsets, both exp tables come from _cis, and
-        as many companion columns again weight every term by log n.
+        shifts the (1 x points) row of sums.  Given a VerticalLine, the
+        (bases x offsets) table of its nodes instead (points and shifts
+        unused): the points are sigma + i offsets and the shifts the bases,
+        both exp tables from _cis over its digits.
 
         Given shifts and reduce, the rows go to reduce _ROW_POINTS // width
         at a time, as soon as their last term block is added.  Within one
         term block every chunk is built in the same buffer, so the whole
         table never exists."""
-        width = points.size * (1 if grid is None else 2)
-        n = 1 if shifts is None else shifts.size
+        if line is None:
+            width, n = points.size, 1 if shifts is None else shifts.size
+        else:
+            offsets, bases = line._digits()
+            width, n = offsets[2], bases[2]
         terms = self.logs.size
         blk = max(1, _CAP // max(1, width))
         chunk = max(1, _ROW_POINTS // max(1, width))
@@ -145,26 +206,22 @@ class DirichletPolynomial:
         # An empty polynomial still runs one empty block, which writes zeros.
         for lo in range(0, max(1, terms), blk):
             logs, coeffs = self.logs[lo : lo + blk], self.coeffs[lo : lo + blk]
-            if grid is None:
+            if line is None:
                 right = np.multiply.outer(-logs, points)
                 np.exp(right, out=right)
                 right *= coeffs[:, None]
             else:
-                # Transposed, so that the factors' products run along terms.
-                right = np.empty((width, logs.size), np.complex128)
-                _cis(points, grid[1], logs, coeffs * np.exp(-grid[0] * logs), right)
-                np.multiply(right[: points.size], logs, out=right[points.size :])
-                right = right.T
-            if shifts is None:
+                right = _cis(*offsets, logs, coeffs * np.exp(-line.sigma * logs)).T
+            if line is None and shifts is None:
                 out[0] = out[0] + right.sum(axis=0) if lo else right.sum(axis=0)
                 continue
-            # Given grid, rows >= width > n: the left table is built whole.
+            # Given a line, rows >= width >= n: the left table is built whole.
             rows = chunk if reduce is not None else _CAP // max(1, logs.size)
             for r in range(0, n, rows):
-                if grid is None:
+                if line is None:
                     left = np.exp(-1j * np.multiply.outer(shifts[r : r + rows], logs))
                 else:
-                    left = _cis(shifts, grid[2], logs)
+                    left = _cis(*bases, logs)
                 part = out[: left.shape[0]] if reuse else out[r : r + rows]
                 _product(left, right, part, add=lo > 0)
                 if reduce is not None and lo + blk >= terms:
@@ -172,15 +229,15 @@ class DirichletPolynomial:
         return out if reduce is None else np.concatenate(reduced)
 
 
-def _cis(x, k, logs, amp=1.0, out=None) -> np.ndarray:
-    """The (x.size x terms) table amp_n exp(-i x log n), row q k + r the product
-    of those of x[q k] and x[r] - x[0] (_split), in the first rows of out."""
-    hi = np.exp(-1j * np.multiply.outer(x[::k], logs))
-    lo = np.exp(-1j * np.multiply.outer(x[:k] - x[0], logs)) * amp
-    if out is None:
-        out = np.empty((hi.shape[0] * k, logs.size), np.complex128)
-    np.multiply(hi[:, None], lo, out=out[: hi.shape[0] * k].reshape(hi.shape[0], k, -1))
-    return out[: x.size]
+def _cis(hi, lo, rows, logs, amp=1.0) -> np.ndarray:
+    """The (rows x terms) table amp_n exp(-i (hi[q] + lo[r]) log n) at row
+    q lo.size + r: each entry the product of one of a hi table and one of a
+    lo table, both of square-root size."""
+    left = np.exp(-1j * np.multiply.outer(hi, logs))
+    right = np.exp(-1j * np.multiply.outer(lo, logs)) * amp
+    out = np.empty((hi.size, lo.size, logs.size), np.complex128)
+    np.multiply(left[:, None], right, out=out)
+    return out.reshape(-1, logs.size)[:rows]
 
 
 def _product(left: np.ndarray, right: np.ndarray, out: np.ndarray, add: bool):
@@ -199,49 +256,3 @@ def _product(left: np.ndarray, right: np.ndarray, out: np.ndarray, add: bool):
         out += left @ right
     else:
         np.matmul(left, right, out=out)
-
-
-def _vertical_grid(s: np.ndarray):
-    """(sigma, offsets, bases, ks, resid) when every point is
-    sigma + i(bases[a] + offsets[c] + resid[a m + c]) at index a m + c, with
-    m = ceil(sqrt(P)) and every |resid| within 2 ulps of max |t|; None
-    otherwise.  ks splits offsets and bases (_cis) at ceil(sqrt(size)) where
-    that passes the same check, its residuals added to resid (zero-padded to
-    nb m), and at 1 where not, as for the irregular bases of refinements.
-
-    The grid pays only when its two tables (bases + offsets rows) are
-    smaller than the P rows of the column sum.
-    """
-    P = s.size
-    if P < 2:
-        return None
-    m = math.isqrt(P - 1) + 1
-    nb = -(-P // m)
-    if nb + m >= P:
-        return None
-    re = s.real
-    if not np.all(re == re[0]):
-        return None
-    t = s.imag
-    tol = _GRID_ULPS * np.spacing(np.abs(t).max())
-    resid = _split(t, m, tol)
-    if resid is None:
-        return None
-    offsets, bases, rows, ks = t[:m] - t[0], t[::m], resid.reshape(nb, m), []
-    for x, view in ((offsets, rows), (bases, rows.T)):
-        ks.append(math.isqrt(x.size - 1) + 1)
-        r = _split(x, ks[-1], tol)
-        if r is None:
-            ks[-1] = 1
-        else:
-            view += r[: x.size]
-    return re[0], offsets, bases, ks, resid
-
-
-def _split(x: np.ndarray, k: int, tol: float):
-    """The residuals x[q k + r] - (x[q k] + (x[r] - x[0])), zero-padded to a
-    multiple of k entries; None unless every one is within tol."""
-    resid = np.add.outer(x[::k], x[:k] - x[0]).ravel()
-    np.subtract(x, resid[: x.size], out=resid[: x.size])
-    resid[x.size :] = 0
-    return resid if np.all(np.abs(resid) <= tol) else None

@@ -1,5 +1,7 @@
 """Error and warning types shared across the library."""
 
+__all__ = ["AccuracyWarning", "NumericalError", "PreconditionError"]
+
 
 class PreconditionError(ValueError):
     """An input violates a documented operation precondition."""

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernel import VerticalLine
 from .coefficients import ExplicitSource, SeriesSpec, _is_zeta
 from .convolution import convolution_power
 from .errors import AccuracyWarning, NumericalError, PreconditionError
@@ -80,8 +81,11 @@ def estimate_moment(
 ) -> MomentReport:
     """Composite quadrature of |f(sigma+it)|^{2k} over [0, T], divided by T.
 
-    Node chunks evaluate concurrently; chunk partials are combined with
-    math.fsum, so the estimate is bit-identical for every worker count.
+    The nodes t_j = j h of [0, T] go to the evaluator in fixed windows, each
+    as a VerticalLine (so np.asarray(s) gives a window's nodes, within a few
+    ulps of j h); a one-node array at sigma + iT comes first.  Windows
+    evaluate concurrently; their partials are combined with math.fsum, so
+    the estimate is bit-identical for every worker count.
 
     Raises:
         NumericalError: the estimate is not finite (|f|^{2k} or its sum
@@ -111,9 +115,7 @@ def estimate_moment(
 
     def work(lo, hi):
         idx = np.arange(lo, hi, dtype=np.int64)
-        s = np.full(hi - lo, sigma, dtype=np.complex128)
-        s += 1j * (idx.astype(np.float64) * h)
-        vals = evaluator(s)
+        vals = evaluator(VerticalLine(sigma, lo * h, h, hi - lo))
         # A power past the float range becomes inf and is refused below.
         with np.errstate(over="ignore"):
             powers = np.abs(vals) ** (2 * k)

@@ -12,6 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .errors import PreconditionError
 
+__all__ = ["resolve_threads"]
+
 ENV_THREADS = "DLAB_THREADS"
 
 # No run cuts more windows than this; a larger range is refused before its

@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import NumericalError, PreconditionError
 
+__all__ = ["SmoothSet", "factorize", "first_primes", "log_frequencies", "smooth_enumerate"]
+
 # Trial division is backed by primes below this bound, so factorize() handles
 # n up to its square (1e12).
 _SIEVE_BOUND = 1_000_000

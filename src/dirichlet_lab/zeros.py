@@ -9,6 +9,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
+from ._kernel import VerticalLine
 from .convolution import mollifier_coefficients
 from .errors import NumericalError, PreconditionError
 from .parallel import check_windows, finite_steps, map_spans
@@ -139,26 +140,37 @@ def _edge_count(z0: complex, z1: complex, step: float) -> int:
     return max(2, math.ceil(steps) + 1)
 
 
+def _side(sigma: float, t_lo: float, t_hi: float, step: float, top=True):
+    """The vertical line up from sigma + i t_lo to sigma + i t_hi at spacing
+    <= step, as a VerticalLine whose first node is exactly the lower end;
+    without its top node when top is False."""
+    n = _edge_count(complex(sigma, t_lo), complex(sigma, t_hi), step)
+    return VerticalLine(sigma, t_lo, (t_hi - t_lo) / (n - 1), n if top else n - 1)
+
+
 def _rect_edges(rect: Rectangle, step: float) -> list:
-    """The four edges of a closed polyline around the rectangle,
-    counter-clockwise from its lower-left corner, each without its end point
-    but the last; the step and the size are checked first."""
+    """The bottom, right, top and left edges of the rectangle, sampled at
+    step, with the size checked first.  The horizontal edges are arrays
+    without their end point.  The vertical sides are VerticalLines run
+    upward: the right side without its top point, the left side whole and
+    from the lower-left corner, so the polyline walks it in reverse and ends
+    exactly where it starts."""
     if step <= 0:
         raise PreconditionError("boundary step must be positive")
     c1 = complex(rect.sigma_lo, rect.t_lo)
     c2 = complex(rect.sigma_hi, rect.t_lo)
     c3 = complex(rect.sigma_hi, rect.t_hi)
     c4 = complex(rect.sigma_lo, rect.t_hi)
-    edges = [(c1, c2), (c2, c3), (c3, c4), (c4, c1)]
-    counts = [_edge_count(z0, z1, step) for z0, z1 in edges]
-    # Three edges drop their end point; the last ends at the start corner.
-    if sum(counts) - 3 > _MAX_BOUNDARY_POINTS:
+    right = _side(rect.sigma_hi, rect.t_lo, rect.t_hi, step, top=False)
+    left = _side(rect.sigma_lo, rect.t_lo, rect.t_hi, step)
+    across = _edge_count(c1, c2, step)
+    if 2 * across - 2 + right.size + left.size > _MAX_BOUNDARY_POINTS:
         raise PreconditionError(
             "the rectangle boundary needs more than %d points at step %g"
             % (_MAX_BOUNDARY_POINTS, step)
         )
-    parts = [np.linspace(z0, z1, n) for (z0, z1), n in zip(edges, counts)]
-    return [p[:-1] for p in parts[:3]] + parts[3:]
+    bottom, top = (np.linspace(z0, z1, across)[:-1] for z0, z1 in ((c1, c2), (c3, c4)))
+    return [bottom, right, top, left]
 
 
 def _rect_winding(f, rect: Rectangle, step: float, boundary=None):
@@ -170,16 +182,26 @@ def _rect_winding(f, rect: Rectangle, step: float, boundary=None):
     the edges are sampled at step.  Every rectangle count goes through here.
     """
     if boundary is None:
-        edges = _rect_edges(rect, step)
-        # One call per edge, so each vertical side reaches the evaluator as
-        # one vertical line (the kernel's matrix-product branch).
-        vals = np.concatenate([f(e) for e in edges])
-        boundary = (np.concatenate(edges), vals)
+        boundary = _sampled_boundary(f, rect, step)
     return _polyline_winding(f, *boundary)
+
+
+def _sampled_boundary(f, rect: Rectangle, step: float):
+    """(pts, vals) of the rectangle's polyline sampled at step, with one call
+    per edge, so that each vertical side reaches f as a VerticalLine (the
+    kernel's matrix-product branch).  The edges go when it returns, before
+    the refinement rounds."""
+    parts = [(np.asarray(e), f(e)) for e in _rect_edges(rect, step)]
+    parts[3] = tuple(x[::-1] for x in parts[3])  # the left side, downward
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
     """Zeros minus poles of f inside the rectangle, by boundary phase change.
+
+    f takes each edge in its own call; a vertical side comes as a
+    VerticalLine, whose nodes are np.asarray(s), and every other call as a
+    complex array.
 
     Raises:
         PreconditionError: the boundary step is not positive, or the boundary
@@ -274,6 +296,9 @@ def zero_scan(f, rect: Rectangle, tol: float = 1e-10, boundary_step: float = 0.0
     steps (up to three times), which can only adopt zeros sitting on the
     original edge, never lose interior ones.  Cells whose refinement fails
     are returned with winding_confirmed False rather than dropped.
+
+    As in winding_count, f may receive a VerticalLine (a vertical side or
+    cut), whose nodes are np.asarray(s).
     """
     if tol <= 0:
         raise PreconditionError("tolerance must be positive")
@@ -350,21 +375,21 @@ def _split(f, cell: Rectangle, w: int, pts, vals, step: float):
     key = pts.imag if across_t else pts.real
 
     def halves(cut):
+        # The cut runs the way the first half's boundary crosses it.
         if across_t:
             first, second = replace(cell, t_hi=cut), replace(cell, t_lo=cut)
             z0, z1 = complex(cell.sigma_hi, cut), complex(cell.sigma_lo, cut)
+            line = np.linspace(z0, z1, _edge_count(z0, z1, step))
         else:
             first, second = replace(cell, sigma_hi=cut), replace(cell, sigma_lo=cut)
-            z0, z1 = complex(cut, cell.t_lo), complex(cut, cell.t_hi)
-        # The cut runs the way the first half's boundary crosses it.
-        line = np.linspace(z0, z1, _edge_count(z0, z1, step))
+            line = _side(cut, cell.t_lo, cell.t_hi, step)
         # The parent's points at or above the cut are the run [a, b), and
         # those strictly above it the run [a2, b2).
         above = np.flatnonzero(key >= cut)
         a, b = above[0], above[-1] + 1
         above = np.flatnonzero(key > cut)
         a2, b2 = above[0], above[-1] + 1
-        pairs = ((pts, line), (vals, f(line)))
+        pairs = ((pts, np.asarray(line)), (vals, f(line)))
         p1, v1 = (np.concatenate((x[:a], seg, x[b:])) for x, seg in pairs)
         # The second half starts at its lower-left corner, an end of the cut.
         if across_t:
@@ -395,7 +420,8 @@ def density_table(
     The window starts a hair below t = 0 so ladder zeros on the real axis are
     counted; evaluators with a pole at s = 1 set exclude_origin to start just
     above it instead.  On a boundary failure the sigma edges are shifted by
-    +1e-3, -1e-3, then +2e-3.
+    +1e-3, -1e-3, then +2e-3.  As in winding_count, f may receive a
+    VerticalLine (a vertical side), whose nodes are np.asarray(s).
     """
     if T <= 0:
         raise PreconditionError("density horizon T must be positive")

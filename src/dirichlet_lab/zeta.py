@@ -8,21 +8,26 @@ partial sum, the Dirichlet-polynomial kernel of ._kernel, and the least
 number K >= 5 of Bernoulli correction terms whose remainder bound
 (Backlund's, _orders), taken over the whole batch, is at most 1e-13.  So
 the truncation remainder is certified: at most 1e-13 absolute at every
-point, in exact arithmetic.  A 20,000-node moment window at Re s = 0.75
-and Im s up to 2,000 takes N = 800 and K = 15, where a fixed
-N = ceil(max |Im s|) took 2,000 terms and five orders; the window takes
-0.008 s against 0.021 s (one core of a 2-vCPU Xeon VM).
+point, in exact arithmetic.  A batch may be a VerticalLine (a moment
+window, a rectangle's vertical side): its partial sum is the kernel's
+factored matrix product at the line's exact nodes, and the correction
+terms and checks take np.asarray(line), the nodes rounded to floats.  A
+20,000-node moment window at Re s = 0.75 and Im s up to 2,000 takes N = 800
+and K = 15, where a fixed N = ceil(max |Im s|) took 2,000 terms and five
+orders.
 
 The rounding error is measured, not certified: against mpmath (25 digits)
-at 3,968 points, 124 from each of 32 vertical-line arrays of 20,001 points
-(step 0.01, Im s from 10, 1,800, 5,000 or 9,800; Re s in {0.501, 0.51,
-0.55, 0.6, 0.75, 1, 2, 4}), the absolute error stayed below 2.2e-11 and the
-relative error below 7.3e-11 for Re s >= 0.55.  Nearer the left edge the
-relative error reached 2.6e-10 where |zeta| is small (Re s = 0.501).  Past
-the kernel's cap of 20,000,000 terms (|Im s| > 5e7) a point is refused
-before anything of that size is allocated.  No caller sets N.  Where a
-correction term passes the float range (Re s near 1e300) the value is inf
-or nan, without a numpy warning, for the caller to refuse.
+at 3,968 points, nodes 0, 161, ..., 19,803 of each of 32 VerticalLines of
+20,001 nodes (step 0.01, Im s from 10, 1,800, 5,000 or 9,800; Re s in
+{0.501, 0.51, 0.55, 0.6, 0.75, 1, 2, 4}), at the exact nodes, the absolute
+error stayed below 2.2e-11 and the relative error below 7.3e-11 for
+Re s >= 0.55.  Nearer the left edge the relative error reached 2.6e-10
+where |zeta| is small (Re s = 0.501).  Past the kernel's cap of 20,000,000
+terms (|Im s| > 5e7) a point is refused before anything of that size is
+allocated, and so is a batch whose real parts, far right of the strip,
+double N past the cap.  No caller sets N.  Where a correction term passes
+the float range (Re s near 1e300) the value is inf or nan, without a numpy
+warning, for the caller to refuse.
 """
 
 import math
@@ -30,7 +35,7 @@ import warnings
 
 import numpy as np
 
-from ._kernel import _MAX_TERMS, DirichletPolynomial
+from ._kernel import _MAX_TERMS, DirichletPolynomial, VerticalLine
 from .errors import AccuracyWarning, PreconditionError
 
 __all__ = ["zeta_eval", "zeta_values"]
@@ -136,10 +141,11 @@ def _terms_and_orders(arr):
     return N, None
 
 
-def _euler_maclaurin(arr, N, K) -> np.ndarray:
+def _euler_maclaurin(arr, N, K, line=None) -> np.ndarray:
     """The summation formula at every point of arr: N terms of the partial
-    sum and K Bernoulli correction terms."""
-    out = DirichletPolynomial(np.arange(1, N + 1), np.ones(N))(arr)
+    sum and K Bernoulli correction terms.  Given a VerticalLine whose nodes
+    arr holds, the partial sum runs on the line."""
+    out = DirichletPolynomial(np.arange(1, N + 1), np.ones(N))(arr if line is None else line)
     with np.errstate(over="ignore", invalid="ignore"):
         logN = math.log(N)
         pow_1ms = np.exp((1.0 - arr) * logN)  # N^{1-s}
@@ -165,14 +171,16 @@ def _euler_maclaurin(arr, N, K) -> np.ndarray:
 
 
 def zeta_values(s) -> np.ndarray:
-    """zeta at every point of the complex array s.
+    """zeta at every point of the complex array s, or at every node of the
+    VerticalLine s (its partial sum on the line, the rest at np.asarray(s)).
 
     The truncation point N and the Bernoulli order K come from the batch's
     points alone (_terms_and_orders).
 
     Raises:
         PreconditionError: some Re s <= 0, s = 1 (the pole), or N above the
-            cap of _MAX_TERMS terms (|Im s| > 5e7).
+            cap of _MAX_TERMS terms: at |Im s| > 5e7, or where real parts far
+            right of the strip double N past the cap.
     """
     arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     if arr.size == 0:
@@ -184,10 +192,16 @@ def zeta_values(s) -> np.ndarray:
     if np.any(np.abs(arr - 1.0) < 1e-12):
         raise PreconditionError("zeta has a pole at s = 1")
     N, K = _terms_and_orders(arr)
-    if N > _MAX_TERMS:
+    if K is None:
+        height = float(np.abs(arr.imag).max())
+        if height / _RATIO <= _MAX_TERMS:  # N doubled for the real parts
+            raise PreconditionError(
+                "zeta at max Re s = %g: no Bernoulli order meets the remainder"
+                " bound within the cap of %d terms" % (arr.real.max(), _MAX_TERMS)
+            )
         raise PreconditionError(
             "zeta at |Im s| = %g needs %d terms, above the cap of %d"
-            % (np.abs(arr.imag).max(), N, _MAX_TERMS)
+            % (height, N, _MAX_TERMS)
         )
     if (
         np.any(arr.real <= 0.5)
@@ -195,7 +209,7 @@ def zeta_values(s) -> np.ndarray:
         or np.any(np.abs(arr.imag) > 1e4)
     ):
         warnings.warn("accuracy not guaranteed", AccuracyWarning, stacklevel=2)
-    return _euler_maclaurin(arr, N, K)
+    return _euler_maclaurin(arr, N, K, s if isinstance(s, VerticalLine) else None)
 
 
 def zeta_eval(s) -> complex:

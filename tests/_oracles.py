@@ -109,6 +109,17 @@ DIVISOR_RATIO_MAX = 47.512497240130344
 # the array forms must give the same bits) ---
 
 
+def line_node_digits(t0: float, h: float, count: int, j: int) -> tuple:
+    """The four floats whose exact sum is node j of
+    VerticalLine(sigma, t0, h, count), from its documented layout: j = a m + c
+    with m = ceil(sqrt(count)), a = qa kb + ra, c = qc ko + rc, ko and kb the
+    ceilings of the square roots of m and of the base count."""
+    m = math.isqrt(count - 1) + 1
+    ko, kb = math.isqrt(m - 1) + 1, math.isqrt(-(-count // m) - 1) + 1
+    (qa, ra), (qc, rc) = (divmod(x, k) for x, k in zip(divmod(j, m), (kb, ko)))
+    return (t0 + float(qa * kb * m) * h, float(ra * m) * h, float(qc * ko) * h, float(rc) * h)
+
+
 def inverse_loop(a):
     """Dirichlet inverse of the dense table a, one n at a time: b_n =
     -a_1^{-1} acc_n, then b_n pushed across acc[2n::n]."""

@@ -508,25 +508,30 @@ def test_warnings_are_sorted_dlab_lines_and_a_failure_prints_only_its_error(
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, line",
     [
         # 2 r^2 past the float range: the disc lattice's x^2 + y^2.
         (["recur", "--series", "eta-factor", "--s0", "1+0i", "--r", "1e155",
-          "--T", "2"], 1),
+          "--T", "2"], 1, "dlab: precondition: disc radius"),
         (["recur", "--series", "eta-factor", "--s0", "1+0i", "--r", "1e154",
-          "--T", "2"], 1),
+          "--T", "2"], 1, "dlab: precondition: disc radius"),
         # zeta's correction terms pass the float range at Re s = 1e300.
-        (["moment", "--series", "zeta", "--sigma", "1e300", "--T", "10"], 2),
+        (["moment", "--series", "zeta", "--sigma", "1e300", "--T", "10"], 2,
+         "dlab: numerical: "),
         # The top node passes zeta's term cap: refused before any window.
         (["moment", "--series", "zeta", "--sigma", "0.75", "--T", "6e7",
-          "--step", "0.05"], 1),
+          "--step", "0.05"], 1, "dlab: precondition: zeta at |Im s| = 6e+07 "),
+        # The bottom side reaches Re s = 9.999e8: N doubles past zeta's term
+        # cap for the real parts, and the line names them, not the height.
+        (["zeros", "--series", "zeta", "--rect", "0.5,1e9,10,11", "--step", "1e5"], 1,
+         "dlab: precondition: zeta at max Re s = 9.999e+08: "),
     ],
-    ids=["recur-r-1e155", "recur-r-1e154", "zeta-sigma-1e300", "zeta-T-6e7"],
+    ids=["recur-r-1e155", "recur-r-1e154", "zeta-sigma-1e300", "zeta-T-6e7", "zeta-re-1e9"],
 )
-def test_failure_is_one_dlab_line(argv, code):
+def test_failure_is_one_dlab_line(argv, code, line):
     got, out, err = run_cli(argv)
     assert got == code and out == ""
-    assert err.startswith("dlab: ") and err.count("\n") == 1
+    assert err.startswith(line) and err.count("\n") == 1
 
 
 def test_huge_flow_horizon_is_refused_before_allocating():
@@ -756,3 +761,33 @@ def test_moment_bits_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         docs.append(proc.stdout)
     assert docs[0] == docs[1]
+
+
+# The package's public names, as listed before its __all__ was built from
+# the modules' lists.
+PUBLIC_NAMES = [
+    "AccuracyWarning", "Box", "CoefficientSource", "ExplicitSource", "FlowConfig",
+    "MomentReport", "MultiplicativeSource", "NumericalError", "PreconditionError",
+    "QuadratureConfig", "Rectangle", "RecurrenceReport", "SeriesSpec", "SmoothSet",
+    "TorusPoint", "ZeroRecord", "box_hitting_fraction", "box_hitting_fractions",
+    "builtin_series", "convolution_power", "default_evaluator", "density_table",
+    "dirichlet_convolve", "estimate_moment", "factorize", "first_primes",
+    "identity_coefficients", "inverse_coefficients", "load_source", "log_frequencies",
+    "mollifier_coefficients", "mollifier_tail_decay", "recurrence_scan",
+    "resolve_threads", "rouche_verify", "smooth_enumerate", "smooth_truncation_eval",
+    "standard_box_suite", "tail_norm", "theoretical_target", "twisted_eval",
+    "winding_count", "winding_on_circle", "zero_scan", "zeta_eval", "zeta_values",
+]
+
+
+def test_star_import_gives_the_public_names():
+    import dirichlet_lab
+
+    namespace = {}
+    exec("from dirichlet_lab import *", namespace)
+    assert len(PUBLIC_NAMES) == 46 and dirichlet_lab.__all__ == PUBLIC_NAMES
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        module = getattr(dirichlet_lab, namespace[name].__module__.rpartition(".")[2])
+        assert name in module.__all__ and getattr(module, name) is namespace[name]
+

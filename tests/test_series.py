@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirichlet_lab import (
@@ -22,7 +23,7 @@ from dirichlet_lab import (
     zeta_values,
 )
 from dirichlet_lab import _kernel, cli, coefficients, primes, series
-from dirichlet_lab._kernel import DirichletPolynomial, _vertical_grid
+from dirichlet_lab._kernel import DirichletPolynomial, VerticalLine
 from dirichlet_lab.coefficients import load_source
 
 from _oracles import (
@@ -30,6 +31,7 @@ from _oracles import (
     ZETA_1_5,
     ZETA_2,
     euler_product_loop,
+    line_node_digits,
     rankin_smooth_tail_loop,
     rankin_square_tail_loop,
 )
@@ -378,14 +380,22 @@ def test_partial_eval_matches_zeta_evaluator():
 
 
 # ---------------------------------------------------------------------------
-# The Dirichlet-polynomial kernel: its base + offset grid branch, its column
-# sum and its shifted tables, against a term-by-term oracle.
+# The Dirichlet-polynomial kernel: its VerticalLine branch, its column sum
+# and its shifted tables, against a term-by-term oracle.
 
 
 def _vertical_line(sigma, t0, h, P):
     s = np.full(P, sigma, dtype=np.complex128)
     s += 1j * (t0 + np.arange(P, dtype=np.float64) * h)
     return s
+
+
+def _exact_nodes(line, js=None):
+    """The line's nodes at the indices js (all by default), each the nearest
+    float to the exact sum of its four floats (math.fsum)."""
+    js = range(line.count) if js is None else js
+    t = [math.fsum(line_node_digits(line.t0, line.h, line.count, j)) for j in js]
+    return line.sigma + 1j * np.asarray(t, dtype=np.float64)
 
 
 def _naive(indices, coeffs, s):
@@ -408,62 +418,60 @@ def test_kernel_separable_path_matches_direct(sigma):
     kernel = DirichletPolynomial(np.arange(1, N + 1), np.ones(N))
     scale = float(np.sum(np.arange(1, N + 1, dtype=np.float64) ** -sigma))
     for t0, h in ((0.0, 0.01), (1800.0, 0.01), (9600.0, 1.0)):
-        s = _vertical_line(sigma, t0, h, 400)
-        assert _vertical_grid(s) is not None
-        diff = np.abs(kernel(s) - _naive(np.arange(1, N + 1), np.ones(N), s)).max()
+        line = VerticalLine(sigma, t0, h, 400)
+        want = _naive(np.arange(1, N + 1), np.ones(N), _exact_nodes(line))
+        diff = np.abs(kernel(line) - want).max()
         assert diff <= 1e-11 * scale, (sigma, t0, diff / scale)
 
 
-def test_kernel_path_choice():
-    line = _vertical_line(0.75, 100.0, 0.01, 50)
-    assert _vertical_grid(line) is not None
-    mixed = line.copy()
-    mixed[7] += 1e-9  # one point off the line
-    assert _vertical_grid(mixed) is None
-    uneven = line.copy()
-    uneven.imag[30] += 1e-6  # the imaginary parts leave the base + offset grid
-    assert _vertical_grid(uneven) is None
-    # Too few points for the two tables to pay (m + nb >= P).
-    assert _vertical_grid(line[:5]) is None
-    # Both inputs still evaluate, by the column sum, term by term.
+def test_kernel_path_choice(monkeypatch):
+    # A line takes the matrix product when its two tables (m offsets and nb
+    # bases) are smaller than it: 6 nodes make m = 3 and nb = 2, 5 nodes do
+    # not.  Every array takes the column sum, term by term.
+    shapes = []
+    product = _kernel._product
+
+    def spy(left, right, out, add):
+        shapes.append(out.shape)
+        product(left, right, out, add)
+
+    monkeypatch.setattr(_kernel, "_product", spy)
     kernel = DirichletPolynomial([1.0, 2.0], [1.0, -2.0])
-    for s in (mixed, uneven):
-        np.testing.assert_array_equal(kernel(s), _naive([1.0, 2.0], [1.0, -2.0], s))
+    for P, shape in ((50, (7, 8)), (6, (2, 3)), (5, None)):
+        line = VerticalLine(0.75, 100.0, 0.01, P)
+        got = kernel(line)
+        assert shapes == ([shape] if shape else [])
+        want = _naive([1.0, 2.0], [1.0, -2.0], _exact_nodes(line))
+        assert np.abs(got - want).max() <= 1e-13
+        shapes.clear()
+        nodes = np.asarray(line)
+        np.testing.assert_array_equal(kernel(nodes), _naive([1.0, 2.0], [1.0, -2.0], nodes))
+        assert shapes == []
+        if shape is None:
+            np.testing.assert_array_equal(got, kernel(nodes))
 
 
-@pytest.mark.parametrize(
-    "P, irregular",
-    [(10, None), (20_001, None), (10, "bases"), (20_001, "bases"), (400, "offsets")],
-)
-def test_kernel_grid_factors_match_column_sum(P, irregular):
-    # Every block of m points shares its offsets.  Irregular bases are what
-    # the winding engine's refinement midpoints give: they fail their own
-    # square-root split, and an unchecked split reads them as a progression.
-    # Steps of 1/64 keep every sum exact, so the points pass the grid check.
-    m = math.isqrt(P - 1) + 1
-    nb = -(-P // m)
-    rng = np.random.default_rng(P)
-    bases = 1800.0 + np.arange(nb) * m / 64
-    offsets = np.arange(m) / 64
-    if irregular == "bases":
-        bases = 1800.0 + np.cumsum(rng.integers(1, 200, nb)) / 64
-    elif irregular == "offsets":
-        offsets = np.concatenate(([0.0], np.cumsum(rng.integers(1, 9, m - 1)))) / 64
-    s = 0.75 + 1j * (bases[:, None] + offsets[None, :]).ravel()[:P]
-    assert _vertical_grid(s) is not None
+@pytest.mark.parametrize("P", [10, 20_001])
+def test_kernel_grid_factors_match_column_sum(P):
+    # 10 nodes: m = 4, three bases, two of the last block left over.  20,001
+    # nodes: 142 offsets and 141 bases, each a 12 x 12 product of digit
+    # tables with a partial last row.
+    line = VerticalLine(0.75, 1800.0, 1 / 64 if P == 10 else 0.01, P)
     N = 300
     idx, c = np.arange(1, N + 1), _random_coeffs(P, N)
     scale = float(np.sum(np.abs(c) * idx.astype(np.float64) ** -0.75))
-    diff = np.abs(DirichletPolynomial(idx, c)(s) - _naive(idx, c, s)).max()
+    js = range(0, P, max(1, P // 500))
+    got = DirichletPolynomial(idx, c)(line)[list(js)]
+    diff = np.abs(got - _naive(idx, c, _exact_nodes(line, js))).max()
     assert diff <= 1e-11 * scale, diff / scale
 
 
 def test_kernel_grid_exps_grow_with_square_roots(monkeypatch):
-    # One moment window: 20,000 points on a line and 2,000 terms.  Factored
+    # One moment window: a line of 20,000 nodes and 2,000 terms.  Factored
     # tables take about 2 (sqrt(m) + sqrt(nb)) complex exps per term, where
     # whole tables took m + nb (283 here).
     P, N = 20_000, 2_000
-    s = _vertical_line(0.75, 1800.0, 0.01, P)
+    line = VerticalLine(0.75, 1800.0, 0.01, P)
     m = math.isqrt(P - 1) + 1
     nb = -(-P // m)
     counted = []
@@ -476,9 +484,13 @@ def test_kernel_grid_exps_grow_with_square_roots(monkeypatch):
 
     kernel = DirichletPolynomial(np.arange(1, N + 1), np.ones(N))
     monkeypatch.setattr(np, "exp", spy)
-    kernel(s)
+    got = kernel(line)
     monkeypatch.undo()
     assert 0 < sum(counted) <= N * 4 * (math.sqrt(m) + math.sqrt(nb))
+    js = range(0, P, 997)
+    scale = float(np.sum(np.arange(1, N + 1, dtype=np.float64) ** -0.75))
+    want = _naive(np.arange(1, N + 1), np.ones(N), _exact_nodes(line, js))
+    assert np.abs(got[list(js)] - want).max() <= 1e-11 * scale
 
 
 def test_kernel_drops_zero_coefficients():
@@ -528,12 +540,45 @@ def _random_coeffs(seed, N):
 )
 @example(sigma=0.75, t0=100.0, h=0.01, P=10, N=50, seed=0)  # m = 4: 3 bases, 2 left over
 def test_kernel_grid_branch_matches_term_by_term_sums(sigma, t0, h, P, N, seed):
-    s = _vertical_line(sigma, t0, h, P)
-    assume(_vertical_grid(s) is not None)
+    line = VerticalLine(sigma, t0, h, P)
     idx, c = np.arange(1, N + 1), _random_coeffs(seed, N)
     scale = float(np.sum(np.abs(c) * idx.astype(np.float64) ** -sigma))
-    diff = np.abs(DirichletPolynomial(idx, c)(s) - _naive(idx, c, s)).max()
+    diff = np.abs(DirichletPolynomial(idx, c)(line) - _naive(idx, c, _exact_nodes(line))).max()
     assert diff <= 1e-11 * scale
+
+
+@_PROPERTY
+@given(
+    sigma=st.floats(0.5, 3.0),
+    t0=st.floats(-1e6, 1e6),
+    h=st.floats(-10.0, 10.0),
+    P=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sigma=0.75, t0=1800.0, h=0.01, P=400, seed=0)
+def test_line_nodes_are_their_four_float_sums(sigma, t0, h, P, seed):
+    # Node 0 is t0.  The exact node j, fl(t0 + fl(A h)) + fl(B h) + fl(C h)
+    # + fl(D h) with A + B + C + D = j, is within u (|t0| + (2 + u) j |h|)
+    # of t0 + j h (u = 2^-53: one rounding per float, two in the first),
+    # and np.asarray rounds it to within one ulp.  The values match the
+    # term-by-term sum at the exact nodes, up to the rounding of phases
+    # t log n, a few u max |t| log N of each term's modulus.
+    line = VerticalLine(sigma, t0, h, P)
+    nodes = np.asarray(line)
+    assert nodes.shape == (P,) and line.size == P
+    assert nodes[0] == complex(sigma, t0) and np.all(nodes.real == sigma)
+    u = Fraction(1, 2**53)
+    for j, t in enumerate(nodes.imag.tolist()):
+        exact = sum(map(Fraction, line_node_digits(t0, h, P, j)))
+        bound = u * (abs(Fraction(t0)) + 3 * j * abs(Fraction(h)))
+        assert abs(exact - Fraction(t0) - j * Fraction(h)) <= bound
+        assert abs(Fraction(t) - exact) <= Fraction(float(np.spacing(abs(t))))
+    N = 40
+    idx, c = np.arange(1, N + 1), _random_coeffs(seed, N)
+    scale = float(np.sum(np.abs(c) * idx.astype(np.float64) ** -sigma))
+    diff = np.abs(DirichletPolynomial(idx, c)(line) - _naive(idx, c, _exact_nodes(line))).max()
+    phases = 8 * 2.0**-53 * (abs(t0) + P * abs(h)) * math.log(N)
+    assert diff <= (1e-12 + phases) * scale
 
 
 @_PROPERTY
@@ -557,12 +602,13 @@ def test_kernel_shifted_rows_are_sums_at_the_moved_points(P, K, N, seed):
 
 
 def test_kernel_input_of_any_shape():
-    # A 2-D array of points on one vertical line gives the bits of the
-    # flattened call, which takes the grid branch.
-    s = 0.75 + 0.01j * np.arange(400)
-    assert _vertical_grid(s) is not None
-    for f in (zeta_values, default_evaluator(ETA)):
+    # A 2-D array of a line's nodes gives the bits of the flattened call, and
+    # the line itself gives its nodes' values, by the factored product.
+    line = VerticalLine(0.75, 0.0, 0.01, 400)
+    s = np.asarray(line)
+    for f, scale in ((zeta_values, 10.0), (default_evaluator(ETA), 3.0)):
         np.testing.assert_array_equal(f(s.reshape(20, 20)), f(s).reshape(20, 20))
+        assert np.abs(f(line) - f(_exact_nodes(line))).max() <= 1e-13 * scale
 
 
 def test_smooth_coefficients_visit_only_primes_up_to_the_bound():

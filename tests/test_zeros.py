@@ -67,19 +67,31 @@ def test_winding_is_additive_across_a_cut():
     assert low + high == total
 
 
-def test_winding_evaluates_each_side_in_its_own_call():
-    # Each vertical side reaches the evaluator as one vertical line, the
-    # kernel's matrix-product branch; the bottom and top sides do not.
-    calls = []
+def test_winding_evaluates_each_side_in_its_own_call(monkeypatch):
+    # Each vertical side reaches the evaluator as a VerticalLine, the
+    # kernel's matrix-product branch; the bottom and top sides are arrays.
+    calls, polylines = [], []
+    winding = zeros_module._polyline_winding
+
+    def spy(f, pts, vals):
+        polylines.append(pts)
+        return winding(f, pts, vals)
 
     def f(s):
-        calls.append(np.asarray(s))
+        calls.append(s)
         return ETA(s)
 
+    monkeypatch.setattr(zeros_module, "_polyline_winding", spy)
     assert winding_count(f, Rectangle(0.5, 1.5, 0.5, 31.5)) == 3
-    sides = [_kernel._vertical_grid(s) is not None for s in calls[:4]]
-    assert sides == [False, True, False, True]
-    assert calls[3][-1] == calls[0][0]  # the left side closes the polyline
+    kinds = [type(s) for s in calls[:4]]
+    assert kinds == [np.ndarray, _kernel.VerticalLine, np.ndarray, _kernel.VerticalLine]
+    right, left = calls[1], calls[3]
+    assert (right.sigma, right.t0, left.sigma, left.t0) == (1.5, 0.5, 0.5, 0.5)
+    # The left side runs up from the start corner, so the polyline, which
+    # walks it down, closes exactly.
+    pts = polylines[0]
+    assert pts[0] == 0.5 + 0.5j and pts[-1] == pts[0]
+    assert pts.size == sum(np.size(s) for s in calls[:4])
 
 
 def test_winding_zero_on_edge_is_detected():

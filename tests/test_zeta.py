@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from dirichlet_lab import AccuracyWarning, PreconditionError, zeta_eval, zeta_values
-from dirichlet_lab._kernel import _vertical_grid
+from dirichlet_lab._kernel import VerticalLine
 from dirichlet_lab import zeta as zeta_mod
 from dirichlet_lab.zeta import _BERN, _TOL, _euler_maclaurin, _orders, _terms_and_orders
 
-from _oracles import ZETA_0_5, ZETA_2, ZETA_4
+from _oracles import ZETA_0_5, ZETA_2, ZETA_4, line_node_digits
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -63,9 +63,20 @@ def test_left_half_plane_rejected():
 
 
 def test_height_past_the_term_cap_is_refused():
-    # N = ceil(|Im s| / 2.5) = 4e9 terms would need 32 GB per table.
-    with pytest.raises(PreconditionError, match="above the cap of 20000000"):
-        zeta_values(np.asarray([0.75 + 1e10j]))
+    # N = ceil(|Im s| / 2.5) = 4e9 terms would need 32 GB per table.  The
+    # height is named even where a real part is far right too.
+    for s in ([0.75 + 1e10j], [1e300 + 0j, 2 + 1e10j]):
+        with pytest.raises(PreconditionError, match=r"^zeta at \|Im s\| = 1e\+10 needs "
+                           r"4000000000 terms, above the cap of 20000000$"):
+            zeta_values(np.asarray(s))
+
+
+def test_real_part_that_doubles_N_past_the_term_cap_is_named():
+    # At Re s = 1e300 no tabled order meets the bound at any N up to the
+    # cap, so N doubles past it: the real part is the cause, not the height.
+    with pytest.raises(PreconditionError, match=r"^zeta at max Re s = 1e\+300: no Bernoulli "
+                       r"order meets the remainder bound within the cap of 20000000 terms$"):
+        zeta_values(np.asarray([1e300 + 5j, 2 + 0j]))
 
 
 def test_outside_strip_warns_but_stays_accurate():
@@ -119,21 +130,21 @@ def test_conjugate_symmetry():
     assert abs(a - b.conjugate()) < 1e-12 * abs(a)
 
 
-# Whole vertical-line arrays take the kernel's separable path (one matrix
-# product of two exponential tables); spot points are checked against mpmath.
+# A VerticalLine's partial sum takes the kernel's factored matrix product
+# (one product of two exponential tables); spot nodes are checked against
+# mpmath at the exact node, the sum of its four floats.
 @pytest.mark.parametrize(
     "sigma, t0, h, P, every",
     [(0.75, 1800.0, 0.01, 20001, 250), (2.0, 9900.0, 0.05, 2001, 40)],
 )
 def test_vertical_line_against_mpmath(sigma, t0, h, P, every):
     mpmath.mp.dps = 30
-    s = np.full(P, sigma, dtype=np.complex128)
-    s += 1j * (t0 + np.arange(P, dtype=np.float64) * h)
-    assert _vertical_grid(s) is not None
-    vals = zeta_values(s)
+    vals = zeta_values(VerticalLine(sigma, t0, h, P))
+    assert vals.shape == (P,)
     for j in range(0, P, every):
-        want = complex(mpmath.zeta(mpmath.mpc(s[j].real, s[j].imag)))
-        assert abs(vals[j] - want) <= 1e-10 * abs(want), s[j]
+        t = mpmath.fsum(mpmath.mpf(x) for x in line_node_digits(t0, h, P, j))
+        want = complex(mpmath.zeta(mpmath.mpc(sigma, t)))
+        assert abs(vals[j] - want) <= 1e-10 * abs(want), (sigma, t)
 
 
 def test_document_independent_of_blas_threads():
@@ -170,7 +181,7 @@ def _backlund_bound(s, N, K):
     return abs(s + 2 * K + 1) / (s.real + 2 * K + 1) * abs(term)
 
 
-# Each line is one 20,001-point vertical array, as a moment window: its
+# Each line is one 20,001-node VerticalLine, as a moment window: its
 # (N, K) must meet the remainder tolerance at every point, K must be the
 # least order that does at the line's top point, where the batch's bound is
 # taken, and spot points stay within 1e-10 of mpmath.  The
@@ -182,16 +193,17 @@ def _backlund_bound(s, N, K):
 @pytest.mark.parametrize("sigma", [0.51, 0.75, 2.0])
 def test_chosen_order_meets_the_remainder_bound(sigma, t0, h):
     mpmath.mp.dps = 30
-    s = np.full(20001, sigma, dtype=np.complex128)
-    s += 1j * (t0 + np.arange(20001, dtype=np.float64) * h)
+    line = VerticalLine(sigma, t0, h, 20001)
+    s = np.asarray(line)
     N, K = _terms_and_orders(s)
     assert N == max(32, math.ceil(s.imag.max() / 2.5)) and 5 <= K < len(_BERN)
     for p in s[::2000]:
         assert _backlund_bound(p, N, K) <= _TOL, p
     assert K == 5 or _backlund_bound(s[-1], N, K - 1) > _TOL
-    vals = zeta_values(s)
+    vals = zeta_values(line)
     for j in range(0, s.size, 2000):
-        want = complex(mpmath.zeta(mpmath.mpc(s[j].real, s[j].imag)))
+        t = mpmath.fsum(mpmath.mpf(x) for x in line_node_digits(t0, h, 20001, j))
+        want = complex(mpmath.zeta(mpmath.mpc(sigma, t)))
         assert abs(vals[j] - want) <= 1e-10 * max(abs(want), 0.5), s[j]
 
 
@@ -246,7 +258,5 @@ def test_moment_window_sums_at_most_800_terms(monkeypatch):
             super().__init__(indices, coeffs)
 
     monkeypatch.setattr(zeta_mod, "DirichletPolynomial", Spy)
-    s = np.full(20001, 0.75, dtype=np.complex128)
-    s += 1j * (1800.0 + np.arange(20001, dtype=np.float64) * 0.01)
-    zeta_values(s)
+    zeta_values(VerticalLine(0.75, 1800.0, 0.01, 20001))
     assert terms == [800]
