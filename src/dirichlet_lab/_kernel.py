@@ -148,6 +148,22 @@ class DirichletPolynomial:
         with np.errstate(over="ignore", invalid="ignore"):
             return self._table(points, shifts, reduce=reduce)
 
+    def weights(self, sigma: float):
+        """(F, L, R) at real part sigma: F = sum_n |c_n| n^{-sigma},
+        L = sum_n |c_n| |log n| n^{-sigma} and R^2 = sum_n |c_n|^2 n^{-2 sigma}.
+        Every index is at least 1, so each term falls as sigma grows: on
+        Re s >= sigma, F bounds |f(s)| and L bounds |f'(s)|, which makes L a
+        Lipschitz constant of f there.  R^2 is the mean of |f(sigma + it)|^2
+        over t, the typical size of f on the line.  An overflow leaves them
+        non-finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mags = np.abs(self.coeffs) * np.exp(-sigma * self.logs)
+            return (
+                float(mags.sum()),
+                float(mags @ np.abs(self.logs)),
+                math.sqrt(float(mags @ mags)),
+            )
+
     def disc_sum(self, points):
         """(g, weight) for the sum over an array of points p of the shifted
         polynomial: g(s) = sum_p f(p + s), the polynomial over the same logs

@@ -52,6 +52,24 @@ class _Parser(argparse.ArgumentParser):
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 
+# A token that starts like a negative number: -0.5,0.5,0,30 or -1+0i or -.2.
+_NEGATIVE = re.compile(r"-[\d.]")
+
+
+def _attach_negative_values(argv):
+    """argv with each `--opt VALUE` whose VALUE starts like a negative
+    number written as `--opt=VALUE`.  argparse takes a token that starts
+    with '-' for an option unless it is a plain number, so `--rect
+    -0.5,0.5,0,30` or `--s0 -1+0i` would lose its value."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if _NEGATIVE.match(tok) and re.fullmatch(r"--[^=]+", prev):
+            out[-1] = prev + "=" + tok
+        else:
+            out.append(tok)
+    return out
+
 
 def _parse_float(text: str) -> float:
     """argparse type for real options: a finite number (no nan, no inf)."""
@@ -377,7 +395,9 @@ def run(argv=None) -> int:
         warnings.simplefilter("always", AccuracyWarning)
         try:
             parser = _build_parser()
-            args = parser.parse_args(argv)
+            args = parser.parse_args(
+                _attach_negative_values(sys.argv[1:] if argv is None else argv)
+            )
             threads = resolve_threads(args.threads)
             result, csv_header, csv_rows = args.handler(args, threads)
             text = _render(args, result, csv_header, csv_rows)

@@ -96,14 +96,17 @@ class RecurrenceReport:
 # Winding engine
 
 
-def _polyline_winding(f, pts: np.ndarray, vals: np.ndarray):
+def _polyline_winding(f, pts: np.ndarray, vals: np.ndarray, cert=None):
     """(winding, pts, vals): the winding number of f along a closed polyline
     (pts[-1] == pts[0]) given its values vals at pts, with the refined
     polyline and its values.
 
-    Segments are bisected until every step has a phase jump under pi/2 and a
-    magnitude change under a tenth of the local |f|, which rules out phase
-    aliasing across near-zero passes.
+    Steps are bisected until every step is accepted.  A step is accepted
+    when its phase jump is under pi/2 and its value change under a tenth of
+    the local |f|: a heuristic, which rules out phase aliasing across
+    near-zero passes but cannot see a pair of zeros that one step jumps
+    over.  Given cert, the (L, margin, limit) of _certificate, a step is
+    also accepted when it is certified, and one longer than limit only then.
     """
     for _ in range(_REFINE_ROUNDS):
         if not np.all(np.isfinite(vals)):
@@ -117,6 +120,11 @@ def _polyline_winding(f, pts: np.ndarray, vals: np.ndarray):
             mags[1:], mags[:-1]
         )
         need = (np.abs(dphi) >= 0.5 * math.pi) | mag_jump
+        if cert is not None:
+            lip, margin, limit = cert
+            h = np.abs(pts[1:] - pts[:-1])
+            need |= h > limit
+            need &= ~(lip * h < np.maximum(mags[1:], mags[:-1]) - margin)
         idx = np.flatnonzero(need)
         if idx.size == 0:
             total = float(np.sum(dphi)) / (2.0 * math.pi)
@@ -130,6 +138,77 @@ def _polyline_winding(f, pts: np.ndarray, vals: np.ndarray):
         vals = np.insert(vals, idx + 1, f(mids))
         pts = np.insert(pts, idx + 1, mids)
     raise NumericalError("zero near boundary; perturb rectangle")
+
+
+def _certificate(f, rect: Rectangle, step: float):
+    """(spacing, cert) for counts on rect and on the cells inside it: the
+    start spacing of every edge and cut, and cert = (L, margin, limit) for
+    _polyline_winding, or None for an evaluator without weights (zeta, an
+    opaque callable), whose spacing is step.
+
+    For a DirichletPolynomial, with F, L and R of its `weights` at
+    rect.sigma_lo (so L bounds |f'| on the rectangle), a step from z_i to
+    z_{i+1}, of computed length h, is certified when
+
+        L h < max(|f(z_i)|, |f(z_{i+1})|) - margin,
+        margin = 2^-46 (K + tau + 8) F,
+
+    with K terms and tau = max |log n| max |z|, max |z| over the corners.
+    Then, for the end z_m with the larger |f|, |f(z) - f(z_m)| <= L |z - z_m|
+    < |f(z_m)| on the whole step: f has no zero there, and f(z)/f(z_m) stays
+    in the right half-plane, so the argument moves by less than pi/2.
+    limit is step up to the rounding of the points, 2^-48 (step + max |z|):
+    a longer step is accepted only when certified.
+
+    The spacing is the largest power-of-two multiple of step not above
+    R^2/(F L), and step when there is none.  R^2/F is the size of a typical
+    term c_n n^{-sigma} (each term weighted by its size), so the spacing is
+    the step that the certificate accepts where |f| is that large.  A long
+    sum is seldom smaller than one of its terms, and a short one is cheap
+    to refine; a long truncation, whose R^2/(F L) is far below step, starts
+    at step.  A step that is never certified is bisected down to at most
+    step, and no further, since the spacing is step times a power of two.
+
+    Derivation of the margin, with u = 2^-53, arithmetic correctly rounded
+    and every exp, log, cos, sin and hypot within 2 ulps.  A computed term
+    c_n n^{-z} is within (30 tau + 16) u of |c_n| n^{-sigma}: on the
+    column-sum path from the rounded log n and products sigma log n,
+    t log n; on a line's path from the four rounded phases of its exact
+    node j (each float at most j |h| but the first, |t0| + j |h|, so
+    9 max |t| together; see VerticalLine) and three complex products.  A
+    K-term sum adds (6K + 3) u F, so a computed |f(z_i)| is within
+    d = (6K + 30 tau + 21) u F of the exact one.  A line's values are at its
+    exact nodes and its points, np.asarray(line), within one ulp of them
+    (2 u max |z|), and the computed h is at least (1 - 4u) times the
+    points' distance, so the exact step between the evaluated nodes is at
+    most (1 + 5u) h + 4 u max |z| long.  The computed L is within
+    (K + 5 tau + 8) u L of the exact weight at any real part a point may
+    round to.  Since L h < F and L max |z| <= tau F, the exact condition
+    holds once the margin exceeds (7K + 39 tau + 37) u F; it is more than
+    three times that.  So every exact value on a certified step exceeds
+    2/3 of the margin, d is under a fourth of it, and each computed step
+    angle is within 0.8 of the exact argument change: no branch is
+    crossed, and the end errors cancel around the closed polyline.  An
+    overflow leaves L or the margin non-finite, which certifies nothing.
+    """
+    if not step > 0:
+        raise PreconditionError("boundary step must be positive")
+    weights = getattr(f, "weights", None)
+    if weights is None:
+        return step, None
+    F, lip, R = weights(rect.sigma_lo)
+    ratio = (R * R / (F * lip) if lip else math.inf) / step
+    if not ratio >= 2.0:
+        spacing = step
+    elif math.isinf(ratio):
+        spacing = math.inf
+    else:
+        spacing = math.ldexp(step, math.frexp(ratio)[1] - 1)
+    reach = max(-rect.sigma_lo, rect.sigma_hi) + max(-rect.t_lo, rect.t_hi)
+    tau = np.abs(f.logs).max(initial=0.0) * reach
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = 2.0**-46 * (f.logs.size + tau + 8) * F
+    return spacing, (lip, margin, step + 2.0**-48 * (step + reach))
 
 
 def _edge_count(z0: complex, z1: complex, step: float) -> int:
@@ -150,13 +229,11 @@ def _side(sigma: float, t_lo: float, t_hi: float, step: float, top=True):
 
 def _rect_edges(rect: Rectangle, step: float) -> list:
     """The bottom, right, top and left edges of the rectangle, sampled at
-    step, with the size checked first.  The horizontal edges are arrays
-    without their end point.  The vertical sides are VerticalLines run
-    upward: the right side without its top point, the left side whole and
-    from the lower-left corner, so the polyline walks it in reverse and ends
-    exactly where it starts."""
-    if step <= 0:
-        raise PreconditionError("boundary step must be positive")
+    spacing at most step (positive), with the size checked first.  The
+    horizontal edges are arrays without their end point.  The vertical sides
+    are VerticalLines run upward: the right side without its top point, the
+    left side whole and from the lower-left corner, so the polyline walks it
+    in reverse and ends exactly where it starts."""
     c1 = complex(rect.sigma_lo, rect.t_lo)
     c2 = complex(rect.sigma_hi, rect.t_lo)
     c3 = complex(rect.sigma_hi, rect.t_hi)
@@ -173,27 +250,34 @@ def _rect_edges(rect: Rectangle, step: float) -> list:
     return [bottom, right, top, left]
 
 
-def _rect_winding(f, rect: Rectangle, step: float, boundary=None):
+def _rect_winding(f, rect: Rectangle, bound, boundary=None):
     """(winding, pts, vals) of f around the rectangle, with its refined
     boundary: a closed polyline counter-clockwise from the lower-left corner.
 
-    boundary is that polyline's (pts, vals) when the caller has it already
-    (a half cell: its parent's refined boundary plus the cut); otherwise
-    the edges are sampled at step.  Every rectangle count goes through here.
+    bound is the (spacing, cert) of _certificate for rect, or for a
+    rectangle that holds it (a cell of a scan).  boundary is the polyline's
+    (pts, vals) when the caller has it already (a half cell: its parent's
+    refined boundary plus the cut); otherwise the edges are sampled at the
+    spacing.  Every rectangle count goes through here.
     """
     if boundary is None:
-        boundary = _sampled_boundary(f, rect, step)
-    return _polyline_winding(f, *boundary)
+        boundary = _sampled_boundary(f, rect, bound[0])
+    return _polyline_winding(f, *boundary, bound[1])
 
 
-def _sampled_boundary(f, rect: Rectangle, step: float):
-    """(pts, vals) of the rectangle's polyline sampled at step, with one call
+def _sampled_boundary(f, rect: Rectangle, spacing: float):
+    """(pts, vals) of the rectangle's polyline at the spacing, with one call
     per edge, so that each vertical side reaches f as a VerticalLine (the
     kernel's matrix-product branch).  The edges go when it returns, before
     the refinement rounds."""
-    parts = [(np.asarray(e), f(e)) for e in _rect_edges(rect, step)]
+    parts = [(np.asarray(e), f(e)) for e in _rect_edges(rect, spacing)]
     parts[3] = tuple(x[::-1] for x in parts[3])  # the left side, downward
     return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _count(f, rect: Rectangle, step: float):
+    """(winding, pts, vals) of f around rect, sampled afresh."""
+    return _rect_winding(f, rect, _certificate(f, rect, step))
 
 
 def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
@@ -203,6 +287,15 @@ def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
     VerticalLine, whose nodes are np.asarray(s), and every other call as a
     complex array.
 
+    boundary_step bounds only the steps accepted without a certificate.  A
+    DirichletPolynomial (it has `weights`) certifies a step of length h when
+    L h < max |f| at its ends less a rounding margin (_certificate); such a
+    step may be of any length, the edges start at a power-of-two multiple
+    of boundary_step, and only a step at most boundary_step long may pass
+    by the heuristic instead.  Any other evaluator (zeta, a plain callable)
+    is sampled at boundary_step, and every step passes by the heuristic
+    (_polyline_winding).
+
     Raises:
         PreconditionError: the boundary step is not positive, or the boundary
             would need more than _MAX_BOUNDARY_POINTS points, or a non-finite
@@ -210,7 +303,7 @@ def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
         NumericalError: boundary passes too close to a zero ("zero near
             boundary; perturb rectangle") or the phase does not stabilize.
     """
-    return _rect_winding(f, rect, boundary_step)[0]
+    return _count(f, rect, boundary_step)[0]
 
 
 def winding_on_circle(f, center: complex, radius: float, samples: int = 256) -> int:
@@ -298,13 +391,19 @@ def zero_scan(f, rect: Rectangle, tol: float = 1e-10, boundary_step: float = 0.0
     are returned with winding_confirmed False rather than dropped.
 
     As in winding_count, f may receive a VerticalLine (a vertical side or
-    cut), whose nodes are np.asarray(s).
+    cut), whose nodes are np.asarray(s), and boundary_step bounds only the
+    steps accepted without a certificate; a cut starts at the spacing of the
+    edges.
     """
     if tol <= 0:
         raise PreconditionError("tolerance must be positive")
-    cur, (w, pts, vals) = _first_success(
-        lambda r: (r, _rect_winding(f, r, boundary_step)),
-        accumulate(repeat(1e-3, 3), Rectangle.expanded, initial=rect),
+
+    def count(r):
+        bound = _certificate(f, r, boundary_step)
+        return r, bound, _rect_winding(f, r, bound)
+
+    cur, bound, (w, pts, vals) = _first_success(
+        count, accumulate(repeat(1e-3, 3), Rectangle.expanded, initial=rect)
     )
     if w < 0:
         raise NumericalError("negative winding; the region contains poles")
@@ -318,7 +417,7 @@ def zero_scan(f, rect: Rectangle, tol: float = 1e-10, boundary_step: float = 0.0
         if rec is not None:
             records += [rec] * w
             continue
-        halves = _split(f, cell, w, pts, vals, boundary_step)
+        halves = _split(f, cell, w, pts, vals, bound)
         pending += [half for half in reversed(halves) if half[1]]
     records.sort(key=lambda rec: (rec.location.imag, rec.location.real))
     return records
@@ -355,7 +454,7 @@ def _cell_zero(f, cell: Rectangle, w: int, tol: float):
     )
 
 
-def _split(f, cell: Rectangle, w: int, pts, vals, step: float):
+def _split(f, cell: Rectangle, w: int, pts, vals, bound):
     """The two halves of a cell of winding w, as (cell, winding, pts, vals),
     lower or left half first.
 
@@ -364,7 +463,8 @@ def _split(f, cell: Rectangle, w: int, pts, vals, step: float):
     Each half's boundary is the cut plus the parent's refined points on its
     side of the cut: one run of the parent's polyline, which starts at the
     lower-left corner, for the upper or right half, and a run at each end
-    for the other.
+    for the other.  bound is the scan's (spacing, cert): the cut starts at
+    its spacing, and the halves count with its certificate.
     """
     across_t = cell.t_hi - cell.t_lo >= cell.sigma_hi - cell.sigma_lo
     lo, hi = (cell.t_lo, cell.t_hi) if across_t else (cell.sigma_lo, cell.sigma_hi)
@@ -379,10 +479,10 @@ def _split(f, cell: Rectangle, w: int, pts, vals, step: float):
         if across_t:
             first, second = replace(cell, t_hi=cut), replace(cell, t_lo=cut)
             z0, z1 = complex(cell.sigma_hi, cut), complex(cell.sigma_lo, cut)
-            line = np.linspace(z0, z1, _edge_count(z0, z1, step))
+            line = np.linspace(z0, z1, _edge_count(z0, z1, bound[0]))
         else:
             first, second = replace(cell, sigma_hi=cut), replace(cell, sigma_lo=cut)
-            line = _side(cut, cell.t_lo, cell.t_hi, step)
+            line = _side(cut, cell.t_lo, cell.t_hi, bound[0])
         # The parent's points at or above the cut are the run [a, b), and
         # those strictly above it the run [a2, b2).
         above = np.flatnonzero(key >= cut)
@@ -396,8 +496,8 @@ def _split(f, cell: Rectangle, w: int, pts, vals, step: float):
             p2, v2 = (np.concatenate((seg[::-1], x[a2:b2], seg[-1:])) for x, seg in pairs)
         else:
             p2, v2 = (np.concatenate((seg[:1], x[a2:b2], seg[::-1])) for x, seg in pairs)
-        w1, p1, v1 = _rect_winding(f, first, step, (p1, v1))
-        w2, p2, v2 = _rect_winding(f, second, step, (p2, v2))
+        w1, p1, v1 = _rect_winding(f, first, bound, (p1, v1))
+        w2, p2, v2 = _rect_winding(f, second, bound, (p2, v2))
         if w1 + w2 != w:
             raise NumericalError(
                 "winding split %d + %d does not match parent %d" % (w1, w2, w)
@@ -421,7 +521,8 @@ def density_table(
     counted; evaluators with a pole at s = 1 set exclude_origin to start just
     above it instead.  On a boundary failure the sigma edges are shifted by
     +1e-3, -1e-3, then +2e-3.  As in winding_count, f may receive a
-    VerticalLine (a vertical side), whose nodes are np.asarray(s).
+    VerticalLine (a vertical side), whose nodes are np.asarray(s), and
+    boundary_step bounds only the steps accepted without a certificate.
     """
     if T <= 0:
         raise PreconditionError("density horizon T must be positive")
@@ -432,7 +533,7 @@ def density_table(
         if sigma >= sigma_hi:
             raise PreconditionError("sigma must be below sigma_hi")
         count = _first_success(
-            lambda d: _rect_winding(
+            lambda d: _count(
                 f, Rectangle(sigma + d, sigma_hi + d, t_lo, float(T)), boundary_step
             )[0],
             _NUDGES,

@@ -400,6 +400,30 @@ def test_non_finite_numbers_are_usage_errors(argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeros", "--series", "builtin:eta-factor", "--rect", "-0.5,0.5,0,30"],
+        ["recur", "--series", "HALF", "--s0", "-1+0i", "--r", "0.05", "--T", "20"],
+        ["truncate", "--series", "HALF", "--s", "-1+2i", "--k", "8"],
+        ["density", "--series", "eta-factor", "--sigma-list", "-0.2,0.3", "--T", "30"],
+    ],
+    ids=["zeros-rect", "recur-s0", "truncate-s", "density-sigma-list"],
+)
+def test_values_that_start_with_a_minus_sign(tmp_path, argv):
+    # argparse takes "-0.5,0.5,0,30" or "-1+0i" for an option; each such
+    # value must give the document of its --opt=value form.  HALF is
+    # 1 - 2^{-s}/2, whose zeros lie on Re s = -1, s0 = -1 among them.
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps({"kind": "explicit", "coeffs": [[1, 1.0, 0.0], [2, -0.5, 0.0]]}))
+    argv = [str(half) if a == "HALF" else a for a in argv]
+    i = next(i for i, a in enumerate(argv) if a[:2] in ("-0", "-1"))
+    joined = argv[: i - 1] + [argv[i - 1] + "=" + argv[i]] + argv[i + 1 :]
+    code, out, err = run_cli(argv)
+    assert code == 0 and err == ""
+    assert (code, out, err) == run_cli(joined)
+
+
+@pytest.mark.parametrize(
     "argv, text",
     [
         (["recur", "--series", "eta-factor", "--s0", "1+2j", "--r", "0.05",
@@ -569,14 +593,15 @@ def test_huge_moment_grid_is_refused_before_allocating():
         ["density", "--series", "eta-factor", "--sigma-list", "0.9", "--T", "1e300"],
         ["density", "--series", "eta-factor", "--sigma-list", "0.9", "--T", "5",
          "--sigma-hi", "1e300"],
-        ["zeros", "--series", "builtin:eta-factor", "--rect", "0.5,1.5,-1,10",
-         "--step", "1e-320"],
+        ["zeros", "--series", "zeta", "--rect", "0.5,1.5,10,20", "--step", "1e-320"],
         ["zeros", "--series", "builtin:eta-factor", "--rect", "0.5,1.5,-1,1e9"],
     ],
 )
 def test_huge_rectangle_boundary_is_refused_before_allocating(argv):
     # 1e302 boundary points, an edge/step that overflows to infinity, and a
     # 1.46 TiB boundary: each is counted and refused before any is built.
+    # Zeta has no certificate, so its edges start at --step; eta-factor's
+    # start at its certified spacing whatever --step is.
     code, out, err = run_cli(argv)
     assert code == 1 and out == ""
     assert err.startswith("dlab: precondition:") and err.count("\n") == 1

@@ -1,8 +1,12 @@
+import cmath
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dirichlet_lab import (
     NumericalError,
@@ -37,6 +41,9 @@ from _oracles import (
 
 ETA = default_evaluator(builtin_series("eta-factor"))
 ZETA_SPEC = builtin_series("zeta")
+
+# Few, derandomized examples keep the property tests quick and repeatable.
+_PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
 # second ladder fixture: 1 - 3^{0.8} 3^{-s}, zeros at 0.8 + i k (2 pi / log 3)
 LADDER3 = _kernel.DirichletPolynomial([1.0, 3.0], [1.0, -(3.0**0.8)])
@@ -73,9 +80,9 @@ def test_winding_evaluates_each_side_in_its_own_call(monkeypatch):
     calls, polylines = [], []
     winding = zeros_module._polyline_winding
 
-    def spy(f, pts, vals):
+    def spy(f, pts, vals, *args):
         polylines.append(pts)
-        return winding(f, pts, vals)
+        return winding(f, pts, vals, *args)
 
     def f(s):
         calls.append(s)
@@ -309,6 +316,243 @@ def test_density_validation():
         density_table(ETA, [0.9], 0.0)
     with pytest.raises(PreconditionError, match="below sigma_hi"):
         density_table(ETA, [1.3], 10.0)
+
+
+# ---------------------------------------------------------------------------
+# Certified boundary steps
+
+# (1 - a 2^{-s})(1 - b 3^{-s}) with a = 2^{S1}, b = 3^{S2}: zeros on
+# Re s = S1 at t = k PERIOD2 and on Re s = S2 at t = j PERIOD3, two zero
+# lines within 1e-3 right of Re s = 0.
+S1, S2 = 5e-4, 9e-4
+PAIR = _kernel.DirichletPolynomial(
+    [1, 2, 3, 6], [1.0, -(2.0**S1), -(3.0**S2), 2.0**S1 * 3.0**S2]
+)
+PAIR_LINES = ((S1, 0.0, PERIOD2), (S2, 0.0, PERIOD3))
+
+
+def _ladder_count(lines, rect):
+    """Zeros inside rect of a product of ladders, one (sigma, t0, period)
+    per factor, whose zeros are sigma + i (t0 + k period) for every k."""
+    count = 0
+    for sigma, t0, period in lines:
+        if rect.sigma_lo < sigma < rect.sigma_hi:
+            lo = math.ceil((rect.t_lo - t0) / period)
+            hi = math.floor((rect.t_hi - t0) / period)
+            count += max(0, hi - lo + 1)
+    return count
+
+
+@pytest.mark.parametrize("sigma_lo, want", [(0.0, 12), (7e-4, 7), (1e-3, 0)])
+def test_certified_count_sees_two_zero_lines_near_an_edge(sigma_lo, want):
+    # Both lines inside the left side, one on each side of it, both outside.
+    rect = Rectangle(sigma_lo, 3.0, -10.3, 30.7)
+    assert _ladder_count(PAIR_LINES, rect) == want
+    assert winding_count(PAIR, rect) == want
+
+
+@pytest.mark.parametrize("T", [0.6, 0.0395])
+def test_one_step_past_a_pair_of_zeros_is_bisected(T):
+    # The rectangle 0 <= Re s <= 3, |Im s| <= T as its four corners: its left
+    # side is one step from iT down to -iT, past the two zeros at t = 0.
+    # PAIR has real coefficients, so f(-iT) is the conjugate of f(iT).
+    # - T = 0.6: the step's phase reads -2 arg f(0.6i) = 1.08 (mod 2 pi),
+    #   |f| = 0.27 at both ends, and L h = 4.3 at Re s = 0, where the
+    #   weight belongs; at Re s = 3 it would be 0.16, a false certificate.
+    # - T = 0.0395: f(iT) is real, so both ends have the same value and
+    #   the heuristic alone would pass the step, which is 7.9 steps long.
+    pts = np.asarray([-1j * T, 3 - 1j * T, 3 + 1j * T, 1j * T, -1j * T])
+    cert = zeros_module._certificate(PAIR, Rectangle(0.0, 3.0, -T, T), 0.01)[1]
+    w, refined, _ = zeros_module._polyline_winding(PAIR, pts, PAIR(pts), cert)
+    assert w == 2
+    assert refined.size > pts.size
+
+
+def test_certificate_margin_covers_the_rounding_of_f():
+    # Against 30-digit values (exact log n), the modulus of every value the
+    # kernel computes on an edge is within the margin of |f| at the edge's
+    # point; a line's values are at its exact nodes, an ulp from its points.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    wide = _kernel.DirichletPolynomial(np.arange(1, 31), [1, 1j] @ rng.normal(size=(2, 30)))
+    edges = [
+        _kernel.VerticalLine(0.5, 1000.0, 0.37, 200),
+        _kernel.VerticalLine(-0.25, -2000.0, 1.3, 150),
+        np.linspace(0.1 + 777j, 2.5 + 777j, 40),
+    ]
+    with mpmath.workdps(30):
+        for poly in (ETA, PAIR, wide):
+            indices = np.rint(np.exp(poly.logs)).astype(int).tolist()
+            logs = [mpmath.log(n) for n in indices]
+            coeffs = [mpmath.mpc(c) for c in poly.coeffs.tolist()]
+            for edge in edges:
+                pts = np.asarray(edge)
+                # The rectangle whose left side or bottom the edge is.
+                rect = Rectangle(pts.real.min(), 3.0, pts.imag.min(), pts.imag.max() + 1.0)
+                _, margin, _ = zeros_module._certificate(poly, rect, 0.01)[1]
+                for p, v in zip(pts.tolist(), poly(edge).tolist()):
+                    terms = (c * mpmath.exp(-l * mpmath.mpc(p)) for c, l in zip(coeffs, logs))
+                    assert abs(abs(v) - abs(mpmath.fsum(terms))) <= margin
+
+
+class _Counted(_kernel.DirichletPolynomial):
+    """A polynomial that counts the points it is evaluated at."""
+
+    def __init__(self, poly):
+        self.logs, self.coeffs, self.points = poly.logs, poly.coeffs, 0
+
+    def __call__(self, s):
+        self.points += np.size(s)
+        return super().__call__(s)
+
+
+def test_eta_scan_certifies_its_boundary_in_few_points(monkeypatch):
+    # recur-desk's zero scan: at the fixed 0.01 step its boundary alone took
+    # 200,401 points.  Newton steps and the confirming circles evaluate the
+    # uncounted polynomial.
+    f, first = _Counted(ETA), []
+    for name in ("_newton_refine", "_confirm_circle"):
+        fn = getattr(zeros_module, name)
+        monkeypatch.setattr(zeros_module, name, lambda g, *args, fn=fn: fn(ETA, *args))
+    winding = zeros_module._polyline_winding
+
+    def spy(g, pts, vals, *args):
+        out = winding(g, pts, vals, *args)
+        first[:] = first or [out]
+        return out
+
+    monkeypatch.setattr(zeros_module, "_polyline_winding", spy)
+    rect = Rectangle(0.5, 1.5, -1.0, 1000.0)
+    records = zero_scan(f, rect)
+    assert len(records) == 111  # t = 0, PERIOD2, ..., 110 PERIOD2 < 1000
+    for k, rec in enumerate(records):
+        assert abs(rec.location - (1.0 + 1j * k * PERIOD2)) < 1e-9
+        assert rec.winding_confirmed
+    assert f.points < 10_000
+    # Every step of the rectangle's own polyline is certified.
+    _, pts, vals = first[0]
+    lip, margin, _ = zeros_module._certificate(f, rect, 0.01)[1]
+    mags = np.abs(vals)
+    assert np.all(lip * np.abs(np.diff(pts)) < np.maximum(mags[1:], mags[:-1]) - margin)
+
+
+def _heuristic_refinement(f, pts, vals):
+    """The refined polyline by the rule without certificates: bisect every
+    step whose phase jump is pi/2 or more or whose value moves by more than
+    a tenth of the smaller |f|, until none is left."""
+    while True:
+        mags = np.abs(vals)
+        need = (np.abs(np.angle(vals[1:] / vals[:-1])) >= 0.5 * math.pi) | (
+            np.abs(np.diff(vals)) > 0.1 * np.minimum(mags[1:], mags[:-1])
+        )
+        idx = np.flatnonzero(need)
+        if idx.size == 0:
+            return pts
+        mids = 0.5 * (pts[idx] + pts[idx + 1])
+        vals = np.insert(vals, idx + 1, f(mids))
+        pts = np.insert(pts, idx + 1, mids)
+
+
+@pytest.mark.filterwarnings("ignore:accuracy not guaranteed")
+@pytest.mark.parametrize(
+    "f, count, rect, want",
+    [
+        (zeta_values,
+         lambda f, r: density_table(f, [r.sigma_lo], r.t_hi, exclude_origin=True)[0][2],
+         Rectangle(0.4, 1.2, 1e-3, 30.0), 3),
+        (zeta_values, lambda f, r: len(zero_scan(f, r)), Rectangle(0.4, 0.6, 14.0, 26.0), 3),
+        (default_evaluator(builtin_series("divisor_2"), 2000), winding_count,
+         Rectangle(0.5, 1.5, 10.0, 20.0), 12),
+    ],
+    ids=["zeta-density", "zeta-scan", "divisor_2-N2000"],
+)
+def test_uncertified_counts_keep_the_fixed_step_points(monkeypatch, f, count, rect, want):
+    # Zeta has no weights, and a 2,000-term divisor_2 has R^2/(F L) = 0.0016
+    # at Re s = 0.5: every edge and cut starts at the step, and every
+    # rectangle polyline is refined exactly as before certificates.
+    starts, polylines = [], []
+    certificate, winding = zeros_module._certificate, zeros_module._polyline_winding
+
+    def spy_certificate(g, r, step):
+        out = certificate(g, r, step)
+        starts.append(out[0] == step)
+        return out
+
+    def spy_winding(g, pts, vals, *args):
+        out = winding(g, pts, vals, *args)
+        if args:  # a rectangle's polyline; a circle passes no certificate
+            polylines.append((pts, vals, out[1]))
+        return out
+
+    monkeypatch.setattr(zeros_module, "_certificate", spy_certificate)
+    monkeypatch.setattr(zeros_module, "_polyline_winding", spy_winding)
+    assert count(f, rect) == want
+    assert starts and all(starts)
+    edges = [np.asarray(e) for e in zeros_module._rect_edges(rect, 0.01)]
+    sampled = np.concatenate(edges[:3] + [edges[3][::-1]])
+    np.testing.assert_array_equal(polylines[0][0], sampled)
+    for pts, vals, refined in polylines:
+        np.testing.assert_array_equal(refined, _heuristic_refinement(f, pts, vals))
+
+
+def _clear(rect, sigma0, t0, period):
+    """True when every zero sigma0 + i (t0 + k period) lies at least 1e-2
+    from each line that carries a side of rect."""
+    def far(t):
+        r = (t - t0) % period
+        return min(r, period - r) >= 1e-2
+
+    return (
+        abs(sigma0 - rect.sigma_lo) >= 1e-2 and abs(sigma0 - rect.sigma_hi) >= 1e-2
+        and far(rect.t_lo) and far(rect.t_hi)
+    )
+
+
+_LADDERS = dict(
+    base=st.sampled_from([2, 3, 5]),
+    log_a=st.floats(-1.0, 1.0),
+    phase=st.floats(-math.pi, math.pi),
+    sigma_lo=st.floats(-1.5, 1.0),
+    width=st.floats(0.05, 1.5),
+    t_lo=st.floats(-20.0, 20.0),
+    height=st.floats(0.05, 20.0),
+)
+
+
+def _ladder(base, log_a, phase):
+    """1 - a base^{-s} with a = e^{log_a + i phase}, and its zero line as
+    (sigma, t0, period): zeros (log a + 2 pi i k) / log base."""
+    f = _kernel.DirichletPolynomial([1, base], [1.0, -cmath.exp(complex(log_a, phase))])
+    lb = math.log(base)
+    return f, (log_a / lb, phase / lb, 2.0 * math.pi / lb)
+
+
+@_PROPERTY
+@given(**_LADDERS)
+def test_ladder_counts_match_the_closed_form(
+    base, log_a, phase, sigma_lo, width, t_lo, height
+):
+    f, line = _ladder(base, log_a, phase)
+    rect = Rectangle(sigma_lo, sigma_lo + width, t_lo, t_lo + height)
+    assume(_clear(rect, *line))
+    assert winding_count(f, rect) == _ladder_count([line], rect)
+
+
+@_PROPERTY
+@given(cut=st.floats(0.05, 0.95), across_t=st.booleans(), **_LADDERS)
+def test_ladder_windings_add_up_under_a_cut(
+    cut, across_t, base, log_a, phase, sigma_lo, width, t_lo, height
+):
+    f, line = _ladder(base, log_a, phase)
+    rect = Rectangle(sigma_lo, sigma_lo + width, t_lo, t_lo + height)
+    if across_t:
+        c = t_lo + cut * height
+        halves = (replace(rect, t_hi=c), replace(rect, t_lo=c))
+    else:
+        c = sigma_lo + cut * width
+        halves = (replace(rect, sigma_hi=c), replace(rect, sigma_lo=c))
+    assume(all(_clear(r, *line) for r in (rect, *halves)))
+    assert sum(winding_count(f, r) for r in halves) == winding_count(f, rect)
 
 
 def test_recurrence_requires_seed_zero():
