@@ -170,7 +170,9 @@ def _smooth_cached(r: int, bound: int) -> SmoothSet:
             e += 1
         members = np.concatenate([members] + values)
         starts.append(members.size)
-    order = np.argsort(members, kind="stable")
+    # Each member is built once, so the members are distinct and any sort
+    # gives this one order.
+    order = np.argsort(members)
     return SmoothSet(
         primes=ps,
         members=members[order],

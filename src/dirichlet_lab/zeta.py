@@ -3,27 +3,28 @@
 Validated envelope: 1/2 < Re s <= 4, |Im s| <= 1e4.  Outside that strip (but
 still Re s > 0) values are computed and an AccuracyWarning is emitted.
 
-Each batch of points takes N = max(32, ceil(max |Im s| / 2.5)) terms of the
+Each batch of points takes N = max(32, ceil(max |Im s| / 3.5)) terms of the
 partial sum, the Dirichlet-polynomial kernel of ._kernel, and the least
 number K >= 5 of Bernoulli correction terms whose remainder bound
 (Backlund's, _orders), taken over the whole batch, is at most 1e-13.  So
 the truncation remainder is certified: at most 1e-13 absolute at every
 point, in exact arithmetic.  A batch may be a VerticalLine (a moment
 window, a rectangle's vertical side): its partial sum is the kernel's
-factored matrix product at the line's exact nodes, and the correction
-terms and checks take np.asarray(line), the nodes rounded to floats.  A
-20,000-node moment window at Re s = 0.75 and Im s up to 2,000 takes N = 800
-and K = 15, where a fixed N = ceil(max |Im s|) took 2,000 terms and five
-orders.
+factored matrix product at the line's exact nodes, its correction terms
+take N^{-s} there too and one Horner pass (_line_correction), and the
+rest takes np.asarray(line), the nodes rounded to floats.  A 20,000-node
+moment window at Re s = 0.75 and Im s up to 2,000 takes N = 572 and
+K = 24 (N = 800 and K = 15 while lines took the correction term by term,
+as arrays do).
 
 The rounding error is measured, not certified: against mpmath (25 digits)
 at 3,968 points, nodes 0, 161, ..., 19,803 of each of 32 VerticalLines of
 20,001 nodes (step 0.01, Im s from 10, 1,800, 5,000 or 9,800; Re s in
 {0.501, 0.51, 0.55, 0.6, 0.75, 1, 2, 4}), at the exact nodes, the absolute
-error stayed below 2.2e-11 and the relative error below 7.3e-11 for
-Re s >= 0.55.  Nearer the left edge the relative error reached 2.6e-10
+error stayed below 2.3e-11 and the relative error below 6.7e-11 for
+Re s >= 0.55.  Nearer the left edge the relative error reached 2.5e-10
 where |zeta| is small (Re s = 0.501).  Past the kernel's cap of 20,000,000
-terms (|Im s| > 5e7) a point is refused before anything of that size is
+terms (|Im s| > 7e7) a point is refused before anything of that size is
 allocated, and so is a batch whose real parts, far right of the strip,
 double N past the cap.  No caller sets N.  Where a correction term passes
 the float range (Re s near 1e300) the value is inf or nan, without a numpy
@@ -35,15 +36,17 @@ import warnings
 
 import numpy as np
 
-from ._kernel import _MAX_TERMS, DirichletPolynomial, VerticalLine
+from ._kernel import _MAX_TERMS, DirichletPolynomial, VerticalLine, _cis
 from .errors import AccuracyWarning, PreconditionError
 
 __all__ = ["zeta_eval", "zeta_values"]
 
 # The partial sum runs to N = max(32, ceil(max |Im s| / _RATIO)) terms.  Each
 # further Bernoulli order then shrinks the correction by about
-# (_RATIO / 2 pi)^2 = 0.16.
-_RATIO = 2.5
+# (_RATIO / 2 pi)^2 = 0.31.  On a VerticalLine an order costs about as much
+# as 9 terms; of 2.5, 3, 3.5 and 4, 3.5 made a zeta moment at T = 2,000 the
+# fastest.
+_RATIO = 3.5
 
 # Absolute tolerance on the remainder bound: a batch takes the least order
 # K >= 5 whose bound meets it.
@@ -144,30 +147,74 @@ def _terms_and_orders(arr):
 def _euler_maclaurin(arr, N, K, line=None) -> np.ndarray:
     """The summation formula at every point of arr: N terms of the partial
     sum and K Bernoulli correction terms.  Given a VerticalLine whose nodes
-    arr holds, the partial sum runs on the line."""
+    arr holds, the partial sum runs on the line and the correction takes
+    _line_correction."""
     out = DirichletPolynomial(np.arange(1, N + 1), np.ones(N))(arr if line is None else line)
     with np.errstate(over="ignore", invalid="ignore"):
-        logN = math.log(N)
-        pow_1ms = np.exp((1.0 - arr) * logN)  # N^{1-s}
-        out += pow_1ms / (arr - 1.0)
-        out -= 0.5 * pow_1ms / N
-        rising = arr.copy()  # s (s+1) ... (s+2k-2), built incrementally
-        for k, c in enumerate(_BERN[:5], start=1):
-            out += c * rising * pow_1ms * math.exp(-2.0 * k * logN)
-            rising = rising * (arr + (2 * k - 1)) * (arr + 2 * k)
-        if K > 5:
-            # Orders 6..K: term_{k+1} = term_k (s + 2k - 1)(s + 2k) / N^2,
-            # taken as (w + (2k - 1) / N)(w + 2k / N) with w = s / N, in place
-            # on one accumulator that is added once.
-            term = rising * pow_1ms * math.exp(-12.0 * logN)
-            acc = _BERN[5] * term
-            w, step = arr / N, np.empty_like(arr)
-            for k in range(6, K):
-                term *= np.add(w, (2 * k - 1) / N, out=step)
-                term *= np.add(w, 2 * k / N, out=step)
-                acc += np.multiply(term, _BERN[k], out=step)
-            out += acc
+        if line is None:
+            _add_correction(out, arr, N, K)
+        else:
+            out += _line_correction(arr, N, K, line)
     return out
+
+
+def _add_correction(out, arr, N, K):
+    """out += the K correction terms at every point of arr, term by term."""
+    logN = math.log(N)
+    pow_1ms = np.exp((1.0 - arr) * logN)  # N^{1-s}
+    out += pow_1ms / (arr - 1.0)
+    out -= 0.5 * pow_1ms / N
+    rising = arr.copy()  # s (s+1) ... (s+2k-2), built incrementally
+    for k, c in enumerate(_BERN[:5], start=1):
+        out += c * rising * pow_1ms * math.exp(-2.0 * k * logN)
+        rising = rising * (arr + (2 * k - 1)) * (arr + 2 * k)
+    if K > 5:
+        # Orders 6..K: term_{k+1} = term_k (s + 2k - 1)(s + 2k) / N^2,
+        # taken as (w + (2k - 1) / N)(w + 2k / N) with w = s / N, in place
+        # on one accumulator that is added once.
+        term = rising * pow_1ms * math.exp(-12.0 * logN)
+        acc = _BERN[5] * term
+        w, step = arr / N, np.empty_like(arr)
+        for k in range(6, K):
+            term *= np.add(w, (2 * k - 1) / N, out=step)
+            term *= np.add(w, 2 * k / N, out=step)
+            acc += np.multiply(term, _BERN[k], out=step)
+        out += acc
+
+
+def _line_correction(arr, N, K, line) -> np.ndarray:
+    """The K correction terms at the nodes of line (arr: its nodes rounded),
+    as N^{-s} (N / (s - 1) - 1/2 + Q(s / N)) with
+
+        Q(w) = sum_{k <= K} B_{2k} / (2k)! w (w + 1/N) ... (w + (2k - 2)/N),
+
+    term k of _add_correction over N^{-s}.  N^{-s} is the kernel's
+    one-term table over the line's digits, at its exact nodes, where
+    _add_correction takes one complex exp per point; Q is taken by Horner
+    on its real monomial coefficients, in place."""
+    # Q's coefficients a_1..a_{2K-1}: each rising product expanded once, by
+    # (w + j/N) at a time; its entries are sums of positive terms.
+    rising, coeffs = np.zeros(2 * K), np.zeros(2 * K)
+    rising[1] = 1.0
+    for k in range(K):  # the last pass's products go unused
+        coeffs += _BERN[k] * rising
+        for j in (2 * k + 1, 2 * k + 2):
+            rising[1:] = rising[:-1] + j / N * rising[1:]
+    logs = np.array([math.log(N)])
+    offsets, bases = line._digits()
+    amp = math.exp(-line.sigma * logs[0])
+    pow_ms = np.multiply.outer(_cis(*bases, logs)[:, 0], _cis(*offsets, logs, amp)[:, 0])
+    w = np.divide(arr, N)
+    acc = np.full_like(arr, coeffs[-1])
+    for a in coeffs[-2:0:-1]:
+        acc *= w
+        acc += a
+    acc *= w
+    acc -= 0.5
+    np.subtract(arr, 1.0, out=w)
+    acc += np.divide(N, w, out=w)
+    acc *= pow_ms.ravel()[: line.count]
+    return acc
 
 
 def zeta_values(s) -> np.ndarray:
@@ -179,7 +226,7 @@ def zeta_values(s) -> np.ndarray:
 
     Raises:
         PreconditionError: some Re s <= 0, s = 1 (the pole), or N above the
-            cap of _MAX_TERMS terms: at |Im s| > 5e7, or where real parts far
+            cap of _MAX_TERMS terms: at |Im s| > 7e7, or where real parts far
             right of the strip double N past the cap.
     """
     arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))

@@ -543,14 +543,14 @@ def test_warnings_are_sorted_dlab_lines_and_a_failure_prints_only_its_error(
         (["moment", "--series", "zeta", "--sigma", "1e300", "--T", "10"], 2,
          "dlab: numerical: "),
         # The top node passes zeta's term cap: refused before any window.
-        (["moment", "--series", "zeta", "--sigma", "0.75", "--T", "6e7",
-          "--step", "0.05"], 1, "dlab: precondition: zeta at |Im s| = 6e+07 "),
+        (["moment", "--series", "zeta", "--sigma", "0.75", "--T", "8e7",
+          "--step", "0.05"], 1, "dlab: precondition: zeta at |Im s| = 8e+07 "),
         # The bottom side reaches Re s = 9.999e8: N doubles past zeta's term
         # cap for the real parts, and the line names them, not the height.
         (["zeros", "--series", "zeta", "--rect", "0.5,1e9,10,11", "--step", "1e5"], 1,
          "dlab: precondition: zeta at max Re s = 9.999e+08: "),
     ],
-    ids=["recur-r-1e155", "recur-r-1e154", "zeta-sigma-1e300", "zeta-T-6e7", "zeta-re-1e9"],
+    ids=["recur-r-1e155", "recur-r-1e154", "zeta-sigma-1e300", "zeta-T-8e7", "zeta-re-1e9"],
 )
 def test_failure_is_one_dlab_line(argv, code, line):
     got, out, err = run_cli(argv)
@@ -619,8 +619,8 @@ def test_huge_rectangle_boundary_is_refused_before_allocating(argv):
     ids=["moment-N", "mollify-N", "zeta-height"],
 )
 def test_huge_term_count_is_refused_before_allocating(argv):
-    # 1e10 terms (a truncation, an inverse) and zeta's 4e9 (its
-    # N = ceil(|Im s| / 2.5)) are past the 20,000,000-term cap and refused
+    # 1e10 terms (a truncation, an inverse) and zeta's 2.9e9 (its
+    # N = ceil(|Im s| / 3.5)) are past the 20,000,000-term cap and refused
     # before any table is built.
     code, out, err = run_cli(argv)
     assert code == 1 and out == ""

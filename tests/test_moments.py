@@ -77,7 +77,7 @@ def test_simpson_takes_an_even_node_count():
 
 
 def test_top_node_is_evaluated_before_any_window():
-    # 60,000 windows of 20,000 nodes; zeta's term cap (|Im s| <= 5e7) refuses
+    # 80,000 windows of 20,000 nodes; zeta's term cap (|Im s| <= 7e7) refuses
     # the top node, so no window may reach the evaluator first.
     sizes = []
 
@@ -88,7 +88,7 @@ def test_top_node_is_evaluated_before_any_window():
 
     cfg = QuadratureConfig(step=0.05)
     with pytest.raises(PreconditionError, match="above the cap"):
-        estimate_moment(ZETA, 0.75, 1, 6e7, cfg=cfg, evaluator=spy)
+        estimate_moment(ZETA, 0.75, 1, 8e7, cfg=cfg, evaluator=spy)
     assert sizes == [1]
 
 

@@ -97,6 +97,19 @@ def test_smooth_exponents_reconstruct_members():
     assert np.all(np.diff(sm.members) > 0)
 
 
+@pytest.mark.parametrize("r, bound", [(256, 10**6), (7, 500), (2**20, 1000)])
+def test_smooth_members_are_distinct(r, bound):
+    # Every member is built once, so the members sort strictly increasing
+    # (truncate's k = 8, M = 10^6 set has 165,348) and the sort needs no
+    # tie rule; the fold's order rebuilds them.
+    sm = smooth_enumerate(r, bound)
+    assert np.all(np.diff(sm.members) > 0)
+    rebuilt = sm.fold(
+        np.int64(1), lambda i, parent, e: parent * np.int64(sm.primes[i]) ** e.astype(np.int64)
+    )
+    np.testing.assert_array_equal(rebuilt, sm.members)
+
+
 def test_smooth_exponents_match_factorize():
     # r past the bound: the primes in (40, 60] divide no member and get no
     # block.
