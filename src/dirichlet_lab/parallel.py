@@ -56,14 +56,15 @@ def check_windows(n: int, chunk: int) -> None:
 def map_spans(fn, n: int, chunk: int, threads=None) -> list:
     """[fn(lo, hi) for each window [lo, min(lo + chunk, n)) of range(n)].
 
-    Windows run concurrently when threads > 1; the result list is in window
-    order whatever the scheduling.  More than _MAX_WINDOWS windows raise
-    PreconditionError before any window is listed.
+    Windows run concurrently on min(threads, windows, cores) workers; the
+    result list is in window order whatever the scheduling.  More than
+    _MAX_WINDOWS windows raise PreconditionError before any window is listed.
     """
     threads = resolve_threads(threads)
     check_windows(n, chunk)
     spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    if threads <= 1 or len(spans) <= 1:
+    workers = min(threads, len(spans), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(lo, hi) for lo, hi in spans]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*spans)))

@@ -14,7 +14,7 @@ from dirichlet_lab import (
     resolve_threads,
     standard_box_suite,
 )
-from dirichlet_lab import torus
+from dirichlet_lab import parallel, torus
 from dirichlet_lab.parallel import map_spans
 
 from _oracles import LOG2_OVER_2PI
@@ -109,8 +109,8 @@ def test_suite_equidistribution_modest_horizon():
     ],
 )
 def test_box_suite_shares_one_cloud(cfg, boxes):
-    # Column i of the cloud depends on step and lam_i only, so the widest
-    # box's cloud serves every box.
+    # Coordinate i of the flow depends on step and lam_i only, so one walk
+    # of the widest box's flow serves every box.
     for threads in (1, 2):
         shared = box_hitting_fractions(cfg, boxes, threads)
         alone = [
@@ -155,17 +155,37 @@ _MOD_BOXES = [
             ],
             id="exact-edges",
         ),
+        # No box tests coordinates 2 and 3.  Their frequencies are infinite,
+        # so building either row would raise the suite's RuntimeWarning
+        # (inf - floor(inf) is NaN).
+        pytest.param(
+            FlowConfig(dims=4, T=50.0, step=0.02, lam=(0.3, -0.7, math.inf, math.inf)),
+            [Box(lo=(0.0, 0.2), hi=(0.6, 1.0)), Box(lo=(0.1,), hi=(0.8,))],
+            id="untested-rows",
+        ),
+        # A lower edge at 0 on the middle coordinate and an upper edge at 1
+        # on the last, each hit exactly: {t lam_3} rounds to 1.0 for t < 56.
+        pytest.param(
+            FlowConfig(dims=3, T=2500.0, step=1.0, lam=(0.25, 0.5, -1e-18)),
+            [
+                Box(lo=(0.25, 0.0, 0.5), hi=(0.75, 0.5, 1.0)),
+                Box(lo=(0.0, 0.0, 0.25), hi=(0.5, 1.0, 1.0)),
+            ],
+            id="middle-zero-edge",
+        ),
     ],
 )
 def test_box_fractions_match_row_major_mod(monkeypatch, cfg, boxes):
     # Small windows and blocks, so the walk crosses several windows and each
     # window ends in a ragged block; the oracle builds the grid row-major
-    # with np.mod, as the flow is defined.
+    # with np.mod, as the flow is defined, over the coordinates the boxes
+    # test.
     monkeypatch.setattr(torus, "_TIME_CHUNK", 700)
     monkeypatch.setattr(torus, "_BLOCK", 256)
     n = cfg.grid_size()
     ts = np.arange(1, n + 1, dtype=np.float64) * cfg.step
-    pts = np.mod(ts[:, None] * np.asarray(cfg.lam)[None, :], 1.0)
+    lam = np.asarray(cfg.lam)[: max(box.dims for box in boxes)]
+    pts = np.mod(ts[:, None] * lam[None, :], 1.0)
     want = [int(box.contains(pts).sum()) / n for box in boxes]
     for threads in (1, 2):
         assert box_hitting_fractions(cfg, boxes, threads) == want
@@ -173,8 +193,9 @@ def test_box_fractions_match_row_major_mod(monkeypatch, cfg, boxes):
 
 def test_box_fractions_memory_does_not_grow_with_the_window():
     # numpy reports its data allocations to tracemalloc.  2e6 grid points in
-    # two windows of 1e6; each window walks them through block buffers of
-    # about 2.6 MB, where one window's full (4, 1e6) cloud alone is 32 MB.
+    # two windows of 1e6; each window walks them through one-row block
+    # buffers of about 2.7 MB, where one window's full (4, 1e6) cloud alone
+    # is 32 MB.
     cfg = FlowConfig(dims=4, T=20_000.0)
     tracemalloc.start()
     try:
@@ -183,6 +204,20 @@ def test_box_fractions_memory_does_not_grow_with_the_window():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_box_fractions_build_one_row_at_a_time():
+    # The same suite as above.  A 2^16-step block takes about 2.7 MB as one
+    # coordinate row at a time; as one (dims, k) point array it would take
+    # over 4 MB.
+    cfg = FlowConfig(dims=4, T=20_000.0)
+    tracemalloc.start()
+    try:
+        box_hitting_fractions(cfg, standard_box_suite(), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
 
 
 def test_box_wider_than_flow_is_refused():
@@ -238,6 +273,33 @@ def test_map_spans_preserves_order():
     for threads in (1, 8):
         assert map_spans(lambda lo, hi: (lo, hi), 40, 7, threads=threads) == want
     assert map_spans(lambda lo, hi: (lo, hi), 0, 7, threads=8) == []
+
+
+@pytest.mark.parametrize(
+    "threads, n, cores, workers",
+    [
+        (8, 40, 3, 3),  # capped at the cores
+        (2, 40, 3, 2),  # at the thread count
+        (8, 14, 3, 2),  # at the two windows
+        (8, 40, None, None),  # an unknown core count runs serially
+        (8, 40, 1, None),
+    ],
+)
+def test_map_spans_starts_at_most_one_worker_per_core(
+    monkeypatch, threads, n, cores, workers
+):
+    started = []
+
+    class Pool(parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Pool)
+    want = [(lo, min(lo + 7, n)) for lo in range(0, n, 7)]
+    assert map_spans(lambda lo, hi: (lo, hi), n, 7, threads=threads) == want
+    assert started == ([] if workers is None else [workers])
 
 
 def test_map_spans_refuses_too_many_windows():
