@@ -27,10 +27,10 @@ from .series import default_evaluator, smooth_truncation_eval
 from .torus import Box, FlowConfig, box_hitting_fractions, standard_box_suite
 from .zeros import (
     Rectangle,
+    _rouche_checks,
     density_table,
     mollifier_tail_decay,
     recurrence_scan,
-    rouche_verify,
     zero_scan,
 )
 
@@ -158,7 +158,7 @@ def _config(args) -> dict:
     # threads intentionally left out: outputs must not vary with worker count.
     cfg = {"output": args.fmt}
     for key, value in vars(args).items():
-        if key not in ("fmt", "out", "threads", "handler"):
+        if key not in ("fmt", "out", "threads"):
             cfg[key] = _cplx(value) if isinstance(value, complex) else value
     return cfg
 
@@ -250,9 +250,7 @@ def _cmd_recur(args, threads):
     )
     result = asdict(rep)
     result["s0"] = _cplx(rep.s0)
-    result["verified"] = [
-        rouche_verify(f, rep.s0, t_j, rep.r, rep.m0) for t_j in rep.hits
-    ]
+    result["verified"] = _rouche_checks(f, rep.s0, rep.hits, rep.r)
     return result, None, None
 
 
@@ -276,8 +274,7 @@ def _cmd_truncate(args, threads):
     return result, "re,im,tail_bound", [dict(result["value"], tail_bound=bound)]
 
 
-def _add_common(sp, handler, series=True):
-    sp.set_defaults(handler=handler)
+def _add_common(sp, series=True):
     if series:
         sp.add_argument(
             "--series", required=True,
@@ -289,13 +286,16 @@ def _add_common(sp, handler, series=True):
                     help="worker cap (default: DLAB_THREADS or 1)")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argv parser, built once per process.  It holds no handler: run
+    looks up _cmd_<subcommand> when it dispatches."""
     p = _Parser(prog="dlab", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     sub.required = True
 
     sp = sub.add_parser("moment", help="quadrature mean of |f|^{2k} over [0, T]")
-    _add_common(sp, _cmd_moment)
+    _add_common(sp)
     sp.add_argument("--sigma", type=_parse_float, required=True)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--T", type=_parse_float, required=True)
@@ -305,7 +305,7 @@ def _build_parser() -> _Parser:
                     help="truncation length for generic series evaluators")
 
     sp = sub.add_parser("zeros", help="scan a rectangle for zeros")
-    _add_common(sp, _cmd_zeros)
+    _add_common(sp)
     sp.add_argument("--rect", type=_parse_rect, required=True,
                     help="sigma_lo,sigma_hi,t_lo,t_hi")
     sp.add_argument("--tol", type=_parse_float, default=1e-10)
@@ -313,7 +313,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--N", type=int, default=100_000)
 
     sp = sub.add_parser("density", help="zero counts right of each sigma, up to height T")
-    _add_common(sp, _cmd_density)
+    _add_common(sp)
     sp.add_argument("--sigma-list", type=_parse_floats, required=True)
     sp.add_argument("--T", type=_parse_float, required=True)
     sp.add_argument("--sigma-hi", type=_parse_float, default=1.2)
@@ -321,7 +321,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--N", type=int, default=100_000)
 
     sp = sub.add_parser("flow", help="torus flow box-hitting fractions")
-    _add_common(sp, _cmd_flow, series=False)
+    _add_common(sp, series=False)
     sp.add_argument("--T", type=_parse_float, required=True)
     sp.add_argument("--step", type=_parse_float, default=0.01)
     # Left out of the namespace, and so of the config block, unless given.
@@ -330,7 +330,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--suite", choices=("standard",), default=argparse.SUPPRESS)
 
     sp = sub.add_parser("recur", help="near-recurrence scan around a seed zero")
-    _add_common(sp, _cmd_recur)
+    _add_common(sp)
     sp.add_argument("--s0", type=_parse_complex, required=True, help="seed zero, a+bi")
     sp.add_argument("--r", type=_parse_float, required=True, help="disc radius")
     sp.add_argument("--T", type=_parse_float, required=True)
@@ -339,14 +339,14 @@ def _build_parser() -> _Parser:
     sp.add_argument("--N", type=int, default=100_000)
 
     sp = sub.add_parser("mollify", help="mollified tail decay across cutoffs X")
-    _add_common(sp, _cmd_mollify)
+    _add_common(sp)
     sp.add_argument("--sigma", type=_parse_float, required=True)
     sp.add_argument("--X-list", type=_parse_ints, required=True,
                     help="comma-separated cutoffs")
     sp.add_argument("--N", type=int, default=100_000)
 
     sp = sub.add_parser("truncate", help="smooth truncation value with tail bound")
-    _add_common(sp, _cmd_truncate)
+    _add_common(sp)
     sp.add_argument("--s", type=_parse_complex, required=True, help="a+bi")
     sp.add_argument("--k", type=int, required=True, help="smoothness 2^k")
     sp.add_argument("--M", type=int, default=None,
@@ -399,7 +399,8 @@ def run(argv=None) -> int:
                 _attach_negative_values(sys.argv[1:] if argv is None else argv)
             )
             threads = resolve_threads(args.threads)
-            result, csv_header, csv_rows = args.handler(args, threads)
+            handler = globals()["_cmd_" + args.subcommand]
+            result, csv_header, csv_rows = handler(args, threads)
             text = _render(args, result, csv_header, csv_rows)
         except UsageError as exc:
             sys.stderr.write("dlab: usage: %s\n" % exc)

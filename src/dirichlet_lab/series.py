@@ -60,15 +60,44 @@ def default_evaluator(spec: SeriesSpec, N: int = 100_000):
 
 def _square_sum(values, ns, sigma: float, power=2) -> float:
     """sum |a|^power n^{-power sigma} (squares by default) over the paired
-    arrays values and ns (integer or float), by math.fsum.  inf, without a
-    warning, when a term or the sum passes the float range (an overflowed
-    |a|^2 times an underflowed n^{-2 sigma} is such a term)."""
+    arrays values and ns (integer or float), correctly rounded (_exact_sum).
+    inf, without a warning, when a term or the sum passes the float range
+    (an overflowed |a|^2 times an underflowed n^{-2 sigma} is such a term)."""
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.abs(values) ** power * ns ** (-power * sigma)
     try:
-        return math.fsum(sq) if np.isfinite(sq).all() else math.inf
+        return _exact_sum(sq) if np.isfinite(sq).all() else math.inf
     except OverflowError:  # finite terms whose sum passes the float range
         return math.inf
+
+
+# frexp's least exponent, that of the smallest subnormal (2^-1074 = 0.5 * 2^-1073).
+_FREXP_MIN = -1073
+
+
+def _exact_sum(x) -> float:
+    """The sum of an array of fewer than 2^26 finite floats, correctly
+    rounded, as math.fsum gives it, but without a Python float per term.
+
+    Each x = M 2^(e - 53), with M the 53-bit integer mantissa of np.frexp.
+    M's 26-bit halves are summed per exponent e by np.bincount; every
+    partial sum is an integer below 2^53, so each bucket is exact.  The
+    buckets are combined in Python ints, and one int / int division, which
+    is correctly rounded, gives the float.  Raises OverflowError when the
+    sum passes the float range.
+    """
+    mant, exp = np.frexp(np.asarray(x, dtype=np.float64).ravel())
+    mant = np.ldexp(mant, 53)
+    hi = np.floor(np.ldexp(mant, -26))
+    idx = exp - _FREXP_MIN
+    his = np.bincount(idx, weights=hi)
+    los = np.bincount(idx, weights=mant - np.ldexp(hi, 26))
+    nz = np.flatnonzero((his != 0) | (los != 0))
+    total = sum(
+        ((int(h) << 26) + int(lo)) << k
+        for k, h, lo in zip(nz.tolist(), his[nz].tolist(), los[nz].tolist())
+    )
+    return total / (1 << (53 - _FREXP_MIN))
 
 
 def tail_norm(spec: SeriesSpec, sigma: float, N: int):

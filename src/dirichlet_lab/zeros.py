@@ -3,8 +3,10 @@ Newton refinement, density tables, recurrence experiments, and mollifier
 tail decay.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -344,37 +346,95 @@ def _eval_scalar(f, z: complex) -> complex:
     return complex(f(np.asarray([z], dtype=np.complex128))[0])
 
 
-def _newton_refine(f, z0: complex, tol: float, keep=None):
-    """(z, |f(z)|, converged) by Newton from z0, f' from one two-point call.
-    An iterate that fails keep(z) ends it unconverged, unevaluated."""
-    z = complex(z0)
-    h = _NEWTON_STEP
-    try:
-        fz = _eval_scalar(f, z)
-        for _ in range(_NEWTON_MAX_ITER):
-            if abs(fz) <= tol:
-                return z, abs(fz), True
-            up, down = f(np.asarray([z + h, z - h], dtype=np.complex128))
-            df = (complex(up) - complex(down)) / (2.0 * h)
-            if df == 0 or not np.isfinite(df):
-                return z, abs(fz), False
-            z = z - fz / df
-            if not np.isfinite(z):
-                return z0, abs(_eval_scalar(f, z0)), False
-            if keep is not None and not keep(z):
-                return z, math.inf, False
-            fz = _eval_scalar(f, z)
-    except (PreconditionError, NumericalError):
-        # An iterate escaped the evaluator's domain: not converged.
-        return complex(z0), math.inf, False
-    return z, abs(fz), abs(fz) <= tol
+def _values(f, groups):
+    """f at every group of points (complex sequences), one array per group,
+    from one call per _POINT_CAP points.  A call that raises
+    PreconditionError or NumericalError is made again one group at a time,
+    and a group whose own call raises gets None."""
+    out, lo = [], 0
+    while lo < len(groups):
+        hi, size = lo + 1, len(groups[lo])
+        while hi < len(groups) and size + len(groups[hi]) <= _POINT_CAP:
+            size += len(groups[hi])
+            hi += 1
+        batch = groups[lo:hi]
+        try:
+            pts = [np.asarray(g, dtype=np.complex128) for g in batch]
+            vals = f(np.concatenate(pts))
+            out += np.split(vals, np.cumsum([len(g) for g in batch[:-1]]))
+        except (PreconditionError, NumericalError):
+            out += [None] if hi - lo == 1 else [_values(f, [g])[0] for g in batch]
+        lo = hi
+    return out
 
 
-def _confirm_circle(f, z: complex) -> int:
-    try:
-        return winding_on_circle(f, z, _CONFIRM_RADIUS, samples=128)
-    except NumericalError:
-        return 0
+def _newton(f, starts, keeps, tol):
+    """[(z, |f(z)|, converged)] by Newton from each start, all candidates
+    stepped together: each step evaluates every active iterate in one call
+    and their pairs z +- h in one more, for f' by a central difference.
+    Each candidate's rules are its own, in Python complex arithmetic: an
+    iterate that fails keeps[i] (None keeps every iterate) ends it
+    unconverged and unevaluated, a non-finite one ends it at its start,
+    and one whose evaluation raises ends it at its start with residual inf.
+    """
+    z, out, h = list(starts), [None] * len(starts), _NEWTON_STEP
+    first = [None if v is None else complex(v[0]) for v in _values(f, [[s] for s in z])]
+    fz, active = list(first), []
+    for i, v in enumerate(first):
+        if v is None:
+            out[i] = (z[i], math.inf, False)
+        else:
+            active.append(i)
+    for _ in range(_NEWTON_MAX_ITER):
+        for i in active:
+            if abs(fz[i]) <= tol:
+                out[i] = (z[i], abs(fz[i]), True)
+        active = [i for i in active if out[i] is None]
+        moved = []
+        for i, pair in zip(active, _values(f, [[z[i] + h, z[i] - h] for i in active])):
+            if pair is None:
+                out[i] = (starts[i], math.inf, False)
+                continue
+            df = (complex(pair[0]) - complex(pair[1])) / (2.0 * h)
+            if df == 0 or not cmath.isfinite(df):
+                out[i] = (z[i], abs(fz[i]), False)
+                continue
+            step = z[i] - fz[i] / df
+            if not cmath.isfinite(step):
+                out[i] = (starts[i], abs(first[i]), False)
+            elif keeps[i] is not None and not keeps[i](step):
+                out[i] = (step, math.inf, False)
+            else:
+                z[i] = step
+                moved.append(i)
+        active = []
+        for i, v in zip(moved, _values(f, [[z[i]] for i in moved])):
+            if v is None:
+                out[i] = (starts[i], math.inf, False)
+            else:
+                fz[i] = complex(v[0])
+                active.append(i)
+        if not active:
+            break
+    for i in active:
+        out[i] = (z[i], abs(fz[i]), abs(fz[i]) <= tol)
+    return out
+
+
+def _circle_windings(f, centers, radius: float, samples: int):
+    """The winding of f along the inscribed polygon of the circle of radius
+    about each center (as winding_on_circle), every polygon evaluated in
+    one call (_values); 0 where its evaluation or winding fails."""
+    rings = [
+        np.append(ring, ring[0]) for ring in (_ring(c, radius, samples) for c in centers)
+    ]
+    out = []
+    for pts, vals in zip(rings, _values(f, rings)):
+        try:
+            out.append(0 if vals is None else _polyline_winding(f, pts, vals)[0])
+        except NumericalError:
+            out.append(0)
+    return out
 
 
 def zero_scan(f, rect: Rectangle, tol: float = 1e-10, boundary_step: float = 0.01):
@@ -382,18 +442,22 @@ def zero_scan(f, rect: Rectangle, tol: float = 1e-10, boundary_step: float = 0.0
 
     Subdivides until each cell holds winding one, then refines by Newton
     iteration from the cell center and re-verifies each zero on a small
-    circle.  The rectangle's boundary is sampled and refined once; each half
-    of a split cell inherits its parent's refined boundary on its side, so a
-    split evaluates only the cut, and counting the halves refines only near
-    it.  A boundary that passes through a zero is pushed outward in 1e-3
-    steps (up to three times), which can only adopt zeros sitting on the
-    original edge, never lose interior ones.  Cells whose refinement fails
-    are returned with winding_confirmed False rather than dropped.
+    circle.  The cells are walked one level (generation) at a time, and a
+    level's Newton candidates are stepped together and its circles
+    evaluated together (_level_zeros).  The rectangle's boundary is sampled
+    and refined once; each half of a split cell inherits its parent's
+    refined boundary on its side, so a split evaluates only the cut, and
+    counting the halves refines only near it.  A boundary that passes
+    through a zero is pushed outward in 1e-3 steps (up to three times),
+    which can only adopt zeros sitting on the original edge, never lose
+    interior ones.  Cells whose refinement fails are returned with
+    winding_confirmed False rather than dropped.
 
     As in winding_count, f may receive a VerticalLine (a vertical side or
     cut), whose nodes are np.asarray(s), and boundary_step bounds only the
     steps accepted without a certificate; a cut starts at the spacing of the
-    edges.
+    edges.  The bits of an evaluator whose values depend on the other points
+    of a call (zeta, a long truncation) depend on the level's batches.
     """
     if tol <= 0:
         raise PreconditionError("tolerance must be positive")
@@ -408,17 +472,17 @@ def zero_scan(f, rect: Rectangle, tol: float = 1e-10, boundary_step: float = 0.0
     if w < 0:
         raise NumericalError("negative winding; the region contains poles")
     records = []
-    # Depth first, lower or left half first; a cell's boundary is dropped
-    # once it is split, so only pending halves keep theirs.
-    pending = [(cur, w, pts, vals)] if w else []
-    while pending:
-        cell, w, pts, vals = pending.pop()
-        rec = _cell_zero(f, cell, w, tol)
-        if rec is not None:
-            records += [rec] * w
-            continue
-        halves = _split(f, cell, w, pts, vals, bound)
-        pending += [half for half in reversed(halves) if half[1]]
+    # A cell's boundary is dropped once it is split, so only the next
+    # level's halves keep theirs.
+    level = [(cur, w, pts, vals)] if w else []
+    while level:
+        split = []
+        for (cell, w, pts, vals), rec in zip(level, _level_zeros(f, level, tol)):
+            if rec is not None:
+                records += [rec] * w
+            else:
+                split += [h for h in _split(f, cell, w, pts, vals, bound) if h[1]]
+        level = split
     records.sort(key=lambda rec: (rec.location.imag, rec.location.real))
     return records
 
@@ -430,28 +494,43 @@ def _cell_contains(cell: Rectangle, z: complex, margin: float) -> bool:
     )
 
 
-def _cell_zero(f, cell: Rectangle, w: int, tol: float):
-    """The ZeroRecord of a cell of winding one, or of a tiny cell of any
-    winding (its w zeros are reported as one location); None when the cell
-    must be split."""
-    width = cell.sigma_hi - cell.sigma_lo
-    height = cell.t_hi - cell.t_lo
-    tiny = max(width, height) < 1e-6
-    if w != 1 and not tiny:
-        return None
-    center = complex(
-        0.5 * (cell.sigma_lo + cell.sigma_hi), 0.5 * (cell.t_lo + cell.t_hi)
-    )
-    margin = 0.1 * max(width, height)
-    keep = None if tiny else lambda z: _cell_contains(cell, z, margin)
-    z, residual, ok = _newton_refine(f, center, tol, keep)
-    inside = ok and _cell_contains(cell, z, margin)
-    if not (inside or tiny):
-        return None
-    confirmed = inside and _confirm_circle(f, z) >= 1 and residual <= 1e-8
-    return ZeroRecord(
-        location=z, winding_confirmed=confirmed, refinement_residual=residual
-    )
+def _level_zeros(f, level, tol: float):
+    """For each (cell, w, pts, vals) of a level: the ZeroRecord of a cell of
+    winding one, or of a tiny cell of any winding (its w zeros are reported
+    as one location), or None when the cell must be split.
+
+    Newton starts at each such cell's center, and an iterate outside the
+    cell widened by 10% of its longer side is refused; a tiny cell (under
+    1e-6 across) keeps every iterate.  A zero is confirmed when Newton
+    converged inside the widened cell, its residual is at most 1e-8, and
+    the circle of _CONFIRM_RADIUS about it winds at least once.
+    """
+    cands = []
+    for k, (cell, w, _, _) in enumerate(level):
+        size = max(cell.sigma_hi - cell.sigma_lo, cell.t_hi - cell.t_lo)
+        if w == 1 or size < 1e-6:
+            cands.append((k, cell, 0.1 * size, size < 1e-6))
+    centers = [
+        complex(0.5 * (c.sigma_lo + c.sigma_hi), 0.5 * (c.t_lo + c.t_hi))
+        for _, c, _, _ in cands
+    ]
+    keeps = [
+        None if tiny else partial(_cell_contains, c, margin=m) for _, c, m, tiny in cands
+    ]
+    refined = _newton(f, centers, keeps, tol)
+    inside = [
+        ok and _cell_contains(c, z, m) for (_, c, m, _), (z, _, ok) in zip(cands, refined)
+    ]
+    found = [z for (z, _, _), i in zip(refined, inside) if i]
+    windings = iter(_circle_windings(f, found, _CONFIRM_RADIUS, 128))
+    records = [None] * len(level)
+    for (k, _, _, tiny), (z, residual, _), i in zip(cands, refined, inside):
+        if i or tiny:
+            confirmed = i and next(windings) >= 1 and residual <= 1e-8
+            records[k] = ZeroRecord(
+                location=z, winding_confirmed=confirmed, refinement_residual=residual
+            )
+    return records
 
 
 def _split(f, cell: Rectangle, w: int, pts, vals, bound):
@@ -737,20 +816,32 @@ def rouche_verify(f, s0: complex, t_j: float, r: float, m0: float) -> bool:
 
     m0 is recomputed from the boundary; the passed value is advisory only.
     """
+    return _rouche_checks(f, s0, [t_j], r)[0]
+
+
+def _rouche_checks(f, s0: complex, hits, r: float) -> list:
+    """rouche_verify at every time of hits.  The seed ring is evaluated
+    once; the shifted rings of as many hits as fit in _POINT_CAP points go
+    in one call (_values), and those hits' inner circles in one more
+    (_circle_windings), so memory stays bounded however many hits there
+    are.  A hit whose shifted ring or inner circle cannot be evaluated in
+    its batch, or whose inner winding fails, is not verified."""
     if r <= 0:
         raise PreconditionError("disc radius must be positive")
     s0 = complex(s0)
     ring = _ring(s0, r, _RING_SAMPLES)
     f_ring = f(ring)
-    m0_measured = float(np.abs(f_ring).min())
-    diff = float(np.abs(f(ring + 1j * float(t_j)) - f_ring).max())
-    if not diff <= 0.8 * m0_measured:
-        return False
-    try:
-        inner = winding_on_circle(f, s0 + 1j * float(t_j), r, samples=1024)
-    except NumericalError:
-        return False
-    return inner >= 1
+    bar = 0.8 * float(np.abs(f_ring).min())
+    hits = [float(t) for t in hits]
+    out, per_call = [], _POINT_CAP // _RING_SAMPLES
+    for lo in range(0, len(hits), per_call):
+        chunk = hits[lo : lo + per_call]
+        shifted = _values(f, [ring + 1j * t for t in chunk])
+        near = [v is not None and bool(np.abs(v - f_ring).max() <= bar) for v in shifted]
+        centers = [s0 + 1j * t for t, ok in zip(chunk, near) if ok]
+        inner = iter(_circle_windings(f, centers, r, 1024))
+        out += [ok and next(inner) >= 1 for ok in near]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ and each sits next to an independent plausibility check in the tests.
 import cmath
 import math
 import sys
+from itertools import accumulate, repeat
 
 import numpy as np
 
-from dirichlet_lab import NumericalError, PreconditionError, RecurrenceReport
+from dirichlet_lab import NumericalError, PreconditionError, Rectangle, RecurrenceReport, ZeroRecord
 from dirichlet_lab import zeros as _zeros
 from dirichlet_lab.primes import _SIEVE_BOUND, primes_up_to
 
@@ -292,3 +293,96 @@ def recurrence_scan_all_rows(f, s0, r, T, t_step, grid=64):
         lower_bound_rate=len(thinned) / (2.0 * float(T)),
     )
     return report, ts, integrals
+
+
+# --- Reference refinement: the zero scan's Newton, confirming circle and
+# Rouche check as they ran before batching, one candidate and one evaluator
+# call at a time, with the scan's cells walked depth first. ---
+
+
+def newton_refine(f, z0, tol, keep=None):
+    """(z, |f(z)|, converged) by Newton from z0, f' from one two-point call.
+    An iterate that fails keep(z) ends it unconverged, unevaluated."""
+    z = complex(z0)
+    h = _zeros._NEWTON_STEP
+    try:
+        fz = _zeros._eval_scalar(f, z)
+        for _ in range(_zeros._NEWTON_MAX_ITER):
+            if abs(fz) <= tol:
+                return z, abs(fz), True
+            up, down = f(np.asarray([z + h, z - h], dtype=np.complex128))
+            df = (complex(up) - complex(down)) / (2.0 * h)
+            if df == 0 or not np.isfinite(df):
+                return z, abs(fz), False
+            z = z - fz / df
+            if not np.isfinite(z):
+                return z0, abs(_zeros._eval_scalar(f, z0)), False
+            if keep is not None and not keep(z):
+                return z, math.inf, False
+            fz = _zeros._eval_scalar(f, z)
+    except (PreconditionError, NumericalError):
+        return complex(z0), math.inf, False
+    return z, abs(fz), abs(fz) <= tol
+
+
+def confirm_circle(f, z):
+    try:
+        return _zeros.winding_on_circle(f, z, _zeros._CONFIRM_RADIUS, samples=128)
+    except NumericalError:
+        return 0
+
+
+def cell_zero(f, cell, w, tol):
+    """The ZeroRecord of a cell of winding one or a tiny cell, else None."""
+    width, height = cell.sigma_hi - cell.sigma_lo, cell.t_hi - cell.t_lo
+    tiny = max(width, height) < 1e-6
+    if w != 1 and not tiny:
+        return None
+    center = complex(0.5 * (cell.sigma_lo + cell.sigma_hi), 0.5 * (cell.t_lo + cell.t_hi))
+    margin = 0.1 * max(width, height)
+    keep = None if tiny else lambda z: _zeros._cell_contains(cell, z, margin)
+    z, residual, ok = newton_refine(f, center, tol, keep)
+    inside = ok and _zeros._cell_contains(cell, z, margin)
+    if not (inside or tiny):
+        return None
+    confirmed = inside and confirm_circle(f, z) >= 1 and residual <= 1e-8
+    return ZeroRecord(location=z, winding_confirmed=confirmed, refinement_residual=residual)
+
+
+def zero_scan_per_cell(f, rect, tol=1e-10, boundary_step=0.01):
+    """zeros.zero_scan with each cell refined on its own, depth first."""
+
+    def count(r):
+        bound = _zeros._certificate(f, r, boundary_step)
+        return r, bound, _zeros._rect_winding(f, r, bound)
+
+    cur, bound, (w, pts, vals) = _zeros._first_success(
+        count, accumulate(repeat(1e-3, 3), Rectangle.expanded, initial=rect)
+    )
+    records, pending = [], [(cur, w, pts, vals)] if w else []
+    while pending:
+        cell, w, pts, vals = pending.pop()
+        rec = cell_zero(f, cell, w, tol)
+        if rec is not None:
+            records += [rec] * w
+            continue
+        halves = _zeros._split(f, cell, w, pts, vals, bound)
+        pending += [half for half in reversed(halves) if half[1]]
+    records.sort(key=lambda rec: (rec.location.imag, rec.location.real))
+    return records
+
+
+def rouche_verify_one(f, s0, t_j, r):
+    """The Rouche check of one hit, with its own seed ring."""
+    s0 = complex(s0)
+    ring = _zeros._ring(s0, r, _zeros._RING_SAMPLES)
+    f_ring = f(ring)
+    m0_measured = float(np.abs(f_ring).min())
+    diff = float(np.abs(f(ring + 1j * float(t_j)) - f_ring).max())
+    if not diff <= 0.8 * m0_measured:
+        return False
+    try:
+        inner = _zeros.winding_on_circle(f, s0 + 1j * float(t_j), r, samples=1024)
+    except NumericalError:
+        return False
+    return inner >= 1

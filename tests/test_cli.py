@@ -531,6 +531,14 @@ def test_warnings_are_sorted_dlab_lines_and_a_failure_prints_only_its_error(
         assert run_cli(argv) == (2, "", "dlab: numerical: boom\n")
 
 
+def test_the_parser_is_built_once_per_process():
+    # run finds a subcommand's handler by name when it dispatches, so one
+    # parser serves every run, and a patched handler is still the one run.
+    parser = cli._build_parser()
+    assert run_cli(["flow", "--box", "0,0.5", "--T", "10"])[0] == 0
+    assert cli._build_parser() is parser
+
+
 @pytest.mark.parametrize(
     "argv, code, line",
     [

@@ -135,6 +135,51 @@ def test_tail_norm_brackets_the_divisor_square_sum():
     assert abs(partial - FOURTH_TARGET_1) / FOURTH_TARGET_1 < 1e-3
 
 
+# Finite floats spread over every binade, subnormals included.
+_ANY_EXPONENT = st.builds(
+    math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1024)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 2.0**-1022),
+            st.floats(0.0, allow_infinity=False),
+            _ANY_EXPONENT,
+        ),
+        max_size=40,
+    ),
+    st.booleans(),
+)
+@example([1.7976931348623157e308, 1.0e308], False)
+@example([5e-324] * 3 + [0.0, 2.0**-1022], False)
+@example([1.0, 2.0**-60, 2.0**-60, 2.0**-113], False)
+@example([], False)
+def test_exact_sum_rounds_as_fsum(xs, signed):
+    # The bucketed integer sum is correctly rounded, as fsum is, so the two
+    # agree bit for bit; a sum past the float range raises OverflowError.
+    # With signs, fsum can overflow in a partial sum whose total is finite;
+    # there the exact rational sum, rounded once, is the reference.
+    x = np.asarray(xs, dtype=np.float64)
+    if signed:
+        x[::2] = -x[::2]
+    try:
+        want = math.fsum(x.tolist())
+    except OverflowError:
+        try:
+            want = float(sum(map(Fraction, x.tolist()), Fraction(0)))
+        except OverflowError:
+            want = None
+    try:
+        got = series._exact_sum(x)
+    except OverflowError:
+        got = None
+    assert got == want
+
+
 def test_tail_norm_square_past_float_range_is_inf():
     spec = load_source({"kind": "explicit", "coeffs": [[1, 1, 0], [2, 1e200, 0]]})
     assert tail_norm(spec, 1.0, 1) == (1.0, math.inf)

@@ -36,7 +36,10 @@ from _oracles import (
     RH_ZERO_1,
     RVM_100,
     RVM_50,
+    newton_refine,
     recurrence_scan_all_rows,
+    rouche_verify_one,
+    zero_scan_per_cell,
 )
 
 ETA = default_evaluator(builtin_series("eta-factor"))
@@ -168,31 +171,35 @@ def test_zero_scan_adopts_boundary_zero():
     ids=["eta", "zeta"],
 )
 def test_newton_iterates_stay_in_their_cell(monkeypatch, g, rect):
-    # Newton's one-point calls are its iterates; a step that would leave the
-    # cell's 10% margin is refused before it is evaluated.  Unchecked, the
-    # zeta rectangle evaluates 12 iterates far outside their cells.
-    cells, far = [], []
-    cell_zero = zeros_module._cell_zero
+    # The batched Newton asks each candidate's keep rule (its cell widened
+    # by 10%) before it evaluates an iterate: every point f sees there is a
+    # start, an accepted iterate or one of their z +- h pairs, and no
+    # refused iterate is evaluated.  Unchecked, the zeta rectangle
+    # evaluates 12 iterates far outside their cells.
+    accepted, refused, evaluated = [], [], set()
+    newton = zeros_module._newton
 
-    def spy(f, cell, *args):
-        cells.append(cell)
-        try:
-            return cell_zero(f, cell, *args)
-        finally:
-            cells.pop()
+    def spy(f, starts, keeps, tol):
+        def watch(keep):
+            def rule(z):
+                ok = keep is None or keep(z)
+                (accepted if ok else refused).append(z)
+                return ok
+            return rule
 
-    def f(s):
-        s = np.asarray(s)
-        if cells and s.size == 1:
-            c = cells[-1]
-            size = max(c.sigma_hi - c.sigma_lo, c.t_hi - c.t_lo)
-            if size >= 1e-6 and not zeros_module._cell_contains(c, s[0], 0.1 * size):
-                far.append(s[0])
-        return g(s)
+        def seen(s):
+            evaluated.update(np.asarray(s).tolist())
+            return f(s)
 
-    monkeypatch.setattr(zeros_module, "_cell_zero", spy)
-    assert all(rec.winding_confirmed for rec in zero_scan(f, rect))
-    assert far == []
+        accepted.extend(starts)
+        return newton(seen, starts, [watch(k) for k in keeps], tol)
+
+    monkeypatch.setattr(zeros_module, "_newton", spy)
+    assert all(rec.winding_confirmed for rec in zero_scan(g, rect))
+    h = zeros_module._NEWTON_STEP
+    assert evaluated <= {z + d for z in accepted for d in (0.0, h, -h)}
+    assert evaluated.isdisjoint(refused)
+    assert refused  # 35 iterates on the eta rectangle, 72 on the zeta one
 
 
 def _spy_windings(monkeypatch):
@@ -236,17 +243,19 @@ def test_zero_scan_gives_up_when_every_expansion_meets_a_zero(monkeypatch):
 def test_zero_scan_evaluates_each_boundary_point_once(monkeypatch):
     # Halves inherit their parent's refined boundary, so beyond the first
     # boundary only the cuts (and refinement near them) are evaluated;
-    # Newton steps and the confirming circles are not counted here.
+    # the batched Newton steps and confirming circles are not counted here.
     counted = [0]
     quiet = [False]
+    hooked = {"_newton": 0, "_circle_windings": 0}
 
     def f(s):
         if not quiet[0]:
             counted[0] += np.size(s)
         return ETA(s)
 
-    def uncounted(fn):
+    def uncounted(name, fn):
         def wrapped(*args):
+            hooked[name] += 1
             quiet[0] = True
             try:
                 return fn(*args)
@@ -255,12 +264,13 @@ def test_zero_scan_evaluates_each_boundary_point_once(monkeypatch):
 
         return wrapped
 
-    for name in ("_newton_refine", "_confirm_circle"):
-        monkeypatch.setattr(zeros_module, name, uncounted(getattr(zeros_module, name)))
+    for name in hooked:
+        monkeypatch.setattr(zeros_module, name, uncounted(name, getattr(zeros_module, name)))
     rect = Rectangle(0.5, 1.5, -1.0, 200.0)
     records = zero_scan(f, rect)
     first = sum(edge.size for edge in zeros_module._rect_edges(rect, 0.01))
     assert counted[0] <= 1.2 * first
+    assert min(hooked.values()) >= 1
     assert len(records) == 23  # t = 0, PERIOD2, ..., 22 PERIOD2 < 200
     for k, rec in enumerate(records):
         assert abs(rec.location - (1.0 + 1j * k * PERIOD2)) < 1e-9
@@ -408,10 +418,10 @@ class _Counted(_kernel.DirichletPolynomial):
 
 def test_eta_scan_certifies_its_boundary_in_few_points(monkeypatch):
     # recur-desk's zero scan: at the fixed 0.01 step its boundary alone took
-    # 200,401 points.  Newton steps and the confirming circles evaluate the
-    # uncounted polynomial.
+    # 200,401 points.  The batched Newton steps and confirming circles
+    # evaluate the uncounted polynomial.
     f, first = _Counted(ETA), []
-    for name in ("_newton_refine", "_confirm_circle"):
+    for name in ("_newton", "_circle_windings"):
         fn = getattr(zeros_module, name)
         monkeypatch.setattr(zeros_module, name, lambda g, *args, fn=fn: fn(ETA, *args))
     winding = zeros_module._polyline_winding
@@ -434,6 +444,66 @@ def test_eta_scan_certifies_its_boundary_in_few_points(monkeypatch):
     lip, margin, _ = zeros_module._certificate(f, rect, 0.01)[1]
     mags = np.abs(vals)
     assert np.all(lip * np.abs(np.diff(pts)) < np.maximum(mags[1:], mags[:-1]) - margin)
+
+
+# 1 + 2^{-s} (dlabbench/two_term.json), and the eta factor squared, whose
+# double zeros are split down to tiny cells.
+TWO_TERM = _kernel.DirichletPolynomial([1.0, 2.0], [1.0, 1.0])
+ETA_SQUARED = _kernel.DirichletPolynomial([1.0, 2.0, 4.0], [1.0, -4.0, 4.0])
+
+
+@pytest.mark.parametrize(
+    "f, rect",
+    [
+        (ETA, Rectangle(0.5, 1.5, -1.0, 200.0)),
+        (TWO_TERM, Rectangle(-0.5, 0.5, -1.0, 100.0)),
+        (LADDER3, Rectangle(0.3, 1.3, -1.0, 40.0)),
+        (ETA_SQUARED, Rectangle(0.55, 1.45, 1.0, 20.0)),
+        (lambda s: (np.asarray(s, dtype=np.complex128) - (1.0 + 1.0j)) ** 2,
+         Rectangle(0.0, 2.0, 0.0, 2.0)),
+    ],
+    ids=["eta", "two-term", "ladder3", "eta-squared", "double-root"],
+)
+def test_batched_scan_matches_the_per_cell_scan(f, rect):
+    # A level's candidates share each evaluator call, and a polynomial's
+    # value at a point does not depend on the other points of its call, so
+    # every record keeps the bits of the per-cell, depth-first scan.
+    got = zero_scan(f, rect)
+    assert got and [repr(r) for r in got] == [repr(r) for r in zero_scan_per_cell(f, rect)]
+
+
+def test_newton_batch_refuses_only_the_candidate_at_fault():
+    # A batch that raises is evaluated again one candidate at a time: the
+    # start past Re s = 5, where f refuses, ends unconverged at its start
+    # with residual inf; the others converge as they do alone.
+    def f(s):
+        s = np.asarray(s)
+        if (s.real > 5.0).any():
+            raise PreconditionError("outside the domain")
+        return ETA(s)
+
+    starts = [1.1 + 0.2j, 20.0 + 0.0j, 0.9 + 1j * (PERIOD2 - 0.1)]
+    out = zeros_module._newton(f, starts, [None] * 3, 1e-10)
+    assert out[1] == (starts[1], math.inf, False)
+    for i in (0, 2):
+        assert out[i][2] and repr(out[i]) == repr(newton_refine(f, starts[i], 1e-10))
+
+
+@pytest.mark.parametrize("cap", [None, 5000])
+@pytest.mark.parametrize(
+    "f, s0", [(ETA, 1.0 + 0.0j), (LADDER3, 0.8 + 0.0j)], ids=["eta", "ladder3"]
+)
+def test_rouche_checks_match_one_hit_at_a_time(monkeypatch, f, s0, cap):
+    # The seed ring once, the shifted rings and inner circles in shared
+    # calls (one ring per call at the 5,000-point cap): the same answers.
+    # At PERIOD2 + 0.045 the eta factor's inner circle holds a zero, but its
+    # shifted ring moves by more than 0.8 m0.
+    if cap is not None:
+        monkeypatch.setattr(zeros_module, "_POINT_CAP", cap)
+    hits = [PERIOD2, PERIOD3, -2.0 * PERIOD2, 0.5 * PERIOD2, PERIOD2 + 0.045, 3.3, 0.0]
+    want = [rouche_verify_one(f, s0, t, 0.05) for t in hits]
+    assert True in want and False in want
+    assert zeros_module._rouche_checks(f, s0, hits, 0.05) == want
 
 
 def _heuristic_refinement(f, pts, vals):
