@@ -121,6 +121,13 @@ def line_node_digits(t0: float, h: float, count: int, j: int) -> tuple:
     return (t0 + float(qa * kb * m) * h, float(ra * m) * h, float(qc * ko) * h, float(rc) * h)
 
 
+def flow_points(cfg):
+    """The flow at every grid time t = step, 2 step, ..., as (k, dims) rows
+    built row-major with np.mod, as the flow is defined."""
+    ts = np.arange(1, cfg.grid_size() + 1, dtype=np.float64) * cfg.step
+    return np.mod(ts[:, None] * np.asarray(cfg.lam)[None, :], 1.0)
+
+
 def inverse_loop(a):
     """Dirichlet inverse of the dense table a, one n at a time: b_n =
     -a_1^{-1} acc_n, then b_n pushed across acc[2n::n]."""

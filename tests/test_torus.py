@@ -1,8 +1,12 @@
 import math
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dirichlet_lab import (
     Box,
@@ -17,12 +21,12 @@ from dirichlet_lab import (
 from dirichlet_lab import parallel, torus
 from dirichlet_lab.parallel import map_spans
 
-from _oracles import LOG2_OVER_2PI
+from _oracles import LOG2_OVER_2PI, flow_points
 
 
 def _flow_points(cfg):
     """The flow at every grid time, as (k, dims) rows."""
-    return torus._flow_columns(cfg, 0, cfg.grid_size()).T
+    return flow_points(cfg)
 
 
 def test_flow_point_wraps_fractional_parts():
@@ -189,6 +193,74 @@ def test_box_fractions_match_row_major_mod(monkeypatch, cfg, boxes):
     want = [int(box.contains(pts).sum()) / n for box in boxes]
     for threads in (1, 2):
         assert box_hitting_fractions(cfg, boxes, threads) == want
+
+
+# Frequencies of both signs: zero and +-1e-18 (whose negative part rounds up
+# to 1.0), exact quarters that land on the edges, and |step lam| >= 1, where
+# the cells are taken at every step.
+_LAMS = st.sampled_from([0.0, -0.0, 1e-18, -1e-18, 0.25, -0.5, 1.75, -3.0, LOG2_OVER_2PI])
+_EDGE_GRID = (0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0)
+
+
+@st.composite
+def _flows(draw):
+    lam = draw(st.lists(_LAMS | st.floats(-3.0, 3.0), min_size=1, max_size=3))
+    step = draw(st.sampled_from([1.0, 0.25, 0.02, 0.37]))
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        dims = draw(st.integers(1, len(lam)))
+        pairs = [
+            sorted(draw(st.lists(st.sampled_from(_EDGE_GRID), min_size=2, max_size=2, unique=True)))
+            for _ in range(dims)
+        ]
+        boxes.append(Box(lo=[u for u, _ in pairs], hi=[v for _, v in pairs]))
+    # 250-step windows of 64-step blocks, in 24-step chunks where a block
+    # takes its cells at every step: each window ends in a ragged block,
+    # and the grid in a ragged window whose last block is ragged.
+    n = 250 * draw(st.integers(0, 3)) + 64 * draw(st.integers(0, 3)) + draw(st.integers(1, 63))
+    return FlowConfig(dims=len(lam), T=n * step, step=step, lam=lam), boxes
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(flow=_flows())
+@example(flow=(FlowConfig(dims=2, T=700.0, step=1.0, lam=(0.25, -1e-18)),
+               [Box(lo=(0.25, 0.0), hi=(1.0, 1.0)), Box(lo=(0.0,), hi=(0.75,))]))
+# Here x_n rounds onto some thresholds a step before (m + e) / (step lam).
+@example(flow=(FlowConfig(dims=1, T=1000.0, step=1.0, lam=(-0.01,)), [Box(lo=(0.1,), hi=(0.25,))]))
+def test_box_fractions_match_the_mod_oracle_on_any_flow(flow):
+    cfg, boxes = flow
+    n = cfg.grid_size()
+    pts = flow_points(cfg)
+    want = [int(box.contains(pts).sum()) / n for box in boxes]
+    with mock.patch.multiple(torus, _TIME_CHUNK=250, _BLOCK=64, _CHUNK=24):
+        for threads in (1, 2):
+            assert box_hitting_fractions(cfg, boxes, threads) == want
+
+
+@pytest.mark.parametrize(
+    "lam, T",
+    [((math.inf,), 10.0), ((-math.inf,), 10.0), ((math.nan,), 10.0), ((0.3, 1e300), 1e9)],
+)
+def test_non_finite_flow_coordinates_are_refused(lam, T):
+    # T lam_i = 1e309 overflows.  The refusal comes before any grid work, so
+    # numpy warns of nothing.
+    cfg = FlowConfig(dims=len(lam), T=T, step=T / 1000.0, lam=lam)
+    box = Box(lo=(0.0,) * len(lam), hi=(0.5,) * len(lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="finite lam_i and T lam_i"):
+            box_hitting_fractions(cfg, [box])
+
+
+def test_many_dimensional_box_is_counted_on_its_own_table():
+    # Its 3^24 joint cells would need a table far larger than a block; the
+    # box's own table counts the coordinates on which the point lies in it.
+    cfg = FlowConfig(dims=24, T=400.0)
+    box = Box(lo=(0.1,) * 24, hi=(0.9,) * 24)
+    want = int(box.contains(flow_points(cfg)).sum())
+    assert want > 0
+    for threads in (1, 2):
+        assert box_hitting_fraction(cfg, box, threads) == want / cfg.grid_size()
 
 
 def test_box_fractions_memory_does_not_grow_with_the_window():
