@@ -10,13 +10,12 @@ such a table: its nodes are bases + offsets, the offsets are the points and
 the bases the shifts, one matrix product instead of one complex exp per
 (node, term); _cis builds each of its exp tables from square-root-sized
 factors.  The caller states the line, so nothing is detected and no node
-needs a correction.  A caller that needs only a reduction of each shifted
-row (the recurrence scan's disc integrals) passes a reduce function: the
-loop hands it the rows _ROW_POINTS entries at a time, while they are in
-cache, and a polynomial within one term block never holds more than one
-such chunk.  `disc_sum` folds an array of points into the coefficients:
-sum_p f(p + s) is the polynomial with coefficients c_n sum_p n^{-p}, whose
-values bound the scan's disc integrals from below at O(terms) per shift.
+needs a correction.  A shifted table is built whole, and a row's bits do
+not depend on the rows built with it (_product), so a caller may cut its
+shifts into windows of any size.  `disc_sum` folds an array of points into
+the coefficients: sum_p f(p + s) is the polynomial with coefficients
+c_n sum_p n^{-p}, whose values bound the scan's disc integrals from below
+at O(terms) per shift.
 """
 
 import math
@@ -33,10 +32,6 @@ _MAX_TERMS = 20_000_000
 # Elementwise work arrays (terms x points, or terms x table rows) are capped
 # at this many entries.
 _CAP = 4_000_000
-
-# Rows handed to a reduce function go this many table entries (at least one
-# row) at a time: 1 MB of complex values.
-_ROW_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -134,19 +129,17 @@ class DirichletPolynomial:
             return complex(out[0])
         return out.reshape(arr.shape)
 
-    def shifted(self, points, shifts, reduce=None) -> np.ndarray:
+    def shifted(self, points, shifts) -> np.ndarray:
         """(shifts x points) table of sum_n c_n n^{-(points[j] + i shifts[k])}.
 
         The term blocks depend on the number of points only, and a row's
         bits do not depend on the rows computed with it, so they do not
-        depend on how many shifts come with it.  With reduce, the table goes
-        to reduce(rows) in chunks of its rows, which reduce may overwrite,
-        and the concatenated results are returned instead.
+        depend on how many shifts come with it.
         """
         points = np.asarray(points, dtype=np.complex128)
         shifts = np.asarray(shifts, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._table(points, shifts, reduce=reduce)
+            return self._table(points, shifts)
 
     def weights(self, sigma: float):
         """(F, L, R) at real part sigma: F = sum_n |c_n| n^{-sigma},
@@ -197,30 +190,21 @@ class DirichletPolynomial:
             g.logs, g.coeffs = self.logs, self.coeffs * sums
         return g, weight
 
-    def _table(self, points, shifts=None, reduce=None, line=None) -> np.ndarray:
+    def _table(self, points, shifts=None, line=None) -> np.ndarray:
         """The one block loop: the (shifts x points) table, or with no
         shifts the (1 x points) row of sums.  Given a VerticalLine, the
         (bases x offsets) table of its nodes instead (points and shifts
         unused): the points are sigma + i offsets and the shifts the bases,
-        both exp tables from _cis over its digits.
-
-        Given shifts and reduce, the rows go to reduce _ROW_POINTS // width
-        at a time, as soon as their last term block is added.  Within one
-        term block every chunk is built in the same buffer, so the whole
-        table never exists."""
+        both exp tables from _cis over its digits."""
         if line is None:
             width, n = points.size, 1 if shifts is None else shifts.size
         else:
             offsets, bases = line._digits()
             width, n = offsets[2], bases[2]
-        terms = self.logs.size
         blk = max(1, _CAP // max(1, width))
-        chunk = max(1, _ROW_POINTS // max(1, width))
-        reuse = reduce is not None and terms <= blk
-        out = np.empty((min(chunk, n) if reuse else n, width), np.complex128)
-        reduced = []
+        out = np.empty((n, width), np.complex128)
         # An empty polynomial still runs one empty block, which writes zeros.
-        for lo in range(0, max(1, terms), blk):
+        for lo in range(0, max(1, self.logs.size), blk):
             logs, coeffs = self.logs[lo : lo + blk], self.coeffs[lo : lo + blk]
             if line is None:
                 right = np.multiply.outer(-logs, points)
@@ -232,17 +216,14 @@ class DirichletPolynomial:
                 out[0] = out[0] + right.sum(axis=0) if lo else right.sum(axis=0)
                 continue
             # Given a line, rows >= width >= n: the left table is built whole.
-            rows = chunk if reduce is not None else _CAP // max(1, logs.size)
+            rows = _CAP // max(1, logs.size)
             for r in range(0, n, rows):
                 if line is None:
                     left = np.exp(-1j * np.multiply.outer(shifts[r : r + rows], logs))
                 else:
                     left = _cis(*bases, logs)
-                part = out[: left.shape[0]] if reuse else out[r : r + rows]
-                _product(left, right, part, add=lo > 0)
-                if reduce is not None and lo + blk >= terms:
-                    reduced.append(reduce(part))
-        return out if reduce is None else np.concatenate(reduced)
+                _product(left, right, out[r : r + rows], add=lo > 0)
+        return out
 
 
 def _cis(hi, lo, rows, logs, amp=1.0) -> np.ndarray:

@@ -656,14 +656,14 @@ def recurrence_scan(
     O(terms) per time (see _lower_bounds) first drops the times whose bound
     exceeds the threshold by more than its rounding margin: their computed
     integrals would exceed it too, so they cannot be hits.  The kept times go to
-    windows of as many grid times as fit in _POINT_CAP points, each built
-    over its times and the disc lattice a few rows at a time, and each
-    chunk of rows is reduced to its integrals while it is in cache.  Any
-    other callable is evaluated at every point of every time's window.
-    Each integral is the sum over one time's row, so neither the window nor
-    the chunk size nor the pruned times change its bits.  The reported
-    integral of each hit is recomputed from f's values at its points, so
-    the report does not depend on which path ranked the times.
+    windows of as many grid times as fit in _POINT_CAP points, each one
+    `shifted` table over its times and the disc lattice.  Any other callable
+    is evaluated at every point of every time's window.  Each integral is
+    the sum over one time's row, and a row's bits do not depend on the rows
+    computed with it, so neither the window nor the pruned times change its
+    bits.  The reported integral of each hit is recomputed from f's values
+    at its points, so the report does not depend on which path ranked the
+    times.
     """
     if r <= 0 or T <= 0 or t_step <= 0:
         raise PreconditionError("recurrence scan needs positive r, T, t_step")
@@ -708,10 +708,10 @@ def recurrence_scan(
     shifted = getattr(f, "shifted", None)
 
     def window(tt, product):
-        if product:
-            return shifted(disc, tt, _row_distances(base)) * cell_area
-        diff = f(disc[None, :] + 1j * tt[:, None]) - base
-        return np.abs(diff).sum(axis=1) * cell_area
+        rows = shifted(disc, tt) if product else f(disc[None, :] + 1j * tt[:, None])
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is no hit
+            rows -= base
+            return np.abs(rows).sum(axis=1) * cell_area
 
     def disc_integrals(tt, product):
         parts = map_spans(
@@ -792,22 +792,6 @@ def _lower_bounds(f, disc, cell_area, ts):
         margin = 2.0**-46 * cell_area * (g.logs.size + disc.size + tau + 8) * weight
         lower = cell_area * np.abs(g.shifted(np.zeros(1), ts)[:, 0] - g.coeffs.sum())
     return lower, float(margin)
-
-
-def _row_distances(base: np.ndarray):
-    """A reduce for `shifted`: the sum of |row - base| over each row of a
-    chunk, which it overwrites.  The moduli go through one float buffer,
-    sized by the first chunk, which is the largest."""
-    mags = None
-
-    def reduce(rows):
-        nonlocal mags
-        rows -= base
-        if mags is None:
-            mags = np.empty(rows.shape)
-        return np.abs(rows, out=mags[: len(rows)]).sum(axis=1)
-
-    return reduce
 
 
 def rouche_verify(f, s0: complex, t_j: float, r: float, m0: float) -> bool:

@@ -267,10 +267,10 @@ def recurrence_scan_all_rows(f, s0, r, T, t_step, grid=64):
         for lo in range(0, tt.size, rows):
             window = tt[lo : lo + rows]
             if product:
-                sums = f.shifted(disc, window, _zeros._row_distances(base))
+                table = f.shifted(disc, window)
             else:
-                sums = np.abs(f(disc[None, :] + 1j * window[:, None]) - base).sum(axis=1)
-            parts.append(sums * cell_area)
+                table = f(disc[None, :] + 1j * window[:, None])
+            parts.append(np.abs(table - base).sum(axis=1) * cell_area)
         return np.concatenate(parts) if parts else tt
 
     integrals = integrals_of(ts, hasattr(f, "shifted"))

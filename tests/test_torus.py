@@ -265,9 +265,9 @@ def test_many_dimensional_box_is_counted_on_its_own_table():
 
 def test_box_fractions_memory_does_not_grow_with_the_window():
     # numpy reports its data allocations to tracemalloc.  2e6 grid points in
-    # two windows of 1e6; each window walks them through one-row block
-    # buffers of about 2.7 MB, where one window's full (4, 1e6) cloud alone
-    # is 32 MB.
+    # two windows of 1e6, counted in 2^18-step blocks by their cell changes;
+    # the peak measured about 1.2 MB, where one window's full (4, 1e6) cloud
+    # alone is 32 MB.
     cfg = FlowConfig(dims=4, T=20_000.0)
     tracemalloc.start()
     try:
@@ -278,10 +278,10 @@ def test_box_fractions_memory_does_not_grow_with_the_window():
     assert peak < 8 * 2**20
 
 
-def test_box_fractions_build_one_row_at_a_time():
-    # The same suite as above.  A 2^16-step block takes about 2.7 MB as one
-    # coordinate row at a time; as one (dims, k) point array it would take
-    # over 4 MB.
+def test_box_fractions_hold_only_their_cell_changes():
+    # The same suite as above.  A block holds only its coordinates' cell
+    # changes: the peak measured about 1.2 MB, where one coordinate's float
+    # row over a 2^18-step block would alone take 2 MB.
     cfg = FlowConfig(dims=4, T=20_000.0)
     tracemalloc.start()
     try:
@@ -289,7 +289,7 @@ def test_box_fractions_build_one_row_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 2**20
+    assert peak < 2 * 2**20
 
 
 def test_box_wider_than_flow_is_refused():

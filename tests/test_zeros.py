@@ -711,17 +711,19 @@ def _spy_scans(monkeypatch):
 
 
 def _spy_rows(monkeypatch):
-    """(points, shifts, row sums) of every `shifted` call that reduces rows
-    (the scan's lattice rows), and the shift count of every other call."""
+    """(points, shifts, row sums of |f - f(points)|) of every `shifted` call
+    on more than one point (the scan's lattice rows), and the shift count of
+    every one-point call (the lower bounds)."""
     rows, others = [], []
     real_shifted = _kernel.DirichletPolynomial.shifted
 
-    def spy(self, points, shifts, reduce=None):
-        out = real_shifted(self, points, shifts, reduce)
-        if reduce is None:
+    def spy(self, points, shifts):
+        out = real_shifted(self, points, shifts)
+        if np.size(points) == 1:
             others.append(np.size(shifts))
         else:
-            rows.append((np.size(points), np.array(shifts), out.copy()))
+            sums = np.abs(out - self(points)).sum(axis=1)
+            rows.append((np.size(points), np.array(shifts), sums))
         return out
 
     monkeypatch.setattr(_kernel.DirichletPolynomial, "shifted", spy)
@@ -829,9 +831,39 @@ def test_pruned_scan_matches_the_all_rows_scan(monkeypatch, ev, s0, T, n_hits):
             assert np.all(full[~kept] > got.threshold)
 
 
+@pytest.mark.parametrize("point_cap", [zeros_module._POINT_CAP, 4096])
+def test_unpruned_scan_matches_the_all_rows_scan(monkeypatch, point_cap):
+    # A lower bound of zero keeps every one of the 3,802 grid times, so the
+    # windows are full: 324-time products at the default cap, one-time
+    # products at 4,096 points.  Every integral equals the all-rows scan's
+    # bit for bit, and the report is the pruned scan's.  A 324-time window
+    # holds its whole table (16 MB) and its moduli (8 MB): the peak measured
+    # 24.2 MB at one thread and 48.2 MB at two, and is bounded per worker.
+    pruned = recurrence_scan(ETA, 1.0 + 0.0j, 0.05, 20.0, 0.01)
+    _, ts, full = recurrence_scan_all_rows(ETA, 1.0 + 0.0j, 0.05, 20.0, 0.01)
+    monkeypatch.setattr(
+        zeros_module, "_lower_bounds", lambda f, disc, area, tt: (np.zeros(tt.size), 0.0)
+    )
+    monkeypatch.setattr(zeros_module, "_POINT_CAP", point_cap)
+    scans = _spy_scans(monkeypatch)
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            got = recurrence_scan(ETA, 1.0 + 0.0j, 0.05, 20.0, 0.01, threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert repr(got) == repr(pruned)
+        assert peak < threads * 25 * 2**20
+    # Each report maps its windows twice: the scan, then the hits.
+    assert len(scans) == 4 and scans[0].size == ts.size == 3802
+    np.testing.assert_array_equal(scans[0], full)
+    np.testing.assert_array_equal(scans[2], full)
+
+
 def _whole_table_distances(ev, points, shifts, base):
-    """Each row's sum of |f - base| as the scan once took it: the whole
-    shifted table first, then |table - base| and the row sums."""
+    """Each row's sum of |f - base|: the whole shifted table first, then
+    |table - base| and the row sums."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.abs(ev.shifted(points, shifts) - base).sum(axis=1)
 
@@ -843,51 +875,6 @@ _GAPPED = _kernel.DirichletPolynomial(
     [1, 2, 5, 12, 13, 97], [1.0, -0.5 + 2j, 3j, 0.25 - 1j, -1.5, 0.75 + 0.5j]
 )
 _HUGE = _kernel.DirichletPolynomial([2, 3], [1e308 / 2.0**600, 1e308 / 3.0**600])
-
-
-@pytest.mark.parametrize(
-    "ev, sigma, P, K, kernel_cap, chunks",
-    [
-        # 1,000 points make chunks of 65 rows, so 131 shifts end in a
-        # one-row chunk, which takes _product's duplicated-row path.
-        (_GAPPED, 0.9, 1000, 131, None, [65, 65, 1]),
-        # A kernel cap of 2,000 cuts the six terms into three blocks, so the
-        # whole table is summed before its chunks are reduced.
-        (_GAPPED, 0.9, 1000, 131, 2000, [65, 65, 1]),
-        (_HUGE, -600.0, 1000, 131, None, [65, 65, 1]),
-        # Past 32,768 points every chunk is a single row.
-        (_GAPPED, 0.9, 40000, 3, None, [1, 1, 1]),
-    ],
-)
-def test_streamed_row_distances_match_the_whole_table(
-    monkeypatch, ev, sigma, P, K, kernel_cap, chunks
-):
-    if kernel_cap is not None:
-        monkeypatch.setattr(_kernel, "_CAP", kernel_cap)
-    rng = np.random.default_rng(P + K)
-    # The two terms of _HUGE cancel near t = pi / log 1.5, and again at every
-    # shift by a multiple of 2 pi / log 1.5, so there its rows stay finite.
-    # Half of the shifts are such multiples.
-    centre = sigma + 1j * math.pi / math.log(1.5)
-    points = centre + rng.uniform(-5e-4, 5e-4, P) + 1j * rng.uniform(-5e-4, 5e-4, P)
-    period = 2.0 * math.pi / math.log(1.5)
-    shifts = np.concatenate(
-        (rng.uniform(-100.0, 100.0, K - K // 2), period * np.arange(1, K // 2 + 1))
-    )
-    base = ev(points)
-    reduce = zeros_module._row_distances(base)
-    seen = []
-
-    def spy(rows):
-        seen.append(len(rows))
-        return reduce(rows)
-
-    got = ev.shifted(points, shifts, spy)
-    assert seen == chunks
-    assert np.array_equal(got, _whole_table_distances(ev, points, shifts, base), equal_nan=True)
-    if ev is _HUGE:
-        assert np.isfinite(base).all()
-        assert 0 < np.isfinite(got).sum() < K
 
 
 # One term on a one-point lattice, where the lower bound is the row integral
@@ -925,8 +912,7 @@ def test_lower_bound_minus_margin_is_at_most_the_row_integral(ev, centre, r, gri
     disc = centre + offsets
     shifts = _bound_shifts(grid)
     lower, margin = zeros_module._lower_bounds(ev, disc, area, shifts)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = ev.shifted(disc, shifts, zeros_module._row_distances(ev(disc))) * area
+    rows = _whole_table_distances(ev, disc, shifts, ev(disc)) * area
     bounded = np.isfinite(lower) & math.isfinite(margin)
     assert np.all(lower[bounded] - margin <= rows[bounded])
     # A row that overflows is never bounded, so it is never pruned.
@@ -948,7 +934,7 @@ def test_margin_covers_the_rounding_of_both_sides():
     disc = 0.9 + 3.0j + offsets
     shifts = np.array([-1e6, -777.25, -3.5, 1.0, 12.0, 4321.125, 1e6])
     lower, margin = zeros_module._lower_bounds(_GAPPED, disc, area, shifts)
-    rows = _GAPPED.shifted(disc, shifts, zeros_module._row_distances(_GAPPED(disc)))
+    rows = _whole_table_distances(_GAPPED, disc, shifts, _GAPPED(disc))
     with mpmath.workdps(40):
         logs = [mpmath.mpf(x) for x in _GAPPED.logs.tolist()]
         coeffs = [mpmath.mpc(c) for c in _GAPPED.coeffs.tolist()]
@@ -983,10 +969,10 @@ def test_quick_start_recur_computes_few_lattice_rows(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_recurrence_memory_does_not_grow_with_the_window(threads):
-    # numpy reports its data allocations to tracemalloc.  A window of 324
-    # grid times on the 3,228-point disc lattice took 16 MB as one table and
-    # 8 MB more for its moduli, about 24 MB per running window; the reduced
-    # chunks take about 1.5 MB.
+    # numpy reports its data allocations to tracemalloc.  A full window of
+    # 324 grid times on the 3,228-point disc lattice holds 16 MB as one table
+    # and 8 MB more for its moduli; the prune leaves about 8 of the 3,802
+    # grid times, whose rows fit in one 8-row table.
     tracemalloc.start()
     try:
         recurrence_scan(ETA, 1.0 + 0.0j, 0.05, 20.0, 0.01, threads=threads)
