@@ -8,6 +8,7 @@ byte-identical for any --threads setting.
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import PreconditionError
@@ -19,6 +20,10 @@ ENV_THREADS = "DLAB_THREADS"
 # No run cuts more windows than this; a larger range is refused before its
 # window list is built.
 _MAX_WINDOWS = 1 << 20
+
+# At most this many windows are submitted to the pool and not yet collected,
+# so a range of many small windows does not hold a future for each.
+_IN_FLIGHT = 64
 
 
 def resolve_threads(requested=None) -> int:
@@ -56,8 +61,9 @@ def check_windows(n: int, chunk: int) -> None:
 def map_spans(fn, n: int, chunk: int, threads=None) -> list:
     """[fn(lo, hi) for each window [lo, min(lo + chunk, n)) of range(n)].
 
-    Windows run concurrently on min(threads, windows, cores) workers; the
-    result list is in window order whatever the scheduling.  More than
+    Windows run concurrently on min(threads, windows, cores) workers, with
+    at most _IN_FLIGHT of them submitted and not yet collected; the result
+    list is in window order whatever the scheduling.  More than
     _MAX_WINDOWS windows raise PreconditionError before any window is listed.
     """
     threads = resolve_threads(threads)
@@ -66,5 +72,10 @@ def map_spans(fn, n: int, chunk: int, threads=None) -> list:
     workers = min(threads, len(spans), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(lo, hi) for lo, hi in spans]
+    out, pending = [], deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*spans)))
+        for lo, hi in spans:
+            if len(pending) == _IN_FLIGHT:
+                out.append(pending.popleft().result())
+            pending.append(pool.submit(fn, lo, hi))
+        return out + [future.result() for future in pending]

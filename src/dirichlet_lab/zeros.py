@@ -103,43 +103,134 @@ def _polyline_winding(f, pts: np.ndarray, vals: np.ndarray, cert=None):
     (pts[-1] == pts[0]) given its values vals at pts, with the refined
     polyline and its values.
 
-    Steps are bisected until every step is accepted.  A step is accepted
-    when its phase jump is under pi/2 and its value change under a tenth of
-    the local |f|: a heuristic, which rules out phase aliasing across
-    near-zero passes but cannot see a pair of zeros that one step jumps
-    over.  Given cert, the (L, margin, limit) of _certificate, a step is
-    also accepted when it is certified, and one longer than limit only then.
+    The polyline is refined as _refinement refines it, and the winding is
+    the sum of its steps' argument changes, in polyline order, over 2 pi,
+    refused when it lies more than 0.25 from an integer.
     """
+    # Driven here rather than by _refine: most polylines of a zero scan are
+    # accepted in their first round, where _refine's bookkeeping would cost
+    # more than the step tests.
+    refining = _refinement(pts, vals, cert)
+    try:
+        mids = next(refining)
+        while True:
+            mids = refining.send(f(mids))
+    except StopIteration as stop:
+        dphi, pts, vals, _, _ = stop.value
+    return _winding(float(np.sum(dphi))), pts, vals
+
+
+def _winding(phase: float) -> int:
+    """The integer phase / 2 pi, refused when it is more than 0.25 away."""
+    total = phase / (2.0 * math.pi)
+    nearest = round(total)
+    if abs(total - nearest) > 0.25:
+        raise NumericalError("winding number failed to stabilize")
+    return int(nearest)
+
+
+def _refinement(pts: np.ndarray, vals: np.ndarray, cert):
+    """A generator that refines the polyline pts, with values vals at its
+    points, until every step is accepted.  It yields the midpoints of the
+    steps it bisects, is sent their values, and returns (dphi, pts, vals,
+    lo, hi): the argument change of each step of the refined polyline, its
+    points and values, and the least and largest |f| on it.
+
+    A step is accepted when its phase jump is under pi/2 and its value
+    change under a tenth of the local |f|: a heuristic, which rules out
+    phase aliasing across near-zero passes but cannot see a pair of zeros
+    that one step jumps over.  Given cert, the (L, margin, limit) of
+    _certificate, a step is also accepted when it is certified, and one
+    longer than limit only then.
+
+    A step's test reads only its two ends, so every step is tested once:
+    all of them in the first round, then the two halves of each bisected
+    step.  It raises NumericalError when a value is not finite, when the
+    least |f| is at most 1e-12 times the largest ("zero near boundary"),
+    and when the polyline would pass _MAX_BOUNDARY_POINTS points or is
+    still refining after _REFINE_ROUNDS rounds.
+    """
+    new, todo, lo, hi = vals, None, math.inf, 0.0
     for _ in range(_REFINE_ROUNDS):
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(new).all():
             raise NumericalError("evaluator returned a non-finite boundary value")
-        mags = np.abs(vals)
-        scale = float(mags.max())
-        if scale == 0.0 or float(mags.min()) <= 1e-12 * scale:
+        mags = np.abs(new)
+        lo, hi = min(lo, mags.min()), max(hi, mags.max())
+        if hi == 0.0 or lo <= 1e-12 * hi:
             raise NumericalError("zero near boundary; perturb rectangle")
-        dphi = np.angle(vals[1:] / vals[:-1])
-        mag_jump = np.abs(vals[1:] - vals[:-1]) > 0.1 * np.minimum(
-            mags[1:], mags[:-1]
-        )
-        need = (np.abs(dphi) >= 0.5 * math.pi) | mag_jump
+        if todo is None:  # every step, in the first round
+            a, b, ma, mb = vals[:-1], vals[1:], mags[:-1], mags[1:]
+        else:  # the halves of the steps bisected last round
+            a, b = vals[todo], vals[todo + 1]
+            ma, mb = np.abs(a), np.abs(b)
+        step = np.angle(b / a)
+        need = (np.abs(step) >= 0.5 * math.pi) | (np.abs(b - a) > 0.1 * np.minimum(mb, ma))
         if cert is not None:
             lip, margin, limit = cert
-            h = np.abs(pts[1:] - pts[:-1])
+            h = np.abs(pts[1:] - pts[:-1] if todo is None else pts[todo + 1] - pts[todo])
             need |= h > limit
-            need &= ~(lip * h < np.maximum(mags[1:], mags[:-1]) - margin)
-        idx = np.flatnonzero(need)
-        if idx.size == 0:
-            total = float(np.sum(dphi)) / (2.0 * math.pi)
-            nearest = round(total)
-            if abs(total - nearest) > 0.25:
-                raise NumericalError("winding number failed to stabilize")
-            return int(nearest), pts, vals
+            need &= ~(lip * h < np.maximum(mb, ma) - margin)
+        if todo is None:
+            dphi = step
+        else:
+            dphi[todo] = step
+        if not need.any():
+            return dphi, pts, vals, float(lo), float(hi)
+        idx = np.flatnonzero(need) if todo is None else todo[need]
         if pts.size + idx.size > _MAX_BOUNDARY_POINTS:
             raise NumericalError("zero near boundary; perturb rectangle")
         mids = 0.5 * (pts[idx] + pts[idx + 1])
-        vals = np.insert(vals, idx + 1, f(mids))
+        vals = np.insert(vals, idx + 1, (yield mids))
         pts = np.insert(pts, idx + 1, mids)
+        dphi = np.insert(dphi, idx + 1, 0.0)
+        # The halves of step idx[j] are steps idx[j] + j and idx[j] + j + 1.
+        todo = np.repeat(idx + np.arange(idx.size), 2)
+        todo[1::2] += 1
+        new = vals[todo[1::2]]
     raise NumericalError("zero near boundary; perturb rectangle")
+
+
+def _refine(f, runs, cert) -> list:
+    """Each (pts, vals) polyline of runs refined by _refinement with cert:
+    its (phase, lo, hi, points), the sum of its steps' argument changes,
+    the least and largest |f| on it and its refined point count; or the
+    NumericalError that stopped it.
+
+    The runs refine in step: each round evaluates the midpoints of every
+    run still refining in one call to f.  An evaluation that raises
+    NumericalError stops every run of its round, and so does a round that
+    would take the runs together past _MAX_BOUNDARY_POINTS points.
+    """
+    out = [None] * len(runs)
+    gens = [_refinement(pts, vals, cert) for pts, vals in runs]
+    live, sent = list(range(len(runs))), [None] * len(runs)
+    total = sum(pts.size for pts, _ in runs)
+    while live:
+        asked = []
+        for i in live:
+            try:
+                asked.append((i, gens[i].send(sent[i])))
+            except StopIteration as stop:
+                dphi, pts, _, lo, hi = stop.value
+                out[i] = float(np.sum(dphi)), lo, hi, pts.size
+            except NumericalError as exc:
+                out[i] = exc
+        if not asked:
+            break
+        live, mids = (list(x) for x in zip(*asked))
+        ends = list(accumulate(m.size for m in mids))
+        total += ends[-1]
+        try:
+            if total > _MAX_BOUNDARY_POINTS:
+                raise NumericalError("zero near boundary; perturb rectangle")
+            vals = f(np.concatenate(mids))
+        except NumericalError as exc:
+            for i in live:
+                out[i] = exc
+            break
+        for i, lo, hi in zip(live, [0] + ends, ends):
+            sent[i] = vals[lo:hi]
+    return out
 
 
 def _certificate(f, rect: Rectangle, step: float):
@@ -260,7 +351,8 @@ def _rect_winding(f, rect: Rectangle, bound, boundary=None):
     rectangle that holds it (a cell of a scan).  boundary is the polyline's
     (pts, vals) when the caller has it already (a half cell: its parent's
     refined boundary plus the cut); otherwise the edges are sampled at the
-    spacing.  Every rectangle count goes through here.
+    spacing.  Every count of a lone rectangle goes through here; density_table's
+    nested rectangles go through _nested_windings.
     """
     if boundary is None:
         boundary = _sampled_boundary(f, rect, bound[0])
@@ -277,11 +369,6 @@ def _sampled_boundary(f, rect: Rectangle, spacing: float):
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
-def _count(f, rect: Rectangle, step: float):
-    """(winding, pts, vals) of f around rect, sampled afresh."""
-    return _rect_winding(f, rect, _certificate(f, rect, step))
-
-
 def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
     """Zeros minus poles of f inside the rectangle, by boundary phase change.
 
@@ -296,7 +383,7 @@ def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
     of boundary_step, and only a step at most boundary_step long may pass
     by the heuristic instead.  Any other evaluator (zeta, a plain callable)
     is sampled at boundary_step, and every step passes by the heuristic
-    (_polyline_winding).
+    (_refinement).
 
     Raises:
         PreconditionError: the boundary step is not positive, or the boundary
@@ -305,7 +392,7 @@ def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
         NumericalError: boundary passes too close to a zero ("zero near
             boundary; perturb rectangle") or the phase does not stabilize.
     """
-    return _count(f, rect, boundary_step)[0]
+    return _rect_winding(f, rect, _certificate(f, rect, boundary_step))[0]
 
 
 def winding_on_circle(f, center: complex, radius: float, samples: int = 256) -> int:
@@ -594,31 +681,136 @@ def density_table(
     boundary_step: float = 0.01,
     exclude_origin: bool = False,
 ):
-    """Rows (sigma, T, count) of zeros with Re s > sigma and 0 <= Im s <= T.
+    """Rows (sigma, T, count) of zeros with Re s > sigma and 0 <= Im s <= T,
+    in the order of sigma_list: the winding of f around the rectangle
+    sigma < Re s < sigma_hi, t_lo < Im s < T.
 
     The window starts a hair below t = 0 so ladder zeros on the real axis are
-    counted; evaluators with a pole at s = 1 set exclude_origin to start just
-    above it instead.  On a boundary failure the sigma edges are shifted by
-    +1e-3, -1e-3, then +2e-3.  As in winding_count, f may receive a
+    counted (t_lo = -1e-3); evaluators with a pole at s = 1 set
+    exclude_origin to start just above it instead (t_lo = 1e-3).
+
+    The rectangles of one attempt share their sides (_nested_windings): one
+    vertical side per distinct sigma and one at sigma_hi, and the bottom
+    and top lines cut at each sigma, each refined once.  A row whose count
+    fails (its boundary meets a zero) is tried again with its sigma and
+    sigma_hi both shifted by +1e-3, then -1e-3, then +2e-3; rows already
+    counted are not counted again, and when a row fails at every shift its
+    last error is raised.  As in winding_count, f may receive a
     VerticalLine (a vertical side), whose nodes are np.asarray(s), and
     boundary_step bounds only the steps accepted without a certificate.
     """
     if T <= 0:
         raise PreconditionError("density horizon T must be positive")
-    t_lo = 1e-3 if exclude_origin else -1e-3
-    rows = []
-    for sigma in sigma_list:
-        sigma = float(sigma)
-        if sigma >= sigma_hi:
-            raise PreconditionError("sigma must be below sigma_hi")
-        count = _first_success(
-            lambda d: _count(
-                f, Rectangle(sigma + d, sigma_hi + d, t_lo, float(T)), boundary_step
-            )[0],
-            _NUDGES,
+    T, t_lo = float(T), 1e-3 if exclude_origin else -1e-3
+    sigmas = [float(sigma) for sigma in sigma_list]
+    if any(sigma >= sigma_hi for sigma in sigmas):
+        raise PreconditionError("sigma must be below sigma_hi")
+    counts, errors = {}, {}
+    for d in _NUDGES:
+        todo = sorted({sigma for sigma in sigmas if sigma not in counts})
+        if not todo:
+            break
+        rects = [Rectangle(sigma + d, sigma_hi + d, t_lo, T) for sigma in todo]
+        try:
+            got = _nested_windings(f, rects, boundary_step)
+        except NumericalError as exc:  # the evaluator failed on a sampled side
+            got = [exc] * len(rects)
+        for sigma, c in zip(todo, got):
+            (errors if isinstance(c, NumericalError) else counts)[sigma] = c
+    for sigma in sigmas:
+        if sigma not in counts:
+            raise errors[sigma]
+    return [(sigma, T, counts[sigma]) for sigma in sigmas]
+
+
+def _nested_windings(f, rects, step: float) -> list:
+    """The winding of f around each of rects, or the NumericalError that
+    stopped its count.  The rectangles share sigma_hi, t_lo and t_hi, and
+    the first has the least sigma_lo.
+
+    The boundaries are cut into runs at the corners x + i t_lo and
+    x + i t_hi, x each sigma_lo and sigma_hi: one vertical side up at each
+    x, and the bottom and top lines between neighbouring x, left to right.
+    A rectangle walks its bottom runs and the right side forward, then its
+    top runs and its left side backward, so its winding is the sum of its
+    runs' argument changes, those walked backward negated.
+
+    Every run starts at the spacing of _certificate for the widest
+    rectangle, whose certificate holds on every rectangle inside it, and is
+    refined once (_refine).  The corners are evaluated in one call with the
+    lines' inner points, each side in a call of its own, and a run takes
+    its ends' values from the corners, so the runs join exactly.  Runs are
+    sampled and refined in batches of at most _MAX_BOUNDARY_POINTS / 2
+    points.  A rectangle passes the tests of _polyline_winding over its
+    runs: the least |f| above 1e-12 times the largest, at most
+    _MAX_BOUNDARY_POINTS points, and a winding within 0.25 of an integer.
+    """
+    wide = rects[0]
+    spacing, cert = _certificate(f, wide, step)
+    xs = sorted({r.sigma_lo for r in rects} | {wide.sigma_hi})
+    m = len(xs)
+    corners = np.asarray([complex(x, t) for t in (wide.t_lo, wide.t_hi) for x in xs])
+    # Runs as (start corner, end corner, inner points): the bottom and top
+    # lines, then the sides, whose VerticalLines start at their corner.
+    ends = [(i, i + 1) for i in (*range(m - 1), *range(m, 2 * m - 1))]
+    counts = [_edge_count(corners[i], corners[j], spacing) for i, j in ends]
+    sides = [(k, m + k, _side(x, wide.t_lo, wide.t_hi, spacing, top=False)) for k, x in enumerate(xs)]
+    # The widest rectangle's polyline: every line and the first and last side.
+    if sum(counts) - len(counts) + 2 * sides[0][2].size + 1 > _MAX_BOUNDARY_POINTS:
+        raise PreconditionError(
+            "the rectangle boundary needs more than %d points at step %g"
+            % (_MAX_BOUNDARY_POINTS, spacing)
         )
-        rows.append((sigma, float(T), int(count)))
-    return rows
+    lines = [(i, j, np.linspace(corners[i], corners[j], n)[1:-1]) for (i, j), n in zip(ends, counts)]
+    flat = f(np.concatenate([corners] + [p for _, _, p in lines]))
+    at = flat[: 2 * m]
+    inner = iter(np.split(flat[2 * m :], np.cumsum([p.size for _, _, p in lines[:-1]])))
+
+    def sampled(i, j, pts):
+        # A side's values come from its own call, its first node's dropped.
+        if isinstance(pts, VerticalLine):
+            vals, pts = f(pts)[1:], np.asarray(pts)[1:]
+        else:
+            vals = next(inner)
+        return (
+            np.concatenate(([corners[i]], pts, [corners[j]])),
+            np.concatenate(([at[i]], vals, [at[j]])),
+        )
+
+    done, batch, size = [], [], 0
+    for run in lines + sides:
+        if batch and size + run[2].size > _MAX_BOUNDARY_POINTS // 2:
+            done += _refine(f, batch, cert)
+            batch, size = [], 0
+        batch.append(sampled(*run))
+        size += run[2].size
+    done += _refine(f, batch, cert)
+    bottom, top, up = done[: m - 1], done[m - 1 : 2 * m - 2], done[2 * m - 2 :]
+    return [
+        _runs_winding(
+            [(r, 1) for r in bottom[k:]] + [(up[-1], 1)]
+            + [(r, -1) for r in top[k:]] + [(up[k], -1)]
+        )
+        for k in (xs.index(r.sigma_lo) for r in rects)
+    ]
+
+
+def _runs_winding(runs) -> int:
+    """The winding along a closed polyline made of refined runs, each a
+    (run, sign) with the run as _refine gives it (or its error) and sign -1
+    for a run walked backward; or the first error among them."""
+    for got, _ in runs:
+        if isinstance(got, NumericalError):
+            return got
+    lo = min(got[1] for got, _ in runs)
+    hi = max(got[2] for got, _ in runs)
+    points = sum(got[3] - 1 for got, _ in runs) + 1
+    if lo <= 1e-12 * hi or points > _MAX_BOUNDARY_POINTS:
+        return NumericalError("zero near boundary; perturb rectangle")
+    try:
+        return _winding(sum(sign * got[0] for got, sign in runs))
+    except NumericalError as exc:
+        return exc
 
 
 # ---------------------------------------------------------------------------

@@ -393,3 +393,41 @@ def rouche_verify_one(f, s0, t_j, r):
     except NumericalError:
         return False
     return inner >= 1
+
+
+# --- Reference refinement: zeros._polyline_winding as it was before each
+# step was tested once, re-testing every step of the polyline in every
+# round. ---
+
+
+def polyline_winding_every_round(f, pts, vals, cert=None):
+    """(winding, pts, vals) of f along the closed polyline pts, every step
+    re-tested in each bisection round."""
+    for _ in range(_zeros._REFINE_ROUNDS):
+        if not np.all(np.isfinite(vals)):
+            raise NumericalError("evaluator returned a non-finite boundary value")
+        mags = np.abs(vals)
+        scale = float(mags.max())
+        if scale == 0.0 or float(mags.min()) <= 1e-12 * scale:
+            raise NumericalError("zero near boundary; perturb rectangle")
+        dphi = np.angle(vals[1:] / vals[:-1])
+        mag_jump = np.abs(vals[1:] - vals[:-1]) > 0.1 * np.minimum(mags[1:], mags[:-1])
+        need = (np.abs(dphi) >= 0.5 * math.pi) | mag_jump
+        if cert is not None:
+            lip, margin, limit = cert
+            h = np.abs(pts[1:] - pts[:-1])
+            need |= h > limit
+            need &= ~(lip * h < np.maximum(mags[1:], mags[:-1]) - margin)
+        idx = np.flatnonzero(need)
+        if idx.size == 0:
+            total = float(np.sum(dphi)) / (2.0 * math.pi)
+            nearest = round(total)
+            if abs(total - nearest) > 0.25:
+                raise NumericalError("winding number failed to stabilize")
+            return int(nearest), pts, vals
+        if pts.size + idx.size > _zeros._MAX_BOUNDARY_POINTS:
+            raise NumericalError("zero near boundary; perturb rectangle")
+        mids = 0.5 * (pts[idx] + pts[idx + 1])
+        vals = np.insert(vals, idx + 1, f(mids))
+        pts = np.insert(pts, idx + 1, mids)
+    raise NumericalError("zero near boundary; perturb rectangle")

@@ -347,6 +347,12 @@ def test_map_spans_preserves_order():
     assert map_spans(lambda lo, hi: (lo, hi), 0, 7, threads=8) == []
 
 
+def test_map_spans_keeps_order_past_the_windows_in_flight():
+    n = 3 * parallel._IN_FLIGHT + 5
+    want = [(lo, lo + 1) for lo in range(n)]
+    assert map_spans(lambda lo, hi: (lo, hi), n, 1, threads=2) == want
+
+
 @pytest.mark.parametrize(
     "threads, n, cores, workers",
     [

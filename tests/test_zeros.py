@@ -37,6 +37,7 @@ from _oracles import (
     RVM_100,
     RVM_50,
     newton_refine,
+    polyline_winding_every_round,
     recurrence_scan_all_rows,
     rouche_verify_one,
     zero_scan_per_cell,
@@ -306,16 +307,29 @@ def test_density_critical_strip_counts():
     assert abs(counts[100.0] - RVM_100) < 1.0
 
 
+def _spy_attempts(monkeypatch):
+    """Record the sigma_lo of the rectangles of every density attempt."""
+    seen = []
+    count = zeros_module._nested_windings
+
+    def spy(f, rects, *args):
+        seen.append([r.sigma_lo for r in rects])
+        return count(f, rects, *args)
+
+    monkeypatch.setattr(zeros_module, "_nested_windings", spy)
+    return seen
+
+
 def test_density_nudges_an_edge_off_the_ladder(monkeypatch):
     # the left edge sigma = 1 runs through every ladder zero; at 1.001 the
     # rectangle holds none of them
-    seen = _spy_windings(monkeypatch)
+    seen = _spy_attempts(monkeypatch)
     assert density_table(ETA, [1.0], 50.0) == [(1.0, 50.0, 0)]
-    assert [r.sigma_lo for r in seen] == [1.0, 1.0 + 1e-3]
+    assert seen == [[1.0], [1.0 + 1e-3]]
 
 
 def test_density_gives_up_when_every_edge_meets_a_zero(monkeypatch):
-    seen = _spy_windings(monkeypatch)
+    seen = _spy_attempts(monkeypatch)
     with pytest.raises(NumericalError, match="zero near boundary"):
         density_table(_vanishing, [0.5], 1.0)
     assert len(seen) == 4  # sigma edges shifted by 0, 1e-3, -1e-3, 2e-3
@@ -353,6 +367,33 @@ def _ladder_count(lines, rect):
     return count
 
 
+@pytest.mark.parametrize(
+    "f, lines, sigmas, T, tries",
+    [
+        # sigma = 1 lies on the eta factor's zero line: only its row is
+        # tried again, at 1.001; the other rows share their sides.
+        (ETA, [(1.0, 0.0, PERIOD2)], [1.0, 0.9, 0.6, 0.9], 50.0,
+         [[0.6, 0.9, 1.0], [1.0 + 1e-3]]),
+        (PAIR, PAIR_LINES, [0.3, -0.2, 7e-4, 0.3, 0.0], 30.0, [[-0.2, 0.0, 7e-4, 0.3]]),
+    ],
+    ids=["eta", "pair"],
+)
+def test_density_rows_match_one_table_per_sigma(monkeypatch, f, lines, sigmas, T, tries):
+    seen = _spy_attempts(monkeypatch)
+    rows = density_table(f, sigmas, T)
+    assert seen == tries
+    assert rows == [row for sigma in sigmas for row in density_table(f, [sigma], T)]
+    assert [n for _, _, n in rows] == [
+        _ladder_count(lines, Rectangle(sigma, 1.2, -1e-3, T)) for sigma in sigmas
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:accuracy not guaranteed")
+def test_density_zeta_rows_share_their_sides():
+    rows = density_table(zeta_values, [0.4, 0.6, 0.8], 100.0, exclude_origin=True)
+    assert [n for _, _, n in rows] == [29, 0, 0]
+
+
 @pytest.mark.parametrize("sigma_lo, want", [(0.0, 12), (7e-4, 7), (1e-3, 0)])
 def test_certified_count_sees_two_zero_lines_near_an_edge(sigma_lo, want):
     # Both lines inside the left side, one on each side of it, both outside.
@@ -376,6 +417,67 @@ def test_one_step_past_a_pair_of_zeros_is_bisected(T):
     w, refined, _ = zeros_module._polyline_winding(PAIR, pts, PAIR(pts), cert)
     assert w == 2
     assert refined.size > pts.size
+
+
+def _both_windings(f, pts, vals, cert):
+    """What _polyline_winding and the reference that re-tests every step in
+    every round give: (winding, pts bytes, vals bytes), or the error text."""
+    out = []
+    for winding in (zeros_module._polyline_winding, polyline_winding_every_round):
+        try:
+            w, refined, values = winding(f, pts, vals, cert)
+            out.append((w, refined.tobytes(), values.tobytes()))
+        except NumericalError as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:accuracy not guaranteed")
+@settings(_PROPERTY, max_examples=60)
+@given(
+    name=st.sampled_from(["eta", "pair", "zeta"]),
+    certified=st.booleans(),
+    sigma_lo=st.floats(-0.5, 1.3),
+    width=st.floats(0.05, 1.0),
+    t_lo=st.floats(-20.0, 40.0),
+    height=st.floats(0.5, 20.0),
+)
+def test_testing_each_step_once_refines_as_every_round(
+    name, certified, sigma_lo, width, t_lo, height
+):
+    # A step's test reads only its ends, so testing only the halves of the
+    # steps bisected last round bisects the same steps as testing all.
+    f = {"eta": ETA, "pair": PAIR, "zeta": zeta_values}[name]
+    if name == "zeta":  # right of Re s = 0, and above the pole
+        sigma_lo, t_lo = max(sigma_lo, 0.1), t_lo + 25.0
+    rect = Rectangle(sigma_lo, sigma_lo + width, t_lo, t_lo + height)
+    spacing, cert = zeros_module._certificate(f, rect, 0.01) if certified else (0.01, None)
+    pts, vals = zeros_module._sampled_boundary(f, rect, spacing)
+    new, old = _both_windings(f, pts, vals, cert)
+    assert new == old
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("vanishing", "zero near boundary"),
+        ("non-finite", "evaluator returned a non-finite boundary value"),
+        ("point cap", "zero near boundary"),
+    ],
+)
+def test_testing_each_step_once_fails_as_every_round(monkeypatch, case, message):
+    # At spacing 1 the eta factor's boundary must be bisected, and the
+    # midpoints then vanish, are not finite, or pass the point cap.
+    pts, vals = zeros_module._sampled_boundary(ETA, Rectangle(0.5, 1.5, 0.5, 20.0), 1.0)
+    f = {
+        "vanishing": _vanishing,
+        "non-finite": lambda s: np.full(np.shape(s), complex(math.nan, 0.0)),
+        "point cap": ETA,
+    }[case]
+    if case == "point cap":
+        monkeypatch.setattr(zeros_module, "_MAX_BOUNDARY_POINTS", pts.size + 5)
+    new, old = _both_windings(f, pts, vals, None)
+    assert new == old and new.startswith(message)
 
 
 def test_certificate_margin_covers_the_rounding_of_f():
@@ -523,13 +625,15 @@ def _heuristic_refinement(f, pts, vals):
         pts = np.insert(pts, idx + 1, mids)
 
 
+def _density_count(f, rect):
+    return density_table(f, [rect.sigma_lo], rect.t_hi, exclude_origin=True)[0][2]
+
+
 @pytest.mark.filterwarnings("ignore:accuracy not guaranteed")
 @pytest.mark.parametrize(
     "f, count, rect, want",
     [
-        (zeta_values,
-         lambda f, r: density_table(f, [r.sigma_lo], r.t_hi, exclude_origin=True)[0][2],
-         Rectangle(0.4, 1.2, 1e-3, 30.0), 3),
+        (zeta_values, _density_count, Rectangle(0.4, 1.2, 1e-3, 30.0), 3),
         (zeta_values, lambda f, r: len(zero_scan(f, r)), Rectangle(0.4, 0.6, 14.0, 26.0), 3),
         (default_evaluator(builtin_series("divisor_2"), 2000), winding_count,
          Rectangle(0.5, 1.5, 10.0, 20.0), 12),
@@ -538,30 +642,43 @@ def _heuristic_refinement(f, pts, vals):
 )
 def test_uncertified_counts_keep_the_fixed_step_points(monkeypatch, f, count, rect, want):
     # Zeta has no weights, and a 2,000-term divisor_2 has R^2/(F L) = 0.0016
-    # at Re s = 0.5: every edge and cut starts at the step, and every
-    # rectangle polyline is refined exactly as before certificates.
+    # at Re s = 0.5: every edge, cut and density run starts at the step,
+    # and every polyline and run is refined exactly as before certificates.
     starts, polylines = [], []
-    certificate, winding = zeros_module._certificate, zeros_module._polyline_winding
+    certificate, refinement = zeros_module._certificate, zeros_module._refinement
 
     def spy_certificate(g, r, step):
         out = certificate(g, r, step)
         starts.append(out[0] == step)
         return out
 
-    def spy_winding(g, pts, vals, *args):
-        out = winding(g, pts, vals, *args)
-        if args:  # a rectangle's polyline; a circle passes no certificate
-            polylines.append((pts, vals, out[1]))
-        return out
+    def spy_refinement(pts, vals, cert):
+        entry = [pts, vals, None]
+        polylines.append(entry)  # in the order the refinements start
+        entry[2] = yield from refinement(pts, vals, cert)
+        return entry[2]
 
     monkeypatch.setattr(zeros_module, "_certificate", spy_certificate)
-    monkeypatch.setattr(zeros_module, "_polyline_winding", spy_winding)
+    monkeypatch.setattr(zeros_module, "_refinement", spy_refinement)
     assert count(f, rect) == want
     assert starts and all(starts)
-    edges = [np.asarray(e) for e in zeros_module._rect_edges(rect, 0.01)]
-    sampled = np.concatenate(edges[:3] + [edges[3][::-1]])
-    np.testing.assert_array_equal(polylines[0][0], sampled)
-    for pts, vals, refined in polylines:
+    if count is _density_count:
+        # The density rectangle's runs: its bottom and top lines, then its
+        # left and right sides, each up to the top corner.
+        c = [complex(x, t) for t in (rect.t_lo, rect.t_hi) for x in (rect.sigma_lo, rect.sigma_hi)]
+        lines = [np.linspace(a, b, zeros_module._edge_count(a, b, 0.01)) for a, b in (c[:2], c[2:])]
+        sides = [
+            np.append(np.asarray(zeros_module._side(a.real, a.imag, b.imag, 0.01, top=False)), b)
+            for a, b in (c[::2], c[1::2])
+        ]
+        assert len(polylines) == 4
+        for (pts, _, _), sampled in zip(polylines, lines + sides):
+            np.testing.assert_array_equal(pts, sampled)
+    else:
+        edges = [np.asarray(e) for e in zeros_module._rect_edges(rect, 0.01)]
+        sampled = np.concatenate(edges[:3] + [edges[3][::-1]])
+        np.testing.assert_array_equal(polylines[0][0], sampled)
+    for pts, vals, (_, refined, *_) in polylines:
         np.testing.assert_array_equal(refined, _heuristic_refinement(f, pts, vals))
 
 
@@ -859,6 +976,27 @@ def test_unpruned_scan_matches_the_all_rows_scan(monkeypatch, point_cap):
     assert len(scans) == 4 and scans[0].size == ts.size == 3802
     np.testing.assert_array_equal(scans[0], full)
     np.testing.assert_array_equal(scans[2], full)
+
+
+def test_many_windows_hold_few_futures(monkeypatch):
+    # The unpruned scan in 4,096-point windows maps 3,802 one-time windows.
+    # map_spans keeps at most _IN_FLIGHT of them submitted and not yet
+    # collected: with every window submitted at once, the peak read 7.9 MB
+    # at two threads against 1.5 MB at one.
+    monkeypatch.setattr(
+        zeros_module, "_lower_bounds", lambda f, disc, area, tt: (np.zeros(tt.size), 0.0)
+    )
+    monkeypatch.setattr(zeros_module, "_POINT_CAP", 4096)
+    reports, peaks = [], []
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            reports.append(recurrence_scan(ETA, 1.0 + 0.0j, 0.05, 20.0, 0.01, threads=threads))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert repr(reports[0]) == repr(reports[1])
+    assert peaks[1] - peaks[0] < 2**20
 
 
 def _whole_table_distances(ev, points, shifts, base):
