@@ -147,25 +147,52 @@ def mollifier_coefficients(a, b, X: int, N: int) -> np.ndarray:
             because b does not invert a ("b is not the Dirichlet inverse of a
             up to X").
     """
-    a = _as_coeffs(a)
-    b = _as_coeffs(b)
-    if not 1 <= X < N:
-        raise PreconditionError("mollifier requires 1 <= X < N")
-    if a.size < N + 1 or b.size < X + 1:
-        raise PreconditionError("coefficient arrays too short for (X, N)")
-    if a[1] == 0 or b[1] == 0:
-        raise PreconditionError("no Dirichlet inverse")
-    a = a[: N + 1] / a[1]
-    bX = np.zeros(N + 1, dtype=np.complex128)
-    bX[1 : X + 1] = b[1 : X + 1] / b[1]
-    # bX has at most X nonzero terms, so pushing them costs O(N log X).
-    d = dirichlet_convolve(bX, a)
-    scale = max(1.0, float(np.abs(a).max()), float(np.abs(bX).max()))
-    head = d[2 : X + 1]
-    if head.size and np.abs(head).max() > 1e-9 * scale:
-        raise PreconditionError("b is not the Dirichlet inverse of a up to X")
-    if abs(d[1] - 1.0) > 1e-9 * scale:
-        raise PreconditionError("b is not the Dirichlet inverse of a up to X")
+    ((_, d),) = _mollified(a, b, [X], N)
+    if isinstance(d, PreconditionError):
+        raise d
     d[1] = 1.0
     d[2 : X + 1] = 0.0
     return d
+
+
+def _mollified(a, b, Xs, N: int):
+    """For each X of the ascending, distinct Xs, in order: (X, d), with d
+    the coefficients of mollifier_coefficients(a, b, X, N) before it sets
+    d_1 and the head, or the PreconditionError it raises for X.
+
+    The nonzero normalized b_d are pushed once, in ascending d, as
+    dirichlet_convolve pushes them, so each X's table is the pushes up to
+    X, with the bits of its own convolution.  d is one array, pushed on
+    after each yield: read it before the next.  Raises PreconditionError
+    when a or b is not a coefficient array.
+    """
+    a = _as_coeffs(a)
+    b = _as_coeffs(b)
+    d = None
+    for X in Xs:
+        if not 1 <= X < N:
+            yield X, PreconditionError("mollifier requires 1 <= X < N")
+            continue
+        if a.size < N + 1 or b.size < X + 1:
+            yield X, PreconditionError("coefficient arrays too short for (X, N)")
+            continue
+        if a[1] == 0 or b[1] == 0:
+            yield X, PreconditionError("no Dirichlet inverse")
+            continue
+        if d is None:  # normalize once, up to the largest X to come
+            top = max(x for x in Xs if x < min(N, b.size))
+            an = a[: N + 1] / a[1]
+            bn = np.zeros(top + 1, dtype=np.complex128)
+            bn[1:] = b[1 : top + 1] / b[1]
+            a_max = float(np.abs(an).max())
+            d, pushed = np.zeros_like(an), 1  # b_1 .. b_{pushed - 1} are in d
+        # bn has at most X nonzero terms, so pushing them costs O(N log X).
+        for k in np.flatnonzero(bn[pushed : X + 1]) + pushed:
+            d[k::k] += bn[k] * an[1 : N // k + 1]
+        pushed = X + 1
+        scale = max(1.0, a_max, float(np.abs(bn[: X + 1]).max()))
+        head = d[2 : X + 1]
+        if (head.size and np.abs(head).max() > 1e-9 * scale) or abs(d[1] - 1.0) > 1e-9 * scale:
+            yield X, PreconditionError("b is not the Dirichlet inverse of a up to X")
+        else:
+            yield X, d

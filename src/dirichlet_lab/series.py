@@ -65,10 +65,20 @@ def _square_sum(values, ns, sigma: float, power=2) -> float:
     (an overflowed |a|^2 times an underflowed n^{-2 sigma} is such a term)."""
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.abs(values) ** power * ns ** (-power * sigma)
+    return _finite_sums(sq)[0]
+
+
+def _finite_sums(terms, cut=0) -> tuple:
+    """(the sum of the nonnegative terms, the sum of terms[cut:]), each
+    correctly rounded (_exact_sum) from one exact pass over the terms; inf
+    for both when a term or the sum passes the float range."""
+    if not np.isfinite(terms).all():
+        return math.inf, math.inf
+    tail = _exact_units(terms[cut:])
     try:
-        return _exact_sum(sq) if np.isfinite(sq).all() else math.inf
+        return (_exact_units(terms[:cut]) + tail) / _ONE, tail / _ONE
     except OverflowError:  # finite terms whose sum passes the float range
-        return math.inf
+        return math.inf, math.inf
 
 
 # frexp's least exponent, that of the smallest subnormal (2^-1074 = 0.5 * 2^-1073).
@@ -82,10 +92,20 @@ def _exact_sum(x) -> float:
     Each x = M 2^(e - 53), with M the 53-bit integer mantissa of np.frexp.
     M's 26-bit halves are summed per exponent e by np.bincount; every
     partial sum is an integer below 2^53, so each bucket is exact.  The
-    buckets are combined in Python ints, and one int / int division, which
-    is correctly rounded, gives the float.  Raises OverflowError when the
-    sum passes the float range.
+    buckets are combined in Python ints (_exact_units), and one int / int
+    division, which is correctly rounded, gives the float.  Raises
+    OverflowError when the sum passes the float range.
     """
+    return _exact_units(x) / _ONE
+
+
+# 1.0 in the units of _exact_units, 2^(_FREXP_MIN - 53) each.
+_ONE = 1 << (53 - _FREXP_MIN)
+
+
+def _exact_units(x) -> int:
+    """The sum of the finite floats x as an exact integer count of units
+    2^(_FREXP_MIN - 53), the least power of two of any float's mantissa."""
     mant, exp = np.frexp(np.asarray(x, dtype=np.float64).ravel())
     mant = np.ldexp(mant, 53)
     hi = np.floor(np.ldexp(mant, -26))
@@ -97,7 +117,7 @@ def _exact_sum(x) -> float:
         ((int(h) << 26) + int(lo)) << k
         for k, h, lo in zip(nz.tolist(), his[nz].tolist(), los[nz].tolist())
     )
-    return total / (1 << (53 - _FREXP_MIN))
+    return total
 
 
 def tail_norm(spec: SeriesSpec, sigma: float, N: int):

@@ -12,10 +12,10 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from ._kernel import VerticalLine
-from .convolution import mollifier_coefficients
+from .convolution import _mollified
 from .errors import NumericalError, PreconditionError
 from .parallel import check_windows, finite_steps, map_spans
-from .series import _square_sum
+from .series import _finite_sums
 
 __all__ = [
     "Rectangle",
@@ -32,6 +32,11 @@ __all__ = [
 
 _REFINE_ROUNDS = 48
 _MAX_BOUNDARY_POINTS = 6_000_000
+
+# The first refinement round tests its steps in blocks of this many, which
+# keeps the temporaries of long runs in cache: a density table's four
+# 20,000-point sides took 1.6 to 2 times as long in one block.
+_STEP_BLOCK = 1 << 14
 
 # A recurrence window evaluates at most this many points (grid times x disc
 # lattice points); a disc lattice larger than this is refused.
@@ -98,26 +103,22 @@ class RecurrenceReport:
 # Winding engine
 
 
-def _polyline_winding(f, pts: np.ndarray, vals: np.ndarray, cert=None):
-    """(winding, pts, vals): the winding number of f along a closed polyline
-    (pts[-1] == pts[0]) given its values vals at pts, with the refined
-    polyline and its values.
-
-    The polyline is refined as _refinement refines it, and the winding is
-    the sum of its steps' argument changes, in polyline order, over 2 pi,
-    refused when it lies more than 0.25 from an integer.
-    """
-    # Driven here rather than by _refine: most polylines of a zero scan are
-    # accepted in their first round, where _refine's bookkeeping would cost
-    # more than the step tests.
-    refining = _refinement(pts, vals, cert)
-    try:
-        mids = next(refining)
-        while True:
-            mids = refining.send(f(mids))
-    except StopIteration as stop:
-        dphi, pts, vals, _, _ = stop.value
-    return _winding(float(np.sum(dphi))), pts, vals
+def _windings(f, polylines, cert=None) -> list:
+    """For each closed (pts, vals) polyline (pts[-1] == pts[0]), with the
+    values vals of f at its points, refined together by _refine:
+    (winding, pts, vals), the sum of its steps' argument changes over 2 pi,
+    refused when it lies more than 0.25 from an integer, with the refined
+    polyline and its values; or the NumericalError that stopped it."""
+    if not polylines:
+        return []
+    pts, vals = (x[0] if len(x) == 1 else np.concatenate(x) for x in zip(*polylines))
+    out = []
+    for got in _refine(f, pts, vals, [p.size for p, _ in polylines], cert):
+        try:
+            out.append(got if isinstance(got, NumericalError) else (_winding(got[0]), *got[3:]))
+        except NumericalError as exc:
+            out.append(exc)
+    return out
 
 
 def _winding(phase: float) -> int:
@@ -129,12 +130,13 @@ def _winding(phase: float) -> int:
     return int(nearest)
 
 
-def _refinement(pts: np.ndarray, vals: np.ndarray, cert):
-    """A generator that refines the polyline pts, with values vals at its
-    points, until every step is accepted.  It yields the midpoints of the
-    steps it bisects, is sent their values, and returns (dphi, pts, vals,
-    lo, hi): the argument change of each step of the refined polyline, its
-    points and values, and the least and largest |f| on it.
+def _refine(f, pts, vals, sizes, cert=None) -> list:
+    """Each run of the polylines packed in pts, with values vals at their
+    points, the first sizes[0] points the first run and so on (each at
+    least two), refined until every step is accepted: its (phase, lo, hi,
+    pts, vals), the sum of its steps' argument changes, the least and
+    largest |f| on it and its refined points and values; or the
+    NumericalError that stopped it.
 
     A step is accepted when its phase jump is under pi/2 and its value
     change under a tenth of the local |f|: a heuristic, which rules out
@@ -145,98 +147,153 @@ def _refinement(pts: np.ndarray, vals: np.ndarray, cert):
 
     A step's test reads only its two ends, so every step is tested once:
     all of them in the first round, then the two halves of each bisected
-    step.  It raises NumericalError when a value is not finite, when the
-    least |f| is at most 1e-12 times the largest ("zero near boundary"),
-    and when the polyline would pass _MAX_BOUNDARY_POINTS points or is
+    step.  A run stops with NumericalError when a value is not finite, when
+    its least |f| is at most 1e-12 times its largest ("zero near
+    boundary"), and when it would pass _MAX_BOUNDARY_POINTS points or is
     still refining after _REFINE_ROUNDS rounds.
+
+    Each round tests the pending steps of every run with whole-array
+    operations (the first round's in blocks of _STEP_BLOCK steps) and
+    evaluates the midpoints of every run still refining in one call to f;
+    when that call raises NumericalError it is made again run by run, and
+    only a run whose own call raises stops.  So each run is bisected as it
+    would be alone, with its own |f| bounds, errors and point cap, and its
+    phase is its steps' sum in polyline order (np.add.reduceat).  A run
+    that stops leaves the packed arrays; a finished run's pts and vals are
+    views of them.
     """
-    new, todo, lo, hi = vals, None, math.inf, 0.0
+    out = [None] * len(sizes)
+    # The runs still refining, by their index in sizes, and their point
+    # counts and |f| bounds; the values each got last round and, after the
+    # first round, the halves of the steps it bisected.
+    ids, sizes = np.arange(len(sizes)), np.asarray(sizes)
+    lo, hi = np.full(ids.size, math.inf), np.zeros(ids.size)
+    new, counts, todo = vals, sizes, None
     for _ in range(_REFINE_ROUNDS):
-        if not np.isfinite(new).all():
-            raise NumericalError("evaluator returned a non-finite boundary value")
+        starts = np.cumsum(sizes) - sizes
+        at = np.cumsum(counts) - counts
+        bad = ~np.logical_and.reduceat(np.isfinite(new), at)
         mags = np.abs(new)
-        lo, hi = min(lo, mags.min()), max(hi, mags.max())
-        if hi == 0.0 or lo <= 1e-12 * hi:
-            raise NumericalError("zero near boundary; perturb rectangle")
-        if todo is None:  # every step, in the first round
-            a, b, ma, mb = vals[:-1], vals[1:], mags[:-1], mags[1:]
-        else:  # the halves of the steps bisected last round
-            a, b = vals[todo], vals[todo + 1]
-            ma, mb = np.abs(a), np.abs(b)
-        step = np.angle(b / a)
-        need = (np.abs(step) >= 0.5 * math.pi) | (np.abs(b - a) > 0.1 * np.minimum(mb, ma))
-        if cert is not None:
-            lip, margin, limit = cert
-            h = np.abs(pts[1:] - pts[:-1] if todo is None else pts[todo + 1] - pts[todo])
-            need |= h > limit
-            need &= ~(lip * h < np.maximum(mb, ma) - margin)
+        lo = np.minimum(lo, np.minimum.reduceat(mags, at))
+        hi = np.maximum(hi, np.maximum.reduceat(mags, at))
+        stop = bad | (hi == 0.0) | (lo <= 1e-12 * hi)
+        for r, b in zip(ids[stop].tolist(), bad[stop].tolist()):
+            out[r] = NumericalError(
+                "evaluator returned a non-finite boundary value" if b
+                else "zero near boundary; perturb rectangle"
+            )
+        # A first-round pair that straddles two runs, or a step of a run
+        # stopped above, is tested with the rest and then dropped.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if todo is None:  # every step, in the first round, a block at a time
+                n = vals.size - 1
+                step, need = np.empty(n), np.empty(n, bool)
+                for i in range(0, n, _STEP_BLOCK):
+                    e = min(n, i + _STEP_BLOCK)
+                    j, k = slice(i, e), slice(i + 1, e + 1)
+                    step[j], need[j] = _step_test(
+                        vals[j], vals[k], mags[j], mags[k], pts[j], pts[k], cert
+                    )
+            else:  # the halves of the steps bisected last round
+                a, b = vals[todo], vals[todo + 1]
+                step, need = _step_test(a, b, np.abs(a), np.abs(b), pts[todo], pts[todo + 1], cert)
         if todo is None:
             dphi = step
+            need[starts[1:] - 1] = False
+            if stop.any():
+                need &= np.repeat(~stop, sizes)[:-1]
+            idx = np.flatnonzero(need)
         else:
+            if stop.any():
+                need &= np.repeat(~stop, 2 * counts)
             dphi[todo] = step
-        if not need.any():
-            return dphi, pts, vals, float(lo), float(hi)
-        idx = np.flatnonzero(need) if todo is None else todo[need]
-        if pts.size + idx.size > _MAX_BOUNDARY_POINTS:
-            raise NumericalError("zero near boundary; perturb rectangle")
+            idx = todo[need]
+        counts = np.bincount(np.searchsorted(starts, idx, "right") - 1, minlength=ids.size)
+        done = ~stop & (counts == 0)
+        if done.any():
+            ends = np.stack((starts[done], starts[done] + sizes[done] - 1), axis=1).ravel()
+            phases = np.add.reduceat(dphi, ends[:-1] if ends[-1] == dphi.size else ends)[::2]
+            for r, phase, i, j, l, u in zip(
+                ids[done].tolist(), phases.tolist(), ends[::2], ends[1::2], lo[done], hi[done]
+            ):
+                out[r] = (phase, float(l), float(u), pts[i : j + 1], vals[i : j + 1])
+        capped = (counts > 0) & (sizes + counts > _MAX_BOUNDARY_POINTS)
+        for r in ids[capped].tolist():
+            out[r] = NumericalError("zero near boundary; perturb rectangle")
+        go = (counts > 0) & ~capped
+        idx = idx[np.repeat(go, counts)]
+        if not go.any():
+            break
         mids = 0.5 * (pts[idx] + pts[idx + 1])
-        vals = np.insert(vals, idx + 1, (yield mids))
+        got = _group_values(f, mids, counts[go])
+        if isinstance(got, list):  # the call raised: the runs whose own call did not go on
+            for r, v in zip(ids[go].tolist(), got):
+                if isinstance(v, NumericalError):
+                    out[r] = v
+            ok = np.array([not isinstance(v, NumericalError) for v in got])
+            keep = np.repeat(ok, counts[go])
+            idx, mids = idx[keep], mids[keep]
+            go[go] = ok
+            if not go.any():
+                break
+            got = np.concatenate([v for v in got if not isinstance(v, NumericalError)])
+        if not go.all():  # drop the stopped runs' points
+            gone = np.where(go, 0, sizes)
+            keep = np.repeat(go, sizes)
+            pts, vals, dphi = pts[keep], vals[keep], dphi[keep[: dphi.size]]
+            idx = idx - np.repeat((np.cumsum(gone) - gone)[go], counts[go])
+            ids, sizes, lo, hi, counts = ids[go], sizes[go], lo[go], hi[go], counts[go]
+        vals = np.insert(vals, idx + 1, got)
         pts = np.insert(pts, idx + 1, mids)
         dphi = np.insert(dphi, idx + 1, 0.0)
+        sizes = sizes + counts
         # The halves of step idx[j] are steps idx[j] + j and idx[j] + j + 1.
         todo = np.repeat(idx + np.arange(idx.size), 2)
         todo[1::2] += 1
-        new = vals[todo[1::2]]
-    raise NumericalError("zero near boundary; perturb rectangle")
+        new = got
+    else:
+        for r in ids.tolist():
+            out[r] = NumericalError("zero near boundary; perturb rectangle")
+    return out
 
 
-def _refine(f, runs, cert) -> list:
-    """Each (pts, vals) polyline of runs refined by _refinement with cert:
-    its (phase, lo, hi, points), the sum of its steps' argument changes,
-    the least and largest |f| on it and its refined point count; or the
-    NumericalError that stopped it.
+def _step_test(a, b, ma, mb, pa, pb, cert):
+    """(step, need) for the steps from values a to values b (moduli ma, mb)
+    at points pa to pb: each step's argument change, and whether it must be
+    bisected (_refine's rule)."""
+    step = np.angle(b / a)
+    need = (np.abs(step) >= 0.5 * math.pi) | (np.abs(b - a) > 0.1 * np.minimum(mb, ma))
+    if cert is not None:
+        lip, margin, limit = cert
+        h = np.abs(pb - pa)
+        need |= h > limit
+        need &= ~(lip * h < np.maximum(mb, ma) - margin)
+    return step, need
 
-    The runs refine in step: each round evaluates the midpoints of every
-    run still refining in one call to f.  An evaluation that raises
-    NumericalError stops every run of its round, and so does a round that
-    would take the runs together past _MAX_BOUNDARY_POINTS points.
-    """
-    out = [None] * len(runs)
-    gens = [_refinement(pts, vals, cert) for pts, vals in runs]
-    live, sent = list(range(len(runs))), [None] * len(runs)
-    total = sum(pts.size for pts, _ in runs)
-    while live:
-        asked = []
-        for i in live:
-            try:
-                asked.append((i, gens[i].send(sent[i])))
-            except StopIteration as stop:
-                dphi, pts, _, lo, hi = stop.value
-                out[i] = float(np.sum(dphi)), lo, hi, pts.size
-            except NumericalError as exc:
-                out[i] = exc
-        if not asked:
-            break
-        live, mids = (list(x) for x in zip(*asked))
-        ends = list(accumulate(m.size for m in mids))
-        total += ends[-1]
+
+def _group_values(f, pts, counts):
+    """f at pts in one call; when it raises NumericalError and pts holds
+    more than one group (counts points each, in order), the list of each
+    group's values from a call of its own, or the NumericalError it
+    raised."""
+    try:
+        return np.asarray(f(pts))
+    except NumericalError as exc:
+        if counts.size == 1:
+            return [exc]
+    out = []
+    for g in np.split(pts, np.cumsum(counts)[:-1]):
         try:
-            if total > _MAX_BOUNDARY_POINTS:
-                raise NumericalError("zero near boundary; perturb rectangle")
-            vals = f(np.concatenate(mids))
+            out.append(f(g))
         except NumericalError as exc:
-            for i in live:
-                out[i] = exc
-            break
-        for i, lo, hi in zip(live, [0] + ends, ends):
-            sent[i] = vals[lo:hi]
+            out.append(exc)
     return out
 
 
 def _certificate(f, rect: Rectangle, step: float):
     """(spacing, cert) for counts on rect and on the cells inside it: the
     start spacing of every edge and cut, and cert = (L, margin, limit) for
-    _polyline_winding, or None for an evaluator without weights (zeta, an
+    _refine, or None for an evaluator without weights (zeta, an
     opaque callable), whose spacing is step.
 
     For a DirichletPolynomial, with F, L and R of its `weights` at
@@ -343,20 +400,30 @@ def _rect_edges(rect: Rectangle, step: float) -> list:
     return [bottom, right, top, left]
 
 
-def _rect_winding(f, rect: Rectangle, bound, boundary=None):
-    """(winding, pts, vals) of f around the rectangle, with its refined
-    boundary: a closed polyline counter-clockwise from the lower-left corner.
+def _rect_windings(f, rects, bound, boundaries=None) -> list:
+    """For each rectangle: (winding, pts, vals) of f around it, with its
+    refined boundary, a closed polyline counter-clockwise from the
+    lower-left corner; or the NumericalError that stopped its count.  The
+    boundaries are refined together (_windings).
 
-    bound is the (spacing, cert) of _certificate for rect, or for a
-    rectangle that holds it (a cell of a scan).  boundary is the polyline's
-    (pts, vals) when the caller has it already (a half cell: its parent's
-    refined boundary plus the cut); otherwise the edges are sampled at the
-    spacing.  Every count of a lone rectangle goes through here; density_table's
+    bound is the (spacing, cert) of _certificate for the rectangles, or for
+    a rectangle that holds them (the cells of a scan).  boundaries are the
+    polylines' (pts, vals) when the caller has them already (half cells:
+    their parent's refined boundary plus the cut); otherwise each
+    rectangle's edges are sampled at the spacing.  Every count of a lone
+    rectangle or of a zero scan's cells goes through here; density_table's
     nested rectangles go through _nested_windings.
     """
-    if boundary is None:
-        boundary = _sampled_boundary(f, rect, bound[0])
-    return _polyline_winding(f, *boundary, bound[1])
+    if boundaries is None:
+        boundaries = [_sampled_boundary(f, r, bound[0]) for r in rects]
+    return _windings(f, boundaries, bound[1])
+
+
+def _raised(got):
+    """got, a count's result, or raise it when it is a NumericalError."""
+    if isinstance(got, NumericalError):
+        raise got
+    return got
 
 
 def _sampled_boundary(f, rect: Rectangle, spacing: float):
@@ -383,7 +450,7 @@ def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
     of boundary_step, and only a step at most boundary_step long may pass
     by the heuristic instead.  Any other evaluator (zeta, a plain callable)
     is sampled at boundary_step, and every step passes by the heuristic
-    (_refinement).
+    (_refine).
 
     Raises:
         PreconditionError: the boundary step is not positive, or the boundary
@@ -392,7 +459,8 @@ def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
         NumericalError: boundary passes too close to a zero ("zero near
             boundary; perturb rectangle") or the phase does not stabilize.
     """
-    return _rect_winding(f, rect, _certificate(f, rect, boundary_step))[0]
+    bound = _certificate(f, rect, boundary_step)
+    return _raised(_rect_windings(f, [rect], bound)[0])[0]
 
 
 def winding_on_circle(f, center: complex, radius: float, samples: int = 256) -> int:
@@ -401,7 +469,7 @@ def winding_on_circle(f, center: complex, radius: float, samples: int = 256) -> 
         raise PreconditionError("circle radius must be positive")
     ring = _ring(center, radius, max(16, samples))
     pts = np.append(ring, ring[0])
-    return _polyline_winding(f, pts, f(pts))[0]
+    return _raised(_windings(f, [(pts, f(pts))])[0])[0]
 
 
 def _ring(center: complex, r: float, samples: int) -> np.ndarray:
@@ -511,16 +579,17 @@ def _newton(f, starts, keeps, tol):
 def _circle_windings(f, centers, radius: float, samples: int):
     """The winding of f along the inscribed polygon of the circle of radius
     about each center (as winding_on_circle), every polygon evaluated in
-    one call (_values); 0 where its evaluation or winding fails."""
+    one call (_values) and all refined together (_windings); 0 where its
+    evaluation or winding fails."""
     rings = [
         np.append(ring, ring[0]) for ring in (_ring(c, radius, samples) for c in centers)
     ]
+    vals = _values(f, rings)
+    got = iter(_windings(f, [(p, v) for p, v in zip(rings, vals) if v is not None]))
     out = []
-    for pts, vals in zip(rings, _values(f, rings)):
-        try:
-            out.append(0 if vals is None else _polyline_winding(f, pts, vals)[0])
-        except NumericalError:
-            out.append(0)
+    for v in vals:
+        w = None if v is None else next(got)
+        out.append(w[0] if isinstance(w, tuple) else 0)
     return out
 
 
@@ -531,10 +600,11 @@ def zero_scan(f, rect: Rectangle, tol: float = 1e-10, boundary_step: float = 0.0
     iteration from the cell center and re-verifies each zero on a small
     circle.  The cells are walked one level (generation) at a time, and a
     level's Newton candidates are stepped together and its circles
-    evaluated together (_level_zeros).  The rectangle's boundary is sampled
-    and refined once; each half of a split cell inherits its parent's
-    refined boundary on its side, so a split evaluates only the cut, and
-    counting the halves refines only near it.  A boundary that passes
+    evaluated together (_level_zeros); the halves of the level's split
+    cells are refined together (_split_level).  The rectangle's boundary is
+    sampled and refined once; each half of a split cell inherits its
+    parent's refined boundary on its side, so a split evaluates only the
+    cut, and counting the halves refines only near it.  A boundary that passes
     through a zero is pushed outward in 1e-3 steps (up to three times),
     which can only adopt zeros sitting on the original edge, never lose
     interior ones.  Cells whose refinement fails are returned with
@@ -551,7 +621,7 @@ def zero_scan(f, rect: Rectangle, tol: float = 1e-10, boundary_step: float = 0.0
 
     def count(r):
         bound = _certificate(f, r, boundary_step)
-        return r, bound, _rect_winding(f, r, bound)
+        return r, bound, _raised(_rect_windings(f, [r], bound)[0])
 
     cur, bound, (w, pts, vals) = _first_success(
         count, accumulate(repeat(1e-3, 3), Rectangle.expanded, initial=rect)
@@ -564,12 +634,12 @@ def zero_scan(f, rect: Rectangle, tol: float = 1e-10, boundary_step: float = 0.0
     level = [(cur, w, pts, vals)] if w else []
     while level:
         split = []
-        for (cell, w, pts, vals), rec in zip(level, _level_zeros(f, level, tol)):
+        for cell, rec in zip(level, _level_zeros(f, level, tol)):
             if rec is not None:
-                records += [rec] * w
+                records += [rec] * cell[1]
             else:
-                split += [h for h in _split(f, cell, w, pts, vals, bound) if h[1]]
-        level = split
+                split.append(cell)
+        level = [h for halves in _split_level(f, split, bound) for h in halves if h[1]]
     records.sort(key=lambda rec: (rec.location.imag, rec.location.real))
     return records
 
@@ -620,57 +690,89 @@ def _level_zeros(f, level, tol: float):
     return records
 
 
-def _split(f, cell: Rectangle, w: int, pts, vals, bound):
-    """The two halves of a cell of winding w, as (cell, winding, pts, vals),
-    lower or left half first.
+def _split_level(f, cells, bound) -> list:
+    """The two halves of each (cell, w, pts, vals) of cells, as (cell,
+    winding, pts, vals), lower or left half first.
 
-    The longer axis is cut at its middle, and the cut is nudged if it meets
-    a zero.  Only the cut is evaluated, in one call that both halves share.
+    The longer axis is cut at its middle, shifted by each of _NUDGES in
+    turn while the cut meets a zero.  Each try evaluates every pending
+    cell's cut in a call of its own (_halves), then counts the halves of
+    all of them together (_rect_windings); a cell whose halves fail, or
+    whose windings do not add up to w, moves on to its next cut.  The first
+    cell, in order, whose every cut fails raises the last error of its
+    cuts.  bound is the scan's (spacing, cert): the cuts start at its
+    spacing, and the halves count with its certificate.
+    """
+    out = [None] * len(cells)
+    errors = [NumericalError("could not place a zero-free cut")] * len(cells)
+    for shift in _NUDGES:
+        tried = []
+        for i, (cell, _, pts, vals) in enumerate(cells):
+            try:
+                split = out[i] is None and _halves(f, cell, shift, pts, vals, bound)
+            except NumericalError as exc:  # the cut's own evaluation
+                errors[i] = exc
+                continue
+            if split:
+                tried.append((i, *split))
+        halves = [x for t in tried for x in t[1:3]]
+        got = iter(_rect_windings(f, halves, bound, [x for t in tried for x in t[3:]]))
+        for i, first, second, _, _ in tried:
+            w1, w2 = next(got), next(got)
+            if isinstance(w1, NumericalError) or isinstance(w2, NumericalError):
+                errors[i] = w1 if isinstance(w1, NumericalError) else w2
+            elif w1[0] + w2[0] != cells[i][1]:
+                errors[i] = NumericalError(
+                    "winding split %d + %d does not match parent %d" % (w1[0], w2[0], cells[i][1])
+                )
+            else:
+                out[i] = (first, *w1), (second, *w2)
+    for i, halves in enumerate(out):
+        if halves is None:
+            raise errors[i]
+    return out
+
+
+def _halves(f, cell: Rectangle, shift: float, pts, vals, bound):
+    """(first, second, boundary1, boundary2): the halves of the cell split
+    across its longer axis at its middle plus shift, lower or left first,
+    and their boundaries as (pts, vals) polylines, with the cut evaluated
+    in one call (a VerticalLine where it is vertical); None when that cut
+    lies outside the cell.
+
     Each half's boundary is the cut plus the parent's refined points on its
     side of the cut: one run of the parent's polyline, which starts at the
     lower-left corner, for the upper or right half, and a run at each end
-    for the other.  bound is the scan's (spacing, cert): the cut starts at
-    its spacing, and the halves count with its certificate.
+    for the other.
     """
     across_t = cell.t_hi - cell.t_lo >= cell.sigma_hi - cell.sigma_lo
     lo, hi = (cell.t_lo, cell.t_hi) if across_t else (cell.sigma_lo, cell.sigma_hi)
-    base = 0.5 * (lo + hi)
-    cuts = [base + shift for shift in _NUDGES if lo < base + shift < hi]
-    if not cuts:
-        raise NumericalError("could not place a zero-free cut")
+    cut = 0.5 * (lo + hi) + shift
+    if not lo < cut < hi:
+        return None
     key = pts.imag if across_t else pts.real
-
-    def halves(cut):
-        # The cut runs the way the first half's boundary crosses it.
-        if across_t:
-            first, second = replace(cell, t_hi=cut), replace(cell, t_lo=cut)
-            z0, z1 = complex(cell.sigma_hi, cut), complex(cell.sigma_lo, cut)
-            line = np.linspace(z0, z1, _edge_count(z0, z1, bound[0]))
-        else:
-            first, second = replace(cell, sigma_hi=cut), replace(cell, sigma_lo=cut)
-            line = _side(cut, cell.t_lo, cell.t_hi, bound[0])
-        # The parent's points at or above the cut are the run [a, b), and
-        # those strictly above it the run [a2, b2).
-        above = np.flatnonzero(key >= cut)
-        a, b = above[0], above[-1] + 1
-        above = np.flatnonzero(key > cut)
-        a2, b2 = above[0], above[-1] + 1
-        pairs = ((pts, np.asarray(line)), (vals, f(line)))
-        p1, v1 = (np.concatenate((x[:a], seg, x[b:])) for x, seg in pairs)
-        # The second half starts at its lower-left corner, an end of the cut.
-        if across_t:
-            p2, v2 = (np.concatenate((seg[::-1], x[a2:b2], seg[-1:])) for x, seg in pairs)
-        else:
-            p2, v2 = (np.concatenate((seg[:1], x[a2:b2], seg[::-1])) for x, seg in pairs)
-        w1, p1, v1 = _rect_winding(f, first, bound, (p1, v1))
-        w2, p2, v2 = _rect_winding(f, second, bound, (p2, v2))
-        if w1 + w2 != w:
-            raise NumericalError(
-                "winding split %d + %d does not match parent %d" % (w1, w2, w)
-            )
-        return (first, w1, p1, v1), (second, w2, p2, v2)
-
-    return _first_success(halves, cuts)
+    # The cut runs the way the first half's boundary crosses it.
+    if across_t:
+        first, second = replace(cell, t_hi=cut), replace(cell, t_lo=cut)
+        z0, z1 = complex(cell.sigma_hi, cut), complex(cell.sigma_lo, cut)
+        line = np.linspace(z0, z1, _edge_count(z0, z1, bound[0]))
+    else:
+        first, second = replace(cell, sigma_hi=cut), replace(cell, sigma_lo=cut)
+        line = _side(cut, cell.t_lo, cell.t_hi, bound[0])
+    # The parent's points at or above the cut are the run [a, b), and
+    # those strictly above it the run [a2, b2).
+    above = np.flatnonzero(key >= cut)
+    a, b = above[0], above[-1] + 1
+    above = np.flatnonzero(key > cut)
+    a2, b2 = above[0], above[-1] + 1
+    pairs = ((pts, np.asarray(line)), (vals, f(line)))
+    one = tuple(np.concatenate((x[:a], seg, x[b:])) for x, seg in pairs)
+    # The second half starts at its lower-left corner, an end of the cut.
+    if across_t:
+        two = tuple(np.concatenate((seg[::-1], x[a2:b2], seg[-1:])) for x, seg in pairs)
+    else:
+        two = tuple(np.concatenate((seg[:1], x[a2:b2], seg[::-1])) for x, seg in pairs)
+    return first, second, one, two
 
 
 def density_table(
@@ -741,9 +843,9 @@ def _nested_windings(f, rects, step: float) -> list:
     lines' inner points, each side in a call of its own, and a run takes
     its ends' values from the corners, so the runs join exactly.  Runs are
     sampled and refined in batches of at most _MAX_BOUNDARY_POINTS / 2
-    points.  A rectangle passes the tests of _polyline_winding over its
-    runs: the least |f| above 1e-12 times the largest, at most
-    _MAX_BOUNDARY_POINTS points, and a winding within 0.25 of an integer.
+    points.  A rectangle passes the tests of _refine over its runs: the
+    least |f| above 1e-12 times the largest, at most _MAX_BOUNDARY_POINTS
+    points, and a winding within 0.25 of an integer.
     """
     wide = rects[0]
     spacing, cert = _certificate(f, wide, step)
@@ -767,24 +869,26 @@ def _nested_windings(f, rects, step: float) -> list:
     inner = iter(np.split(flat[2 * m :], np.cumsum([p.size for _, _, p in lines[:-1]])))
 
     def sampled(i, j, pts):
-        # A side's values come from its own call, its first node's dropped.
+        # A run's points and values as pieces, its corners at both ends.  A
+        # side's values come from its own call, its first node's dropped.
         if isinstance(pts, VerticalLine):
             vals, pts = f(pts)[1:], np.asarray(pts)[1:]
         else:
             vals = next(inner)
-        return (
-            np.concatenate(([corners[i]], pts, [corners[j]])),
-            np.concatenate(([at[i]], vals, [at[j]])),
-        )
+        return (corners[i : i + 1], pts, corners[j : j + 1]), (at[i : i + 1], vals, at[j : j + 1])
+
+    def refine(batch):
+        pts, vals = (np.concatenate([x for run in batch for x in run[k]]) for k in (0, 1))
+        return _refine(f, pts, vals, [run[0][1].size + 2 for run in batch], cert)
 
     done, batch, size = [], [], 0
     for run in lines + sides:
         if batch and size + run[2].size > _MAX_BOUNDARY_POINTS // 2:
-            done += _refine(f, batch, cert)
+            done += refine(batch)
             batch, size = [], 0
         batch.append(sampled(*run))
         size += run[2].size
-    done += _refine(f, batch, cert)
+    done += refine(batch)
     bottom, top, up = done[: m - 1], done[m - 1 : 2 * m - 2], done[2 * m - 2 :]
     return [
         _runs_winding(
@@ -804,7 +908,7 @@ def _runs_winding(runs) -> int:
             return got
     lo = min(got[1] for got, _ in runs)
     hi = max(got[2] for got, _ in runs)
-    points = sum(got[3] - 1 for got, _ in runs) + 1
+    points = sum(got[3].size - 1 for got, _ in runs) + 1
     if lo <= 1e-12 * hi or points > _MAX_BOUNDARY_POINTS:
         return NumericalError("zero near boundary; perturb rectangle")
     try:
@@ -1026,13 +1130,24 @@ def _rouche_checks(f, s0: complex, hits, r: float) -> list:
 
 def mollifier_tail_decay(a, b, sigma: float, X_list, N: int):
     """For each X: the squared-coefficient tail of the mollified series,
-    sum over X < n <= N of |d_n|^2 n^{-2 sigma}.
+    sum over X < n <= N of |d_n|^2 n^{-2 sigma}, with d the coefficients of
+    mollifier_coefficients(a, b, X, N); 0.0 for X >= N.
 
     The cut beyond N is covered by a geometric octave model: the last octave
     (N/2, N] is extrapolated by the ratio q = 2^{1-2 sigma}, which tracks the
     n^{-2 sigma} falloff of the summand.
 
+    One pass serves every X: the b_d are pushed once, in ascending d
+    (convolution._mollified), and at each distinct X, in ascending order,
+    its tail is read from the table as the pushes reach it; n^{-2 sigma} is
+    computed once, and each octave is summed from its tail's own terms.
+    The results come in the order of X_list, and an X that fails raises
+    only when the X before it in the list have their tails.  a and b are
+    checked as coefficient arrays only when some X is below N.
+
     Raises:
+        PreconditionError: as mollifier_coefficients, for the first X
+            below N (in list order) that it refuses.
         NumericalError: the tail passes the float range, or the
             extrapolated remainder exceeds 10% of the partial value
             ("increase N").
@@ -1043,23 +1158,30 @@ def mollifier_tail_decay(a, b, sigma: float, X_list, N: int):
         raise PreconditionError("need N >= 2")
     N = int(N)
     q = 2.0 ** (1.0 - 2.0 * sigma)
+    Xs = [int(X) for X in X_list]
+    todo = sorted({X for X in Xs if X < N})
+    tails, power = {}, None
+    # A coefficient past the float range makes the tail inf, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for X, d in _mollified(a, b, todo, N) if todo else ():
+            if isinstance(d, PreconditionError):
+                tails[X] = d
+                continue
+            if power is None:  # n^{-2 sigma} at n = 1..N
+                power = np.arange(1, N + 1, dtype=np.float64) ** (-2 * sigma)
+            # The tail, and its last octave (N/2, N] from the same terms.
+            sq = np.abs(d[X + 1 :]) ** 2 * power[X:]
+            tail, octave = _finite_sums(sq, max(X, N // 2) - X)
+            if not math.isfinite(tail):
+                tails[X] = NumericalError("the mollified tail is not a finite float")
+            elif octave * q / (1.0 - q) > 0.1 * tail:
+                tails[X] = NumericalError("increase N")
+            else:
+                tails[X] = tail
     out = []
-    for X in X_list:
-        X = int(X)
-        if X >= N:
-            out.append((X, 0.0))
-            continue
-        # A coefficient past the float range makes the tail inf, refused below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = mollifier_coefficients(a, b, X, N)
-        ns = np.arange(X + 1, N + 1, dtype=np.float64)
-        tail = _square_sum(d[X + 1 :], ns, sigma)
-        if not math.isfinite(tail):
-            raise NumericalError("the mollified tail is not a finite float")
-        octave_start = max(X, N // 2)
-        octave = _square_sum(d[octave_start + 1 :], ns[octave_start - X :], sigma)
-        remainder = octave * q / (1.0 - q)
-        if remainder > 0.1 * tail:
-            raise NumericalError("increase N")
+    for X in Xs:
+        tail = 0.0 if X >= N else tails[X]
+        if isinstance(tail, Exception):
+            raise tail
         out.append((X, tail))
     return out

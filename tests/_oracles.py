@@ -16,7 +16,9 @@ import numpy as np
 
 from dirichlet_lab import NumericalError, PreconditionError, Rectangle, RecurrenceReport, ZeroRecord
 from dirichlet_lab import zeros as _zeros
+from dirichlet_lab.convolution import mollifier_coefficients
 from dirichlet_lab.primes import _SIEVE_BOUND, primes_up_to
+from dirichlet_lab.series import _square_sum
 
 # mpmath.zeta at real points
 ZETA_2 = 1.6449340668482264
@@ -361,7 +363,7 @@ def zero_scan_per_cell(f, rect, tol=1e-10, boundary_step=0.01):
 
     def count(r):
         bound = _zeros._certificate(f, r, boundary_step)
-        return r, bound, _zeros._rect_winding(f, r, bound)
+        return r, bound, _zeros._raised(_zeros._rect_windings(f, [r], bound)[0])
 
     cur, bound, (w, pts, vals) = _zeros._first_success(
         count, accumulate(repeat(1e-3, 3), Rectangle.expanded, initial=rect)
@@ -373,7 +375,7 @@ def zero_scan_per_cell(f, rect, tol=1e-10, boundary_step=0.01):
         if rec is not None:
             records += [rec] * w
             continue
-        halves = _zeros._split(f, cell, w, pts, vals, bound)
+        halves = _zeros._split_level(f, [(cell, w, pts, vals)], bound)[0]
         pending += [half for half in reversed(halves) if half[1]]
     records.sort(key=lambda rec: (rec.location.imag, rec.location.real))
     return records
@@ -395,9 +397,9 @@ def rouche_verify_one(f, s0, t_j, r):
     return inner >= 1
 
 
-# --- Reference refinement: zeros._polyline_winding as it was before each
-# step was tested once, re-testing every step of the polyline in every
-# round. ---
+# --- Reference refinement: one polyline's winding as zeros counted it
+# before each step was tested once, re-testing every step of the polyline
+# in every round. ---
 
 
 def polyline_winding_every_round(f, pts, vals, cert=None):
@@ -431,3 +433,89 @@ def polyline_winding_every_round(f, pts, vals, cert=None):
         vals = np.insert(vals, idx + 1, f(mids))
         pts = np.insert(pts, idx + 1, mids)
     raise NumericalError("zero near boundary; perturb rectangle")
+
+
+# --- Reference refinement: zeros._refine's rules run one polyline at a
+# time, as a generator that tests each step once (all steps in the first
+# round, then the halves of each bisected step) and is sent the values of
+# the midpoints it yields, one evaluator call per round. ---
+
+
+def polyline_winding_one_at_a_time(f, pts, vals, cert=None):
+    """(winding, pts, vals) of f along the closed polyline pts, refined on
+    its own."""
+    refining = _refinement(pts, vals, cert)
+    try:
+        mids = next(refining)
+        while True:
+            mids = refining.send(f(mids))
+    except StopIteration as stop:
+        dphi, pts, vals = stop.value
+    return _zeros._winding(float(np.sum(dphi))), pts, vals
+
+
+def _refinement(pts, vals, cert):
+    new, todo, lo, hi = vals, None, math.inf, 0.0
+    for _ in range(_zeros._REFINE_ROUNDS):
+        if not np.isfinite(new).all():
+            raise NumericalError("evaluator returned a non-finite boundary value")
+        mags = np.abs(new)
+        lo, hi = min(lo, mags.min()), max(hi, mags.max())
+        if hi == 0.0 or lo <= 1e-12 * hi:
+            raise NumericalError("zero near boundary; perturb rectangle")
+        if todo is None:
+            a, b, ma, mb = vals[:-1], vals[1:], mags[:-1], mags[1:]
+        else:
+            a, b = vals[todo], vals[todo + 1]
+            ma, mb = np.abs(a), np.abs(b)
+        step = np.angle(b / a)
+        need = (np.abs(step) >= 0.5 * math.pi) | (np.abs(b - a) > 0.1 * np.minimum(mb, ma))
+        if cert is not None:
+            lip, margin, limit = cert
+            h = np.abs(pts[1:] - pts[:-1] if todo is None else pts[todo + 1] - pts[todo])
+            need |= h > limit
+            need &= ~(lip * h < np.maximum(mb, ma) - margin)
+        if todo is None:
+            dphi = step
+        else:
+            dphi[todo] = step
+        if not need.any():
+            return dphi, pts, vals
+        idx = np.flatnonzero(need) if todo is None else todo[need]
+        if pts.size + idx.size > _zeros._MAX_BOUNDARY_POINTS:
+            raise NumericalError("zero near boundary; perturb rectangle")
+        mids = 0.5 * (pts[idx] + pts[idx + 1])
+        vals = np.insert(vals, idx + 1, (yield mids))
+        pts = np.insert(pts, idx + 1, mids)
+        dphi = np.insert(dphi, idx + 1, 0.0)
+        todo = np.repeat(idx + np.arange(idx.size), 2)
+        todo[1::2] += 1
+        new = vals[todo[1::2]]
+    raise NumericalError("zero near boundary; perturb rectangle")
+
+
+# --- Reference mollifier tails: zeros.mollifier_tail_decay with a fresh
+# mollifier_coefficients table and two square sums per X. ---
+
+
+def mollifier_tail_decay_per_x(a, b, sigma, X_list, N):
+    """[(X, tail)] as mollifier_tail_decay gives it, one X at a time."""
+    q = 2.0 ** (1.0 - 2.0 * sigma)
+    out = []
+    for X in X_list:
+        X = int(X)
+        if X >= N:
+            out.append((X, 0.0))
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = mollifier_coefficients(a, b, X, N)
+        ns = np.arange(X + 1, N + 1, dtype=np.float64)
+        tail = _square_sum(d[X + 1 :], ns, sigma)
+        if not math.isfinite(tail):
+            raise NumericalError("the mollified tail is not a finite float")
+        octave_start = max(X, N // 2)
+        octave = _square_sum(d[octave_start + 1 :], ns[octave_start - X :], sigma)
+        if octave * q / (1.0 - q) > 0.1 * tail:
+            raise NumericalError("increase N")
+        out.append((X, tail))
+    return out

@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,8 +37,10 @@ from _oracles import (
     RH_ZERO_1,
     RVM_100,
     RVM_50,
+    mollifier_tail_decay_per_x,
     newton_refine,
     polyline_winding_every_round,
+    polyline_winding_one_at_a_time,
     recurrence_scan_all_rows,
     rouche_verify_one,
     zero_scan_per_cell,
@@ -82,17 +85,17 @@ def test_winding_evaluates_each_side_in_its_own_call(monkeypatch):
     # Each vertical side reaches the evaluator as a VerticalLine, the
     # kernel's matrix-product branch; the bottom and top sides are arrays.
     calls, polylines = [], []
-    winding = zeros_module._polyline_winding
+    refine = zeros_module._refine
 
-    def spy(f, pts, vals, *args):
-        polylines.append(pts)
-        return winding(f, pts, vals, *args)
+    def spy(f, pts, vals, sizes, *args):
+        polylines.extend(np.split(pts, np.cumsum(sizes)[:-1]))
+        return refine(f, pts, vals, sizes, *args)
 
     def f(s):
         calls.append(s)
         return ETA(s)
 
-    monkeypatch.setattr(zeros_module, "_polyline_winding", spy)
+    monkeypatch.setattr(zeros_module, "_refine", spy)
     assert winding_count(f, Rectangle(0.5, 1.5, 0.5, 31.5)) == 3
     kinds = [type(s) for s in calls[:4]]
     assert kinds == [np.ndarray, _kernel.VerticalLine, np.ndarray, _kernel.VerticalLine]
@@ -206,13 +209,13 @@ def test_newton_iterates_stay_in_their_cell(monkeypatch, g, rect):
 def _spy_windings(monkeypatch):
     """Record every rectangle the zero scanner counts on."""
     seen = []
-    count = zeros_module._rect_winding
+    count = zeros_module._rect_windings
 
-    def spy(f, rect, *args):
-        seen.append(rect)
-        return count(f, rect, *args)
+    def spy(f, rects, *args):
+        seen.extend(rects)
+        return count(f, rects, *args)
 
-    monkeypatch.setattr(zeros_module, "_rect_winding", spy)
+    monkeypatch.setattr(zeros_module, "_rect_windings", spy)
     return seen
 
 
@@ -414,22 +417,20 @@ def test_one_step_past_a_pair_of_zeros_is_bisected(T):
     #   the heuristic alone would pass the step, which is 7.9 steps long.
     pts = np.asarray([-1j * T, 3 - 1j * T, 3 + 1j * T, 1j * T, -1j * T])
     cert = zeros_module._certificate(PAIR, Rectangle(0.0, 3.0, -T, T), 0.01)[1]
-    w, refined, _ = zeros_module._polyline_winding(PAIR, pts, PAIR(pts), cert)
+    w, refined, _ = zeros_module._windings(PAIR, [(pts, PAIR(pts))], cert)[0]
     assert w == 2
     assert refined.size > pts.size
 
 
 def _both_windings(f, pts, vals, cert):
-    """What _polyline_winding and the reference that re-tests every step in
-    every round give: (winding, pts bytes, vals bytes), or the error text."""
-    out = []
-    for winding in (zeros_module._polyline_winding, polyline_winding_every_round):
-        try:
-            w, refined, values = winding(f, pts, vals, cert)
-            out.append((w, refined.tobytes(), values.tobytes()))
-        except NumericalError as exc:
-            out.append(str(exc))
-    return out
+    """What the engine (one polyline) and the reference that re-tests every
+    step in every round give: (winding, pts bytes, vals bytes), or the
+    error text."""
+    try:
+        old = _outcome(polyline_winding_every_round(f, pts, vals, cert))
+    except NumericalError as exc:
+        old = str(exc)
+    return [_outcome(zeros_module._windings(f, [(pts, vals)], cert)[0]), old]
 
 
 @pytest.mark.filterwarnings("ignore:accuracy not guaranteed")
@@ -480,6 +481,90 @@ def test_testing_each_step_once_fails_as_every_round(monkeypatch, case, message)
     assert new == old and new.startswith(message)
 
 
+def _outcome(got):
+    """A count's (winding, pts bytes, vals bytes), or its error text."""
+    if isinstance(got, NumericalError):
+        return str(got)
+    w, pts, vals = got
+    return w, pts.tobytes(), vals.tobytes()
+
+
+class _Refused(NumericalError):
+    pass
+
+
+# A zero of each polynomial, for a rectangle whose right side runs through it.
+_ENGINE_POLYS = {"eta": (ETA, 1.0 + 1j * PERIOD2), "ladder3": (LADDER3, 0.8 + 0j)}
+
+
+@settings(_PROPERTY, max_examples=40)
+@given(
+    name=st.sampled_from(sorted(_ENGINE_POLYS)),
+    boxes=st.lists(
+        st.tuples(st.floats(-0.5, 1.5), st.floats(0.05, 1.5), st.floats(-5.0, 30.0),
+                  st.floats(0.2, 12.0)),
+        min_size=1, max_size=6,
+    ),
+    spacing=st.sampled_from([0.01, 0.3, 1.0]),
+    certified=st.booleans(),
+    near_zero=st.booleans(),
+    trap=st.sampled_from([None, "non-finite", "raise", "point cap"]),
+    cut=st.floats(0.0, 1.0),
+    tilt=st.sampled_from([0.0, 12.0]),
+)
+def test_engine_refines_every_run_as_alone(
+    name, boxes, spacing, certified, near_zero, trap, cut, tilt
+):
+    # _refine packs the runs in one array and evaluates every round's
+    # midpoints in one call; a short polynomial's values do not depend on
+    # the other points of a call, so each run must come out with the bits,
+    # or the error, of the per-polyline loop.  The traps: values that are
+    # not finite right of a cut, an evaluator that refuses a call with a
+    # point above a cut (the batch is then evaluated run by run), and a
+    # point cap between the smallest and largest run.  The tilt
+    # exp(-12 Re s) sets runs 1e12 apart in |f| but less within a run, so
+    # each run's near-zero test must read its own bounds.
+    poly, zero = _ENGINE_POLYS[name]
+    rects = [Rectangle(x, x + w, t, t + h) for x, w, t, h in boxes]
+    if near_zero:
+        rects.append(Rectangle(zero.real - 0.5, zero.real, zero.imag - 1.0, zero.imag + 1.3))
+    hull = Rectangle(
+        min(r.sigma_lo for r in rects), max(r.sigma_hi for r in rects),
+        min(r.t_lo for r in rects), max(r.t_hi for r in rects),
+    )
+    cert = zeros_module._certificate(poly, hull, 0.01)[1] if certified else None
+    x_cut = hull.sigma_lo + cut * (hull.sigma_hi - hull.sigma_lo)
+    t_cut = hull.t_lo + cut * (hull.t_hi - hull.t_lo)
+
+    def f(s, traps=True):
+        s = np.asarray(s)
+        if traps and trap == "raise" and (s.imag > t_cut).any():
+            raise _Refused("refused above the cut")
+        vals = poly(s) * np.exp(-tilt * s.real)
+        if traps and trap == "non-finite":
+            return np.where(s.real > x_cut, np.nan, vals)
+        return vals
+
+    clean = partial(f, traps=False)
+    polylines = [zeros_module._sampled_boundary(clean, r, spacing) for r in rects]
+
+    cap = zeros_module._MAX_BOUNDARY_POINTS
+    if trap == "point cap":
+        sizes = sorted(p.size for p, _ in polylines)
+        zeros_module._MAX_BOUNDARY_POINTS = sizes[0] + int(cut * (sizes[-1] - sizes[0])) + 3
+    try:
+        got = [_outcome(g) for g in zeros_module._windings(f, polylines, cert)]
+        want = []
+        for pts, vals in polylines:
+            try:
+                want.append(_outcome(polyline_winding_one_at_a_time(f, pts, vals, cert)))
+            except NumericalError as exc:
+                want.append(str(exc))
+    finally:
+        zeros_module._MAX_BOUNDARY_POINTS = cap
+    assert got == want
+
+
 def test_certificate_margin_covers_the_rounding_of_f():
     # Against 30-digit values (exact log n), the modulus of every value the
     # kernel computes on an edge is within the margin of |f| at the edge's
@@ -526,14 +611,14 @@ def test_eta_scan_certifies_its_boundary_in_few_points(monkeypatch):
     for name in ("_newton", "_circle_windings"):
         fn = getattr(zeros_module, name)
         monkeypatch.setattr(zeros_module, name, lambda g, *args, fn=fn: fn(ETA, *args))
-    winding = zeros_module._polyline_winding
+    refine = zeros_module._refine
 
-    def spy(g, pts, vals, *args):
-        out = winding(g, pts, vals, *args)
-        first[:] = first or [out]
+    def spy(g, *args):
+        out = refine(g, *args)
+        first[:] = first or out[:1]
         return out
 
-    monkeypatch.setattr(zeros_module, "_polyline_winding", spy)
+    monkeypatch.setattr(zeros_module, "_refine", spy)
     rect = Rectangle(0.5, 1.5, -1.0, 1000.0)
     records = zero_scan(f, rect)
     assert len(records) == 111  # t = 0, PERIOD2, ..., 110 PERIOD2 < 1000
@@ -542,10 +627,24 @@ def test_eta_scan_certifies_its_boundary_in_few_points(monkeypatch):
         assert rec.winding_confirmed
     assert f.points < 10_000
     # Every step of the rectangle's own polyline is certified.
-    _, pts, vals = first[0]
+    _, _, _, pts, vals = first[0]
     lip, margin, _ = zeros_module._certificate(f, rect, 0.01)[1]
     mags = np.abs(vals)
     assert np.all(lip * np.abs(np.diff(pts)) < np.maximum(mags[1:], mags[:-1]) - margin)
+
+
+def test_eta_scan_evaluator_calls():
+    # recur-desk's zero scan: each cut is its own call, and each level's
+    # halves, Newton steps and circles share theirs.  Counting each half
+    # and each circle on its own, the scan made 207 calls.
+    calls = []
+
+    def f(s):
+        calls.append(np.size(s))
+        return ETA(s)
+
+    assert len(zero_scan(f, Rectangle(0.5, 1.5, -1.0, 1000.0))) == 111
+    assert len(calls) == 205
 
 
 # 1 + 2^{-s} (dlabbench/two_term.json), and the eta factor squared, whose
@@ -645,21 +744,22 @@ def test_uncertified_counts_keep_the_fixed_step_points(monkeypatch, f, count, re
     # at Re s = 0.5: every edge, cut and density run starts at the step,
     # and every polyline and run is refined exactly as before certificates.
     starts, polylines = [], []
-    certificate, refinement = zeros_module._certificate, zeros_module._refinement
+    certificate, refine = zeros_module._certificate, zeros_module._refine
 
     def spy_certificate(g, r, step):
         out = certificate(g, r, step)
         starts.append(out[0] == step)
         return out
 
-    def spy_refinement(pts, vals, cert):
-        entry = [pts, vals, None]
-        polylines.append(entry)  # in the order the refinements start
-        entry[2] = yield from refinement(pts, vals, cert)
-        return entry[2]
+    def spy_refine(g, pts, vals, sizes, cert=None):
+        out = refine(g, pts, vals, sizes, cert)
+        # In the order the refinements start: by call, then by run.
+        cuts = np.cumsum(sizes)[:-1]
+        polylines.extend(zip(np.split(pts, cuts), np.split(vals, cuts), out))
+        return out
 
     monkeypatch.setattr(zeros_module, "_certificate", spy_certificate)
-    monkeypatch.setattr(zeros_module, "_refinement", spy_refinement)
+    monkeypatch.setattr(zeros_module, "_refine", spy_refine)
     assert count(f, rect) == want
     assert starts and all(starts)
     if count is _density_count:
@@ -678,7 +778,7 @@ def test_uncertified_counts_keep_the_fixed_step_points(monkeypatch, f, count, re
         edges = [np.asarray(e) for e in zeros_module._rect_edges(rect, 0.01)]
         sampled = np.concatenate(edges[:3] + [edges[3][::-1]])
         np.testing.assert_array_equal(polylines[0][0], sampled)
-    for pts, vals, (_, refined, *_) in polylines:
+    for pts, vals, (_, _, _, refined, _) in polylines:
         np.testing.assert_array_equal(refined, _heuristic_refinement(f, pts, vals))
 
 
@@ -1139,6 +1239,53 @@ def test_mollifier_tail_decay_pins():
     # longer mollifiers kill more of the tail
     assert tails[1000] < tails[100] < tails[10]
     assert tails[1000] < 0.5 * tails[10]
+
+
+@pytest.mark.parametrize(
+    "series, X_list, N",
+    [
+        ("zeta", [1000, 10, 100, 10], 50_000),
+        ("zeta", [1, 2, 3, 7, 499, 500, 501, 2000], 500),
+        ("moebius", [300, 30, 3], 3000),
+        ("divisor_2", [20, 2, 200, 20], 4000),
+        ("character_12_2", [5, 50, 1], 2000),
+    ],
+)
+def test_mollifier_tail_decay_matches_one_table_per_cutoff(series, X_list, N):
+    # One push pass serves every X: unsorted and repeated cutoffs, X = 1
+    # and X >= N keep the bits of a fresh table and square sums per X.
+    spec = builtin_series(series)
+    a = spec.coeffs.dense(N)
+    b = inverse_coefficients(spec, N)
+    for sigma in (0.75, 0.9, 1.3):
+        try:
+            want = repr(mollifier_tail_decay_per_x(a, b, sigma, X_list, N))
+        except NumericalError as exc:
+            want = str(exc)
+        try:
+            got = repr(mollifier_tail_decay(a, b, sigma, X_list, N))
+        except NumericalError as exc:
+            got = str(exc)
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "X_list, message",
+    [
+        ([1, 300, 5], "b is not the Dirichlet inverse of a up to X"),
+        ([0, 5], "mollifier requires 1 <= X < N"),
+        ([1, 250], "coefficient arrays too short"),
+        ([300, 5, 200, 1], "b is not the Dirichlet inverse of a up to X"),
+    ],
+)
+def test_mollifier_tail_decay_refuses_as_one_table_per_cutoff(X_list, message):
+    # b = a inverts a only at X = 1; the first X in list order below N that
+    # fails raises, as the loop over cutoffs raised.
+    a = ZETA_SPEC.coeffs.dense(300)
+    b = a[:201]
+    for fn in (mollifier_tail_decay, mollifier_tail_decay_per_x):
+        with pytest.raises(PreconditionError, match=message):
+            fn(a, b, 0.75, X_list, 300)
 
 
 def test_mollifier_tail_decay_degenerate_cases():
