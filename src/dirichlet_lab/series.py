@@ -60,7 +60,7 @@ def default_evaluator(spec: SeriesSpec, N: int = 100_000):
 
 def _square_sum(values, ns, sigma: float, power=2) -> float:
     """sum |a|^power n^{-power sigma} (squares by default) over the paired
-    arrays values and ns (integer or float), correctly rounded (_exact_sum).
+    arrays values and ns (integer or float), correctly rounded (_exact_units).
     inf, without a warning, when a term or the sum passes the float range
     (an overflowed |a|^2 times an underflowed n^{-2 sigma} is such a term)."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -70,7 +70,7 @@ def _square_sum(values, ns, sigma: float, power=2) -> float:
 
 def _finite_sums(terms, cut=0) -> tuple:
     """(the sum of the nonnegative terms, the sum of terms[cut:]), each
-    correctly rounded (_exact_sum) from one exact pass over the terms; inf
+    correctly rounded (_exact_units) from one exact pass over the terms; inf
     for both when a term or the sum passes the float range."""
     if not np.isfinite(terms).all():
         return math.inf, math.inf
@@ -84,28 +84,23 @@ def _finite_sums(terms, cut=0) -> tuple:
 # frexp's least exponent, that of the smallest subnormal (2^-1074 = 0.5 * 2^-1073).
 _FREXP_MIN = -1073
 
-
-def _exact_sum(x) -> float:
-    """The sum of an array of fewer than 2^26 finite floats, correctly
-    rounded, as math.fsum gives it, but without a Python float per term.
-
-    Each x = M 2^(e - 53), with M the 53-bit integer mantissa of np.frexp.
-    M's 26-bit halves are summed per exponent e by np.bincount; every
-    partial sum is an integer below 2^53, so each bucket is exact.  The
-    buckets are combined in Python ints (_exact_units), and one int / int
-    division, which is correctly rounded, gives the float.  Raises
-    OverflowError when the sum passes the float range.
-    """
-    return _exact_units(x) / _ONE
-
-
 # 1.0 in the units of _exact_units, 2^(_FREXP_MIN - 53) each.
 _ONE = 1 << (53 - _FREXP_MIN)
 
 
 def _exact_units(x) -> int:
     """The sum of the finite floats x as an exact integer count of units
-    2^(_FREXP_MIN - 53), the least power of two of any float's mantissa."""
+    2^(_FREXP_MIN - 53), the least power of two of any float's mantissa;
+    _exact_units(x) / _ONE is the sum correctly rounded, as math.fsum gives
+    it, for fewer than 2^26 floats, without a Python float per term.
+
+    Each x = M 2^(e - 53), with M the 53-bit integer mantissa of np.frexp.
+    M's 26-bit halves are summed per exponent e by np.bincount; every
+    partial sum is an integer below 2^53, so each bucket is exact.  The
+    buckets are combined in Python ints, and one int / int division, which
+    is correctly rounded, gives the float; it raises OverflowError when the
+    sum passes the float range.
+    """
     mant, exp = np.frexp(np.asarray(x, dtype=np.float64).ravel())
     mant = np.ldexp(mant, 53)
     hi = np.floor(np.ldexp(mant, -26))

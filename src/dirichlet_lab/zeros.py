@@ -103,24 +103,6 @@ class RecurrenceReport:
 # Winding engine
 
 
-def _windings(f, polylines, cert=None) -> list:
-    """For each closed (pts, vals) polyline (pts[-1] == pts[0]), with the
-    values vals of f at its points, refined together by _refine:
-    (winding, pts, vals), the sum of its steps' argument changes over 2 pi,
-    refused when it lies more than 0.25 from an integer, with the refined
-    polyline and its values; or the NumericalError that stopped it."""
-    if not polylines:
-        return []
-    pts, vals = (x[0] if len(x) == 1 else np.concatenate(x) for x in zip(*polylines))
-    out = []
-    for got in _refine(f, pts, vals, [p.size for p, _ in polylines], cert):
-        try:
-            out.append(got if isinstance(got, NumericalError) else (_winding(got[0]), *got[3:]))
-        except NumericalError as exc:
-            out.append(exc)
-    return out
-
-
 def _winding(phase: float) -> int:
     """The integer phase / 2 pi, refused when it is more than 0.25 away."""
     total = phase / (2.0 * math.pi)
@@ -377,46 +359,92 @@ def _side(sigma: float, t_lo: float, t_hi: float, step: float, top=True):
     return VerticalLine(sigma, t_lo, (t_hi - t_lo) / (n - 1), n if top else n - 1)
 
 
-def _rect_edges(rect: Rectangle, step: float) -> list:
-    """The bottom, right, top and left edges of the rectangle, sampled at
-    spacing at most step (positive), with the size checked first.  The
-    horizontal edges are arrays without their end point.  The vertical sides
-    are VerticalLines run upward: the right side without its top point, the
-    left side whole and from the lower-left corner, so the polyline walks it
-    in reverse and ends exactly where it starts."""
-    c1 = complex(rect.sigma_lo, rect.t_lo)
-    c2 = complex(rect.sigma_hi, rect.t_lo)
-    c3 = complex(rect.sigma_hi, rect.t_hi)
-    c4 = complex(rect.sigma_lo, rect.t_hi)
-    right = _side(rect.sigma_hi, rect.t_lo, rect.t_hi, step, top=False)
-    left = _side(rect.sigma_lo, rect.t_lo, rect.t_hi, step)
-    across = _edge_count(c1, c2, step)
-    if 2 * across - 2 + right.size + left.size > _MAX_BOUNDARY_POINTS:
+def _rect_runs(f, rects, bound) -> list:
+    """Each rectangle's boundary as (run, sign) pairs: its bottom runs, its
+    right side, its top runs and its left side (a lone rectangle's four
+    sides), each run as _refine gives it and sign -1 for a run walked
+    backward (_runs_winding).  The rectangles share sigma_hi, t_lo and t_hi,
+    and the first has the least sigma_lo; bound is the (spacing, cert) of
+    _certificate for the first, whose certificate holds on every rectangle
+    inside it.
+
+    The boundaries are cut into runs at the corners x + i t_lo and
+    x + i t_hi, x each sigma_lo and sigma_hi: one vertical side up at each
+    x, and the bottom and top lines between neighbouring x, left to right.
+    A rectangle walks its bottom runs and the right side forward, then its
+    top runs and its left side backward.
+
+    Every run starts at the spacing and is refined once (_refine).  The
+    corners are evaluated in one call with the lines' inner points, each
+    side in a call of its own (a VerticalLine), and a run takes its ends'
+    values from the corners, so the runs join exactly.  Runs are sampled and
+    refined in batches of at most _MAX_BOUNDARY_POINTS / 2 points.
+    """
+    wide, (spacing, cert) = rects[0], bound
+    xs = sorted({r.sigma_lo for r in rects} | {wide.sigma_hi})
+    m = len(xs)
+    c = [complex(x, t) for t in (wide.t_lo, wide.t_hi) for x in xs]
+    corners = np.asarray(c)
+    # Runs as (start corner, end corner, inner points): the bottom and top
+    # lines, then the sides, whose VerticalLines start at their corner.
+    ends = [(i, i + 1) for i in (*range(m - 1), *range(m, 2 * m - 1))]
+    counts = [_edge_count(c[i], c[j], spacing) for i, j in ends]
+    sides = [(k, m + k, _side(x, wide.t_lo, wide.t_hi, spacing, top=False)) for k, x in enumerate(xs)]
+    # The widest rectangle's boundary: every line and the first and last side.
+    if sum(counts) - len(counts) + 2 * sides[0][2].size + 1 > _MAX_BOUNDARY_POINTS:
         raise PreconditionError(
             "the rectangle boundary needs more than %d points at step %g"
-            % (_MAX_BOUNDARY_POINTS, step)
+            % (_MAX_BOUNDARY_POINTS, spacing)
         )
-    bottom, top = (np.linspace(z0, z1, across)[:-1] for z0, z1 in ((c1, c2), (c3, c4)))
-    return [bottom, right, top, left]
+    lines = [(i, j, np.linspace(corners[i], corners[j], n)[1:-1]) for (i, j), n in zip(ends, counts)]
+    flat = f(np.concatenate([corners] + [p for _, _, p in lines]))
+    at = flat[: 2 * m]
+    inner = iter(np.split(flat[2 * m :], np.cumsum([p.size for _, _, p in lines[:-1]])))
+
+    def sampled(i, j, pts):
+        # A run's points and values as pieces, its corners at both ends.  A
+        # side's values come from its own call, its first node's dropped.
+        if isinstance(pts, VerticalLine):
+            vals, pts = f(pts)[1:], np.asarray(pts)[1:]
+        else:
+            vals = next(inner)
+        return (corners[i : i + 1], pts, corners[j : j + 1]), (at[i : i + 1], vals, at[j : j + 1])
+
+    done, batch, size = [], [], 0
+    for run in lines + sides:
+        if batch and size + run[2].size > _MAX_BOUNDARY_POINTS // 2:
+            done += _refined(f, batch, cert)
+            batch, size = [], 0
+        batch.append(sampled(*run))
+        size += run[2].size
+    done += _refined(f, batch, cert)
+    bottom, top, up = done[: m - 1], done[m - 1 : 2 * m - 2], done[2 * m - 2 :]
+    return [
+        [(r, 1) for r in bottom[k:]] + [(up[-1], 1)] + [(r, -1) for r in top[k:]] + [(up[k], -1)]
+        for k in (xs.index(r.sigma_lo) for r in rects)
+    ]
 
 
-def _rect_windings(f, rects, bound, boundaries=None) -> list:
-    """For each rectangle: (winding, pts, vals) of f around it, with its
-    refined boundary, a closed polyline counter-clockwise from the
-    lower-left corner; or the NumericalError that stopped its count.  The
-    boundaries are refined together (_windings).
-
-    bound is the (spacing, cert) of _certificate for the rectangles, or for
-    a rectangle that holds them (the cells of a scan).  boundaries are the
-    polylines' (pts, vals) when the caller has them already (half cells:
-    their parent's refined boundary plus the cut); otherwise each
-    rectangle's edges are sampled at the spacing.  Every count of a lone
-    rectangle or of a zero scan's cells goes through here; density_table's
-    nested rectangles go through _nested_windings.
-    """
-    if boundaries is None:
-        boundaries = [_sampled_boundary(f, r, bound[0]) for r in rects]
-    return _windings(f, boundaries, bound[1])
+def _runs_winding(runs) -> int:
+    """The winding along a closed boundary made of refined runs, each a
+    (run, sign) with the run as _refine gives it (or its error) and sign -1
+    for a run walked backward: its runs' phases, so signed, summed over
+    2 pi; or the first error among them.  The boundary passes _refine's
+    tests over all its runs: the least |f| above 1e-12 times the largest, at
+    most _MAX_BOUNDARY_POINTS points, and a winding within 0.25 of an
+    integer."""
+    phase, lo, hi, points = 0.0, math.inf, 0.0, 1
+    for got, sign in runs:
+        if isinstance(got, NumericalError):
+            return got
+        phase += sign * got[0]
+        lo, hi, points = min(lo, got[1]), max(hi, got[2]), points + got[3].size - 1
+    if lo <= 1e-12 * hi or points > _MAX_BOUNDARY_POINTS:
+        return NumericalError("zero near boundary; perturb rectangle")
+    try:
+        return _winding(phase)
+    except NumericalError as exc:
+        return exc
 
 
 def _raised(got):
@@ -426,22 +454,21 @@ def _raised(got):
     return got
 
 
-def _sampled_boundary(f, rect: Rectangle, spacing: float):
-    """(pts, vals) of the rectangle's polyline at the spacing, with one call
-    per edge, so that each vertical side reaches f as a VerticalLine (the
-    kernel's matrix-product branch).  The edges go when it returns, before
-    the refinement rounds."""
-    parts = [(np.asarray(e), f(e)) for e in _rect_edges(rect, spacing)]
-    parts[3] = tuple(x[::-1] for x in parts[3])  # the left side, downward
-    return tuple(np.concatenate(x) for x in zip(*parts))
+def _refined(f, runs, cert=None) -> list:
+    """_refine of the runs packed in one array, each run (pts, vals) as
+    sequences of pieces that join into its points and values."""
+    if not runs:
+        return []
+    pts, vals = (np.concatenate([x for run in runs for x in run[k]]) for k in (0, 1))
+    return _refine(f, pts, vals, [sum(x.size for x in run[0]) for run in runs], cert)
 
 
 def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
     """Zeros minus poles of f inside the rectangle, by boundary phase change.
 
-    f takes each edge in its own call; a vertical side comes as a
-    VerticalLine, whose nodes are np.asarray(s), and every other call as a
-    complex array.
+    f takes the corners and the inner points of the bottom and top in one
+    call and each vertical side in a call of its own, as a VerticalLine,
+    whose nodes are np.asarray(s); every other call is a complex array.
 
     boundary_step bounds only the steps accepted without a certificate.  A
     DirichletPolynomial (it has `weights`) certifies a step of length h when
@@ -460,7 +487,7 @@ def winding_count(f, rect: Rectangle, boundary_step: float = 0.01) -> int:
             boundary; perturb rectangle") or the phase does not stabilize.
     """
     bound = _certificate(f, rect, boundary_step)
-    return _raised(_rect_windings(f, [rect], bound)[0])[0]
+    return _raised(_runs_winding(_rect_runs(f, [rect], bound)[0]))
 
 
 def winding_on_circle(f, center: complex, radius: float, samples: int = 256) -> int:
@@ -469,7 +496,7 @@ def winding_on_circle(f, center: complex, radius: float, samples: int = 256) -> 
         raise PreconditionError("circle radius must be positive")
     ring = _ring(center, radius, max(16, samples))
     pts = np.append(ring, ring[0])
-    return _raised(_windings(f, [(pts, f(pts))])[0])[0]
+    return _raised(_runs_winding([(_refined(f, [((pts,), (f(pts),))])[0], 1)]))
 
 
 def _ring(center: complex, r: float, samples: int) -> np.ndarray:
@@ -482,19 +509,38 @@ def _ring(center: complex, r: float, samples: int) -> np.ndarray:
 # Zero scanning
 
 
-def _first_success(attempt, args):
-    """attempt(a) for the first a in args that raises no NumericalError.
+def _nudged(attempt, items, tries) -> list:
+    """For each of items, in order, attempt's result at the first of tries
+    where it succeeds.
 
     This is the one retry policy for a boundary that meets a zero: the
-    boundary is moved and the count tried again.  When every a fails, the
-    last error is re-raised.
+    boundary is moved and the count tried again.  attempt(pending, x) tries
+    the items that have no result yet together at x, and gives for each a
+    result, the NumericalError that stopped it, or None when x did not
+    apply to it; a NumericalError that attempt raises stops them all.  The
+    first item, in order, that no try succeeds for raises its last error
+    (a cut that no shift put inside its cell: "could not place a zero-free
+    cut").
     """
-    for a in args:
+    out = [None] * len(items)
+    errors = [NumericalError("could not place a zero-free cut")] * len(items)
+    for x in tries:
+        pending = [i for i, got in enumerate(out) if got is None]
+        if not pending:
+            break
         try:
-            return attempt(a)
+            got = attempt([items[i] for i in pending], x)
         except NumericalError as exc:
-            last_exc = exc
-    raise last_exc
+            got = [exc] * len(pending)
+        for i, g in zip(pending, got):
+            if isinstance(g, NumericalError):
+                errors[i] = g
+            elif g is not None:
+                out[i] = g
+    for i, got in enumerate(out):
+        if got is None:
+            raise errors[i]
+    return out
 
 
 def _eval_scalar(f, z: complex) -> complex:
@@ -579,17 +625,17 @@ def _newton(f, starts, keeps, tol):
 def _circle_windings(f, centers, radius: float, samples: int):
     """The winding of f along the inscribed polygon of the circle of radius
     about each center (as winding_on_circle), every polygon evaluated in
-    one call (_values) and all refined together (_windings); 0 where its
-    evaluation or winding fails."""
+    one call (_values) and all refined together, each a one-run cycle; 0
+    where its evaluation or winding fails."""
     rings = [
         np.append(ring, ring[0]) for ring in (_ring(c, radius, samples) for c in centers)
     ]
     vals = _values(f, rings)
-    got = iter(_windings(f, [(p, v) for p, v in zip(rings, vals) if v is not None]))
+    got = iter(_refined(f, [((p,), (v,)) for p, v in zip(rings, vals) if v is not None]))
     out = []
     for v in vals:
-        w = None if v is None else next(got)
-        out.append(w[0] if isinstance(w, tuple) else 0)
+        w = None if v is None else _runs_winding([(next(got), 1)])
+        out.append(w if isinstance(w, int) else 0)
     return out
 
 
@@ -601,14 +647,15 @@ def zero_scan(f, rect: Rectangle, tol: float = 1e-10, boundary_step: float = 0.0
     circle.  The cells are walked one level (generation) at a time, and a
     level's Newton candidates are stepped together and its circles
     evaluated together (_level_zeros); the halves of the level's split
-    cells are refined together (_split_level).  The rectangle's boundary is
-    sampled and refined once; each half of a split cell inherits its
-    parent's refined boundary on its side, so a split evaluates only the
-    cut, and counting the halves refines only near it.  A boundary that passes
-    through a zero is pushed outward in 1e-3 steps (up to three times),
-    which can only adopt zeros sitting on the original edge, never lose
-    interior ones.  Cells whose refinement fails are returned with
-    winding_confirmed False rather than dropped.
+    cells are refined together (_split_level).  The rectangle's sides are
+    sampled and refined once (_rect_runs), and a cell carries its four
+    sides as refined runs: a split evaluates only its cut, one run that
+    both halves walk, and refines only the cut and the pieces of the two
+    sides it crosses (_halves).  A boundary that passes through a zero is
+    pushed outward in 1e-3 steps (up to three times), which can only adopt
+    zeros sitting on the original edge, never lose interior ones.  Cells
+    whose refinement fails are returned with winding_confirmed False rather
+    than dropped.
 
     As in winding_count, f may receive a VerticalLine (a vertical side or
     cut), whose nodes are np.asarray(s), and boundary_step bounds only the
@@ -619,19 +666,20 @@ def zero_scan(f, rect: Rectangle, tol: float = 1e-10, boundary_step: float = 0.0
     if tol <= 0:
         raise PreconditionError("tolerance must be positive")
 
-    def count(r):
+    def count(_, r):
         bound = _certificate(f, r, boundary_step)
-        return r, bound, _raised(_rect_windings(f, [r], bound)[0])
+        sides = _rect_runs(f, [r], bound)[0]
+        w = _runs_winding(sides)
+        return [w if isinstance(w, NumericalError) else (r, bound, w, tuple(sides))]
 
-    cur, bound, (w, pts, vals) = _first_success(
-        count, accumulate(repeat(1e-3, 3), Rectangle.expanded, initial=rect)
+    ((cur, bound, w, sides),) = _nudged(
+        count, [rect], accumulate(repeat(1e-3, 3), Rectangle.expanded, initial=rect)
     )
     if w < 0:
         raise NumericalError("negative winding; the region contains poles")
     records = []
-    # A cell's boundary is dropped once it is split, so only the next
-    # level's halves keep theirs.
-    level = [(cur, w, pts, vals)] if w else []
+    # A cell's sides are dropped once it is split, but those its halves keep.
+    level = [(cur, w, sides)] if w else []
     while level:
         split = []
         for cell, rec in zip(level, _level_zeros(f, level, tol)):
@@ -652,7 +700,7 @@ def _cell_contains(cell: Rectangle, z: complex, margin: float) -> bool:
 
 
 def _level_zeros(f, level, tol: float):
-    """For each (cell, w, pts, vals) of a level: the ZeroRecord of a cell of
+    """For each (cell, w, sides) of a level: the ZeroRecord of a cell of
     winding one, or of a tiny cell of any winding (its w zeros are reported
     as one location), or None when the cell must be split.
 
@@ -663,7 +711,7 @@ def _level_zeros(f, level, tol: float):
     the circle of _CONFIRM_RADIUS about it winds at least once.
     """
     cands = []
-    for k, (cell, w, _, _) in enumerate(level):
+    for k, (cell, w, _) in enumerate(level):
         size = max(cell.sigma_hi - cell.sigma_lo, cell.t_hi - cell.t_lo)
         if w == 1 or size < 1e-6:
             cands.append((k, cell, 0.1 * size, size < 1e-6))
@@ -691,88 +739,107 @@ def _level_zeros(f, level, tol: float):
 
 
 def _split_level(f, cells, bound) -> list:
-    """The two halves of each (cell, w, pts, vals) of cells, as (cell,
-    winding, pts, vals), lower or left half first.
+    """The two halves of each (cell, w, sides) of cells, as (cell, winding,
+    sides), lower or left half first.
 
     The longer axis is cut at its middle, shifted by each of _NUDGES in
-    turn while the cut meets a zero.  Each try evaluates every pending
-    cell's cut in a call of its own (_halves), then counts the halves of
-    all of them together (_rect_windings); a cell whose halves fail, or
-    whose windings do not add up to w, moves on to its next cut.  The first
-    cell, in order, whose every cut fails raises the last error of its
-    cuts.  bound is the scan's (spacing, cert): the cuts start at its
-    spacing, and the halves count with its certificate.
+    turn while the cut meets a zero (_nudged).  Each try evaluates every
+    pending cell's cut in a call of its own (_halves), then refines the
+    cuts and the pieces of the sides they cross together (_refine); a cell
+    whose halves fail, or whose windings do not add up to w, moves on to
+    its next cut.  bound is the scan's (spacing, cert): the cuts start at
+    its spacing, and refine with its certificate.
     """
-    out = [None] * len(cells)
-    errors = [NumericalError("could not place a zero-free cut")] * len(cells)
-    for shift in _NUDGES:
-        tried = []
-        for i, (cell, _, pts, vals) in enumerate(cells):
+
+    def attempt(pending, shift):
+        splits = []
+        for cell in pending:
             try:
-                split = out[i] is None and _halves(f, cell, shift, pts, vals, bound)
+                splits.append(_halves(f, cell, shift, bound[0]))
             except NumericalError as exc:  # the cut's own evaluation
-                errors[i] = exc
+                splits.append(exc)
+        runs = [r for split in splits if isinstance(split, tuple) for r in split[2]]
+        new = iter(_refined(f, runs, bound[1]))
+        out = []
+        for (_, w, _), split in zip(pending, splits):
+            if not isinstance(split, tuple):
+                out.append(split)
                 continue
-            if split:
-                tried.append((i, *split))
-        halves = [x for t in tried for x in t[1:3]]
-        got = iter(_rect_windings(f, halves, bound, [x for t in tried for x in t[3:]]))
-        for i, first, second, _, _ in tried:
-            w1, w2 = next(got), next(got)
+            got = [next(new) for _ in split[2]]
+            sides = [
+                tuple((got[r] if isinstance(r, int) else r, sign) for r, sign in half)
+                for half in split[3]
+            ]
+            w1, w2 = (_runs_winding(half) for half in sides)
             if isinstance(w1, NumericalError) or isinstance(w2, NumericalError):
-                errors[i] = w1 if isinstance(w1, NumericalError) else w2
-            elif w1[0] + w2[0] != cells[i][1]:
-                errors[i] = NumericalError(
-                    "winding split %d + %d does not match parent %d" % (w1[0], w2[0], cells[i][1])
-                )
+                out.append(w1 if isinstance(w1, NumericalError) else w2)
+            elif w1 + w2 != w:
+                out.append(NumericalError(
+                    "winding split %d + %d does not match parent %d" % (w1, w2, w)
+                ))
             else:
-                out[i] = (first, *w1), (second, *w2)
-    for i, halves in enumerate(out):
-        if halves is None:
-            raise errors[i]
-    return out
+                out.append(((split[0], w1, sides[0]), (split[1], w2, sides[1])))
+        return out
+
+    return _nudged(attempt, cells, _NUDGES)
 
 
-def _halves(f, cell: Rectangle, shift: float, pts, vals, bound):
-    """(first, second, boundary1, boundary2): the halves of the cell split
-    across its longer axis at its middle plus shift, lower or left first,
-    and their boundaries as (pts, vals) polylines, with the cut evaluated
-    in one call (a VerticalLine where it is vertical); None when that cut
+def _halves(f, cell, shift: float, spacing: float):
+    """(first, second, runs, sides) for the (rect, w, sides) cell split
+    across its longer axis at its middle plus shift: the halves, lower or
+    left first; the new runs as (pts, vals), to be refined; and each half's
+    sides, bottom, right, top and left, as (run, sign), where run is one of
+    the cell's refined runs or the index of a new run.  None when that cut
     lies outside the cell.
 
-    Each half's boundary is the cut plus the parent's refined points on its
-    side of the cut: one run of the parent's polyline, which starts at the
-    lower-left corner, for the upper or right half, and a run at each end
-    for the other.
+    The cut is the first new run, evaluated in one call: a line from right
+    to left where it is horizontal, a VerticalLine up where it is vertical.
+    The first half walks it forward and the second backward.  The two sides
+    it crosses are split at its ends (_pieces), and their four pieces are
+    the other new runs.
     """
-    across_t = cell.t_hi - cell.t_lo >= cell.sigma_hi - cell.sigma_lo
-    lo, hi = (cell.t_lo, cell.t_hi) if across_t else (cell.sigma_lo, cell.sigma_hi)
-    cut = 0.5 * (lo + hi) + shift
-    if not lo < cut < hi:
+    rect, _, (bottom, right, top, left) = cell
+    across_t = rect.t_hi - rect.t_lo >= rect.sigma_hi - rect.sigma_lo
+    lo, hi = (rect.t_lo, rect.t_hi) if across_t else (rect.sigma_lo, rect.sigma_hi)
+    c = 0.5 * (lo + hi) + shift
+    if not lo < c < hi:
         return None
-    key = pts.imag if across_t else pts.real
-    # The cut runs the way the first half's boundary crosses it.
     if across_t:
-        first, second = replace(cell, t_hi=cut), replace(cell, t_lo=cut)
-        z0, z1 = complex(cell.sigma_hi, cut), complex(cell.sigma_lo, cut)
-        line = np.linspace(z0, z1, _edge_count(z0, z1, bound[0]))
+        first, second = replace(rect, t_hi=c), replace(rect, t_lo=c)
+        z0, z1 = complex(rect.sigma_hi, c), complex(rect.sigma_lo, c)
+        line = np.linspace(z0, z1, _edge_count(z0, z1, spacing))
+        crossed, part = (right, left), "imag"
     else:
-        first, second = replace(cell, sigma_hi=cut), replace(cell, sigma_lo=cut)
-        line = _side(cut, cell.t_lo, cell.t_hi, bound[0])
-    # The parent's points at or above the cut are the run [a, b), and
-    # those strictly above it the run [a2, b2).
-    above = np.flatnonzero(key >= cut)
-    a, b = above[0], above[-1] + 1
-    above = np.flatnonzero(key > cut)
-    a2, b2 = above[0], above[-1] + 1
-    pairs = ((pts, np.asarray(line)), (vals, f(line)))
-    one = tuple(np.concatenate((x[:a], seg, x[b:])) for x, seg in pairs)
-    # The second half starts at its lower-left corner, an end of the cut.
+        first, second = replace(rect, sigma_hi=c), replace(rect, sigma_lo=c)
+        line = _side(c, rect.t_lo, rect.t_hi, spacing)
+        crossed, part = (bottom, top), "real"
+    cut = (np.asarray(line),), (f(line),)
+    # The cut starts on the first crossed side and ends on the second; the
+    # new runs are the cut, then each crossed side's pieces below and above it.
+    runs = [cut]
+    for (run, _), tip in zip(crossed, (slice(0, 1), slice(-1, None))):
+        runs += _pieces(run, getattr(run[3], part), c, (cut[0][0][tip], cut[1][0][tip]))
+    (_, s0), (_, s1) = crossed
     if across_t:
-        two = tuple(np.concatenate((seg[::-1], x[a2:b2], seg[-1:])) for x, seg in pairs)
+        sides = (bottom, (1, s0), (0, 1), (3, s1)), ((0, -1), (2, s0), top, (4, s1))
     else:
-        two = tuple(np.concatenate((seg[:1], x[a2:b2], seg[::-1])) for x, seg in pairs)
-    return first, second, one, two
+        sides = ((1, s0), (0, 1), (3, s1), left), ((2, s0), right, (4, s1), (0, -1))
+    return first, second, runs, sides
+
+
+def _pieces(run, k, c: float, end):
+    """The points of the refined run whose k (their real or imaginary
+    parts, monotone along it) is below c, and those whose k is above it,
+    each joined to end, the (pts, vals) of the cut's end on it: two runs as
+    (pts, vals) pieces in the run's direction."""
+    pts, vals = run[3], run[4]
+    (z, v), n = end, k.size
+    if k[0] < k[-1]:
+        i, j = k.searchsorted(c), k.searchsorted(c, "right")
+        return ((pts[:i], z), (vals[:i], v)), ((z, pts[j:]), (v, vals[j:]))
+    # Falling: the points above c are the first n - j, those below the last n - i.
+    i, j = n - k[::-1].searchsorted(c), n - k[::-1].searchsorted(c, "right")
+    return ((z, pts[i:]), (v, vals[i:])), ((pts[:j], z), (vals[:j], v))
 
 
 def density_table(
@@ -791,13 +858,13 @@ def density_table(
     counted (t_lo = -1e-3); evaluators with a pole at s = 1 set
     exclude_origin to start just above it instead (t_lo = 1e-3).
 
-    The rectangles of one attempt share their sides (_nested_windings): one
+    The rectangles of one attempt share their sides (_rect_runs): one
     vertical side per distinct sigma and one at sigma_hi, and the bottom
     and top lines cut at each sigma, each refined once.  A row whose count
     fails (its boundary meets a zero) is tried again with its sigma and
-    sigma_hi both shifted by +1e-3, then -1e-3, then +2e-3; rows already
-    counted are not counted again, and when a row fails at every shift its
-    last error is raised.  As in winding_count, f may receive a
+    sigma_hi both shifted by +1e-3, then -1e-3, then +2e-3 (_nudged); rows
+    already counted are not counted again, and when a row fails at every
+    shift its last error is raised.  As in winding_count, f may receive a
     VerticalLine (a vertical side), whose nodes are np.asarray(s), and
     boundary_step bounds only the steps accepted without a certificate.
     """
@@ -807,114 +874,17 @@ def density_table(
     sigmas = [float(sigma) for sigma in sigma_list]
     if any(sigma >= sigma_hi for sigma in sigmas):
         raise PreconditionError("sigma must be below sigma_hi")
-    counts, errors = {}, {}
-    for d in _NUDGES:
-        todo = sorted({sigma for sigma in sigmas if sigma not in counts})
-        if not todo:
-            break
-        rects = [Rectangle(sigma + d, sigma_hi + d, t_lo, T) for sigma in todo]
-        try:
-            got = _nested_windings(f, rects, boundary_step)
-        except NumericalError as exc:  # the evaluator failed on a sampled side
-            got = [exc] * len(rects)
-        for sigma, c in zip(todo, got):
-            (errors if isinstance(c, NumericalError) else counts)[sigma] = c
-    for sigma in sigmas:
-        if sigma not in counts:
-            raise errors[sigma]
+
+    def attempt(todo, d):
+        order = sorted(todo)
+        rects = [Rectangle(sigma + d, sigma_hi + d, t_lo, T) for sigma in order]
+        runs = _rect_runs(f, rects, _certificate(f, rects[0], boundary_step))
+        got = dict(zip(order, map(_runs_winding, runs)))
+        return [got[sigma] for sigma in todo]
+
+    distinct = list(dict.fromkeys(sigmas))
+    counts = dict(zip(distinct, _nudged(attempt, distinct, _NUDGES)))
     return [(sigma, T, counts[sigma]) for sigma in sigmas]
-
-
-def _nested_windings(f, rects, step: float) -> list:
-    """The winding of f around each of rects, or the NumericalError that
-    stopped its count.  The rectangles share sigma_hi, t_lo and t_hi, and
-    the first has the least sigma_lo.
-
-    The boundaries are cut into runs at the corners x + i t_lo and
-    x + i t_hi, x each sigma_lo and sigma_hi: one vertical side up at each
-    x, and the bottom and top lines between neighbouring x, left to right.
-    A rectangle walks its bottom runs and the right side forward, then its
-    top runs and its left side backward, so its winding is the sum of its
-    runs' argument changes, those walked backward negated.
-
-    Every run starts at the spacing of _certificate for the widest
-    rectangle, whose certificate holds on every rectangle inside it, and is
-    refined once (_refine).  The corners are evaluated in one call with the
-    lines' inner points, each side in a call of its own, and a run takes
-    its ends' values from the corners, so the runs join exactly.  Runs are
-    sampled and refined in batches of at most _MAX_BOUNDARY_POINTS / 2
-    points.  A rectangle passes the tests of _refine over its runs: the
-    least |f| above 1e-12 times the largest, at most _MAX_BOUNDARY_POINTS
-    points, and a winding within 0.25 of an integer.
-    """
-    wide = rects[0]
-    spacing, cert = _certificate(f, wide, step)
-    xs = sorted({r.sigma_lo for r in rects} | {wide.sigma_hi})
-    m = len(xs)
-    corners = np.asarray([complex(x, t) for t in (wide.t_lo, wide.t_hi) for x in xs])
-    # Runs as (start corner, end corner, inner points): the bottom and top
-    # lines, then the sides, whose VerticalLines start at their corner.
-    ends = [(i, i + 1) for i in (*range(m - 1), *range(m, 2 * m - 1))]
-    counts = [_edge_count(corners[i], corners[j], spacing) for i, j in ends]
-    sides = [(k, m + k, _side(x, wide.t_lo, wide.t_hi, spacing, top=False)) for k, x in enumerate(xs)]
-    # The widest rectangle's polyline: every line and the first and last side.
-    if sum(counts) - len(counts) + 2 * sides[0][2].size + 1 > _MAX_BOUNDARY_POINTS:
-        raise PreconditionError(
-            "the rectangle boundary needs more than %d points at step %g"
-            % (_MAX_BOUNDARY_POINTS, spacing)
-        )
-    lines = [(i, j, np.linspace(corners[i], corners[j], n)[1:-1]) for (i, j), n in zip(ends, counts)]
-    flat = f(np.concatenate([corners] + [p for _, _, p in lines]))
-    at = flat[: 2 * m]
-    inner = iter(np.split(flat[2 * m :], np.cumsum([p.size for _, _, p in lines[:-1]])))
-
-    def sampled(i, j, pts):
-        # A run's points and values as pieces, its corners at both ends.  A
-        # side's values come from its own call, its first node's dropped.
-        if isinstance(pts, VerticalLine):
-            vals, pts = f(pts)[1:], np.asarray(pts)[1:]
-        else:
-            vals = next(inner)
-        return (corners[i : i + 1], pts, corners[j : j + 1]), (at[i : i + 1], vals, at[j : j + 1])
-
-    def refine(batch):
-        pts, vals = (np.concatenate([x for run in batch for x in run[k]]) for k in (0, 1))
-        return _refine(f, pts, vals, [run[0][1].size + 2 for run in batch], cert)
-
-    done, batch, size = [], [], 0
-    for run in lines + sides:
-        if batch and size + run[2].size > _MAX_BOUNDARY_POINTS // 2:
-            done += refine(batch)
-            batch, size = [], 0
-        batch.append(sampled(*run))
-        size += run[2].size
-    done += refine(batch)
-    bottom, top, up = done[: m - 1], done[m - 1 : 2 * m - 2], done[2 * m - 2 :]
-    return [
-        _runs_winding(
-            [(r, 1) for r in bottom[k:]] + [(up[-1], 1)]
-            + [(r, -1) for r in top[k:]] + [(up[k], -1)]
-        )
-        for k in (xs.index(r.sigma_lo) for r in rects)
-    ]
-
-
-def _runs_winding(runs) -> int:
-    """The winding along a closed polyline made of refined runs, each a
-    (run, sign) with the run as _refine gives it (or its error) and sign -1
-    for a run walked backward; or the first error among them."""
-    for got, _ in runs:
-        if isinstance(got, NumericalError):
-            return got
-    lo = min(got[1] for got, _ in runs)
-    hi = max(got[2] for got, _ in runs)
-    points = sum(got[3].size - 1 for got, _ in runs) + 1
-    if lo <= 1e-12 * hi or points > _MAX_BOUNDARY_POINTS:
-        return NumericalError("zero near boundary; perturb rectangle")
-    try:
-        return _winding(sum(sign * got[0] for got, sign in runs))
-    except NumericalError as exc:
-        return exc
 
 
 # ---------------------------------------------------------------------------

@@ -360,22 +360,22 @@ def cell_zero(f, cell, w, tol):
 
 def zero_scan_per_cell(f, rect, tol=1e-10, boundary_step=0.01):
     """zeros.zero_scan with each cell refined on its own, depth first."""
-
-    def count(r):
-        bound = _zeros._certificate(f, r, boundary_step)
-        return r, bound, _zeros._raised(_zeros._rect_windings(f, [r], bound)[0])
-
-    cur, bound, (w, pts, vals) = _zeros._first_success(
-        count, accumulate(repeat(1e-3, 3), Rectangle.expanded, initial=rect)
-    )
-    records, pending = [], [(cur, w, pts, vals)] if w else []
+    for cur in accumulate(repeat(1e-3, 3), Rectangle.expanded, initial=rect):
+        bound = _zeros._certificate(f, cur, boundary_step)
+        sides = tuple(_zeros._rect_runs(f, [cur], bound)[0])
+        w = _zeros._runs_winding(sides)
+        if not isinstance(w, NumericalError):
+            break
+    else:
+        raise w
+    records, pending = [], [(cur, w, sides)] if w else []
     while pending:
-        cell, w, pts, vals = pending.pop()
+        cell, w, sides = pending.pop()
         rec = cell_zero(f, cell, w, tol)
         if rec is not None:
             records += [rec] * w
             continue
-        halves = _zeros._split_level(f, [(cell, w, pts, vals)], bound)[0]
+        halves = _zeros._split_level(f, [(cell, w, sides)], bound)[0]
         pending += [half for half in reversed(halves) if half[1]]
     records.sort(key=lambda rec: (rec.location.imag, rec.location.real))
     return records

@@ -553,10 +553,11 @@ def test_the_parser_is_built_once_per_process():
         # The top node passes zeta's term cap: refused before any window.
         (["moment", "--series", "zeta", "--sigma", "0.75", "--T", "8e7",
           "--step", "0.05"], 1, "dlab: precondition: zeta at |Im s| = 8e+07 "),
-        # The bottom side reaches Re s = 9.999e8: N doubles past zeta's term
-        # cap for the real parts, and the line names them, not the height.
+        # The first call, the corners with the inner points of the bottom
+        # and top, reaches Re s = 1e9: N doubles past zeta's term cap for
+        # the real parts, and the line names them, not the height.
         (["zeros", "--series", "zeta", "--rect", "0.5,1e9,10,11", "--step", "1e5"], 1,
-         "dlab: precondition: zeta at max Re s = 9.999e+08: "),
+         "dlab: precondition: zeta at max Re s = 1e+09: "),
     ],
     ids=["recur-r-1e155", "recur-r-1e154", "zeta-sigma-1e300", "zeta-T-8e7", "zeta-re-1e9"],
 )

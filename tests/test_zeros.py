@@ -83,12 +83,13 @@ def test_winding_is_additive_across_a_cut():
 
 def test_winding_evaluates_each_side_in_its_own_call(monkeypatch):
     # Each vertical side reaches the evaluator as a VerticalLine, the
-    # kernel's matrix-product branch; the bottom and top sides are arrays.
-    calls, polylines = [], []
+    # kernel's matrix-product branch; the corners and the inner points of
+    # the bottom and top share one array.
+    calls, runs = [], []
     refine = zeros_module._refine
 
     def spy(f, pts, vals, sizes, *args):
-        polylines.extend(np.split(pts, np.cumsum(sizes)[:-1]))
+        runs.extend(np.split(pts, np.cumsum(sizes)[:-1]))
         return refine(f, pts, vals, sizes, *args)
 
     def f(s):
@@ -97,15 +98,17 @@ def test_winding_evaluates_each_side_in_its_own_call(monkeypatch):
 
     monkeypatch.setattr(zeros_module, "_refine", spy)
     assert winding_count(f, Rectangle(0.5, 1.5, 0.5, 31.5)) == 3
-    kinds = [type(s) for s in calls[:4]]
-    assert kinds == [np.ndarray, _kernel.VerticalLine, np.ndarray, _kernel.VerticalLine]
-    right, left = calls[1], calls[3]
+    kinds = [type(s) for s in calls[:3]]
+    assert kinds == [np.ndarray, _kernel.VerticalLine, _kernel.VerticalLine]
+    left, right = calls[1], calls[2]
     assert (right.sigma, right.t0, left.sigma, left.t0) == (1.5, 0.5, 0.5, 0.5)
-    # The left side runs up from the start corner, so the polyline, which
-    # walks it down, closes exactly.
-    pts = polylines[0]
-    assert pts[0] == 0.5 + 0.5j and pts[-1] == pts[0]
-    assert pts.size == sum(np.size(s) for s in calls[:4])
+    # The bottom, top, left and right runs end exactly at the corners, so
+    # the boundary closes exactly.
+    c1, c2, c3, c4 = 0.5 + 0.5j, 1.5 + 0.5j, 1.5 + 31.5j, 0.5 + 31.5j
+    assert [(p[0], p[-1]) for p in runs[:4]] == [(c1, c2), (c4, c3), (c1, c4), (c2, c3)]
+    # Every evaluated point is in one run but the sides' first nodes, whose
+    # corners end two runs each, as every other corner does.
+    assert sum(p.size for p in runs[:4]) == sum(np.size(s) for s in calls[:3]) + 2
 
 
 def test_winding_zero_on_edge_is_detected():
@@ -207,15 +210,22 @@ def test_newton_iterates_stay_in_their_cell(monkeypatch, g, rect):
 
 
 def _spy_windings(monkeypatch):
-    """Record every rectangle the zero scanner counts on."""
+    """Record every rectangle the zero scanner samples and every half cell
+    it counts."""
     seen = []
-    count = zeros_module._rect_windings
+    sample, split = zeros_module._rect_runs, zeros_module._split_level
 
-    def spy(f, rects, *args):
+    def spy_sample(f, rects, *args):
         seen.extend(rects)
-        return count(f, rects, *args)
+        return sample(f, rects, *args)
 
-    monkeypatch.setattr(zeros_module, "_rect_windings", spy)
+    def spy_split(*args):
+        out = split(*args)
+        seen.extend(half[0] for halves in out for half in halves)
+        return out
+
+    monkeypatch.setattr(zeros_module, "_rect_runs", spy_sample)
+    monkeypatch.setattr(zeros_module, "_split_level", spy_split)
     return seen
 
 
@@ -245,7 +255,7 @@ def test_zero_scan_gives_up_when_every_expansion_meets_a_zero(monkeypatch):
 
 
 def test_zero_scan_evaluates_each_boundary_point_once(monkeypatch):
-    # Halves inherit their parent's refined boundary, so beyond the first
+    # Halves keep their parent's refined sides, so beyond the first
     # boundary only the cuts (and refinement near them) are evaluated;
     # the batched Newton steps and confirming circles are not counted here.
     counted = [0]
@@ -272,8 +282,8 @@ def test_zero_scan_evaluates_each_boundary_point_once(monkeypatch):
         monkeypatch.setattr(zeros_module, name, uncounted(name, getattr(zeros_module, name)))
     rect = Rectangle(0.5, 1.5, -1.0, 200.0)
     records = zero_scan(f, rect)
-    first = sum(edge.size for edge in zeros_module._rect_edges(rect, 0.01))
-    assert counted[0] <= 1.2 * first
+    perimeter = 2.0 * (rect.sigma_hi - rect.sigma_lo + rect.t_hi - rect.t_lo)
+    assert counted[0] <= 1.2 * perimeter / 0.01  # the boundary's points at step 0.01
     assert min(hooked.values()) >= 1
     assert len(records) == 23  # t = 0, PERIOD2, ..., 22 PERIOD2 < 200
     for k, rec in enumerate(records):
@@ -313,13 +323,13 @@ def test_density_critical_strip_counts():
 def _spy_attempts(monkeypatch):
     """Record the sigma_lo of the rectangles of every density attempt."""
     seen = []
-    count = zeros_module._nested_windings
+    count = zeros_module._rect_runs
 
     def spy(f, rects, *args):
         seen.append([r.sigma_lo for r in rects])
         return count(f, rects, *args)
 
-    monkeypatch.setattr(zeros_module, "_nested_windings", spy)
+    monkeypatch.setattr(zeros_module, "_rect_runs", spy)
     return seen
 
 
@@ -417,9 +427,30 @@ def test_one_step_past_a_pair_of_zeros_is_bisected(T):
     #   the heuristic alone would pass the step, which is 7.9 steps long.
     pts = np.asarray([-1j * T, 3 - 1j * T, 3 + 1j * T, 1j * T, -1j * T])
     cert = zeros_module._certificate(PAIR, Rectangle(0.0, 3.0, -T, T), 0.01)[1]
-    w, refined, _ = zeros_module._windings(PAIR, [(pts, PAIR(pts))], cert)[0]
+    w, refined, _ = _cycles(PAIR, [(pts, PAIR(pts))], cert)[0]
     assert w == 2
     assert refined.size > pts.size
+
+
+def _cycles(f, polylines, cert=None):
+    """For each closed (pts, vals) polyline, refined together as one-run
+    cycles: (winding, pts, vals), or the NumericalError that stopped it."""
+    out = []
+    for run in zeros_module._refined(f, [((p,), (v,)) for p, v in polylines], cert):
+        w = zeros_module._runs_winding([(run, 1)])
+        out.append(w if isinstance(w, NumericalError) else (w, *run[3:]))
+    return out
+
+
+def _polyline(f, rect, spacing):
+    """(pts, vals) of f on the rectangle's closed polyline, counter-clockwise
+    from the lower-left corner, each edge at spacing at most spacing."""
+    c = [complex(x, t) for x, t in ((rect.sigma_lo, rect.t_lo), (rect.sigma_hi, rect.t_lo),
+                                     (rect.sigma_hi, rect.t_hi), (rect.sigma_lo, rect.t_hi))]
+    edges = [np.linspace(a, b, zeros_module._edge_count(a, b, spacing))[:-1]
+             for a, b in zip(c, c[1:] + c[:1])]
+    pts = np.concatenate(edges + [c[:1]])
+    return pts, f(pts)
 
 
 def _both_windings(f, pts, vals, cert):
@@ -430,7 +461,7 @@ def _both_windings(f, pts, vals, cert):
         old = _outcome(polyline_winding_every_round(f, pts, vals, cert))
     except NumericalError as exc:
         old = str(exc)
-    return [_outcome(zeros_module._windings(f, [(pts, vals)], cert)[0]), old]
+    return [_outcome(_cycles(f, [(pts, vals)], cert)[0]), old]
 
 
 @pytest.mark.filterwarnings("ignore:accuracy not guaranteed")
@@ -453,7 +484,7 @@ def test_testing_each_step_once_refines_as_every_round(
         sigma_lo, t_lo = max(sigma_lo, 0.1), t_lo + 25.0
     rect = Rectangle(sigma_lo, sigma_lo + width, t_lo, t_lo + height)
     spacing, cert = zeros_module._certificate(f, rect, 0.01) if certified else (0.01, None)
-    pts, vals = zeros_module._sampled_boundary(f, rect, spacing)
+    pts, vals = _polyline(f, rect, spacing)
     new, old = _both_windings(f, pts, vals, cert)
     assert new == old
 
@@ -469,7 +500,7 @@ def test_testing_each_step_once_refines_as_every_round(
 def test_testing_each_step_once_fails_as_every_round(monkeypatch, case, message):
     # At spacing 1 the eta factor's boundary must be bisected, and the
     # midpoints then vanish, are not finite, or pass the point cap.
-    pts, vals = zeros_module._sampled_boundary(ETA, Rectangle(0.5, 1.5, 0.5, 20.0), 1.0)
+    pts, vals = _polyline(ETA, Rectangle(0.5, 1.5, 0.5, 20.0), 1.0)
     f = {
         "vanishing": _vanishing,
         "non-finite": lambda s: np.full(np.shape(s), complex(math.nan, 0.0)),
@@ -546,14 +577,14 @@ def test_engine_refines_every_run_as_alone(
         return vals
 
     clean = partial(f, traps=False)
-    polylines = [zeros_module._sampled_boundary(clean, r, spacing) for r in rects]
+    polylines = [_polyline(clean, r, spacing) for r in rects]
 
     cap = zeros_module._MAX_BOUNDARY_POINTS
     if trap == "point cap":
         sizes = sorted(p.size for p, _ in polylines)
         zeros_module._MAX_BOUNDARY_POINTS = sizes[0] + int(cut * (sizes[-1] - sizes[0])) + 3
     try:
-        got = [_outcome(g) for g in zeros_module._windings(f, polylines, cert)]
+        got = [_outcome(g) for g in _cycles(f, polylines, cert)]
         want = []
         for pts, vals in polylines:
             try:
@@ -615,7 +646,7 @@ def test_eta_scan_certifies_its_boundary_in_few_points(monkeypatch):
 
     def spy(g, *args):
         out = refine(g, *args)
-        first[:] = first or out[:1]
+        first[:] = first or out
         return out
 
     monkeypatch.setattr(zeros_module, "_refine", spy)
@@ -626,17 +657,20 @@ def test_eta_scan_certifies_its_boundary_in_few_points(monkeypatch):
         assert abs(rec.location - (1.0 + 1j * k * PERIOD2)) < 1e-9
         assert rec.winding_confirmed
     assert f.points < 10_000
-    # Every step of the rectangle's own polyline is certified.
-    _, _, _, pts, vals = first[0]
+    # Every step of the rectangle's own four sides is certified.
     lip, margin, _ = zeros_module._certificate(f, rect, 0.01)[1]
-    mags = np.abs(vals)
-    assert np.all(lip * np.abs(np.diff(pts)) < np.maximum(mags[1:], mags[:-1]) - margin)
+    assert len(first) == 4
+    for _, _, _, pts, vals in first:
+        mags = np.abs(vals)
+        assert np.all(lip * np.abs(np.diff(pts)) < np.maximum(mags[1:], mags[:-1]) - margin)
 
 
 def test_eta_scan_evaluator_calls():
     # recur-desk's zero scan: each cut is its own call, and each level's
-    # halves, Newton steps and circles share theirs.  Counting each half
-    # and each circle on its own, the scan made 207 calls.
+    # halves, Newton steps and circles share theirs; the rectangle's corners
+    # share one call with the inner points of its bottom and top.  Counting
+    # each half and each circle on its own, the scan made 207 calls, and
+    # 205 with the bottom and top in calls of their own.
     calls = []
 
     def f(s):
@@ -644,7 +678,7 @@ def test_eta_scan_evaluator_calls():
         return ETA(s)
 
     assert len(zero_scan(f, Rectangle(0.5, 1.5, -1.0, 1000.0))) == 111
-    assert len(calls) == 205
+    assert len(calls) == 204
 
 
 # 1 + 2^{-s} (dlabbench/two_term.json), and the eta factor squared, whose
@@ -662,8 +696,11 @@ ETA_SQUARED = _kernel.DirichletPolynomial([1.0, 2.0, 4.0], [1.0, -4.0, 4.0])
         (ETA_SQUARED, Rectangle(0.55, 1.45, 1.0, 20.0)),
         (lambda s: (np.asarray(s, dtype=np.complex128) - (1.0 + 1.0j)) ** 2,
          Rectangle(0.0, 2.0, 0.0, 2.0)),
+        # Four cuts at shift 0 and one, through the zero at 1 + i PERIOD2,
+        # moved up by 1e-3.
+        (ETA, Rectangle(0.5, 1.5, -1.0, 19.129440567308777)),
     ],
-    ids=["eta", "two-term", "ladder3", "eta-squared", "double-root"],
+    ids=["eta", "two-term", "ladder3", "eta-squared", "double-root", "eta-nudged"],
 )
 def test_batched_scan_matches_the_per_cell_scan(f, rect):
     # A level's candidates share each evaluator call, and a polynomial's
@@ -671,6 +708,49 @@ def test_batched_scan_matches_the_per_cell_scan(f, rect):
     # every record keeps the bits of the per-cell, depth-first scan.
     got = zero_scan(f, rect)
     assert got and [repr(r) for r in got] == [repr(r) for r in zero_scan_per_cell(f, rect)]
+
+
+@pytest.mark.parametrize(
+    "rect", [Rectangle(0.5, 1.5, -1.0, 40.0), Rectangle(0.5, 1.5, -1.0, 19.129440567308777)],
+    ids=["eta", "eta-nudged"],
+)
+def test_scan_refines_each_cut_in_one_run(monkeypatch, rect):
+    # Both halves of a split walk its cut as one run, so in each refinement
+    # of a level the cut's points (but its ends, which join it to the pieces
+    # of the sides it crosses) lie in exactly one run, on every try.  The
+    # plain function hides the polynomial's weights, so every cut is sampled
+    # at the 0.01 step.
+    cuts, seen, inside = [], [], [False]
+    refine, split = zeros_module._refine, zeros_module._split_level
+
+    def f(s):
+        if inside[0]:
+            cuts.append(np.asarray(s).tolist())
+        return ETA(s)
+
+    def spy_split(*args):
+        inside[0] = True
+        try:
+            return split(*args)
+        finally:
+            inside[0] = False
+
+    def spy_refine(g, pts, vals, sizes, *args):
+        runs = [set(run.tolist()) for run in np.split(pts, np.cumsum(sizes)[:-1])]
+        for cut in cuts:
+            seen.append(sum(1 for run in runs if set(cut[1:-1]) <= run))
+            assert sum(1 for run in runs if run.intersection(cut[1:-1])) == seen[-1]
+        cuts.clear()
+        was, inside[0] = inside[0], False
+        try:
+            return refine(g, pts, vals, sizes, *args)
+        finally:
+            inside[0] = was
+
+    monkeypatch.setattr(zeros_module, "_refine", spy_refine)
+    monkeypatch.setattr(zeros_module, "_split_level", spy_split)
+    assert len(zero_scan(f, rect)) == _ladder_count([(1.0, 0.0, PERIOD2)], rect)
+    assert len(seen) >= 4 and set(seen) == {1}
 
 
 def test_newton_batch_refuses_only_the_candidate_at_fault():
@@ -728,12 +808,16 @@ def _density_count(f, rect):
     return density_table(f, [rect.sigma_lo], rect.t_hi, exclude_origin=True)[0][2]
 
 
+def zero_scan_count(f, rect):
+    return len(zero_scan(f, rect))
+
+
 @pytest.mark.filterwarnings("ignore:accuracy not guaranteed")
 @pytest.mark.parametrize(
     "f, count, rect, want",
     [
         (zeta_values, _density_count, Rectangle(0.4, 1.2, 1e-3, 30.0), 3),
-        (zeta_values, lambda f, r: len(zero_scan(f, r)), Rectangle(0.4, 0.6, 14.0, 26.0), 3),
+        (zeta_values, zero_scan_count, Rectangle(0.4, 0.6, 14.0, 26.0), 3),
         (default_evaluator(builtin_series("divisor_2"), 2000), winding_count,
          Rectangle(0.5, 1.5, 10.0, 20.0), 12),
     ],
@@ -762,22 +846,17 @@ def test_uncertified_counts_keep_the_fixed_step_points(monkeypatch, f, count, re
     monkeypatch.setattr(zeros_module, "_refine", spy_refine)
     assert count(f, rect) == want
     assert starts and all(starts)
-    if count is _density_count:
-        # The density rectangle's runs: its bottom and top lines, then its
-        # left and right sides, each up to the top corner.
-        c = [complex(x, t) for t in (rect.t_lo, rect.t_hi) for x in (rect.sigma_lo, rect.sigma_hi)]
-        lines = [np.linspace(a, b, zeros_module._edge_count(a, b, 0.01)) for a, b in (c[:2], c[2:])]
-        sides = [
-            np.append(np.asarray(zeros_module._side(a.real, a.imag, b.imag, 0.01, top=False)), b)
-            for a, b in (c[::2], c[1::2])
-        ]
-        assert len(polylines) == 4
-        for (pts, _, _), sampled in zip(polylines, lines + sides):
-            np.testing.assert_array_equal(pts, sampled)
-    else:
-        edges = [np.asarray(e) for e in zeros_module._rect_edges(rect, 0.01)]
-        sampled = np.concatenate(edges[:3] + [edges[3][::-1]])
-        np.testing.assert_array_equal(polylines[0][0], sampled)
+    # Every count's first runs are the rectangle's: its bottom and top
+    # lines, then its left and right sides, each up to the top corner.
+    c = [complex(x, t) for t in (rect.t_lo, rect.t_hi) for x in (rect.sigma_lo, rect.sigma_hi)]
+    lines = [np.linspace(a, b, zeros_module._edge_count(a, b, 0.01)) for a, b in (c[:2], c[2:])]
+    sides = [
+        np.append(np.asarray(zeros_module._side(a.real, a.imag, b.imag, 0.01, top=False)), b)
+        for a, b in (c[::2], c[1::2])
+    ]
+    assert len(polylines) == 4 if count is not zero_scan_count else len(polylines) > 4
+    for (pts, _, _), sampled in zip(polylines, lines + sides):
+        np.testing.assert_array_equal(pts, sampled)
     for pts, vals, (_, _, _, refined, _) in polylines:
         np.testing.assert_array_equal(refined, _heuristic_refinement(f, pts, vals))
 
