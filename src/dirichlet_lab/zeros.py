@@ -438,7 +438,9 @@ def _runs_winding(runs) -> int:
         if isinstance(got, NumericalError):
             return got
         phase += sign * got[0]
-        lo, hi, points = min(lo, got[1]), max(hi, got[2]), points + got[3].size - 1
+        lo = got[1] if got[1] < lo else lo
+        hi = got[2] if got[2] > hi else hi
+        points += got[3].size - 1
     if lo <= 1e-12 * hi or points > _MAX_BOUNDARY_POINTS:
         return NumericalError("zero near boundary; perturb rectangle")
     try:
