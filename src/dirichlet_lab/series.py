@@ -81,37 +81,47 @@ def _finite_sums(terms, cut=0) -> tuple:
         return math.inf, math.inf
 
 
-# frexp's least exponent, that of the smallest subnormal (2^-1074 = 0.5 * 2^-1073).
-_FREXP_MIN = -1073
+# 1.0 in the units of _exact_units, 2^-1074 (the least subnormal) each.
+_ONE = 1 << 1074
 
-# 1.0 in the units of _exact_units, 2^(_FREXP_MIN - 53) each.
-_ONE = 1 << (53 - _FREXP_MIN)
+# The fraction bits a head keeps (_exact_units): all but the low 26.
+_HEAD = np.uint64((1 << 64) - (1 << 26))
+
+# Floats at least this large in magnitude are summed apart, scaled by 2^-128,
+# so that no bucket sum of fewer than 2^26 floats passes the float range.
+_BIG = 2.0**997
 
 
 def _exact_units(x) -> int:
     """The sum of the finite floats x as an exact integer count of units
-    2^(_FREXP_MIN - 53), the least power of two of any float's mantissa;
-    _exact_units(x) / _ONE is the sum correctly rounded, as math.fsum gives
-    it, for fewer than 2^26 floats, without a Python float per term.
+    2^-1074; _exact_units(x) / _ONE is the sum correctly rounded, as
+    math.fsum gives it, for fewer than 2^26 floats, without a Python float
+    per term.
 
-    Each x = M 2^(e - 53), with M the 53-bit integer mantissa of np.frexp.
-    M's 26-bit halves are summed per exponent e by np.bincount; every
-    partial sum is an integer below 2^53, so each bucket is exact.  The
-    buckets are combined in Python ints, and one int / int division, which
-    is correctly rounded, gives the float; it raises OverflowError when the
-    sum passes the float range.
+    Each x is split at its bits (view(np.uint64)) into a head, x with the
+    low 26 of its 52 fraction bits cleared, and the exact tail x - head.
+    Floats of one sign and exponent (their top 12 bits, the bucket) have
+    heads that are multiples of one power of two, below 2^27 of it, and
+    tails multiples of a smaller one, below 2^26 of it; so every partial
+    sum np.bincount forms in a bucket is such a multiple below 2^53 of it,
+    exact.  The bucket sums are combined in Python ints, and one int / int
+    division, which is correctly rounded, gives the float; it raises
+    OverflowError when the sum passes the float range.
     """
-    mant, exp = np.frexp(np.asarray(x, dtype=np.float64).ravel())
-    mant = np.ldexp(mant, 53)
-    hi = np.floor(np.ldexp(mant, -26))
-    idx = exp - _FREXP_MIN
-    his = np.bincount(idx, weights=hi)
-    los = np.bincount(idx, weights=mant - np.ldexp(hi, 26))
-    nz = np.flatnonzero((his != 0) | (los != 0))
-    total = sum(
-        ((int(h) << 26) + int(lo)) << k
-        for k, h, lo in zip(nz.tolist(), his[nz].tolist(), los[nz].tolist())
-    )
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.size and (x.max() >= _BIG or x.min() <= -_BIG):
+        big = np.abs(x) >= _BIG
+        return _exact_units(x[~big]) + (_exact_units(x[big] * 2.0**-128) << 128)
+    bits = x.view(np.uint64)
+    head = (bits & _HEAD).view(np.float64)
+    bucket = (bits >> np.uint64(52)).view(np.int64)
+    heads = np.bincount(bucket, weights=head)
+    tails = np.bincount(bucket, weights=np.subtract(x, head, out=head))
+    sums = np.concatenate((heads, tails))
+    total = 0
+    for v in sums[np.flatnonzero(sums)].tolist():
+        n, d = v.as_integer_ratio()  # d a power of two, at most 2^1074
+        total += n * (_ONE // d)
     return total
 
 

@@ -11,11 +11,11 @@ the truncation remainder is certified: at most 1e-13 absolute at every
 point, in exact arithmetic.  A batch may be a VerticalLine (a moment
 window, a rectangle's vertical side): its partial sum is the kernel's
 factored matrix product at the line's exact nodes, its correction terms
-take N^{-s} there too and one Horner pass (_line_correction), and the
-rest takes np.asarray(line), the nodes rounded to floats.  A 20,000-node
-moment window at Re s = 0.75 and Im s up to 2,000 takes N = 572 and
-K = 24 (N = 800 and K = 15 while lines took the correction term by term,
-as arrays do).
+are a bilinear form over the line's digits, two small matrix products
+(_line_correction), and only N^{1-s} / (s - 1) takes np.asarray(line), the
+nodes rounded to floats.  A 20,000-node moment window at Re s = 0.75 and
+Im s up to 2,000 takes N = 572 and K = 24 (N = 800 and K = 15 while lines
+took the correction term by term, as arrays do).
 
 The rounding error is measured, not certified: against mpmath (25 digits)
 at 3,968 points, nodes 0, 161, ..., 19,803 of each of 32 VerticalLines of
@@ -36,16 +36,16 @@ import warnings
 
 import numpy as np
 
-from ._kernel import _MAX_TERMS, DirichletPolynomial, VerticalLine, _cis
+from ._kernel import _MAX_TERMS, DirichletPolynomial, VerticalLine, _cis, _product
 from .errors import AccuracyWarning, PreconditionError
 
 __all__ = ["zeta_eval", "zeta_values"]
 
 # The partial sum runs to N = max(32, ceil(max |Im s| / _RATIO)) terms.  Each
 # further Bernoulli order then shrinks the correction by about
-# (_RATIO / 2 pi)^2 = 0.31.  On a VerticalLine an order costs about as much
-# as 9 terms; of 2.5, 3, 3.5 and 4, 3.5 made a zeta moment at T = 2,000 the
-# fastest.
+# (_RATIO / 2 pi)^2 = 0.31.  3.5 was the fastest of 2.5, 3, 3.5 and 4 for a
+# zeta moment at T = 2,000 when a line's order cost as much as 9 terms (it
+# costs about 2 now); it is kept, as another ratio moves every zeta value.
 _RATIO = 3.5
 
 # Absolute tolerance on the remainder bound: a batch takes the least order
@@ -125,19 +125,21 @@ def _orders(N, sigma, corner):
     return None
 
 
-def _terms_and_orders(arr):
+def _terms_and_orders(arr, extent=None):
     """(N, K) for the batch arr: terms of the partial sum and Bernoulli orders.
 
     N is max(32, ceil(max |Im s| / _RATIO)) and K the least order whose
     remainder bound meets _TOL (_orders).  Where none does (real parts past
     about 2 pi N, as on a zero scan's side from Re s = 0.5 to 300), N doubles
-    until one does or N passes _MAX_TERMS (K is then None).
+    until one does or N passes _MAX_TERMS (K is then None).  extent is
+    (min Re s, max Re s, max |Im s|), read from arr when not given.
     """
-    height = float(np.abs(arr.imag).max())
+    lo, hi, height = extent or (
+        float(arr.real.min()), float(arr.real.max()), float(np.abs(arr.imag).max())
+    )
     N = max(32, math.ceil(height / _RATIO))
-    sigma, corner = float(arr.real.min()), complex(arr.real.max(), height)
     while N <= _MAX_TERMS:
-        K = _orders(N, sigma, corner)
+        K = _orders(N, lo, complex(hi, height))
         if K is not None:
             return N, K
         N *= 2
@@ -188,10 +190,14 @@ def _line_correction(arr, N, K, line) -> np.ndarray:
 
         Q(w) = sum_{k <= K} B_{2k} / (2k)! w (w + 1/N) ... (w + (2k - 2)/N),
 
-    term k of _add_correction over N^{-s}.  N^{-s} is the kernel's
-    one-term table over the line's digits, at its exact nodes, where
-    _add_correction takes one complex exp per point; Q is taken by Horner
-    on its real monomial coefficients, in place."""
+    term k of _add_correction over N^{-s}.  At node a m + c, s / N = w_a +
+    u_c with w_a = (sigma + i base_a) / N and u_c = i offset_c / N (the
+    line's digits), and Q(w_a + u_c) - 1/2 is, exactly, the sum over d, k
+    of w_a^d / d! H[d, k] u_c^k / k!, with the Hankel matrix H[d, k] =
+    Q^{(d + k)}(0) less 1/2 at (0, 0).  N^{-s}'s factors, the kernel's
+    one-term tables of the bases and the offsets (_cis), scale those
+    (bases x 2K) and (2K x offsets) tables: two small matrix products, and
+    only N^{1-s} / (s - 1) takes a pass over the nodes."""
     # Q's coefficients a_1..a_{2K-1}: each rising product expanded once, by
     # (w + j/N) at a time; its entries are sums of positive terms.
     rising, coeffs = np.zeros(2 * K), np.zeros(2 * K)
@@ -200,20 +206,33 @@ def _line_correction(arr, N, K, line) -> np.ndarray:
         coeffs += _BERN[k] * rising
         for j in (2 * k + 1, 2 * k + 2):
             rising[1:] = rising[:-1] + j / N * rising[1:]
+    # H[d, k] = a_{d+k} (d + k)!, zero past the degree 2K - 1.
+    deg = np.arange(2 * K)
+    coeffs *= np.cumprod(np.maximum(deg, 1.0))
+    coeffs[0] = -0.5
+    hankel = np.concatenate((coeffs, np.zeros(2 * K)))[deg[:, None] + deg]
     logs = np.array([math.log(N)])
-    offsets, bases = line._digits()
-    amp = math.exp(-line.sigma * logs[0])
-    pow_ms = np.multiply.outer(_cis(*bases, logs)[:, 0], _cis(*offsets, logs, amp)[:, 0])
-    w = np.divide(arr, N)
-    acc = np.full_like(arr, coeffs[-1])
-    for a in coeffs[-2:0:-1]:
-        acc *= w
-        acc += a
-    acc *= w
-    acc -= 0.5
-    np.subtract(arr, 1.0, out=w)
-    acc += np.divide(N, w, out=w)
-    acc *= pow_ms.ravel()[: line.count]
+    (ohi, olo, m), (bhi, blo, nb) = line._digits()
+    inv = 1.0 / deg[1:]
+    left = np.empty((nb, 2 * K), np.complex128)  # N^{-i base_a} w_a^d / d!
+    left[:, 0] = _cis(bhi, blo, nb, logs)[:, 0]
+    w = (line.sigma + 1j * np.add.outer(bhi, blo).ravel()[:nb]) / N
+    left[:, 1:] = np.multiply.outer(w, inv)
+    np.cumprod(left, axis=1, out=left)
+    right = np.empty((2 * K, m), np.complex128)  # N^{-sigma - i offset_c} u_c^k / k!
+    right[0] = _cis(ohi, olo, m, logs, math.exp(-line.sigma * logs[0]))[:, 0]
+    right[1:] = np.multiply.outer(inv, 1j * (np.add.outer(ohi, olo).ravel()[:m] / N))
+    np.cumprod(right, axis=0, out=right)
+    # H is real and symmetric: H @ right in real arithmetic, on right's
+    # interleaved real and imaginary parts.
+    mid = np.empty_like(right)
+    _product(hankel, right.view(np.float64), mid.view(np.float64), add=False)
+    out = np.empty((nb, m), np.complex128)
+    _product(left, mid, out, add=False)
+    acc = np.subtract(arr, 1.0)
+    np.divide(N, acc, out=acc)
+    acc *= np.multiply.outer(left[:, 0], right[0]).ravel()[: line.count]
+    acc += out.ravel()[: line.count]
     return acc
 
 
@@ -229,34 +248,37 @@ def zeta_values(s) -> np.ndarray:
             cap of _MAX_TERMS terms: at |Im s| > 7e7, or where real parts far
             right of the strip double N past the cap.
     """
+    line = s if isinstance(s, VerticalLine) else None
     arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     if arr.size == 0:
         return arr.copy()
-    if not np.all(np.isfinite(arr)):
+    if line is None:
+        finite, lo, hi = np.all(np.isfinite(arr)), float(arr.real.min()), float(arr.real.max())
+    else:  # every real part is sigma: only the imaginary parts are read
+        finite = math.isfinite(line.sigma) and np.all(np.isfinite(arr.imag))
+        lo = hi = line.sigma
+    if not finite:
         raise PreconditionError("zeta argument must be finite")
-    if np.any(arr.real <= 0.0):
+    height = float(np.abs(arr.imag).max())
+    if lo <= 0.0:
         raise PreconditionError("zeta evaluation requires Re s > 0")
-    if np.any(np.abs(arr - 1.0) < 1e-12):
+    # |s - 1| < 1e-12 needs some Re s within 1e-12 of 1.
+    if lo < 1.0 + 1e-12 and hi > 1.0 - 1e-12 and np.any(np.abs(arr - 1.0) < 1e-12):
         raise PreconditionError("zeta has a pole at s = 1")
-    N, K = _terms_and_orders(arr)
+    N, K = _terms_and_orders(arr, (lo, hi, height))
     if K is None:
-        height = float(np.abs(arr.imag).max())
         if height / _RATIO <= _MAX_TERMS:  # N doubled for the real parts
             raise PreconditionError(
                 "zeta at max Re s = %g: no Bernoulli order meets the remainder"
-                " bound within the cap of %d terms" % (arr.real.max(), _MAX_TERMS)
+                " bound within the cap of %d terms" % (hi, _MAX_TERMS)
             )
         raise PreconditionError(
             "zeta at |Im s| = %g needs %d terms, above the cap of %d"
             % (height, N, _MAX_TERMS)
         )
-    if (
-        np.any(arr.real <= 0.5)
-        or np.any(arr.real > 4.0)
-        or np.any(np.abs(arr.imag) > 1e4)
-    ):
+    if lo <= 0.5 or hi > 4.0 or height > 1e4:
         warnings.warn("accuracy not guaranteed", AccuracyWarning, stacklevel=2)
-    return _euler_maclaurin(arr, N, K, s if isinstance(s, VerticalLine) else None)
+    return _euler_maclaurin(arr, N, K, line)
 
 
 def zeta_eval(s) -> complex:

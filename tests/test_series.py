@@ -180,6 +180,34 @@ def test_exact_sum_rounds_as_fsum(xs, signed):
     assert got == want
 
 
+_MAX = np.finfo(np.float64).max
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 2.0**-1022 - 5e-324,
+          _MAX, -_MAX, 2.0**997]
+
+
+# The same for any finite floats, signs mixed: negatives, both zeros,
+# subnormals and the largest floats, which are summed apart (from 2^997 up).
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(_EDGES), _ANY_EXPONENT.map(lambda v: -v)),
+                max_size=40))
+@example([_MAX, _MAX, -_MAX, -0.0, 5e-324])
+@example([2.0**997] * 3 + [-(2.0**996), 1.0])
+def test_exact_sum_of_any_finite_floats_rounds_as_fsum(xs):
+    try:
+        want = math.fsum(xs)
+    except OverflowError:
+        try:
+            want = float(sum(map(Fraction, xs), Fraction(0)))
+        except OverflowError:
+            want = None
+    try:
+        got = series._exact_units(np.asarray(xs, dtype=np.float64)) / series._ONE
+    except OverflowError:
+        got = None
+    assert got == want
+
+
 def test_tail_norm_square_past_float_range_is_inf():
     spec = load_source({"kind": "explicit", "coeffs": [[1, 1, 0], [2, 1e200, 0]]})
     assert tail_norm(spec, 1.0, 1) == (1.0, math.inf)

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dirichlet_lab import AccuracyWarning, PreconditionError, zeta_eval, zeta_values
 from dirichlet_lab._kernel import VerticalLine
@@ -247,19 +249,38 @@ def test_every_order_is_summed_on_a_line_at_a_small_N(sigma, t0, N):
         assert abs(got[j] - _summation_formula(mpmath.mpc(sigma, t), N, K)) <= 1e-14, j
 
 
-# At equal (N, K), the line path's correction (Horner on Q's monomials,
-# N^{-s} from the kernel's exp tables at the exact nodes) against the
-# array path's term-by-term recurrence at the rounded nodes, each without
-# the partial sum.  Each path rounds the phase t log N (up to 8.1e4 here,
-# whose ulp is 1.5e-11) to within about an ulp, so they may differ by about
-# two ulps of it relative to the correction: 1.8e-11 measured at t near
-# 1e4, 1.5e-13 absolute at sigma = 0.51, where the array path alone is
-# 1.4e-13 from mpmath at the exact nodes.  Elsewhere they agree within 1e-13
-# absolute.
+# At equal (N, K), the line path's correction (Q re-expanded over the
+# line's digits as two matrix products, N^{-s} from the kernel's exp tables
+# at the exact nodes) against the array path's term-by-term recurrence at
+# the rounded nodes, each without the partial sum.  Each path rounds the
+# phase t log N (up to 8.1e4 here, whose ulp is 1.5e-11) to within about an
+# ulp, so they may differ by about two ulps of it relative to the
+# correction: 1.8e-11 measured at t near 1e4, 1.5e-13 absolute at
+# sigma = 0.51, where the array path alone is 1.4e-13 from mpmath at the
+# exact nodes.  Elsewhere they agree within 1e-13 absolute.
 @pytest.mark.parametrize("t0", [0.01, 10.0, 1800.0, 9900.0])
 @pytest.mark.parametrize("sigma", [0.51, 0.75, 2.0, 4.0])
 def test_line_correction_matches_the_array_recurrence(sigma, t0):
     line = VerticalLine(sigma, t0, 0.01, 20001)
+    s = np.asarray(line)
+    N, K = _terms_and_orders(s)
+    want = np.zeros_like(s)
+    _add_correction(want, s, N, K)
+    got = _line_correction(s, N, K, line)
+    assert np.all(np.abs(got - want) <= 1e-13 + 3e-11 * np.abs(want))
+
+
+# The same on random lines, at both signs of the height, from one node to
+# a moment window's count.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.51, 4.0), st.floats(-1e4, 1e4), st.floats(0.005, 0.5),
+    st.sampled_from([1, 2, 3, 10, 141, 20001]),
+)
+@example(0.51, 1e4, 0.5, 20001)  # the top node at 2e4, N = 5,715, K = 26
+@example(0.51, -1e4, 0.5, 20001)
+def test_line_correction_matches_the_array_recurrence_on_random_lines(sigma, t0, h, count):
+    line = VerticalLine(sigma, t0, h, count)
     s = np.asarray(line)
     N, K = _terms_and_orders(s)
     want = np.zeros_like(s)
